@@ -48,7 +48,7 @@ def test_fig1_structure(benchmark):
 
 def test_fig1_full_pipeline_run(benchmark):
     """Time the complete Steps 1-3 walk of the figure for UC I."""
-    pipeline = benchmark(uc1.build_pipeline)
-    assert len(pipeline.completed_steps()) == 3
+    pipeline = benchmark(lambda: uc1.pipeline_builder().build())
+    assert pipeline.report.complete
 if __name__ == "__main__":
     raise SystemExit(_harness.main(__file__))

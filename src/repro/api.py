@@ -25,10 +25,7 @@ pieces:
 * :class:`Pipeline` -- the frozen, fully-audited artifact ``build()``
   returns: library, HARA, derived attacks, the RQ1 completeness report
   and (optionally) the Step-4 bindings.  ``run()``/``verdicts()`` execute
-  bound attacks and emit uniform :mod:`repro.results` records;
-  ``to_legacy()`` replays the configuration through the old
-  :class:`~repro.core.pipeline.SaSeValPipeline` protocol for the
-  deprecation shims (bit-identical results, by construction).
+  bound attacks and emit uniform :mod:`repro.results` records.
 
 * :class:`Workspace` -- the one entry point consumers (CLI, benchmarks,
   notebooks) talk to: declaratively registered use cases
@@ -45,7 +42,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.completeness import CompletenessAuditor, CompletenessReport
 from repro.core.derivation import AttackDeriver, AttackDescriptionSet
-from repro.core.pipeline import SaSeValPipeline, Step
+from repro.core.pipeline import Step
 from repro.core.traceability import TraceMatrix
 from repro.errors import ValidationError
 from repro.hara.analysis import Hara
@@ -296,35 +293,13 @@ class Pipeline:
             for attack_id in selected
         )
 
-    # -- legacy bridge -----------------------------------------------------
-
-    def to_legacy(self) -> SaSeValPipeline:
-        """Replay this configuration through the old step protocol.
-
-        Exists for the ``build_pipeline()`` deprecation shims: the
-        returned object is built from the same library, HARA, attack set
-        and justifications, so every artifact it exposes is identical to
-        the pre-redesign path.
-        """
-        legacy = SaSeValPipeline(name=self.name)
-        legacy.provide_threat_library(self.library)
-        legacy.provide_safety_analysis(self.hara)
-        deriver = legacy.begin_attack_description()
-        for attack in self.attacks:
-            deriver.results.add(attack)
-        for threat_id, reason, author in self.justifications:
-            legacy.justify(threat_id, reason, author=author)
-        legacy.finish_attack_description(require_complete=self.strict)
-        return legacy
-
 
 @dataclasses.dataclass(frozen=True)
 class UseCaseDefinition:
     """A use case as declarative stage registrations (pure data + factories).
 
-    This replaces the monolithic per-use-case ``build_pipeline()``
-    functions: a definition names the factories for each process step and
-    the :class:`Workspace`/:class:`PipelineBuilder` machinery does the
+    A definition names the factories for each process step; the
+    :class:`Workspace`/:class:`PipelineBuilder` machinery does the
     sequencing.
 
     Attributes:
@@ -463,7 +438,6 @@ class Workspace:
         family: str | None = None,
         attack: str | None = None,
         limit: int | None = None,
-        workers: int | None = None,
         variants: Iterable[Any] | None = None,
         *,
         use_case: str | None = None,
@@ -487,49 +461,33 @@ class Workspace:
         ``fleet_size``/``rsu_range_m`` reshape the selection's
         topology-capable variants (convoy size, RSU transmit range)
         through :func:`~repro.engine.registry.apply_topology_overrides`.
-        Execution goes through the :mod:`repro.runtime` layer:
         ``backend``/``jobs`` (per call, falling back to the workspace
-        defaults) pick where variants run -- ``workers=N`` remains as the
-        legacy process-pool shorthand -- and ``batch_size=N`` ships
-        same-family variants as shared-setup batches
-        (:class:`~repro.runtime.BatchedBackend`); verdicts are
-        batching-independent by construction.  Each outcome's record joins the
-        workspace result set the moment its job completes, so
+        defaults) and ``batch_size`` pick where variants run, resolved
+        by :func:`~repro.runtime.backend_from_spec`; a backend built
+        here from a name is shut down after the run.  Verdicts are
+        backend- and batching-independent by construction.  The other
+        options are :class:`~repro.engine.campaign.CampaignConfig`
+        fields, passed through to
+        :func:`~repro.engine.campaign.run_campaign` (``trace_mode``
+        defaults to the lean campaign mode).  Each outcome's record
+        joins the workspace result set the moment its job completes, so
         :meth:`results` reflects a still-running campaign when called
-        from an ``on_event`` callback.  ``trace_mode`` picks the
-        scenarios' event-trace retention (lean ``"counts"`` by default;
-        ``"full"`` keeps complete traces -- verdicts are identical
-        either way).  ``retry`` takes a
-        :class:`~repro.runtime.RetryPolicy` (transient failures are
-        re-executed, exhaustion quarantines the variant) and
-        ``deadline_s`` sets the campaign-level per-variant wall-clock
-        budget (a variant's own ``deadline_s`` wins).  Returns the
+        from an ``on_event`` callback.  Returns the
         :class:`~repro.engine.campaign.CampaignResult`.
         """
         # Imported lazily: the engine pulls in the whole simulator stack,
         # which pipeline-only workspace uses should not pay for.
-        from repro.engine.campaign import CampaignRunner
-        from repro.engine.registry import apply_topology_overrides
+        from repro.engine.campaign import CAMPAIGN_TRACE_MODE, run_campaign
+        from repro.engine.registry import (
+            apply_topology_overrides,
+            default_registry,
+        )
         from repro.results import ResultSink
+        from repro.runtime import backend_from_spec
 
-        if backend is None and jobs is None and workers is None:
-            backend, jobs = self._backend_spec, self._jobs
-        if backend is None and jobs is None and batch_size is None:
-            runner = CampaignRunner(registry=self._registry, workers=workers)
-        else:
-            if workers is not None:
-                raise ValidationError(
-                    "pass either workers= or backend=/jobs=/batch_size=, "
-                    "not both"
-                )
-            runner = CampaignRunner(
-                registry=self._registry,
-                backend=backend,
-                jobs=jobs,
-                batch_size=batch_size,
-            )
+        registry = self._registry or default_registry()
         if variants is None:
-            variants = runner.select(
+            variants = registry.variants(
                 scenario=scenario,
                 family=family,
                 attack=attack,
@@ -539,26 +497,29 @@ class Workspace:
         if fleet_size is not None or rsu_range_m is not None:
             variants = apply_topology_overrides(
                 variants,
-                runner.registry,
+                registry,
                 fleet_size=fleet_size,
                 rsu_range_m=rsu_range_m,
             )
-        sink = ResultSink(on_record=self._records.append)
-        if trace_mode is None:
-            # One source of truth for the campaign default (lean mode).
-            from repro.engine.campaign import CAMPAIGN_TRACE_MODE
-
-            trace_mode = CAMPAIGN_TRACE_MODE
-        return runner.run(
-            variants,
-            sink=sink,
-            on_error=on_error,
-            on_event=on_event,
-            cancel=cancel,
-            trace_mode=trace_mode,
-            retry=retry,
-            deadline_s=deadline_s,
-        )
+        if backend is None and jobs is None:
+            backend, jobs = self._backend_spec, self._jobs
+        resolved = backend_from_spec(backend, jobs, batch_size=batch_size)
+        try:
+            return run_campaign(
+                variants,
+                backend=resolved,
+                registry=registry,
+                on_error=on_error,
+                on_event=on_event,
+                cancel=cancel,
+                sink=ResultSink(on_record=self._records.append),
+                trace_mode=trace_mode or CAMPAIGN_TRACE_MODE,
+                retry=retry,
+                deadline_s=deadline_s,
+            )
+        finally:
+            if backend is None or isinstance(backend, str):
+                resolved.shutdown()
 
     def crosscheck(
         self,

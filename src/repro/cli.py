@@ -160,12 +160,12 @@ def _export_records(records: ResultSet, target: str) -> None:
 def _campaign_execution(
     args: argparse.Namespace,
 ) -> tuple[str, int, int | None]:
-    """Resolve ``--backend``/``--jobs``/``--batch-size``/legacy ``--workers``."""
+    """Resolve ``--backend``/``--jobs``/``--batch-size``."""
     from repro.errors import ValidationError
 
-    jobs = args.jobs if args.jobs is not None else args.workers
+    jobs = args.jobs
     if jobs is not None and jobs < 1:
-        raise ValidationError(f"jobs/workers must be >= 1, got {jobs}")
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     batch_size = getattr(args, "batch_size", None)
     if batch_size is not None and batch_size < 1:
         raise ValidationError(f"batch size must be >= 1, got {batch_size}")
@@ -220,17 +220,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     # Imported here so the light report/export commands keep their fast
     # startup; the engine pulls in the whole simulator stack.
     from repro.api import Workspace
-    from repro.engine.campaign import CampaignRunner
-    from repro.engine.registry import apply_topology_overrides
+    from repro.engine.registry import apply_topology_overrides, default_registry
 
     try:
         backend, jobs, batch_size = _campaign_execution(args)
         # Selection needs only the registry; the execution backend is
         # resolved once, inside Workspace.campaign below.
-        runner = CampaignRunner()
+        registry = default_registry()
         if args.list_families:
-            return _print_families(runner.registry, args)
-        variants = runner.select(
+            return _print_families(registry, args)
+        variants = registry.variants(
             scenario=args.scenario,
             family=args.family,
             attack=args.attack,
@@ -240,7 +239,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.fleet is not None or args.rsu_range is not None:
             variants = apply_topology_overrides(
                 variants,
-                runner.registry,
+                registry,
                 fleet_size=args.fleet,
                 rsu_range_m=args.rsu_range,
             )
@@ -878,10 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--jobs", type=int, default=None,
         help="concurrent jobs on the chosen backend (default 1)",
-    )
-    campaign.add_argument(
-        "--workers", type=int, default=None,
-        help="legacy alias for --jobs with the process backend",
     )
     campaign.add_argument(
         "--batch-size", type=int, default=None, metavar="N",

@@ -1,14 +1,9 @@
-"""The scenario engine: one kernel, a declarative registry, a campaign runner.
+"""The scenario engine: a declarative registry and one campaign runner.
 
 The seed reproduction hard-coded exactly two SUT configurations and ran
 every benchmark serially.  This package is the architectural seam that
 replaces that:
 
-* :mod:`repro.engine.kernel` -- a single discrete-event kernel
-  (:class:`SimKernel`) bundling the clock, event bus, keystore, world and
-  all communication media behind the :class:`~repro.sim.network.Medium`
-  interface, plus :class:`KernelScenario`, the base class every SUT
-  assembly builds on;
 * :mod:`repro.engine.spec` -- declarative :class:`ScenarioSpec` /
   :class:`VariantSpec` data objects: a scenario is a dotted factory path
   plus parameters, a variant is a pure-data parameter override (and is
@@ -18,18 +13,21 @@ replaces that:
   ablations, attacker timing, traffic density, zone geometry);
 * :mod:`repro.engine.attacks` -- the parametric attack catalog variant
   families arm injectors from;
-* :mod:`repro.engine.campaign` -- the batch runner fanning
-  scenario x attack x control combinations across any
-  :mod:`repro.runtime` execution backend (serial, thread, process),
-  streaming outcomes and aggregating verdicts;
+* :mod:`repro.engine.campaign` -- the campaign runner: one validated
+  :class:`CampaignConfig` and one execution path fanning scenario x
+  attack x control combinations across any :mod:`repro.runtime`
+  execution backend (serial, thread, process), streaming outcomes and
+  aggregating verdicts;
 * :mod:`repro.engine.batch` -- family batching: :class:`BatchPlan`
   groups same-``(scenario, family)`` variants so
   :class:`~repro.runtime.BatchedBackend` workers build shared setup
   (factory resolution, bound attacks, key material) once per batch.
 
-Submodules are imported lazily (PEP 562) so that
-``repro.sim.scenarios`` can import :mod:`repro.engine.kernel` without
-pulling the registry (which needs the scenarios) back in.
+The discrete-event kernel every scenario builds on lives in (and is
+exported by) :mod:`repro.sim.kernel`; :class:`SimKernel`,
+:class:`KernelScenario` and :class:`ScenarioResult` still resolve here.
+Submodules are imported lazily (PEP 562): importing the package loads
+none of them.
 """
 
 from __future__ import annotations
@@ -37,10 +35,12 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
+#: Kernel names that resolve here but belong to ``repro.sim.kernel``'s
+#: export contract, not this package's ``__all__``.
+_KERNEL_NAMES = ("KernelScenario", "ScenarioResult", "SimKernel")
+
 _EXPORTS = {
-    "SimKernel": "repro.engine.kernel",
-    "KernelScenario": "repro.engine.kernel",
-    "ScenarioResult": "repro.engine.kernel",
+    **{name: "repro.sim.kernel" for name in _KERNEL_NAMES},
     "ParamItems": "repro.engine.spec",
     "ScenarioSpec": "repro.engine.spec",
     "VariantSpec": "repro.engine.spec",
@@ -60,15 +60,14 @@ _EXPORTS = {
     "BatchPlan": "repro.engine.batch",
     "VariantBatch": "repro.engine.batch",
     "execute_batch": "repro.engine.batch",
-    "execute_batch_in_process": "repro.engine.batch",
-    "run_batch_payload": "repro.engine.batch",
     "CAMPAIGN_TRACE_MODE": "repro.engine.campaign",
+    "CampaignConfig": "repro.engine.campaign",
     "CampaignMemo": "repro.engine.campaign",
-    "CampaignRunner": "repro.engine.campaign",
     "CampaignResult": "repro.engine.campaign",
     "ERROR_VERDICT": "repro.engine.campaign",
     "VariantOutcome": "repro.engine.campaign",
     "error_outcome": "repro.engine.campaign",
+    "execute_memoised": "repro.engine.campaign",
     "execute_variant": "repro.engine.campaign",
     "iter_campaign": "repro.engine.campaign",
     "run_campaign": "repro.engine.campaign",
@@ -82,7 +81,7 @@ _EXPORTS = {
     "arm_spoof_speed_limit": "repro.engine.attacks",
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted(set(_EXPORTS) - set(_KERNEL_NAMES))
 
 
 def __getattr__(name: str) -> Any:

@@ -6,9 +6,13 @@ hundreds of times -- once per variant.  :class:`BatchPlan` groups a
 variant list by ``(scenario, family)`` (the axis along which setup is
 actually shared: one spec, one factory, one attack template pool, one
 vocabulary of signed messages) and chunks each group to the backend's
-batch size.  :func:`execute_batch` then runs a whole
-:class:`VariantBatch` inside one worker task with the shared, immutable
-setup built **once**:
+batch size; without a batch size it plans one one-variant batch per
+variant, in input order -- the plan of an unbatched campaign.
+
+:func:`execute_batch` is the one job function every campaign backend
+runs.  It executes a whole :class:`VariantBatch` inside one worker task
+and, for a batch of two or more variants, builds the shared, immutable
+setup **once**:
 
 * the scenario factory and its ``trace_mode`` introspection are resolved
   and cached before the first variant runs;
@@ -18,6 +22,9 @@ setup built **once**:
   process-wide cache, and a batch-scoped
   :func:`~repro.sim.crypto.shared_mac_memo` lets every variant in the
   batch reuse each distinct HMAC digest.
+
+A one-variant batch opens none of these scopes, so an unbatched run
+costs exactly what its variants cost alone.
 
 Per-variant behaviour is untouched: each variant still executes through
 :func:`repro.engine.campaign.execute_variant` with the seed the runtime
@@ -82,17 +89,8 @@ class VariantBatch:
         """The shared-setup descriptor shipped alongside the members."""
         return {"scenario": self.scenario, "family": self.family}
 
-    def jobs(self, as_payload: bool = False) -> tuple[tuple[int, Any], ...]:
-        """``(original_index, item)`` pairs for the runtime batch API.
-
-        ``as_payload=True`` converts members to their plain-dict form for
-        transport across a process boundary.
-        """
-        if as_payload:
-            return tuple(
-                (index, variant.to_payload())
-                for index, variant in zip(self.indices, self.variants)
-            )
+    def jobs(self) -> tuple[tuple[int, VariantSpec], ...]:
+        """``(original_index, variant)`` pairs for the runtime batch API."""
         return tuple(zip(self.indices, self.variants))
 
 
@@ -111,10 +109,27 @@ class BatchPlan:
 
     @classmethod
     def plan(
-        cls, variants: Sequence[VariantSpec], batch_size: int
+        cls, variants: Sequence[VariantSpec], batch_size: int | None
     ) -> "BatchPlan":
         """Group ``variants`` by ``(scenario, family)``, chunked to
-        ``batch_size`` members per batch."""
+        ``batch_size`` members per batch.
+
+        ``batch_size=None`` plans one one-variant batch per variant, in
+        input order: the plan of an unbatched campaign.
+        """
+        if batch_size is None:
+            return cls(
+                batches=tuple(
+                    VariantBatch(
+                        scenario=variant.scenario,
+                        family=variant.family,
+                        indices=(index,),
+                        variants=(variant,),
+                    )
+                    for index, variant in enumerate(variants)
+                ),
+                total=len(variants),
+            )
         if batch_size < 1:
             raise ValidationError(
                 f"batch size must be >= 1, got {batch_size}"
@@ -175,117 +190,79 @@ def _warm_batch(
 
 def execute_batch(
     context: BatchContext,
-    jobs: Sequence[tuple[int, int, Any]],
+    jobs: Sequence[tuple[int, int, VariantSpec]],
     registry: ScenarioRegistry | None = None,
     trace_mode: str | None = None,
-    as_payload: bool = False,
     default_deadline_s: float | None = None,
 ) -> list[dict[str, Any]]:
-    """Execute one batch; return per-variant payload dicts.
+    """The campaign job function: execute one batch on this worker.
 
-    ``jobs`` is the runtime's ``(original_index, seed, item)`` shape;
-    items are :class:`VariantSpec` in-process or their payload dicts
-    across a pickle boundary.  Failures are captured per variant (the
-    rest of the batch still runs, so one bad variant never poisons its
-    batch), matching the unbatched error contract --
+    ``jobs`` is the runtime's ``(original_index, seed, variant)`` shape,
+    and the result is the runtime's payload list: per variant its
+    ``index``, ``seed``, ``wall_time_s`` and either the
+    :class:`~repro.engine.campaign.VariantOutcome` as ``value`` or the
+    captured ``error``.  Failures are captured per variant (the rest of
+    the batch still runs, so one bad variant never poisons its batch);
     ``default_deadline_s`` is the campaign-level deadline applied to
-    variants without their own.
+    variants without their own.  In a process worker the first job also
+    claims the worker's identifier block.
     """
-    from repro.engine.campaign import CAMPAIGN_TRACE_MODE, _execute_checked
+    from repro.engine.campaign import (
+        CAMPAIGN_TRACE_MODE,
+        _ensure_worker_identity,
+    )
 
+    _ensure_worker_identity()
     registry = registry if registry is not None else default_registry()
     if trace_mode is None:
         trace_mode = CAMPAIGN_TRACE_MODE
-    variants = [
-        item
-        if isinstance(item, VariantSpec)
-        else VariantSpec.from_payload(item)
-        for _index, _seed, item in jobs
-    ]
-    results: list[dict[str, Any]] = []
+    if len(jobs) == 1:
+        return _execute_jobs(jobs, registry, trace_mode, default_deadline_s)
     # One memo scope per batch: HMAC digests, honestly signed message
     # instances *and* compiled topology tick plans are shared across the
     # family's variants -- structurally identical fleets compile their
     # step program once and re-sign their deterministic traffic once.
     with shared_mac_memo(), shared_message_memo(), shared_tick_plans():
         try:
-            _warm_batch(context, variants, registry)
+            _warm_batch(context, [variant for _i, _s, variant in jobs], registry)
         except Exception:  # noqa: BLE001 - warming is an optimisation
             # A variant that cannot even warm (unknown scenario or
             # attack) must fail *individually* below, exactly as it
             # would unbatched -- never take the whole batch down.
             pass
-        for (index, seed, _item), variant in zip(jobs, variants):
-            started = time.perf_counter()
-            try:
-                outcome = _execute_checked(
-                    variant,
-                    registry,
-                    trace_mode=trace_mode,
-                    default_deadline_s=default_deadline_s,
-                )
-            except Exception as exc:  # noqa: BLE001 - captured, reported
-                results.append(
-                    {
-                        "index": index,
-                        "seed": seed,
-                        "error": dataclasses.asdict(
-                            JobError.from_exception(exc)
-                        ),
-                        "wall_time_s": time.perf_counter() - started,
-                    }
-                )
-            else:
-                results.append(
-                    {
-                        "index": index,
-                        "seed": seed,
-                        "value": (
-                            dataclasses.asdict(outcome)
-                            if as_payload
-                            else outcome
-                        ),
-                        "wall_time_s": time.perf_counter() - started,
-                    }
-                )
+        return _execute_jobs(jobs, registry, trace_mode, default_deadline_s)
+
+
+def _execute_jobs(
+    jobs: Sequence[tuple[int, int, VariantSpec]],
+    registry: ScenarioRegistry,
+    trace_mode: str,
+    default_deadline_s: float | None,
+) -> list[dict[str, Any]]:
+    """Each job through the checked executor, failures captured."""
+    from repro.engine.campaign import _execute_checked
+
+    results: list[dict[str, Any]] = []
+    for index, seed, variant in jobs:
+        started = time.perf_counter()
+        try:
+            outcome = _execute_checked(
+                variant,
+                registry,
+                trace_mode=trace_mode,
+                default_deadline_s=default_deadline_s,
+            )
+        except Exception as exc:  # noqa: BLE001 - captured, reported
+            result: dict[str, Any] = {
+                "error": dataclasses.asdict(JobError.from_exception(exc))
+            }
+        else:
+            result = {"value": outcome}
+        result.update(
+            index=index, seed=seed, wall_time_s=time.perf_counter() - started
+        )
+        results.append(result)
     return results
-
-
-def execute_batch_in_process(
-    context: BatchContext,
-    jobs: Sequence[tuple[int, int, Any]],
-    registry: ScenarioRegistry | None = None,
-    trace_mode: str | None = None,
-    default_deadline_s: float | None = None,
-) -> list[dict[str, Any]]:
-    """Serial/thread batch job: outcomes stay live objects."""
-    return execute_batch(
-        context,
-        jobs,
-        registry=registry,
-        trace_mode=trace_mode,
-        default_deadline_s=default_deadline_s,
-    )
-
-
-def run_batch_payload(
-    context: BatchContext,
-    jobs: Sequence[tuple[int, int, Any]],
-    trace_mode: str | None = None,
-    default_deadline_s: float | None = None,
-) -> list[dict[str, Any]]:
-    """Process-backend batch job: claim worker identity, return plain data."""
-    from repro.engine.campaign import _ensure_worker_identity
-
-    _ensure_worker_identity()
-    return execute_batch(
-        context,
-        jobs,
-        registry=None,
-        trace_mode=trace_mode,
-        as_payload=True,
-        default_deadline_s=default_deadline_s,
-    )
 
 
 __all__ = [
@@ -293,6 +270,4 @@ __all__ = [
     "BatchPlan",
     "VariantBatch",
     "execute_batch",
-    "execute_batch_in_process",
-    "run_batch_payload",
 ]

@@ -7,20 +7,24 @@ rebuilt from the registry spec instead of the hard-coded class -- while
 catalog attacks and unattacked sweeps derive their verdict directly from
 the safety monitor (any violated goal counts as a successful attack).
 
-``run_campaign``/``iter_campaign`` execute a variant list on any
-:mod:`repro.runtime` execution backend -- serial, thread pool or process
-pool -- instead of the hand-rolled ``multiprocessing.Pool`` this module
-used to own.  Variants are pure data and outcomes are plain dataclasses
-of primitives, so process fan-out works under both ``fork`` and ``spawn``
-start methods; each worker process claims a disjoint identifier block on
-first use so parallel workers cannot mint colliding ``AD``/``SG``
-identifiers.  Outcomes stream: ``iter_campaign`` yields each
-:class:`VariantOutcome` as its job completes (and pushes its record into
-an optional :class:`~repro.results.ResultSink`), so long campaigns can
-export partial results, report progress and honour cooperative
-cancellation.  A failed job never crashes the campaign machinery: with
-``on_error="record"`` it becomes a tagged ``ERROR`` outcome, and with the
-default ``on_error="raise"`` it surfaces as a
+``run_campaign`` (input-ordered aggregate) and ``iter_campaign``
+(streaming) are the only campaign entry points.  Both take their options
+as keywords -- the fields of :class:`CampaignConfig`, validated once --
+and feed one private ``(index, outcome)`` stream.  That stream runs
+:func:`~repro.engine.batch.execute_batch` over a
+:class:`~repro.engine.batch.BatchPlan` on any :mod:`repro.runtime`
+backend: a :class:`~repro.runtime.BatchedBackend` ships same-family
+batches, every other backend one-variant tasks in input order.  Variants
+and outcomes are plain dataclasses that pickle, so process fan-out works
+under both ``fork`` and ``spawn`` start methods; each worker process
+claims a disjoint identifier block on first use so parallel workers
+cannot mint colliding ``AD``/``SG`` identifiers.  Outcomes stream: each
+one's record is pushed into an optional
+:class:`~repro.results.ResultSink` the moment it exists, so long
+campaigns can export partial results, report progress and honour
+cooperative cancellation.  A failed job never crashes the campaign
+machinery: with ``on_error="record"`` it becomes a tagged ``ERROR``
+outcome, and with the default ``on_error="raise"`` it surfaces as a
 :class:`~repro.errors.VariantExecutionError` naming the variant.
 """
 
@@ -29,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import time
-import warnings
 from typing import (
     Any,
     Callable,
@@ -41,6 +44,7 @@ from typing import (
 )
 
 from repro.engine.attacks import arm_catalog_attack
+from repro.engine.batch import BatchPlan, execute_batch
 from repro.engine.registry import ScenarioRegistry, default_registry
 from repro.engine.spec import VariantSpec
 from repro.errors import (
@@ -60,11 +64,10 @@ from repro.runtime import (
     CancelToken,
     ExecutionBackend,
     JobError,
-    ProcessBackend,
     ProgressEvent,
     RetryPolicy,
     Runtime,
-    SerialBackend,
+    backend_from_spec,
     in_worker_process,
     worker_index,
 )
@@ -306,7 +309,7 @@ def execute_variant(
     )
 
 
-# -- worker-process entry points ---------------------------------------------
+# -- worker-side execution ----------------------------------------------------
 
 #: Identifier numbers each worker may mint before colliding with the next
 #: worker's block -- far beyond any realistic per-run minting volume.
@@ -335,21 +338,6 @@ def _ensure_worker_identity() -> None:
     _worker_identity_claimed = True
 
 
-def _run_payload(
-    payload: dict,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
-    default_deadline_s: float | None = None,
-) -> dict:
-    """Process-backend job: rebuild the variant, execute, return plain data."""
-    _ensure_worker_identity()
-    outcome = _execute_checked(
-        VariantSpec.from_payload(payload),
-        trace_mode=trace_mode,
-        default_deadline_s=default_deadline_s,
-    )
-    return dataclasses.asdict(outcome)
-
-
 def _execute_checked(
     variant: VariantSpec,
     registry: ScenarioRegistry | None = None,
@@ -358,9 +346,9 @@ def _execute_checked(
 ) -> VariantOutcome:
     """:func:`execute_variant` under the fault-tolerance contract.
 
-    The single chokepoint every campaign execution path (serial, thread,
-    process, batched, the service scheduler) funnels through: it hosts
-    the ``job-start`` fault-injection hook and enforces the variant's
+    The single chokepoint every campaign execution path (every backend,
+    retries, the service scheduler) funnels through: it hosts the
+    ``job-start`` fault-injection hook and enforces the variant's
     wall-clock deadline.  Deadlines are cooperative -- the run completes
     and the breach is reported afterwards as a
     :class:`~repro.errors.DeadlineExceededError`, keeping the check
@@ -381,7 +369,7 @@ def _execute_checked(
     return outcome
 
 
-# -- the runner ---------------------------------------------------------------
+# -- results ------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class CampaignResult:
@@ -511,8 +499,6 @@ def error_outcome(
 ) -> VariantOutcome:
     """A tagged ``ERROR`` outcome for a variant whose execution raised.
 
-    Public so out-of-band executors (the service scheduler) report
-    failures in exactly the shape ``on_error="record"`` produces.
     ``attempts`` records how many executions were tried and
     ``quarantined=True`` tags a variant that exhausted its
     :class:`~repro.runtime.RetryPolicy` budget -- the campaign carries
@@ -544,13 +530,11 @@ def error_outcome(
     )
 
 
-#: Backwards-compatible private alias (pre-service-plane name).
-_error_outcome = error_outcome
-
+# -- configuration ------------------------------------------------------------
 
 @runtime_checkable
 class CampaignMemo(Protocol):
-    """The duck type ``iter_campaign``'s ``memo=`` parameter accepts.
+    """The duck type :attr:`CampaignConfig.memo` accepts.
 
     :class:`repro.service.MemoStore` is the production implementation;
     the engine deliberately depends only on this two-method shape so it
@@ -571,350 +555,102 @@ class CampaignMemo(Protocol):
     ) -> None: ...
 
 
-def _resolve_backend(
-    workers: int | None,
-    parallel: int | None,
-    backend: "ExecutionBackend | str | None",
-    n_variants: int,
-) -> ExecutionBackend:
-    """Normalise the legacy ``workers=``/``parallel=`` and new ``backend=``."""
-    if parallel is not None:
-        warnings.warn(
-            "run_campaign(parallel=...) is deprecated; pass "
-            "backend=ProcessBackend(jobs=N) (or the workers=N shorthand)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if workers is not None and workers != parallel:
-            raise ValidationError(
-                f"conflicting worker counts: workers={workers}, "
-                f"parallel={parallel}"
-            )
-        workers = parallel
-    if backend is not None:
-        if workers is not None:
-            raise ValidationError(
-                "pass either backend= or workers=/parallel=, not both"
-            )
-        if isinstance(backend, str):
-            from repro.runtime import make_backend
+@dataclasses.dataclass(frozen=True)
+class CampaignConfig:
+    """Every option of a campaign run, validated once.
 
-            return make_backend(backend)
-        return backend
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or n_variants <= 1:
-        return SerialBackend()
-    return ProcessBackend(jobs=workers)
+    :func:`run_campaign` and :func:`iter_campaign` build one from their
+    keyword options; the service scheduler builds one for its daemon.
+    A new campaign option is a new field here, checked in
+    :meth:`__post_init__` -- never a new keyword argument at call sites.
 
-
-def iter_campaign(
-    variants: Iterable[VariantSpec],
-    *,
-    backend: "ExecutionBackend | str | None" = None,
-    registry: ScenarioRegistry | None = None,
-    on_error: str = "raise",
-    on_event: Callable[[ProgressEvent], None] | None = None,
-    cancel: CancelToken | None = None,
-    sink: ResultSink | None = None,
-    chunksize: int = 1,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
-    memo: CampaignMemo | None = None,
-    retry: RetryPolicy | None = None,
-    deadline_s: float | None = None,
-) -> Iterator[VariantOutcome]:
-    """Execute ``variants`` on ``backend``; yield outcomes as they finish.
-
-    This is the streaming core every campaign entry point shares.
-    Outcomes arrive in **completion** order (use :func:`run_campaign` for
-    input-ordered aggregation); each one's record is pushed into ``sink``
-    the moment it exists, so partial results are exportable mid-run.
-
-    Args:
-        backend: Any :mod:`repro.runtime` backend or its name (default
-            serial; a backend built from a name is shut down when the
-            iterator finishes or is closed).
-        registry: Custom scenario registry.  Memory-sharing backends
-            (serial, thread) honour it directly; process backends refuse
-            it loudly -- their workers rebuild variants against the
-            default registry and would silently resolve wrong specs.
-        on_error: ``"raise"`` (default) surfaces a worker failure as
-            :class:`~repro.errors.VariantExecutionError` naming the
-            variant; ``"record"`` converts it into a tagged ``ERROR``
-            outcome and keeps going.
-        on_event: Progress callback (see :class:`~repro.runtime.ProgressEvent`).
-        cancel: Cooperative cancellation token; jobs already running
-            finish, nothing new starts.
-        sink: Streaming record accumulator
-            (:class:`~repro.results.ResultSink`).
-        chunksize: Jobs per backend task (1 streams at finest grain).
+    Attributes:
+        backend: Any :mod:`repro.runtime` backend, its name, or ``None``
+            (serial).  A name or ``None`` is resolved here into a
+            backend the campaign owns and shuts down when the run ends;
+            a backend instance stays the caller's to shut down.
+        registry: Custom scenario registry (``None``: the default one).
+            Memory-sharing backends (serial, thread) honour it; process
+            backends refuse it loudly -- their workers resolve variants
+            against the default registry and would silently run the
+            wrong specs.
         trace_mode: Scenario event-trace mode (lean ``"counts"`` by
             default; ``"full"`` retains complete traces).
         memo: Optional :class:`CampaignMemo` (e.g.
             :class:`repro.service.MemoStore`): variants it already knows
-            are yielded instantly as ``from_cache`` outcomes and never
-            re-executed; fresh outcomes are recorded back into it.
+            are served as ``from_cache`` outcomes and never re-executed;
+            fresh outcomes are recorded back into it.
         retry: Optional :class:`~repro.runtime.RetryPolicy`: a variant
             failing with a transient error class is re-executed (with
-            the policy's deterministic backoff) instead of failing the
-            campaign; a variant that exhausts the budget yields a
-            ``quarantined`` error outcome under ``on_error="record"``
-            (or raises, under ``"raise"``).
-        deadline_s: Campaign-level wall-clock budget per variant;
-            a variant's own ``deadline_s`` takes precedence.
+            the policy's deterministic backoff); one that exhausts the
+            budget yields a ``quarantined`` error outcome under
+            ``on_error="record"`` (or raises, under ``"raise"``).
+        deadline_s: Campaign-level wall-clock budget per variant; a
+            variant's own ``deadline_s`` takes precedence.
+        on_error: ``"raise"`` (default) surfaces a failed variant as
+            :class:`~repro.errors.VariantExecutionError` naming it;
+            ``"record"`` turns it into a tagged ``ERROR`` outcome and
+            keeps going.
     """
-    for _index, outcome in _iter_campaign_indexed(
-        variants,
-        backend=backend,
-        registry=registry,
-        on_error=on_error,
-        on_event=on_event,
-        cancel=cancel,
-        sink=sink,
-        chunksize=chunksize,
-        trace_mode=trace_mode,
-        memo=memo,
-        retry=retry,
-        deadline_s=deadline_s,
-    ):
-        yield outcome
 
+    backend: ExecutionBackend | str | None = None
+    registry: ScenarioRegistry | None = None
+    trace_mode: str = CAMPAIGN_TRACE_MODE
+    memo: CampaignMemo | None = None
+    retry: RetryPolicy | None = None
+    deadline_s: float | None = None
+    on_error: str = "raise"
+    #: True when ``backend`` was built here (from a name or ``None``).
+    owns_backend: bool = dataclasses.field(
+        default=False, init=False, repr=False, compare=False
+    )
 
-def _iter_campaign_indexed(
-    variants: Iterable[VariantSpec],
-    *,
-    backend: "ExecutionBackend | str | None" = None,
-    registry: ScenarioRegistry | None = None,
-    on_error: str = "raise",
-    on_event: Callable[[ProgressEvent], None] | None = None,
-    cancel: CancelToken | None = None,
-    sink: ResultSink | None = None,
-    chunksize: int = 1,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
-    memo: CampaignMemo | None = None,
-    retry: RetryPolicy | None = None,
-    deadline_s: float | None = None,
-) -> Iterator[tuple[int, VariantOutcome]]:
-    """:func:`iter_campaign` plus each outcome's input position, so
-    aggregators can restore exact submission order even when variant ids
-    repeat in an explicit list."""
-    if on_error not in ("raise", "record"):
-        raise ValidationError(
-            f"on_error must be 'raise' or 'record', got {on_error!r}"
-        )
-    if deadline_s is not None and deadline_s <= 0:
-        raise ValidationError(
-            f"deadline_s must be positive, got {deadline_s}"
-        )
-    owns_backend = isinstance(backend, str)
-    if isinstance(backend, str):
-        from repro.runtime import make_backend
-
-        backend = make_backend(backend)
-    elif backend is None:
-        backend = SerialBackend()
-    variant_list = list(variants)
-    if (
-        registry is not None
-        and registry is not default_registry()
-        and not backend.shares_memory
-    ):
-        raise ValidationError(
-            "custom registries only run on in-process backends (serial or "
-            "thread): process workers resolve variants against the default "
-            "registry"
-        )
-    # Memo filtering: serve cache hits immediately, submit only misses.
-    # Verdicts cannot move under this split -- variant execution never
-    # consumes the runtime's per-index seed (``seeded=False`` throughout),
-    # so re-indexing the submitted subset changes nothing observable; the
-    # ``positions`` remap restores every outcome's original input index.
-    submit_variants = variant_list
-    positions = range(len(variant_list))
-    cached: list[tuple[int, VariantOutcome]] = []
-    if memo is not None:
-        submit_variants, remap = [], []
-        for index, variant in enumerate(variant_list):
-            hit = memo.lookup(variant, trace_mode)
-            if hit is not None:
-                cached.append((index, hit))
-            else:
-                submit_variants.append(variant)
-                remap.append(index)
-        positions = remap
-    try:
-        for index, outcome in cached:
-            if sink is not None:
-                sink.add(outcome.to_record())
-            yield index, outcome
-        runtime = Runtime(backend, on_event=on_event, cancel=cancel)
-        batch_size = getattr(backend, "batch_size", None)
-        if batch_size is not None:
-            # A BatchedBackend: group same-family variants and ship whole
-            # batches, amortising shared setup per batch.  Seeds still derive
-            # from each variant's original index, so verdicts do not move.
-            from repro.engine.batch import (
-                BatchPlan,
-                execute_batch_in_process,
-                run_batch_payload,
+    def __post_init__(self) -> None:
+        if self.on_error not in ("raise", "record"):
+            raise ValidationError(
+                f"on_error must be 'raise' or 'record', got {self.on_error!r}"
+            )
+        if self.deadline_s is not None and self.deadline_s <= 0:
+            raise ValidationError(
+                f"deadline_s must be positive, got {self.deadline_s}"
+            )
+        if self.backend is None or isinstance(self.backend, str):
+            object.__setattr__(self, "backend", backend_from_spec(self.backend))
+            object.__setattr__(self, "owns_backend", True)
+        if self.registry is default_registry():
+            object.__setattr__(self, "registry", None)
+        if self.registry is not None and not self.backend.shares_memory:
+            raise ValidationError(
+                "custom registries only run on in-process backends (serial "
+                "or thread): process workers resolve variants against the "
+                "default registry"
             )
 
-            plan = BatchPlan.plan(submit_variants, batch_size)
-            if backend.shares_memory:
-                batch_fn = functools.partial(
-                    execute_batch_in_process,
-                    registry=registry,
-                    trace_mode=trace_mode,
-                    default_deadline_s=deadline_s,
-                )
-                batches = [(batch.context(), batch.jobs()) for batch in plan]
-            else:
-                batch_fn = functools.partial(
-                    run_batch_payload,
-                    trace_mode=trace_mode,
-                    default_deadline_s=deadline_s,
-                )
-                batches = [
-                    (batch.context(), batch.jobs(as_payload=True))
-                    for batch in plan
-                ]
-            stream = runtime.map_batches(batch_fn, batches)
-        elif backend.shares_memory:
-            fn: Callable[[Any], Any] = functools.partial(
-                _execute_in_process,
-                registry=registry,
-                trace_mode=trace_mode,
-                default_deadline_s=deadline_s,
-            )
-            stream = runtime.map(fn, submit_variants, chunksize=chunksize)
-        else:
-            fn = functools.partial(
-                _run_payload,
-                trace_mode=trace_mode,
-                default_deadline_s=deadline_s,
-            )
-            stream = runtime.map(
-                fn,
-                [variant.to_payload() for variant in submit_variants],
-                chunksize=chunksize,
-            )
-        # Transient failures are parked here and re-executed after the
-        # main stream drains; ``run_campaign``'s position sort restores
-        # input order, so late retries never move another verdict.
-        retries: list[tuple[int, JobError]] = []
-        for result in stream:
-            variant = submit_variants[result.index]
-            if result.ok:
-                value = result.value
-                outcome = (
-                    value
-                    if isinstance(value, VariantOutcome)
-                    else VariantOutcome.from_payload(value)
-                )
-                if memo is not None:
-                    memo.record(variant, outcome, trace_mode)
-            elif retry is not None and retry.should_retry(result.error, 1):
-                retries.append((result.index, result.error))
-                continue
-            elif on_error == "record":
-                outcome = error_outcome(
-                    variant, result.error, result.wall_time_s
-                )
-            else:
-                raise VariantExecutionError(
-                    f"variant {variant.variant_id!r} failed in a "
-                    f"{backend.name} worker: {result.error.type}: "
-                    f"{result.error.message}",
-                    variant_id=variant.variant_id,
-                    error_type=result.error.type,
-                    error_traceback=result.error.traceback,
-                )
-            if sink is not None:
-                sink.add(outcome.to_record())
-            yield positions[result.index], outcome
-        for submit_index, first_error in retries:
-            if cancel is not None and cancel.cancelled:
-                return
-            variant = submit_variants[submit_index]
-            yield positions[submit_index], _retry_variant(
-                variant,
-                first_error,
-                retry=retry,
-                registry=registry if backend.shares_memory else None,
-                trace_mode=trace_mode,
-                deadline_s=deadline_s,
-                on_error=on_error,
-                backend_name=backend.name,
-                memo=memo,
-                sink=sink,
-                cancel=cancel,
-            )
-    finally:
-        if owns_backend:
-            backend.shutdown()
+
+# -- the one execution path ---------------------------------------------------
+
+def _lookup(config: CampaignConfig, variant: VariantSpec) -> VariantOutcome | None:
+    """The memo's cached outcome of ``variant``, or ``None``."""
+    if config.memo is None:
+        return None
+    return config.memo.lookup(variant, config.trace_mode)
 
 
-def _retry_variant(
-    variant: VariantSpec,
-    first_error: JobError,
-    *,
-    retry: RetryPolicy,
-    registry: ScenarioRegistry | None,
-    trace_mode: str,
-    deadline_s: float | None,
-    on_error: str,
-    backend_name: str,
-    memo: CampaignMemo | None,
-    sink: ResultSink | None,
-    cancel: CancelToken | None,
+def _remember(
+    config: CampaignConfig, variant: VariantSpec, outcome: VariantOutcome
 ) -> VariantOutcome:
-    """Re-run one transiently-failed variant under the retry policy.
+    """Record a freshly executed ``outcome`` in the memo; return it."""
+    if config.memo is not None:
+        config.memo.record(variant, outcome, config.trace_mode)
+    return outcome
 
-    Retries run inline in the driver process: they are rare, variant
-    execution is unseeded, and the simulator is deterministic, so the
-    verdict matches what any backend's worker would have produced.  Each
-    attempt waits out the policy's seeded backoff first (the wait doubles
-    as a cancellation point).  Returns the final outcome -- a success
-    annotated with its attempt count, or a ``quarantined`` error outcome
-    under ``on_error="record"``; under ``"raise"`` exhaustion raises
-    :class:`~repro.errors.VariantExecutionError`.
-    """
-    error = first_error
-    attempt = 1
-    while retry.should_retry(error, attempt) and not (
-        cancel is not None and cancel.cancelled
-    ):
-        retry.wait(attempt, variant.variant_id, cancel=cancel)
-        attempt += 1
-        try:
-            outcome = _execute_checked(
-                variant,
-                registry,
-                trace_mode=trace_mode,
-                default_deadline_s=deadline_s,
-            )
-        except Exception as exc:  # noqa: BLE001 - captured, policy decides
-            error = JobError.from_exception(exc)
-            continue
-        outcome = dataclasses.replace(
-            outcome, stats={**outcome.stats, "attempts": attempt}
-        )
-        if memo is not None:
-            memo.record(variant, outcome, trace_mode)
-        if sink is not None:
-            sink.add(outcome.to_record())
-        return outcome
-    if on_error == "record":
-        outcome = error_outcome(
-            variant, error, attempts=attempt, quarantined=True
-        )
-        if sink is not None:
-            sink.add(outcome.to_record())
-        return outcome
-    raise VariantExecutionError(
-        f"variant {variant.variant_id!r} quarantined after {attempt} "
-        f"attempt(s) on the {backend_name} backend: {error.type}: "
+
+def _failure(
+    variant: VariantSpec, error: JobError, what: str
+) -> VariantExecutionError:
+    """The typed ``on_error="raise"`` error naming ``variant``."""
+    return VariantExecutionError(
+        f"variant {variant.variant_id!r} {what}: {error.type}: "
         f"{error.message}",
         variant_id=variant.variant_id,
         error_type=error.type,
@@ -922,190 +658,245 @@ def _retry_variant(
     )
 
 
-def _execute_in_process(
-    variant: VariantSpec,
-    registry=None,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
-    default_deadline_s: float | None = None,
+def execute_memoised(
+    variant: VariantSpec, config: CampaignConfig
 ) -> VariantOutcome:
-    """Serial/thread-backend job: no payload round-trip needed."""
-    return _execute_checked(
-        variant,
-        registry,
-        trace_mode=trace_mode,
-        default_deadline_s=default_deadline_s,
+    """Run one variant in this process: memo lookup, checked execution,
+    memo record.
+
+    The per-variant path of in-process executors such as the service
+    scheduler (campaign backends split the same steps between the
+    calling process and the workers).  Failures follow the ``on_error="record"`` contract:
+    they come back as an :func:`error_outcome`, never as an exception,
+    so callers branch on ``outcome.from_cache`` and ``outcome.is_error``.
+    """
+    hit = _lookup(config, variant)
+    if hit is not None:
+        return hit
+    started = time.perf_counter()
+    try:
+        outcome = _execute_checked(
+            variant,
+            config.registry,
+            trace_mode=config.trace_mode,
+            default_deadline_s=config.deadline_s,
+        )
+    except Exception as exc:  # noqa: BLE001 - reported as an ERROR outcome
+        return error_outcome(
+            variant, JobError.from_exception(exc), time.perf_counter() - started
+        )
+    return _remember(config, variant, outcome)
+
+
+def _campaign_stream(
+    variants: Iterable[VariantSpec],
+    config: CampaignConfig,
+    *,
+    on_event: Callable[[ProgressEvent], None] | None,
+    cancel: CancelToken,
+    sink: ResultSink | None,
+) -> Iterator[tuple[int, VariantOutcome]]:
+    """The one campaign execution path: ``(input index, outcome)`` pairs
+    in completion order, each pushed into ``sink`` before it is yielded.
+
+    The input index lets :func:`run_campaign` restore exact submission
+    order even when variant ids repeat in an explicit list.
+    """
+    try:
+        for index, outcome in _execute(list(variants), config, on_event, cancel):
+            if sink is not None:
+                sink.add(outcome.to_record())
+            yield index, outcome
+    finally:
+        if config.owns_backend:
+            config.backend.shutdown()
+
+
+def _execute(
+    variants: list[VariantSpec],
+    config: CampaignConfig,
+    on_event: Callable[[ProgressEvent], None] | None,
+    cancel: CancelToken,
+) -> Iterator[tuple[int, VariantOutcome]]:
+    """Memo hits, then the backend's results, then parked retries."""
+    # Memo filtering: serve cache hits immediately, submit only misses.
+    # Verdicts cannot move under this split -- variant execution never
+    # consumes the runtime's per-index seed, so re-indexing the submitted
+    # subset changes nothing observable.
+    pending: list[tuple[int, VariantSpec]] = []
+    for index, variant in enumerate(variants):
+        hit = _lookup(config, variant)
+        if hit is None:
+            pending.append((index, variant))
+        else:
+            yield index, hit
+    backend = config.backend
+    plan = BatchPlan.plan(
+        [variant for _index, variant in pending],
+        getattr(backend, "batch_size", None),
     )
+    job = functools.partial(
+        execute_batch,
+        registry=config.registry,
+        trace_mode=config.trace_mode,
+        default_deadline_s=config.deadline_s,
+    )
+    stream = Runtime(backend, on_event=on_event, cancel=cancel).map_batches(
+        job, [(batch.context(), batch.jobs()) for batch in plan]
+    )
+    # Transient failures are parked here and re-executed after the main
+    # stream drains; run_campaign's position sort restores input order,
+    # so late retries never move another verdict.
+    retries: list[tuple[int, VariantSpec, JobError]] = []
+    for result in stream:
+        index, variant = pending[result.index]
+        if result.ok:
+            yield index, _remember(config, variant, result.value)
+        elif config.retry is not None and config.retry.should_retry(
+            result.error, 1
+        ):
+            retries.append((index, variant, result.error))
+        elif config.on_error == "record":
+            yield index, error_outcome(variant, result.error, result.wall_time_s)
+        else:
+            raise _failure(
+                variant, result.error, f"failed in a {backend.name} worker"
+            )
+    for index, variant, error in retries:
+        outcome = _retry_variant(variant, error, config, cancel)
+        if outcome is None:
+            return
+        yield index, outcome
+
+
+def _retry_variant(
+    variant: VariantSpec,
+    error: JobError,
+    config: CampaignConfig,
+    cancel: CancelToken,
+) -> VariantOutcome | None:
+    """Re-run one transiently-failed variant under ``config.retry``.
+
+    Retries run inline in the driver process: they are rare, variant
+    execution is unseeded, and the simulator is deterministic, so the
+    verdict matches what any backend's worker would have produced.  Each
+    attempt waits out the policy's seeded backoff first.  The wait is a
+    cancellation point: a cancelled retry starts nothing new and returns
+    ``None`` -- the variant is dropped like any other unfinished one,
+    never quarantined.  Otherwise returns a success annotated with its
+    attempt count, or a ``quarantined`` error outcome under
+    ``on_error="record"``; under ``"raise"`` exhaustion raises
+    :class:`~repro.errors.VariantExecutionError`.
+    """
+    retry = config.retry
+    attempt = 1
+    while retry.should_retry(error, attempt):
+        retry.wait(attempt, variant.variant_id, cancel=cancel)
+        if cancel.cancelled:
+            return None
+        attempt += 1
+        try:
+            outcome = _execute_checked(
+                variant,
+                config.registry,
+                trace_mode=config.trace_mode,
+                default_deadline_s=config.deadline_s,
+            )
+        except Exception as exc:  # noqa: BLE001 - captured, policy decides
+            error = JobError.from_exception(exc)
+            continue
+        outcome = dataclasses.replace(
+            outcome, stats={**outcome.stats, "attempts": attempt}
+        )
+        return _remember(config, variant, outcome)
+    if config.on_error == "record":
+        return error_outcome(variant, error, attempts=attempt, quarantined=True)
+    raise _failure(
+        variant,
+        error,
+        f"quarantined after {attempt} attempt(s) on the "
+        f"{config.backend.name} backend",
+    )
+
+
+# -- entry points -------------------------------------------------------------
+
+def iter_campaign(
+    variants: Iterable[VariantSpec],
+    *,
+    on_event: Callable[[ProgressEvent], None] | None = None,
+    cancel: CancelToken | None = None,
+    sink: ResultSink | None = None,
+    **options: Any,
+) -> Iterator[VariantOutcome]:
+    """Execute ``variants``; yield outcomes as they finish.
+
+    ``options`` are the :class:`CampaignConfig` fields (``backend``,
+    ``registry``, ``trace_mode``, ``memo``, ``retry``, ``deadline_s``,
+    ``on_error``), validated before anything runs.  Outcomes arrive in
+    **completion** order (use :func:`run_campaign` for input-ordered
+    aggregation); each one's record is pushed into ``sink`` the moment
+    it exists, so partial results are exportable mid-run.  ``on_event``
+    receives :class:`~repro.runtime.ProgressEvent` progress; ``cancel``
+    stops the run cooperatively -- jobs already running finish, nothing
+    new starts.
+    """
+    stream = _campaign_stream(
+        variants,
+        CampaignConfig(**options),
+        on_event=on_event,
+        cancel=cancel if cancel is not None else CancelToken(),
+        sink=sink,
+    )
+    return (outcome for _index, outcome in stream)
 
 
 def run_campaign(
     variants: Iterable[VariantSpec],
-    workers: int | None = None,
-    registry: ScenarioRegistry | None = None,
     *,
-    backend: "ExecutionBackend | str | None" = None,
-    parallel: int | None = None,
-    on_error: str = "raise",
     on_event: Callable[[ProgressEvent], None] | None = None,
     cancel: CancelToken | None = None,
     sink: ResultSink | None = None,
-    chunksize: int = 1,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
-    memo: CampaignMemo | None = None,
-    retry: RetryPolicy | None = None,
-    deadline_s: float | None = None,
+    **options: Any,
 ) -> CampaignResult:
-    """Execute ``variants`` on an execution backend; aggregate outcomes.
+    """Execute ``variants``; aggregate their outcomes in input order.
 
-    The preferred calling convention is ``backend=`` with any
-    :mod:`repro.runtime` backend (or its name)::
+    Takes the same arguments as :func:`iter_campaign`::
 
         run_campaign(variants, backend=ProcessBackend(jobs=4))
-        run_campaign(variants, backend="thread")
+        run_campaign(variants, backend="thread", on_error="record")
 
-    ``workers=N`` remains as a shorthand for
-    ``backend=ProcessBackend(jobs=N)`` (``N == 1`` means serial), and the
-    historical ``parallel=N`` spelling still works as a deprecation shim.
-    Outcomes are returned in input order regardless of completion order;
-    verdicts are backend-independent by construction (pure-data variants,
-    deterministic simulator).
+    Outcomes come back in input order regardless of completion order;
+    verdicts are backend-independent by construction (pure-data
+    variants, deterministic simulator).
     """
-    variant_list = list(variants)
-    resolved = _resolve_backend(workers, parallel, backend, len(variant_list))
-    owns_backend = backend is None or isinstance(backend, str)
-    started = time.perf_counter()
+    config = CampaignConfig(**options)
     token = cancel if cancel is not None else CancelToken()
-    try:
-        indexed = sorted(
-            _iter_campaign_indexed(
-                variant_list,
-                backend=resolved,
-                registry=registry,
-                on_error=on_error,
-                on_event=on_event,
-                cancel=token,
-                sink=sink,
-                chunksize=chunksize,
-                trace_mode=trace_mode,
-                memo=memo,
-                retry=retry,
-                deadline_s=deadline_s,
-            ),
-            key=lambda pair: pair[0],
-        )
-    finally:
-        if owns_backend:
-            resolved.shutdown()
+    started = time.perf_counter()
+    indexed = sorted(
+        _campaign_stream(
+            variants, config, on_event=on_event, cancel=token, sink=sink
+        ),
+        key=lambda pair: pair[0],
+    )
     return CampaignResult(
         outcomes=tuple(outcome for _index, outcome in indexed),
-        workers=resolved.jobs,
+        workers=config.backend.jobs,
         wall_time_s=time.perf_counter() - started,
-        backend=resolved.name,
+        backend=config.backend.name,
         cancelled=token.cancelled,
     )
 
 
-class CampaignRunner:
-    """Object-style façade over :func:`run_campaign` (convenient for CLI).
-
-    A runner that *constructed* its backend (from a name or ``jobs=``)
-    also owns it: each :meth:`run` shuts the worker pool down afterwards
-    (pooled backends restart lazily on the next run).  A caller-provided
-    backend instance is left running -- its lifecycle stays with the
-    caller, as everywhere else in the runtime layer.
-    """
-
-    def __init__(
-        self,
-        registry: ScenarioRegistry | None = None,
-        workers: int | None = None,
-        backend: "ExecutionBackend | str | None" = None,
-        jobs: int | None = None,
-        batch_size: int | None = None,
-    ) -> None:
-        from repro.runtime import backend_from_spec
-
-        self.registry = registry or default_registry()
-        if backend is None and jobs is None and batch_size is None:
-            # Legacy convention: workers=N means an N-process pool.
-            self.workers = 1 if workers is None else workers
-            self.backend = None  # resolved per run (serial fast path)
-            self._owns_backend = False
-        else:
-            if workers is not None:
-                raise ValidationError(
-                    "pass either workers= or backend=/jobs=/batch_size=, "
-                    "not both"
-                )
-            self._owns_backend = backend is None or isinstance(backend, str)
-            self.backend = backend_from_spec(
-                backend, jobs, batch_size=batch_size
-            )
-            self.workers = self.backend.jobs
-
-    def close(self) -> None:
-        """Shut down an owned backend's workers (idempotent)."""
-        if self._owns_backend and self.backend is not None:
-            self.backend.shutdown()
-
-    def select(
-        self,
-        scenario: str | None = None,
-        family: str | None = None,
-        attack: str | None = None,
-        limit: int | None = None,
-        use_case: str | None = None,
-    ) -> tuple[VariantSpec, ...]:
-        """The registry's (filtered) variant list."""
-        return self.registry.variants(
-            scenario=scenario,
-            family=family,
-            attack=attack,
-            limit=limit,
-            use_case=use_case,
-        )
-
-    def run(
-        self,
-        variants: Iterable[VariantSpec] | None = None,
-        *,
-        on_error: str = "raise",
-        on_event: Callable[[ProgressEvent], None] | None = None,
-        cancel: CancelToken | None = None,
-        sink: ResultSink | None = None,
-        trace_mode: str = CAMPAIGN_TRACE_MODE,
-        memo: CampaignMemo | None = None,
-        retry: RetryPolicy | None = None,
-        deadline_s: float | None = None,
-    ) -> CampaignResult:
-        """Run the given (or all) variants on the configured backend."""
-        selected = tuple(variants) if variants is not None else self.select()
-        try:
-            return run_campaign(
-                selected,
-                workers=None if self.backend is not None else self.workers,
-                registry=self.registry,
-                backend=self.backend,
-                on_error=on_error,
-                on_event=on_event,
-                cancel=cancel,
-                sink=sink,
-                trace_mode=trace_mode,
-                memo=memo,
-                retry=retry,
-                deadline_s=deadline_s,
-            )
-        finally:
-            self.close()
-
-
 __all__ = [
     "CAMPAIGN_TRACE_MODE",
+    "CampaignConfig",
     "CampaignMemo",
     "CampaignResult",
-    "CampaignRunner",
     "ERROR_VERDICT",
     "VariantOutcome",
     "error_outcome",
+    "execute_memoised",
     "execute_variant",
     "iter_campaign",
     "run_campaign",

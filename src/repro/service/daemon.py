@@ -236,7 +236,7 @@ class CampaignDaemon:
 
         Either explicit ``variants`` payloads (client-built specs) or a
         server-side ``select`` filter over the daemon's registry --
-        exactly the filters ``CampaignRunner.select`` takes.
+        exactly the filters ``ScenarioRegistry.variants`` takes.
         """
         payloads = request.get("variants")
         selector = request.get("select")

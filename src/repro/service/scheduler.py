@@ -11,12 +11,11 @@ submission cannot starve a small one that landed on another shard.
 
 Results stream: each executed (or memo-served) variant is pushed onto
 its submission's event queue the moment it lands, so the daemon can
-forward outcomes to a waiting client incrementally.  Execution is
-memo-aware -- every variant consults the scheduler's
-:class:`~repro.service.memo.MemoStore` (when configured) before running
-and records its fresh outcome after -- and failure-proof: a variant
-whose execution raises becomes a tagged ``ERROR`` outcome via
-:func:`~repro.engine.campaign.error_outcome`, never a dead worker.
+forward outcomes to a waiting client incrementally.  Each variant runs
+through :func:`~repro.engine.campaign.execute_memoised`, the engine's
+one memo lookup -> checked execution -> memo record sequence, so a
+variant whose execution raises becomes a tagged ``ERROR`` outcome,
+never a dead worker.
 
 Shards carry **health**: every fresh execution feeds its shard's
 consecutive-failure counter, and a shard that fails ``failure_threshold``
@@ -45,15 +44,15 @@ from typing import Any, Iterable, Sequence
 from repro.engine.batch import BatchPlan
 from repro.engine.campaign import (
     CAMPAIGN_TRACE_MODE,
+    CampaignConfig,
     CampaignMemo,
     VariantOutcome,
-    _execute_checked,
-    error_outcome,
+    execute_memoised,
 )
-from repro.engine.registry import ScenarioRegistry, default_registry
+from repro.engine.registry import ScenarioRegistry
 from repro.engine.spec import VariantSpec
 from repro.errors import ValidationError
-from repro.runtime import CancelToken, JobError
+from repro.runtime import CancelToken
 
 _log = logging.getLogger("repro.service")
 
@@ -202,21 +201,21 @@ class Scheduler:
             raise ValidationError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
             )
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValidationError(
-                f"deadline_s must be positive, got {deadline_s}"
-            )
-        self.memo = memo
+        #: The engine options every variant runs under, validated once.
+        self.config = CampaignConfig(
+            registry=registry,
+            trace_mode=trace_mode,
+            memo=memo,
+            deadline_s=deadline_s,
+            on_error="record",
+        )
         self.shards = shards
         self.workers = workers if workers is not None else shards
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
         self.unit_size = unit_size
-        self.registry = registry or default_registry()
-        self.trace_mode = trace_mode
         self.cancel = cancel if cancel is not None else CancelToken()
         self.failure_threshold = failure_threshold
-        self.deadline_s = deadline_s
         self._deques: list[collections.deque] = [
             collections.deque() for _ in range(shards)
         ]
@@ -349,42 +348,21 @@ class Scheduler:
                 submission._deliver(index, self._run_one(variant, home))
 
     def _run_one(self, variant: VariantSpec, shard: int) -> VariantOutcome:
-        """Memo lookup -> execute -> memo record, error-proofed.
+        """One variant through the engine, plus shard-health bookkeeping.
 
         Every fresh execution feeds the owning shard's health counter:
         memo hits are neutral, successes heal, failures accumulate
         towards :attr:`failure_threshold` (see :meth:`_note_result`).
         """
-        if self.memo is not None:
-            hit = self.memo.lookup(variant, self.trace_mode)
-            if hit is not None:
-                return hit
-        started = time.perf_counter()
-        try:
-            outcome = _execute_checked(
-                variant,
-                self.registry,
-                trace_mode=self.trace_mode,
-                default_deadline_s=self.deadline_s,
-            )
-        except Exception as exc:  # noqa: BLE001 - the daemon must survive
-            _log.warning(
-                "variant %s raised %s: %s",
-                variant.variant_id,
-                type(exc).__name__,
-                exc,
-            )
-            self._note_result(shard, failed=True)
-            return error_outcome(
-                variant,
-                JobError.from_exception(exc),
-                time.perf_counter() - started,
-            )
-        with self._cond:
-            self._executed += 1
-        self._note_result(shard, failed=False)
-        if self.memo is not None:
-            self.memo.record(variant, outcome, self.trace_mode)
+        outcome = execute_memoised(variant, self.config)
+        if outcome.from_cache:
+            return outcome
+        if outcome.is_error:
+            _log.warning("variant %s raised %s", variant.variant_id, outcome.notes)
+        else:
+            with self._cond:
+                self._executed += 1
+        self._note_result(shard, failed=outcome.is_error)
         return outcome
 
     def _note_result(self, shard: int, *, failed: bool) -> None:

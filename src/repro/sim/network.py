@@ -285,8 +285,8 @@ class Medium(Protocol):
 
     Every concrete transport -- the broadcast :class:`Channel` (V2X radio,
     BLE link) and the :class:`~repro.sim.can.CanBus` -- satisfies this
-    protocol, which is what lets the scenario engine's
-    :class:`~repro.engine.kernel.SimKernel` manage CAN, BLE and V2X
+    protocol, which is what lets the simulation kernel
+    (:class:`~repro.sim.kernel.SimKernel`) manage CAN, BLE and V2X
     uniformly and lets attack injectors and endpoints be written against
     the interface instead of a specific transport.
 

@@ -9,8 +9,8 @@
   forwarding gateway ("ECU_GW").  Safety goals SG01..SG04 of §IV-B are
   monitored.
 
-Both scenarios are :class:`~repro.engine.kernel.KernelScenario` assemblies
-on the unified :class:`~repro.engine.kernel.SimKernel`: the kernel owns
+Both scenarios are :class:`~repro.sim.kernel.KernelScenario` assemblies
+on the unified :class:`~repro.sim.kernel.SimKernel`: the kernel owns
 the clock, event bus, keystore, world and every communication medium; the
 classes here only declare the components, deployed controls and
 safety-goal checks.  The declarative counterparts (what the campaign

@@ -4,9 +4,7 @@ Each module provides the per-step factories (``build_hara()``,
 ``build_attacks()``, ``build_bindings()``) plus its declarative
 registration for the :mod:`repro.api` facade: ``DEFINITION`` (a
 :class:`~repro.api.UseCaseDefinition`) and ``pipeline_builder()`` (an
-immutable, pre-staged :class:`~repro.api.PipelineBuilder`).  The old
-monolithic ``build_pipeline()`` entry points remain as deprecation shims
-routed through the same builder.
+immutable, pre-staged :class:`~repro.api.PipelineBuilder`).
 """
 
 from repro.usecases import uc1_autonomous_driving as uc1

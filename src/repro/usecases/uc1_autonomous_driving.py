@@ -23,11 +23,8 @@ engine, so the distribution is a reproduction, not an assertion.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.api import PipelineBuilder, UseCaseDefinition
 from repro.core.derivation import AttackDeriver, AttackDescriptionSet
-from repro.core.pipeline import SaSeValPipeline
 from repro.dsl.compiler import BindingRegistry
 from repro.hara.analysis import Hara
 from repro.model.ratings import (
@@ -592,29 +589,6 @@ def pipeline_builder() -> PipelineBuilder:
     return DEFINITION.builder()
 
 
-def build_pipeline(require_complete: bool = True) -> SaSeValPipeline:
-    """Deprecated shim: the UC I pipeline via the legacy step protocol.
-
-    Use :func:`pipeline_builder` (or
-    ``repro.api.Workspace().pipeline("uc1")``) instead.  The shim routes
-    through the same builder, so every artifact is identical to the
-    pre-redesign path.
-    """
-    warnings.warn(
-        "uc1.build_pipeline() is deprecated; use "
-        "uc1.pipeline_builder().build() or "
-        "repro.api.Workspace().pipeline('uc1')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return (
-        pipeline_builder()
-        .require_complete(require_complete)
-        .build()
-        .to_legacy()
-    )
-
-
 # -- executable bindings (Step 4) ------------------------------------------
 
 def _bind_ad20(attack) -> TestCase:
@@ -804,6 +778,5 @@ __all__ = [
     "build_attacks",
     "build_bindings",
     "build_hara",
-    "build_pipeline",
     "pipeline_builder",
 ]

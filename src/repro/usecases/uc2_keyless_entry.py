@@ -18,11 +18,8 @@ the complete published analysis:
 
 from __future__ import annotations
 
-import warnings
-
 from repro.api import PipelineBuilder, UseCaseDefinition
 from repro.core.derivation import AttackDeriver, AttackDescriptionSet
-from repro.core.pipeline import SaSeValPipeline
 from repro.dsl.compiler import BindingRegistry
 from repro.hara.analysis import Hara
 from repro.model.attack import AttackCategory
@@ -541,29 +538,6 @@ def pipeline_builder() -> PipelineBuilder:
     return DEFINITION.builder()
 
 
-def build_pipeline(require_complete: bool = True) -> SaSeValPipeline:
-    """Deprecated shim: the UC II pipeline via the legacy step protocol.
-
-    Use :func:`pipeline_builder` (or
-    ``repro.api.Workspace().pipeline("uc2")``) instead.  The shim routes
-    through the same builder, so every artifact is identical to the
-    pre-redesign path.
-    """
-    warnings.warn(
-        "uc2.build_pipeline() is deprecated; use "
-        "uc2.pipeline_builder().build() or "
-        "repro.api.Workspace().pipeline('uc2')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return (
-        pipeline_builder()
-        .require_complete(require_complete)
-        .build()
-        .to_legacy()
-    )
-
-
 # -- executable bindings (Step 4) ------------------------------------------
 
 def _bind_ad08(attack) -> TestCase:
@@ -750,6 +724,5 @@ __all__ = [
     "build_attacks",
     "build_bindings",
     "build_hara",
-    "build_pipeline",
     "pipeline_builder",
 ]

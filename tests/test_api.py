@@ -78,41 +78,6 @@ class TestBuilderValidation:
         assert not relaxed.report.complete
 
 
-class TestShimParity:
-    """The deprecation shims must not change results (acceptance gate)."""
-
-    def test_build_pipeline_warns(self):
-        with pytest.warns(DeprecationWarning, match="pipeline_builder"):
-            uc1.build_pipeline()
-        with pytest.warns(DeprecationWarning, match="pipeline_builder"):
-            uc2.build_pipeline()
-
-    @pytest.mark.parametrize("module", [uc1, uc2], ids=["uc1", "uc2"])
-    def test_new_path_matches_old_path(self, module):
-        new = module.pipeline_builder().build()
-        with pytest.warns(DeprecationWarning):
-            old = module.build_pipeline()
-        # Step 2: identical goals
-        assert [g.identifier for g in old.goals] == [
-            g.identifier for g in new.goals
-        ]
-        assert [g.asil for g in old.goals] == [g.asil for g in new.goals]
-        # Step 3: identical attack descriptions, field by field
-        assert old.attacks.identifiers == new.attacks.identifiers
-        for identifier in new.attacks.identifiers:
-            assert old.attacks.get(identifier) == new.attacks.get(identifier)
-        # RQ1 audits and traceability agree
-        assert new.report.complete
-        assert old.trace_matrix().to_markdown() == (
-            new.trace_matrix().to_markdown()
-        )
-
-    def test_legacy_bridge_completes_all_steps(self):
-        legacy = uc2.pipeline_builder().build().to_legacy()
-        assert len(legacy.completed_steps()) == 3
-        assert legacy.attacks.identifiers == uc2.build_attacks().identifiers
-
-
 class TestPipelineExecution:
     def test_bound_attack_ids_and_run(self):
         pipeline = uc2.pipeline_builder().build()

@@ -94,7 +94,7 @@ class TestCampaign:
         assert main([
             "campaign", "--family", "zone-geometry",
             "--scenario", "uc2-keyless-entry",
-            "--workers", "2", "--json",
+            "--jobs", "2", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["workers"] == 2
@@ -117,7 +117,7 @@ class TestCampaign:
         assert "thread backend" in out
 
     def test_zero_workers_rejected(self, capsys):
-        assert main(["campaign", "--family", "baseline", "--workers", "0"]) == 1
+        assert main(["campaign", "--family", "baseline", "--jobs", "0"]) == 1
         assert ">= 1" in capsys.readouterr().err
 
     def test_negative_jobs_rejected(self, capsys):

@@ -4,7 +4,6 @@ and the parallel fan-out."""
 import pytest
 
 from repro.engine.campaign import (
-    CampaignRunner,
     VariantOutcome,
     execute_variant,
     run_campaign,
@@ -12,6 +11,7 @@ from repro.engine.campaign import (
 from repro.engine.registry import default_registry
 from repro.engine.spec import VariantSpec
 from repro.errors import ValidationError
+from repro.runtime import ProcessBackend
 from repro.sim.attacks import JammingAttack
 from repro.sim.scenarios import ConstructionSiteScenario, KeylessEntryScenario
 from repro.testing import TestHarness, Verdict
@@ -125,7 +125,7 @@ class TestRunCampaign:
     def test_serial_campaign_aggregates(self):
         registry = default_registry()
         variants = registry.variants(family="zone-geometry")
-        result = run_campaign(variants, workers=1)
+        result = run_campaign(variants)
         assert result.total == len(variants)
         assert result.workers == 1
         assert set(result.by_family()) == {"zone-geometry"}
@@ -134,8 +134,9 @@ class TestRunCampaign:
 
     def test_parallel_campaign_matches_serial(self):
         variants = default_registry().variants(family="traffic-density")
-        serial = run_campaign(variants, workers=1)
-        parallel = run_campaign(variants, workers=2)
+        serial = run_campaign(variants)
+        with ProcessBackend(jobs=2) as backend:
+            parallel = run_campaign(variants, backend=backend)
         assert parallel.workers == 2
         assert [o.variant_id for o in serial.outcomes] == [
             o.variant_id for o in parallel.outcomes
@@ -147,8 +148,10 @@ class TestRunCampaign:
             assert mine.detections == theirs.detections
 
     def test_workers_must_be_positive(self):
-        with pytest.raises(ValidationError, match="workers"):
-            run_campaign([], workers=0)
+        from repro.api import Workspace
+
+        with pytest.raises(ValidationError, match="jobs must be >= 1"):
+            Workspace().campaign(variants=[], backend="process", jobs=0)
 
     def test_custom_registry_is_serial_only(self):
         from repro.engine.registry import ScenarioRegistry
@@ -170,7 +173,7 @@ class TestRunCampaign:
         # In-process backends honour it; process fan-out is refused
         # loudly instead of silently resolving against the default
         # registry inside the workers.
-        assert run_campaign(variants[:1], workers=1, registry=custom).total == 1
+        assert run_campaign(variants[:1], registry=custom).total == 1
         from repro.runtime import ThreadBackend
 
         threaded = run_campaign(
@@ -178,7 +181,9 @@ class TestRunCampaign:
         )
         assert threaded.total == 2
         with pytest.raises(ValidationError, match="serial"):
-            run_campaign(variants, workers=2, registry=custom)
+            run_campaign(
+                variants, registry=custom, backend=ProcessBackend(jobs=2)
+            )
 
     def test_worker_identity_claims_disjoint_id_blocks(self, monkeypatch):
         """A pool worker's first job claims a block based on its index;
@@ -214,17 +219,16 @@ class TestRunCampaign:
 
     def test_outcome_lookup(self):
         result = run_campaign(
-            [default_registry().variant("uc2/baseline/stock")], workers=1
+            [default_registry().variant("uc2/baseline/stock")]
         )
         assert result.outcome("uc2/baseline/stock").sut_passed
         with pytest.raises(KeyError, match="known variant ids"):
             result.outcome("missing")
 
     def test_runner_facade_filters_and_runs(self):
-        runner = CampaignRunner(workers=1)
-        variants = runner.select(family="baseline")
-        assert len(variants) == 2
-        result = runner.run(variants)
+        from repro.api import Workspace
+
+        result = Workspace().campaign(family="baseline")
         assert result.total == 2
         summary = result.summary()
         assert summary["total"] == 2

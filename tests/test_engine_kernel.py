@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.kernel import KernelScenario, SimKernel
+from repro.sim.kernel import KernelScenario, SimKernel
 from repro.errors import SimulationError
 from repro.sim.can import make_frame
 from repro.sim.network import Medium

@@ -14,6 +14,7 @@ sequence on every backend.  Service-plane sites are covered by
 import contextlib
 import dataclasses
 import os
+import threading
 import time
 
 import pytest
@@ -366,6 +367,34 @@ class TestRetryAndQuarantine:
         assert outcome.is_error
         assert outcome.stats["attempts"] == 1
         assert "quarantined" not in outcome.stats
+
+    def test_cancel_during_backoff_starts_no_new_attempt(self, monkeypatch):
+        """A token cancelled inside a retry backoff stops that retry: the
+        variant runs once and nothing is quarantined."""
+        import repro.engine.campaign as campaign_module
+
+        executions = []
+
+        def always_transient(variant, registry=None, trace_mode=None):
+            executions.append(variant.variant_id)
+            raise TransientError("still flaky")
+
+        monkeypatch.setattr(campaign_module, "execute_variant", always_transient)
+        token = CancelToken()
+        timer = threading.Timer(0.3, token.cancel)
+        timer.start()
+        try:
+            result = run_campaign(
+                _variants(1),
+                on_error="record",
+                cancel=token,
+                retry=RetryPolicy(max_attempts=3, base_delay_s=2.0, jitter=0.0),
+            )
+        finally:
+            timer.cancel()
+        assert len(executions) == 1
+        assert not any(o.stats.get("quarantined") for o in result.outcomes)
+        assert result.cancelled
 
 
 def _signature(outcomes):

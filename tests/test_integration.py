@@ -19,8 +19,8 @@ from repro.usecases import uc1, uc2
 
 class TestFullChainUc1:
     def test_pipeline_to_verdicts(self):
-        pipeline = uc1.build_pipeline()
-        # RQ1: the audits passed inside build_pipeline; re-check the matrix.
+        pipeline = uc1.pipeline_builder().build()
+        # RQ1: the audits passed inside build(); re-check the matrix.
         matrix = pipeline.trace_matrix()
         trace = matrix.trace_goal("SG01")
         assert "AD20" in trace.attack_ids

@@ -2,13 +2,11 @@
 
 Covers the contracts the execution-backend redesign introduced: verdict
 parity across backends (including the AD08/AD20 bound-attack family),
-the ``parallel=``/``workers=`` deprecation shims, streaming result
-sinks, poisoned jobs surfacing as tagged error records (or as
+backend ownership, streaming result sinks, poisoned jobs surfacing as
+tagged error records (or as
 :class:`~repro.errors.VariantExecutionError`), and cooperative
 mid-campaign cancellation.
 """
-
-import warnings
 
 import pytest
 
@@ -105,45 +103,27 @@ class TestOrderingAndOwnership:
             v.variant_id for v in submitted
         ]
 
-    def test_runner_shuts_down_owned_backend_after_run(self):
-        from repro.engine.campaign import CampaignRunner
+    def test_runner_shuts_down_owned_backend_after_run(self, monkeypatch):
+        """A backend the campaign built from a name is released after
+        the run: its pool is not leaked."""
+        released = []
+        shutdown = ThreadBackend.shutdown
 
-        runner = CampaignRunner(backend="process", jobs=2)
-        runner.run(_quick_variants()[:3])
-        assert runner.backend.started is False  # pool released, not leaked
+        def recording_shutdown(backend, *args, **kwargs):
+            shutdown(backend, *args, **kwargs)
+            released.append(backend.started)
+
+        monkeypatch.setattr(ThreadBackend, "shutdown", recording_shutdown)
+        run_campaign(_quick_variants()[:3], backend="thread")
+        assert released == [False]
 
     def test_runner_leaves_caller_backend_running(self):
-        from repro.engine.campaign import CampaignRunner
-
         backend = ThreadBackend(jobs=2)
         try:
-            runner = CampaignRunner(backend=backend)
-            runner.run(_quick_variants()[:3])
+            run_campaign(_quick_variants()[:3], backend=backend)
             assert backend.started is True  # caller owns the lifecycle
         finally:
             backend.shutdown()
-
-
-class TestDeprecationShims:
-    def test_parallel_keyword_warns_and_matches_backend_path(self):
-        variants = _quick_variants()[:4]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = run_campaign(variants, parallel=2)
-        assert any(
-            issubclass(item.category, DeprecationWarning) for item in caught
-        )
-        explicit = run_campaign(variants, backend=ProcessBackend(jobs=2))
-        assert _fingerprint(shim) == _fingerprint(explicit)
-        assert shim.backend == explicit.backend == "process"
-        assert shim.workers == explicit.workers == 2
-
-    def test_conflicting_worker_specs_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError, match="conflicting"):
-                run_campaign([], workers=2, parallel=3)
-        with pytest.raises(ValidationError, match="not both"):
-            run_campaign([], workers=2, backend=SerialBackend())
 
 
 class TestStreaming:
@@ -275,9 +255,9 @@ class TestWorkspaceIntegration:
     def test_workspace_rejects_conflicting_specs(self):
         from repro.api import Workspace
 
-        with pytest.raises(ValidationError, match="not both"):
+        with pytest.raises(ValidationError, match="conflicts"):
             Workspace().campaign(
-                family="zone-geometry", workers=2, backend="thread"
+                family="zone-geometry", backend=ThreadBackend(jobs=2), jobs=3
             )
 
 

@@ -76,8 +76,9 @@ class TestUc1PaperNumbers:
             assert attacks.by_goal(goal.identifier), goal.identifier
 
     def test_pipeline_audit_complete(self):
-        pipeline = uc1.build_pipeline()
-        assert len(pipeline.completed_steps()) == 3
+        pipeline = uc1.pipeline_builder().build()
+        assert pipeline.report.complete
+        assert len(pipeline.completed_steps()) == 4  # bindings staged
 
 
 class TestUc2PaperNumbers:
@@ -135,8 +136,9 @@ class TestUc2PaperNumbers:
         assert ad03.targets_goal("SG03")
 
     def test_pipeline_audit_complete(self):
-        pipeline = uc2.build_pipeline()
-        assert len(pipeline.completed_steps()) == 3
+        pipeline = uc2.pipeline_builder().build()
+        assert pipeline.report.complete
+        assert len(pipeline.completed_steps()) == 4  # bindings staged
 
     def test_every_goal_covered_by_attacks(self):
         attacks = uc2.build_attacks()
