@@ -19,9 +19,8 @@ up in the ``BENCH_kernel_hotpath`` trajectory next to the built-in
 * **fleet batched**: the same family through :class:`BatchedBackend`
   family batching (PR 6) -- shared-setup amortisation must never cost
   correctness, so verdicts are asserted identical to the serial run;
-* **spatial queries**: ``SpatialIndex.within``/``nearest`` on the
-  numpy structure-of-arrays kernel vs the pure-Python fallback, with
-  hit-for-hit parity between the two engines.
+* **spatial queries**: ``SpatialIndex.within``/``nearest`` sweeps over
+  a 512-actor road.
 """
 
 import dataclasses
@@ -35,7 +34,7 @@ from repro.sim.clock import SimClock
 from repro.sim.crypto import KeyStore
 from repro.sim.events import EventBus
 from repro.sim.network import Message
-from repro.sim.topology import SpatialIndex, numpy_enabled
+from repro.sim.topology import SpatialIndex
 
 
 def test_clock_periodic_churn(benchmark):
@@ -165,27 +164,24 @@ def test_fleet_campaign_batched_throughput(benchmark):
 
 
 def test_spatial_query_throughput(benchmark):
-    """within/nearest sweeps; numpy and pure-Python agree hit for hit."""
+    """within/nearest sweeps; every nearest query fills its count."""
     positions = [
         (float((n * 37) % 3000), f"V{n:03d}") for n in range(512)
     ]
     centers = [float(c) for c in range(0, 3000, 60)]
 
-    def sweep(use_numpy: bool) -> list:
-        index = SpatialIndex(positions, use_numpy=use_numpy)
+    def sweep() -> list:
+        index = SpatialIndex(positions)
         hits = []
         for center in centers:
             hits.append(index.within(center, 250.0))
             hits.append(index.nearest(center, 8))
         return hits
 
-    engines = [False, True] if numpy_enabled() else [False]
-    results = benchmark(lambda: {flag: sweep(flag) for flag in engines})
-    if numpy_enabled():
-        assert results[True] == results[False]
+    hits = benchmark(sweep)
+    assert all(len(nearest) == 8 for nearest in hits[1::2])
     benchmark.extra_info["actors"] = len(positions)
     benchmark.extra_info["queries"] = 2 * len(centers)
-    benchmark.extra_info["numpy_enabled"] = numpy_enabled()
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ def _bound_names(body: list[ast.stmt]) -> set[str]:
     """Names bound at module level, compound statements included.
 
     Recurses into ``if``/``try``/``for``/``while``/``with`` bodies so
-    gated bindings (``try: import numpy ... except ImportError: numpy =
-    None``) count, exactly as the import system sees them.
+    gated bindings (``try: import tomllib ... except ImportError:
+    tomllib = None``) count, exactly as the import system sees them.
     """
     names: set[str] = set()
     for node in body:

@@ -1,14 +1,9 @@
-"""Optional-dependency isolation: REP010.
+"""Dependency isolation: REP010.
 
-numpy is the optional ``repro[perf]`` extra, never a hard dependency:
-the whole tier-1 suite must pass on the pure-Python fallback (the
-no-numpy CI leg).  By architectural contract (PR 9) only the SoA
-spatial-kernel modules -- :mod:`repro.sim.topology` and
-:mod:`repro.sim.world` -- may import it, and even there only behind a
-``try: import numpy ... except ImportError`` guard so the import never
-becomes load-bearing.  A numpy import anywhere else (or an unguarded
-one inside the kernel) silently turns the extra into a requirement and
-breaks the fallback leg.
+The spatial engine is pure Python, and ``import repro`` must never pull
+numpy in: a stray import would add its load time to every CLI start and
+make an undeclared package load-bearing.  Any numpy import anywhere in
+``repro`` is therefore a finding, guarded by ``try`` or not.
 """
 
 from __future__ import annotations
@@ -19,87 +14,33 @@ from typing import Iterator
 from repro.analysis.astlint import ModuleUnderLint
 from repro.analysis.report import Finding
 
-#: The designated SoA spatial-kernel modules (exact dotted names).
-_SOA_MODULES = frozenset({"repro.sim.topology", "repro.sim.world"})
-
-#: Exception names that make a ``try`` a valid optional-import guard.
-_GUARD_EXCEPTIONS = frozenset({"ImportError", "ModuleNotFoundError"})
-
 
 class NumpyIsolationRule:
-    """REP010: numpy only in the SoA kernel, behind an import guard."""
+    """REP010: no numpy import anywhere in ``repro``."""
 
     code = "REP010"
-    name = "numpy-outside-spatial-kernel"
-    summary = (
-        "numpy (the optional [perf] extra) may only be imported by the "
-        "SoA spatial-kernel modules (repro.sim.topology, "
-        "repro.sim.world), inside a try/except ImportError guard"
-    )
+    name = "no-numpy"
+    summary = "repro imports no numpy: the spatial engine is pure Python"
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        allowed = module.module in _SOA_MODULES
-        guarded = _guarded_imports(module.tree) if allowed else frozenset()
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
-                if not any(
-                    self._is_numpy(alias.name) for alias in node.names
-                ):
-                    continue
+                names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                if not (node.module and self._is_numpy(node.module)):
-                    continue
+                names = [node.module or ""]
             else:
                 continue
-            if not allowed:
+            if any(self._is_numpy(name) for name in names):
                 yield module.finding(
                     self.code,
-                    "numpy import outside the SoA spatial kernel (go "
-                    "through repro.sim.topology / repro.sim.world, which "
-                    "fall back to pure Python when numpy is absent)",
-                    node=node,
-                )
-            elif id(node) not in guarded:
-                yield module.finding(
-                    self.code,
-                    "unguarded numpy import in a spatial-kernel module "
-                    "(wrap it in try/except ImportError: numpy is the "
-                    "optional [perf] extra, never a hard dependency)",
+                    "numpy import in repro (the spatial engine is pure "
+                    "Python; numpy is not a dependency)",
                     node=node,
                 )
 
     @staticmethod
     def _is_numpy(dotted: str) -> bool:
         return dotted == "numpy" or dotted.startswith("numpy.")
-
-
-def _guarded_imports(tree: ast.Module) -> frozenset[int]:
-    """``id()`` of every import node sitting in an ImportError guard."""
-    guarded: set[int] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Try):
-            continue
-        if not any(
-            _catches_import_error(handler) for handler in node.handlers
-        ):
-            continue
-        for child in node.body:
-            for descendant in ast.walk(child):
-                if isinstance(descendant, (ast.Import, ast.ImportFrom)):
-                    guarded.add(id(descendant))
-    return frozenset(guarded)
-
-
-def _catches_import_error(handler: ast.ExceptHandler) -> bool:
-    """Whether one ``except`` clause catches ImportError."""
-    caught = handler.type
-    if caught is None:  # bare except -- catches everything, REP005's beat
-        return True
-    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
-    return any(
-        isinstance(name, ast.Name) and name.id in _GUARD_EXCEPTIONS
-        for name in names
-    )
 
 
 __all__ = ["NumpyIsolationRule"]

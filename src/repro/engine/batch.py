@@ -47,7 +47,6 @@ from repro.errors import ValidationError
 from repro.runtime import JobError
 from repro.sim.crypto import shared_mac_memo
 from repro.sim.network import shared_message_memo
-from repro.sim.topology import shared_tick_plans
 
 #: The batch context shipped to workers: plain data, always picklable.
 BatchContext = dict[str, str]
@@ -218,11 +217,10 @@ def execute_batch(
         trace_mode = CAMPAIGN_TRACE_MODE
     if len(jobs) == 1:
         return _execute_jobs(jobs, registry, trace_mode, default_deadline_s)
-    # One memo scope per batch: HMAC digests, honestly signed message
-    # instances *and* compiled topology tick plans are shared across the
-    # family's variants -- structurally identical fleets compile their
-    # step program once and re-sign their deterministic traffic once.
-    with shared_mac_memo(), shared_message_memo(), shared_tick_plans():
+    # One memo scope per batch: HMAC digests and honestly signed message
+    # instances are shared across the family's variants, so their
+    # deterministic traffic is signed once.
+    with shared_mac_memo(), shared_message_memo():
         try:
             _warm_batch(context, [variant for _i, _s, variant in jobs], registry)
         except Exception:  # noqa: BLE001 - warming is an optimisation

@@ -103,9 +103,7 @@ from repro.sim.scenarios import (
     UC2_ALL_CONTROLS,
 )
 from repro.sim.topology import (
-    NO_NUMPY_ENV,
     Actor,
-    CompiledTickPlan,
     ConstantSpeedMobility,
     FollowLeaderMobility,
     MobilityModel,
@@ -114,7 +112,6 @@ from repro.sim.topology import (
     StationaryMobility,
     Topology,
     numpy_enabled,
-    shared_tick_plans,
 )
 from repro.sim.v2x import (
     KIND_HAZARD_WARNING,
@@ -145,7 +142,6 @@ __all__ = [
     "ChallengeResponse",
     "Channel",
     "ClampedPosition",
-    "CompiledTickPlan",
     "ConstantSpeedMobility",
     "ConstructionSiteScenario",
     "ControlPipeline",
@@ -185,7 +181,6 @@ __all__ = [
     "Message",
     "MessageCounterCheck",
     "MobilityModel",
-    "NO_NUMPY_ENV",
     "OnBoardUnit",
     "PropagationModel",
     "PseudonymProvider",
@@ -227,6 +222,5 @@ __all__ = [
     "numpy_enabled",
     "shared_mac_memo",
     "shared_message_memo",
-    "shared_tick_plans",
     "verify_mac",
 ]

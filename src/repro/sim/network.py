@@ -438,13 +438,17 @@ class Channel:
         from the fan-out preserves behaviour while a flood no longer
         pays per-delivery calls into receivers that are gone.
         """
+        # Removal builds a new list: propagation models cache per attach
+        # list object, and an in-place removal followed by an attach
+        # would keep the length they check and revive a stale view.
+        receivers = list(self._receivers)
         try:
-            self._receivers.remove(receiver)
+            receivers.remove(receiver)
         except ValueError:
-            pass
-        else:
-            self._kind_limits.pop(receiver, None)
-            self._kind_views.clear()
+            return
+        self._receivers = receivers
+        self._kind_limits.pop(receiver, None)
+        self._kind_views.clear()
 
     def tap(self, listener: Callable[[Message], None]) -> None:
         """Attach a passive tap (eavesdropper); sees sends immediately."""

@@ -23,35 +23,6 @@ Case I's radio-coverage story actually needs:
   order, so range-edge outcomes never depend on iteration accidents --
   the clock's scheduling sequence is the only tie-breaker in play.
 
-Structure-of-arrays core
-------------------------
-
-With :mod:`numpy` installed (the ``repro[perf]`` extra) the topology
-keeps its spatial state as parallel float64 arrays -- positions,
-velocities and transmit ranges, one slot per actor in registration
-order, clamped against the road bounds via
-:meth:`~repro.sim.world.World.clamp_array`.  All three mobility models
-compile into an immutable :class:`CompiledTickPlan` of per-tick array
-stages:
-
-* constant speed -- one gather of the current speeds, a masked velocity
-  add over the constant-speed slots, one clamp;
-* follow-leader -- leader-index gathers organised into dependency
-  *waves* (a follower whose leader is itself a follower earlier in
-  registration order steps one wave later, reproducing the per-chain
-  lag of the scalar loop exactly);
-* stationary -- a zero mask (no-op unless an actor was force-placed
-  off-road, in which case it clamps exactly like the scalar step).
-
-``Topology.step`` is then a handful of array ops regardless of fleet
-size.  Plans are structural (slots and wave shape only): model
-parameters (speeds, gaps, caps) are re-read every tick, so mutating a
-model mid-run behaves exactly like the scalar path, and one compiled
-plan can be shared by every variant of a scenario family via
-:func:`shared_tick_plans`.  The pure-Python engine remains as the
-``REPRO_NO_NUMPY=1`` fallback with step-for-step parity, asserted by
-the property tests.
-
 Version counters drive cache invalidation: ``position_version`` bumps
 whenever any position may have changed (a tick, a setter write, a
 tracked vehicle reporting motion), ``registration_version`` whenever
@@ -72,11 +43,8 @@ road ends is surfaced through :class:`~repro.sim.world.ClampedPosition`'s
 from __future__ import annotations
 
 import bisect
-import contextlib
 import heapq
 import itertools
-import os
-import threading
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
@@ -84,49 +52,26 @@ from repro.sim.clock import SimClock
 from repro.sim.network import Message, Receiver
 from repro.sim.world import World
 
-try:  # numpy is the optional ``repro[perf]`` extra, never a hard dep
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: Environment variable forcing the pure-Python spatial path even when
-#: numpy is importable (the CI fallback leg, A/B benchmarking).
-NO_NUMPY_ENV = "REPRO_NO_NUMPY"
-
-#: Below this many mobility-stepped actors the numpy round-trip costs
-#: more than the scalar loop it replaces; the tick falls back
-#: transparently (the compiled plan records the choice).
-_MIN_VECTOR_ACTORS = 4
-
-#: Below this many attached receivers the vectorised range query costs
-#: more than the scalar membership loop; the channel view picks per
-#: attach list.
-_MIN_VECTOR_RECEIVERS = 8
-
 
 def numpy_enabled() -> bool:
-    """True when the vectorised spatial kernel is active.
+    """Always False: the spatial engine is pure Python.
 
-    Requires numpy to be importable *and* :data:`NO_NUMPY_ENV` to be
-    unset -- the environment switch lets CI and benchmarks exercise the
-    pure-Python fallback without uninstalling the ``[perf]`` extra.
+    Kept as a stable constant because the benchmark host stamp imports
+    it to record which engine a run measured.
     """
-    return _np is not None and not os.environ.get(NO_NUMPY_ENV)
+    return False
 
 
 __all__ = [
     "Actor",
-    "CompiledTickPlan",
     "ConstantSpeedMobility",
     "FollowLeaderMobility",
     "MobilityModel",
-    "NO_NUMPY_ENV",
     "RangePropagation",
     "SpatialIndex",
     "StationaryMobility",
     "Topology",
     "numpy_enabled",
-    "shared_tick_plans",
 ]
 
 
@@ -232,8 +177,8 @@ class Actor:
         self.tracker = tracker
         self._position_m = position_m
         # Back-reference + slot index, filled in by Topology.add(): the
-        # topology's structure-of-arrays mirror and version counters
-        # must observe setter writes.
+        # topology's position mirror and version counters must observe
+        # setter writes.
         self._owner: "Topology | None" = None
         self._slot = -1
 
@@ -265,47 +210,20 @@ class Actor:
 class SpatialIndex:
     """Immutable sorted snapshot of actor positions for range queries.
 
-    Two equivalent engines answer the queries:
-
-    * **numpy structure-of-arrays** (default when the ``[perf]`` extra
-      is installed): positions live in one sorted float64 array, names
-      in a parallel array; ``within()`` is ``searchsorted`` over the
-      position array plus one ``lexsort`` of the hit slice, and
-      ``nearest()`` partitions distances before ordering only the
-      candidate set.
-    * **pure Python** (fallback, or ``REPRO_NO_NUMPY=1``): the
-      position-sorted entries left and right of the query centre are
-      two already-distance-sorted runs, so both queries *merge* them
-      lazily (``heapq.merge`` semantics) instead of re-sorting the hit
-      slice; ``nearest()`` draws only ``count`` items from the merge.
-
-    Both paths return identically ``(distance, name)``-ordered names --
-    asserted exactly by the property tests -- so range queries are
+    The position-sorted entries left and right of the query centre are
+    two already-distance-sorted runs, so both queries *merge* them
+    lazily (``heapq.merge`` semantics) instead of re-sorting the hit
+    slice; ``nearest()`` draws only ``count`` items from the merge.
+    Names come back ``(distance, name)``-ordered, so range queries are
     deterministic even for coincident actors.
     """
 
-    def __init__(
-        self,
-        positions: Iterable[tuple[float, str]],
-        use_numpy: bool | None = None,
-    ) -> None:
+    def __init__(self, positions: Iterable[tuple[float, str]]) -> None:
         self._entries = sorted(positions)
         self._positions = [position for position, _name in self._entries]
-        self.use_numpy = (
-            numpy_enabled() if use_numpy is None else (use_numpy and _np is not None)
-        )
-        if self.use_numpy:
-            # Structure of arrays: float64 positions + parallel names,
-            # both already in (position, name) order from the sort above.
-            self._pos_array = _np.array(self._positions, dtype=_np.float64)
-            self._name_array = _np.array(
-                [name for _position, name in self._entries]
-            )
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    # -- pure-Python engine: lazy merge of the two distance runs ------------
 
     def _ranked(self, center_m: float, lo: int, hi: int):
         """Yield ``(distance, name)`` over entries[lo:hi] in sorted order.
@@ -352,10 +270,6 @@ class SpatialIndex:
         if radius_m < 0:
             raise SimulationError("query radius must be >= 0")
         lo, hi = self._bounds(center_m, radius_m)
-        if self.use_numpy:
-            distances = _np.abs(self._pos_array[lo:hi] - center_m)
-            order = _np.lexsort((self._name_array[lo:hi], distances))
-            return tuple(self._name_array[lo:hi][order].tolist())
         return tuple(name for _distance, name in self._ranked(center_m, lo, hi))
 
     def nearest(self, center_m: float, count: int = 1) -> tuple[str, ...]:
@@ -363,214 +277,12 @@ class SpatialIndex:
         size = len(self._entries)
         if count <= 0:
             return ()
-        if self.use_numpy:
-            distances = _np.abs(self._pos_array - center_m)
-            if count < size:
-                # Partial ordering: partition by distance, then fully
-                # order only the candidate set (all entries at most as
-                # far as the count-th distance, so name ties at the
-                # boundary resolve exactly as a full sort would).
-                kth = _np.partition(distances, count - 1)[count - 1]
-                candidates = _np.flatnonzero(distances <= kth)
-                order = _np.lexsort(
-                    (self._name_array[candidates], distances[candidates])
-                )
-                chosen = candidates[order[:count]]
-            else:
-                chosen = _np.lexsort((self._name_array, distances))[:count]
-            return tuple(self._name_array[chosen].tolist())
         return tuple(
             name
             for _distance, name in itertools.islice(
                 self._ranked(center_m, 0, size), count
             )
         )
-
-
-# -- compiled tick plans ------------------------------------------------------
-
-#: Thread-local stack of shared plan caches (see shared_tick_plans()).
-_PLAN_STATE = threading.local()
-
-
-@contextlib.contextmanager
-def shared_tick_plans():
-    """Share compiled tick plans across the topologies of this thread.
-
-    A batch of variants from one scenario family builds structurally
-    identical topologies; inside this scope each distinct plan
-    *signature* is compiled once and the immutable
-    :class:`CompiledTickPlan` is reused by every subsequent topology
-    with the same structure.  Plans hold slot indices and wave shape
-    only -- never actor or model references -- so sharing them across
-    variants is semantically transparent.  Mirrors
-    :func:`repro.sim.crypto.shared_mac_memo`: scoped (not a module
-    global) so unbatched runs keep their exact cost profile and
-    serial-vs-batched benchmarks stay honest; nesting reuses the outer
-    cache.
-    """
-    previous = getattr(_PLAN_STATE, "plans", None)
-    plans: dict = {} if previous is None else previous
-    _PLAN_STATE.plans = plans
-    try:
-        yield plans
-    finally:
-        _PLAN_STATE.plans = previous
-
-
-class _Wave:
-    """One follow-leader dependency wave of a compiled plan.
-
-    All followers in a wave step together: their leaders' this-tick
-    values are already final (earlier stage or earlier wave) or are, by
-    registration order, the *previous*-tick values -- ``old_mask``
-    records which, reproducing the scalar loop's insertion-order
-    semantics exactly.
-    """
-
-    __slots__ = (
-        "follower_slots",
-        "follower_idx",
-        "leader_idx",
-        "old_mask",
-        "needs_old",
-    )
-
-    def __init__(
-        self, followers: list[int], leaders: list[int], use_old: list[bool]
-    ) -> None:
-        self.follower_slots = tuple(followers)
-        self.follower_idx = _np.array(followers, dtype=_np.intp)
-        self.leader_idx = _np.array(leaders, dtype=_np.intp)
-        self.old_mask = _np.array(use_old, dtype=bool)
-        self.needs_old = any(use_old)
-
-
-class CompiledTickPlan:
-    """An immutable, structurally keyed mobility step program.
-
-    Holds only *structure* -- slot indices, wave partition, the
-    vectorise/scalar choice -- so a plan compiled for one topology
-    applies to every topology with the same :attr:`signature` (same
-    actor count, same mobility kinds in the same slots, same leader
-    wiring).  Model parameters are re-read from the live topology every
-    tick, preserving the scalar path's mid-run mutability semantics.
-    """
-
-    __slots__ = (
-        "signature",
-        "vectorised",
-        "const_slots",
-        "const_idx",
-        "stationary_slots",
-        "stationary_idx",
-        "waves",
-        "needs_old",
-        "mobile_slots",
-        "mobile_idx",
-    )
-
-    def __init__(self, signature: tuple, topology: "Topology") -> None:
-        self.signature = signature
-        const: list[int] = []
-        stationary: list[int] = []
-        # (slot, leader slot, gather-from-old, wave depth) per follower
-        followers: list[tuple[int, int, bool, int]] = []
-        mobile: list[int] = []
-        vectorisable = numpy_enabled()
-        follow_depth: dict[int, int] = {}
-        actors = topology._slot_actors
-        for slot, actor in enumerate(actors):
-            model = actor.mobility
-            if model is None:
-                continue
-            mobile.append(slot)
-            kind = type(model)
-            if kind is ConstantSpeedMobility:
-                const.append(slot)
-            elif kind is StationaryMobility:
-                stationary.append(slot)
-            elif kind is FollowLeaderMobility:
-                leader = topology._resolve(model.leader)
-                if leader is None:
-                    # The scalar step raises mid-tick for an unknown
-                    # leader; only the scalar loop reproduces that.
-                    vectorisable = False
-                    continue
-                lslot = leader._slot
-                # The scalar loop steps in registration order: a leader
-                # registered *after* its follower has not moved yet when
-                # the follower steps, so the follower reads the
-                # previous-tick value.
-                use_old = lslot > slot
-                depth = 0
-                if not use_old and lslot in follow_depth:
-                    depth = follow_depth[lslot] + 1
-                follow_depth[slot] = depth
-                followers.append((slot, lslot, use_old, depth))
-            else:
-                # Custom models may read arbitrary topology state; only
-                # the scalar loop honours their ordering contract.
-                vectorisable = False
-        if len(mobile) < _MIN_VECTOR_ACTORS:
-            vectorisable = False
-        self.vectorised = vectorisable
-        if not vectorisable:
-            self.const_slots = tuple(const)
-            self.const_idx = None
-            self.stationary_slots = tuple(stationary)
-            self.stationary_idx = None
-            self.waves = ()
-            self.needs_old = False
-            self.mobile_slots = tuple(mobile)
-            self.mobile_idx = None
-            return
-        self.const_slots = tuple(const)
-        self.const_idx = _np.array(const, dtype=_np.intp)
-        self.stationary_slots = tuple(stationary)
-        self.stationary_idx = _np.array(stationary, dtype=_np.intp)
-        max_depth = max((f[3] for f in followers), default=-1)
-        waves = []
-        for depth in range(max_depth + 1):
-            in_wave = [f for f in followers if f[3] == depth]
-            waves.append(
-                _Wave(
-                    [f[0] for f in in_wave],
-                    [f[1] for f in in_wave],
-                    [f[2] for f in in_wave],
-                )
-            )
-        self.waves = tuple(waves)
-        self.needs_old = any(wave.needs_old for wave in waves)
-        self.mobile_slots = tuple(mobile)
-        self.mobile_idx = _np.array(mobile, dtype=_np.intp)
-
-
-def _plan_signature(topology: "Topology") -> tuple:
-    """The structural key of a topology's mobility step.
-
-    Two topologies with equal signatures (actor count, mobility kind
-    per slot, leader wiring) compile to interchangeable plans; model
-    parameters are deliberately excluded -- plans re-read them per tick.
-    """
-    parts: list = [(len(topology._slot_actors), numpy_enabled())]
-    for slot, actor in enumerate(topology._slot_actors):
-        model = actor.mobility
-        if model is None:
-            continue
-        kind = type(model)
-        if kind is ConstantSpeedMobility:
-            parts.append((slot, "c"))
-        elif kind is StationaryMobility:
-            parts.append((slot, "s"))
-        elif kind is FollowLeaderMobility:
-            leader = topology._resolve(model.leader)
-            parts.append(
-                (slot, "f", leader._slot if leader is not None else None)
-            )
-        else:
-            parts.append((slot, "x"))
-    return tuple(parts)
 
 
 class Topology:
@@ -588,7 +300,7 @@ class Topology:
             changed (tick, setter write, tracked-component motion).
             Consumers key position-derived caches on it.
         registration_version: Bumped whenever the actor set or the
-            alias table changes (which also invalidates the tick plan).
+            alias table changes.
     """
 
     def __init__(
@@ -609,14 +321,11 @@ class Topology:
         self._aliases: dict[str, str] = {}
         self._saturated: set[str] = set()
         self._ticking = False
-        self._tick_plan: CompiledTickPlan | None = None
-        # Structure-of-arrays mirror (numpy only): positions/velocities/
-        # ranges per slot, plus the versions they were synced at.
-        self._positions = None
-        self._velocities = None
-        self._ranges = None
-        self._arrays_reg = -1
-        self._arrays_pos = -1
+        # Per-slot position mirror for batched range checks, plus the
+        # versions it was synced at.
+        self._positions: list[float] | None = None
+        self._positions_reg = -1
+        self._positions_pos = -1
         self._tracked_entries: list[tuple[int, Actor]] = []
         # True when a tracked component cannot report motion: position
         # caches can never trust ``position_version`` then.
@@ -639,7 +348,6 @@ class Topology:
         self._slot_actors.append(actor)
         if actor.tracker is not None:
             self._tracked_entries.append((actor._slot, actor))
-        self._tick_plan = None  # registration changes the step plan
         self.registration_version += 1
         self.position_version += 1
         if actor.mobility is not None:
@@ -725,7 +433,6 @@ class Topology:
             raise SimulationError(f"name {alias!r} already registered")
         self._aliases[alias] = actor_name
         self.registration_version += 1
-        self._tick_plan = None  # a follower's leader may resolve now
 
     # -- version bookkeeping ------------------------------------------------
 
@@ -733,43 +440,33 @@ class Topology:
         """An actor's position was written through its setter."""
         self.position_version += 1
         positions = self._positions
-        if positions is not None and self._arrays_reg == self.registration_version:
+        if (
+            positions is not None
+            and self._positions_reg == self.registration_version
+        ):
             positions[actor._slot] = actor._position_m
 
     def _on_tracked_motion(self) -> None:
         """A tracked component reported that it moved."""
         self.position_version += 1
 
-    def _sync_arrays(self):
-        """The SoA positions array, synced to the current versions.
+    def _sync_positions(self) -> list[float]:
+        """The per-slot position mirror, synced to the current versions.
 
         Rebuilds on registration change; otherwise refreshes only the
         tracked slots (mobility/stationary slots are written through on
         every motion).  Volatile topologies refresh tracked slots on
         every call -- their motion is invisible to the version counter.
         """
-        if self._arrays_reg != self.registration_version:
-            actors = self._slot_actors
-            self._positions = _np.array(
-                [actor.position_m for actor in actors], dtype=_np.float64
-            )
-            self._velocities = _np.zeros(len(actors), dtype=_np.float64)
-            self._ranges = _np.array(
-                [
-                    _np.inf
-                    if actor.transmit_range_m is None
-                    else actor.transmit_range_m
-                    for actor in actors
-                ],
-                dtype=_np.float64,
-            )
-            self._arrays_reg = self.registration_version
-            self._arrays_pos = self.position_version
-        elif self._volatile or self._arrays_pos != self.position_version:
+        if self._positions_reg != self.registration_version:
+            self._positions = [actor.position_m for actor in self._slot_actors]
+            self._positions_reg = self.registration_version
+            self._positions_pos = self.position_version
+        elif self._volatile or self._positions_pos != self.position_version:
             positions = self._positions
             for slot, actor in self._tracked_entries:
                 positions[slot] = actor.tracker()
-            self._arrays_pos = self.position_version
+            self._positions_pos = self.position_version
         return self._positions
 
     # -- lookup -------------------------------------------------------------
@@ -868,22 +565,6 @@ class Topology:
         )
         self._ticking = True
 
-    def _compiled_plan(self) -> CompiledTickPlan:
-        """The (possibly shared) tick plan for the current structure."""
-        plan = self._tick_plan
-        if plan is not None:
-            return plan
-        signature = _plan_signature(self)
-        shared = getattr(_PLAN_STATE, "plans", None)
-        if shared is not None:
-            plan = shared.get(signature)
-        if plan is None:
-            plan = CompiledTickPlan(signature, self)
-            if shared is not None:
-                shared[signature] = plan
-        self._tick_plan = plan
-        return plan
-
     def _step_scalar(self, actor: Actor, dt: float) -> None:
         proposed = actor.mobility.next_position(actor, self, dt)
         position, saturated = self.world.clamp_value(proposed)
@@ -891,103 +572,9 @@ class Topology:
             self._saturated.add(actor.name)
         actor.position_m = position
 
-    def _mark_saturated(self, mask, slots: tuple[int, ...]) -> None:
-        if mask.any():
-            actors = self._slot_actors
-            for index in _np.flatnonzero(mask).tolist():
-                self._saturated.add(actors[slots[index]].name)
-
-    def _step_vector(self, plan: CompiledTickPlan, dt: float) -> None:
-        """One tick of the compiled array program.
-
-        Stage order (constants, stationary, waves) differs from the
-        scalar loop's registration order, but each follower's leader
-        gather source (``old`` vs current) is chosen at compile time to
-        reproduce exactly what the scalar loop would have read -- the
-        property tests pin the equivalence over random fleets.
-        """
-        positions = self._sync_arrays()
-        velocities = self._velocities
-        world = self.world
-        actors = self._slot_actors
-        old = positions.copy() if plan.needs_old else None
-        if plan.const_slots:
-            count = len(plan.const_slots)
-            speeds = _np.fromiter(
-                (actors[slot].mobility.speed_mps for slot in plan.const_slots),
-                dtype=_np.float64,
-                count=count,
-            )
-            velocities[plan.const_idx] = speeds
-            proposed = positions[plan.const_idx] + speeds * dt
-            clamped, saturated = world.clamp_array(proposed)
-            positions[plan.const_idx] = clamped
-            self._mark_saturated(saturated, plan.const_slots)
-        if plan.stationary_slots:
-            # Zero mask: stationary actors move only if force-placed
-            # off-road, where the scalar step clamps them back on.
-            current = positions[plan.stationary_idx]
-            off_road = (current < 0.0) | (current > world.road_length_m)
-            if off_road.any():
-                clamped, saturated = world.clamp_array(current)
-                positions[plan.stationary_idx] = clamped
-                self._mark_saturated(saturated, plan.stationary_slots)
-        for wave in plan.waves:
-            count = len(wave.follower_slots)
-            gaps = _np.fromiter(
-                (actors[slot].mobility.gap_m for slot in wave.follower_slots),
-                dtype=_np.float64,
-                count=count,
-            )
-            caps = _np.fromiter(
-                (
-                    actors[slot].mobility.max_speed_mps
-                    for slot in wave.follower_slots
-                ),
-                dtype=_np.float64,
-                count=count,
-            )
-            if wave.needs_old:
-                leader_vals = _np.where(
-                    wave.old_mask,
-                    old[wave.leader_idx],
-                    positions[wave.leader_idx],
-                )
-            else:
-                leader_vals = positions[wave.leader_idx]
-            current = positions[wave.follower_idx]
-            # Exact scalar op order: target = leader - gap;
-            # headroom = target - pos; pos + min(headroom, cap * dt).
-            headroom = (leader_vals - gaps) - current
-            advanced = current + _np.minimum(headroom, caps * dt)
-            proposed = _np.where(headroom <= 0.0, current, advanced)
-            clamped, saturated = world.clamp_array(proposed)
-            positions[wave.follower_idx] = clamped
-            velocities[wave.follower_idx] = (clamped - current) / dt
-            self._mark_saturated(saturated, wave.follower_slots)
-        # Write the moved slots back to the actors as plain floats: the
-        # arrays stay authoritative for batch queries, the actors for
-        # every scalar consumer.
-        moved = positions[plan.mobile_idx].tolist()
-        for slot, value in zip(plan.mobile_slots, moved):
-            actors[slot]._position_m = value
-        self.position_version += 1
-        self._arrays_pos = self.position_version
-
     def step(self, dt_s: float | None = None) -> None:
-        """Advance every mobile actor one tick, in insertion order.
-
-        With numpy active, the compiled plan advances all three mobility
-        models as a handful of array ops (masked velocity add, wave
-        gathers, zero mask + clamp) -- value-identical to the scalar
-        fallback, which the property tests assert across random fleets.
-        """
+        """Advance every mobile actor one tick, in insertion order."""
         dt = self.tick_ms / 1000.0 if dt_s is None else dt_s
-        if numpy_enabled():
-            plan = self._compiled_plan()
-            if plan.vectorised:
-                self._step_vector(plan, dt)
-                return
         for actor in self._slot_actors:
             if actor.mobility is None:
                 continue
@@ -998,12 +585,13 @@ class Topology:
 class _ChannelView:
     """One channel attach list, resolved against a topology once.
 
-    Caches the per-receiver actor resolution (names never re-resolve
+    Caches the per-receiver slot resolution (names never re-resolve
     per delivery) and the per-sender reached lists, keyed on the
     topology's version counters: while no position changes, a sender's
     delivery set -- e.g. every packet of a flood burst inside one clock
     timestamp -- is a dict hit.  Invalidated by re-resolution when the
-    attach list grows or the actor/alias tables change.
+    attach list grows or the actor/alias tables change; a detach hands
+    the propagation model a new list object, which never matches.
     """
 
     __slots__ = (
@@ -1011,10 +599,7 @@ class _ChannelView:
         "receivers",
         "length",
         "reg_version",
-        "entries",
-        "slot_idx",
-        "unplaced_mask",
-        "any_unplaced",
+        "slots",
         "_memo",
     )
 
@@ -1023,24 +608,11 @@ class _ChannelView:
         self.receivers = receivers
         self.length = len(receivers)
         self.reg_version = topology.registration_version
-        self.entries = [
-            topology._resolve(receiver.name) for receiver in receivers
-        ]
-        self.slot_idx = None
-        self.unplaced_mask = None
-        self.any_unplaced = any(actor is None for actor in self.entries)
-        if numpy_enabled() and self.length >= _MIN_VECTOR_RECEIVERS:
-            self.slot_idx = _np.array(
-                [
-                    0 if actor is None else actor._slot
-                    for actor in self.entries
-                ],
-                dtype=_np.intp,
-            )
-            if self.any_unplaced:
-                self.unplaced_mask = _np.array(
-                    [actor is None for actor in self.entries], dtype=bool
-                )
+        # Per receiver its actor slot, or None for an unplaced observer.
+        self.slots: list[int | None] = []
+        for receiver in receivers:
+            actor = topology._resolve(receiver.name)
+            self.slots.append(None if actor is None else actor._slot)
         self._memo: dict[str, tuple] = {}
 
     def current(self) -> bool:
@@ -1063,27 +635,13 @@ class _ChannelView:
             ):
                 return memo[2]
         sender_pos = sender.position_m
-        receivers = self.receivers
-        if self.slot_idx is not None:
-            positions = topology._sync_arrays()
-            mask = (
-                _np.abs(positions[self.slot_idx] - sender_pos) <= range_m
-            )
-            if self.any_unplaced:
-                mask |= self.unplaced_mask
-            if mask.all():
-                selected = list(receivers)
-            else:
-                selected = [
-                    receivers[i] for i in _np.flatnonzero(mask).tolist()
-                ]
-        else:
-            selected = []
-            for receiver, actor in zip(receivers, self.entries):
-                if actor is None:
-                    selected.append(receiver)  # unplaced observers hear all
-                elif abs(actor.position_m - sender_pos) <= range_m:
-                    selected.append(receiver)
+        positions = topology._sync_positions()
+        # Unplaced observers (slot None) hear everything.
+        selected = [
+            receiver
+            for receiver, slot in zip(self.receivers, self.slots)
+            if slot is None or abs(positions[slot] - sender_pos) <= range_m
+        ]
         if not volatile:
             self._memo[sender.name] = (
                 topology.position_version,
@@ -1107,10 +665,9 @@ class RangePropagation:
     hear everything unless explicitly placed.
 
     Delivery sets resolve in batch: the attach list is resolved to
-    actors once (per registration era), and each sender's reached list
-    is computed through one vectorised range query against the
-    topology's position array (scalar loop below
-    ``_MIN_VECTOR_RECEIVERS``), then memoised on
+    actor slots once (per registration era), and each sender's reached
+    list is computed by one pass over the topology's position mirror,
+    then memoised on
     ``Topology.position_version`` -- senders firing repeatedly within
     one clock timestamp replay the cached set.  The moment any position
     changes (or on topologies whose tracked components cannot report

@@ -15,11 +15,6 @@ import dataclasses
 
 from repro.errors import SimulationError
 
-try:  # numpy is the optional ``repro[perf]`` extra, never a hard dep
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
 
 class ClampedPosition(float):
     """A road position produced by :meth:`World.clamp`.
@@ -128,16 +123,6 @@ class World:
         Negative once the position is past the zone start.
         """
         return self.zone(name).start - position
-
-    def clamp_array(self, positions):
-        """Vectorised :meth:`clamp_value` over a numpy position array.
-
-        Returns ``(clamped, saturated)`` arrays; used by the topology's
-        structure-of-arrays mobility tick.  Requires numpy (the caller
-        gates on :func:`repro.sim.topology.numpy_enabled`).
-        """
-        clamped = _np.clip(positions, 0.0, self.road_length_m)
-        return clamped, clamped != positions
 
     def clamp_value(self, position: float) -> tuple[float, bool]:
         """:meth:`clamp` as a plain ``(position, saturated)`` pair.

@@ -1,4 +1,4 @@
-"""REP010 fixture: numpy imported outside the SoA spatial kernel."""
+"""REP010 fixture: numpy imported into repro."""
 
 import numpy
 from numpy import asarray

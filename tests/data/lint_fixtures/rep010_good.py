@@ -1,7 +1,5 @@
-"""REP010 fixture: spatial maths goes through the topology kernel."""
-
-from repro.sim.topology import Topology
+"""REP010 fixture: spatial maths in plain Python."""
 
 
-def receivers_in_range(topology: Topology, channel):
-    return topology.step() and channel
+def midpoint(positions):
+    return sum(positions) / len(positions)

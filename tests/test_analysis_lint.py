@@ -132,19 +132,6 @@ class TestRuleScoping:
         )
         assert findings == ()
 
-    def test_numpy_rule_allows_guarded_kernel_import(self):
-        source = (
-            "try:\n"
-            "    import numpy as _np\n"
-            "except ImportError:\n"
-            "    _np = None\n"
-        )
-        for module in ("repro.sim.topology", "repro.sim.world"):
-            findings = lint_source(
-                source, module=module, rules=rules_by_code(["REP010"])
-            )
-            assert findings == ()
-
     def test_numpy_rule_flags_unguarded_kernel_import(self):
         findings = lint_source(
             "import numpy as _np\n",
@@ -152,7 +139,6 @@ class TestRuleScoping:
             rules=rules_by_code(["REP010"]),
         )
         assert [f.code for f in findings] == ["REP010"]
-        assert "unguarded" in findings[0].message
 
     def test_numpy_rule_flags_guarded_import_elsewhere(self):
         source = (
@@ -165,7 +151,6 @@ class TestRuleScoping:
             source, module="repro.engine.fake", rules=rules_by_code(["REP010"])
         )
         assert [f.code for f in findings] == ["REP010"]
-        assert "spatial kernel" in findings[0].message
 
 
 class TestSuppression:

@@ -4,11 +4,16 @@ repro.engine, repro.runtime and repro.sim.
 Every submodule declares ``__all__``; the package re-exports exactly the
 union of its submodules' ``__all__`` lists; and every public top-level
 definition in a submodule is listed in that submodule's ``__all__`` (so
-the declarations cannot rot as code is added).
+the declarations cannot rot as code is added).  Importing the public
+entry points also never loads numpy.
 """
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +96,23 @@ class TestExportCompleteness:
                 f"{package_name}.{name} is not the symbol "
                 f"{owners[name].__name__}.{name}"
             )
+
+
+def test_entry_points_never_import_numpy():
+    """A fresh interpreter importing the API, CLI and service planes
+    leaves numpy unloaded: the spatial engine is pure Python."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys\n"
+        "import repro.api, repro.cli, repro.service\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

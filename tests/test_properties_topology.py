@@ -12,15 +12,11 @@ Three contracts the fleet scenario families lean on:
   same messages, at the same times, to the same receivers as a channel
   constructed the pre-topology way; and on the AD08/AD20 parity
   variants the two spellings produce identical verdicts.
-* **spatial engine parity** -- the numpy structure-of-arrays kernel
-  and the pure-Python bisect/heap-merge fallback answer
-  ``SpatialIndex.within``/``nearest`` identically (both pinned against
-  a brute-force ``(distance, name)`` oracle, so the tie order for
-  coincident actors is part of the contract), and the vectorised
-  mobility tick traces the same trajectories as the scalar loop.
+* **spatial queries** -- ``SpatialIndex.within``/``nearest`` are
+  pinned against a brute-force ``(distance, name)`` oracle, so the tie
+  order for coincident actors is part of the contract, and batched
+  range propagation matches a per-delivery membership check.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +28,11 @@ from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
 from repro.sim.network import Channel, InfiniteRange, Message
 from repro.sim.topology import (
-    NO_NUMPY_ENV,
     ConstantSpeedMobility,
     FollowLeaderMobility,
     RangePropagation,
     SpatialIndex,
     Topology,
-    numpy_enabled,
 )
 from repro.sim.world import World
 
@@ -146,12 +140,7 @@ class TestSpatialEngineParity:
         expected = tuple(
             name for distance, name in ranked if distance <= radius
         )
-        python = SpatialIndex(entries, use_numpy=False)
-        assert python.within(center, radius) == expected
-        if numpy_enabled():
-            vectorised = SpatialIndex(entries, use_numpy=True)
-            assert vectorised.use_numpy
-            assert vectorised.within(center, radius) == expected
+        assert SpatialIndex(entries).within(center, radius) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -164,126 +153,15 @@ class TestSpatialEngineParity:
     ):
         ranked = sorted((abs(p - center), n) for p, n in entries)
         expected = tuple(name for _d, name in ranked[:count])
-        python = SpatialIndex(entries, use_numpy=False)
-        assert python.nearest(center, count) == expected
-        if numpy_enabled():
-            vectorised = SpatialIndex(entries, use_numpy=True)
-            assert vectorised.nearest(center, count) == expected
+        assert SpatialIndex(entries).nearest(center, count) == expected
 
     def test_coincident_tie_order_pinned_on_both_engines(self):
         """(distance, name) order for coincident actors is contract,
-        not accident -- identical on numpy and the heap-merge path."""
-        entries = [(5.0, "z"), (5.0, "a"), (5.0, "m"), (7.0, "b")]
-        for use_numpy in (False, True):
-            index = SpatialIndex(entries, use_numpy=use_numpy)
-            assert index.within(5.0, 0.0) == ("a", "m", "z")
-            assert index.within(5.0, 2.0) == ("a", "m", "z", "b")
-            assert index.nearest(5.0, 3) == ("a", "m", "z")
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(positions, speeds), min_size=4, max_size=12
-        ),
-        st.integers(min_value=1, max_value=30),
-        st.booleans(),
-    )
-    def test_vector_tick_matches_scalar_tick(
-        self, placements, ticks, with_follower
-    ):
-        if not numpy_enabled():
-            pytest.skip("numpy kernel inactive; nothing to compare")
-
-        def run(force_scalar: bool) -> list[float]:
-            if force_scalar:
-                os.environ[NO_NUMPY_ENV] = "1"
-            try:
-                clock = SimClock()
-                topology = Topology(World(2000.0), clock=clock, tick_ms=100.0)
-                for index, (position, speed) in enumerate(placements):
-                    topology.add_mobile(
-                        f"car-{index}", position, ConstantSpeedMobility(speed)
-                    )
-                if with_follower:
-                    topology.add_mobile(
-                        "tail", 0.0, FollowLeaderMobility("car-0", gap_m=25.0)
-                    )
-                clock.run_until(ticks * 100.0)
-                return [actor.position_m for actor in topology.actors]
-            finally:
-                if force_scalar:
-                    os.environ.pop(NO_NUMPY_ENV, None)
-
-        assert run(False) == run(True)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.lists(positions, min_size=2, max_size=20),
-        st.floats(min_value=5.0, max_value=60.0, allow_nan=False),
-        st.integers(min_value=1, max_value=30),
-    )
-    def test_follow_leader_chain_parity(self, placements, gap, ticks):
-        """A whole chain of followers (each tracking the previous car)
-        traces identical trajectories on the vector and scalar ticks."""
-        if not numpy_enabled():
-            pytest.skip("numpy kernel inactive; nothing to compare")
-
-        def run(force_scalar: bool) -> list[float]:
-            if force_scalar:
-                os.environ[NO_NUMPY_ENV] = "1"
-            try:
-                clock = SimClock()
-                topology = Topology(World(5000.0), clock=clock, tick_ms=100.0)
-                topology.add_mobile(
-                    "car-0", placements[0], ConstantSpeedMobility(20.0)
-                )
-                for index, position in enumerate(placements[1:], start=1):
-                    topology.add_mobile(
-                        f"car-{index}",
-                        position,
-                        FollowLeaderMobility(f"car-{index - 1}", gap_m=gap),
-                    )
-                clock.run_until(ticks * 100.0)
-                return [actor.position_m for actor in topology.actors]
-            finally:
-                if force_scalar:
-                    os.environ.pop(NO_NUMPY_ENV, None)
-
-        assert run(False) == run(True)
-
-    @pytest.mark.parametrize("size", [8, 64])
-    def test_mixed_fleet_parity_at_scale(self, size):
-        """The bench convoy shape (every third car constant-speed, the
-        rest followers) at n=64: bit-identical trajectories on both
-        engines.  Not hypothesis-driven -- the point is the fixed large
-        fleet, where the SoA kernel actually engages."""
-        if not numpy_enabled():
-            pytest.skip("numpy kernel inactive; nothing to compare")
-
-        def run(force_scalar: bool) -> list[float]:
-            if force_scalar:
-                os.environ[NO_NUMPY_ENV] = "1"
-            try:
-                clock = SimClock()
-                topology = Topology(
-                    World(size * 50.0 + 20000.0), clock=clock, tick_ms=100.0
-                )
-                for index in range(size):
-                    position = size * 50.0 - index * 50.0
-                    if index % 3 == 0:
-                        mobility = ConstantSpeedMobility(25.0)
-                    else:
-                        mobility = FollowLeaderMobility(
-                            f"car-{index - 1}", gap_m=30.0
-                        )
-                    topology.add_mobile(f"car-{index}", position, mobility)
-                clock.run_until(300 * 100.0)
-                return [actor.position_m for actor in topology.actors]
-            finally:
-                if force_scalar:
-                    os.environ.pop(NO_NUMPY_ENV, None)
-
-        assert run(False) == run(True)
+        not accident."""
+        index = SpatialIndex([(5.0, "z"), (5.0, "a"), (5.0, "m"), (7.0, "b")])
+        assert index.within(5.0, 0.0) == ("a", "m", "z")
+        assert index.within(5.0, 2.0) == ("a", "m", "z", "b")
+        assert index.nearest(5.0, 3) == ("a", "m", "z")
 
 
 class _Ear:
@@ -297,8 +175,8 @@ class _Ear:
 
 
 class TestBatchedPropagationParity:
-    """The vectorised batch delivery-set resolution equals the
-    per-delivery membership check, receiver for receiver, in order."""
+    """The batched delivery-set resolution equals the per-delivery
+    membership check, receiver for receiver, in order."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -335,13 +213,6 @@ class TestBatchedPropagationParity:
         # memoised (position_version, range) fast path.
         assert list(batched.receivers(message, attached)) == expected
         assert list(batched.receivers(message, attached)) == expected
-        if numpy_enabled():
-            os.environ[NO_NUMPY_ENV] = "1"
-            try:
-                scalar = RangePropagation(topology)
-                assert list(scalar.receivers(message, attached)) == expected
-            finally:
-                os.environ.pop(NO_NUMPY_ENV, None)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -376,6 +247,44 @@ class TestBatchedPropagationParity:
         moved = topology.actor(attached[0].name)
         moved.position_m = min(placed[0] + step_m, 1000.0)
         assert list(propagation.receivers(message, attached)) == oracle()
+
+    def test_detach_then_attach_drops_the_stale_view(self):
+        """Detach + attach keeps the attach list's length; the cached
+        view must still be rebuilt, or the detached receiver keeps
+        hearing (memo hit) and the new one inherits its position."""
+        clock = SimClock()
+        topology = Topology(World(1000.0))
+        topology.add_stationary("tx", 0.0, transmit_range_m=100.0)
+        topology.add_stationary("near", 50.0)
+        topology.add_stationary("far", 900.0)
+        channel = Channel(
+            "radio", clock, EventBus(), propagation=RangePropagation(topology)
+        )
+        heard: dict[str, int] = {"near": 0, "far": 0}
+
+        class Counter:
+            def __init__(self, name: str) -> None:
+                self.name = name
+
+            def receive(self, message: Message) -> None:
+                heard[self.name] += 1
+
+        near, far = Counter("near"), Counter("far")
+
+        def send() -> None:
+            channel.send(Message(kind="k", sender="tx", payload={}))
+            clock.run()
+
+        channel.attach(near)
+        send()
+        assert heard == {"near": 1, "far": 0}
+        channel.detach(near)
+        channel.attach(far)
+        send()
+        assert heard == {"near": 1, "far": 0}
+        topology.actor("tx").position_m = 1.0
+        send()
+        assert heard == {"near": 1, "far": 0}
 
 
 class TestInfiniteRangeEquivalence:
