@@ -14,6 +14,12 @@ are index-based rather than scan-based:
   topic matches several subscription prefixes, the matched subscribers
   are merged back into subscription order, so dispatch order is
   bit-identical to the historical "scan the subscription list" loop.
+* **Invalidation** is prefix-scoped: every known topic is indexed under
+  its segment prefixes, so a :meth:`EventBus.subscribe` or
+  :meth:`EventBus.retain` on ``p`` drops only the cached plans of the
+  topics under ``p`` and switches on only their probes.  Registrations
+  can only add observers, so nothing else needs re-answering and
+  scenario set-up stays linear in the number of registrations.
 * **Counting** maintains a running counter per published *topic*
   (one increment per publish); :meth:`EventBus.count` answers from
   those counters -- O(distinct topics) per query instead of a scan of
@@ -111,21 +117,21 @@ class EventBus:
         # prefix -> [(subscription order, subscriber), ...]
         self._subscribers: dict[str, list[tuple[int, Subscriber]]] = {}
         self._subscription_count = 0
-        # Bumped with every subscribe()/retain(): TopicProbe caches its
-        # "does anyone want this topic" answer against it.
-        self.plan_epoch = 0
         self._trace: list[SimEvent] = []
         self._topic_counts: dict[str, int] = {}
         self._retained: frozenset[str] = frozenset()
-        # topic -> its segment prefixes (topics repeat; split once).
+        # topic -> its segment prefixes (topics repeat; split once), and
+        # the inverse index filled at the same time: prefix -> the known
+        # topics under it.
         self._prefixes_of: dict[str, tuple[str, ...]] = {}
+        self._topics_under: dict[str, list[str]] = {}
         # topic -> (ordered subscribers, retained?) -- the publish fast
-        # path; invalidated wholesale on subscribe()/retain().
+        # path; a registration drops only the plans under its prefix.
         self._plans: dict[str, tuple[tuple[Subscriber, ...], bool]] = {}
-        # Issued probes, refreshed eagerly whenever the plan epoch moves
-        # (rare) so their ``active`` flag is a plain attribute read on
-        # the per-message hot paths (frequent).
-        self._probes: dict[str, "TopicProbe"] = {}
+        # topic -> every probe issued for it, switched on eagerly by the
+        # registrations that concern it (rare) so ``active`` is a plain
+        # attribute read on the per-message hot paths (frequent).
+        self._probes: dict[str, list["TopicProbe"]] = {}
         # Cached immutable views, invalidated on publish/clear.
         self._events_cache: dict[str, tuple[SimEvent, ...]] = {}
         self._trace_cache: tuple[SimEvent, ...] | None = None
@@ -141,9 +147,7 @@ class EventBus:
             (self._subscription_count, subscriber)
         )
         self._subscription_count += 1
-        self._plans.clear()
-        self.plan_epoch += 1
-        self._refresh_probes()
+        self._invalidate(topic_prefix)
 
     def retain(self, topic_prefix: str) -> None:
         """Keep events under ``topic_prefix`` in the trace in every mode.
@@ -156,9 +160,7 @@ class EventBus:
         """
         if topic_prefix not in self._retained:
             self._retained = self._retained | {topic_prefix}
-            self._plans.clear()
-            self.plan_epoch += 1
-            self._refresh_probes()
+            self._invalidate(topic_prefix)
 
     def publish(
         self,
@@ -215,8 +217,9 @@ class EventBus:
     def wants(self, topic: str) -> bool:
         """True when publishing ``topic`` would retain or dispatch.
 
-        The answer is only stable while :attr:`plan_epoch` stands still;
-        :class:`TopicProbe` keeps a live copy for hot paths.
+        A later :meth:`subscribe`/:meth:`retain` can turn the answer
+        from False to True; :class:`TopicProbe` keeps a live copy for
+        hot paths.
         """
         plan = self._plans.get(topic)
         if plan is None:
@@ -226,15 +229,32 @@ class EventBus:
 
     def probe(self, topic: str) -> "TopicProbe":
         """A cached :meth:`wants` probe for one hot-path topic."""
-        cached = self._probes.get(topic)
-        if cached is None:
-            cached = self._probes[topic] = TopicProbe(self, topic)
-        return cached
+        issued = self._probes.get(topic)
+        if issued:
+            return issued[0]
+        return TopicProbe(self, topic)
 
-    def _refresh_probes(self) -> None:
-        """Re-answer every issued probe after a plan-epoch move."""
-        for probe in self._probes.values():
-            probe.active = self.wants(probe.topic)
+    def _invalidate(self, topic_prefix: str) -> None:
+        """A new observer under ``topic_prefix``: drop the affected plans.
+
+        Only known topics under the prefix can change, and only from
+        "unobserved" to "observed", so their probes switch on without
+        re-answering anything.
+        """
+        for topic in self._topics_under.get(topic_prefix, ()):
+            self._plans.pop(topic, None)
+            for probe in self._probes.get(topic, ()):
+                probe.active = True
+
+    def _prefixes(self, topic: str) -> tuple[str, ...]:
+        """``topic``'s segment prefixes, indexing the topic under each
+        the first time it is seen."""
+        prefixes = self._prefixes_of.get(topic)
+        if prefixes is None:
+            prefixes = self._prefixes_of[topic] = _segment_prefixes(topic)
+            for prefix in prefixes:
+                self._topics_under.setdefault(prefix, []).append(topic)
+        return prefixes
 
     def _build_plan(
         self, topic: str
@@ -246,10 +266,7 @@ class EventBus:
         is bit-identical to the historical "scan the subscription list"
         loop.
         """
-        prefixes = self._prefixes_of.get(topic)
-        if prefixes is None:
-            prefixes = _segment_prefixes(topic)
-            self._prefixes_of[topic] = prefixes
+        prefixes = self._prefixes(topic)
         matched = [
             pair
             for prefix in prefixes
@@ -375,13 +392,13 @@ class TopicProbe:
     Hot publishers (per-denial detection logs, per-delivery channel
     events) emit hundreds of thousands of events per campaign variant
     that -- in ``"counts"`` mode with no subscriber -- only ever tick a
-    counter.  A probe answers :meth:`EventBus.wants` once per
-    subscription epoch, so those call sites degrade to
-    :meth:`EventBus.tally` (one dict increment) instead of building
-    kwargs for an event nobody would see.  Dispatch semantics are
-    untouched: the moment a subscriber or retention prefix appears, the
-    bus refreshes every issued probe, so :attr:`active` is always
-    current and hot paths can branch on a plain attribute read.
+    counter.  A probe answers :meth:`EventBus.wants` once, at creation,
+    so those call sites degrade to :meth:`EventBus.tally` (one dict
+    increment) instead of building kwargs for an event nobody would
+    see.  Dispatch semantics are untouched: the moment a subscriber or
+    retention prefix covering the topic appears, the bus switches on
+    every probe issued for it, so :attr:`active` is always current and
+    hot paths can branch on a plain attribute read.
     """
 
     __slots__ = ("bus", "topic", "active", "counts")
@@ -396,7 +413,7 @@ class TopicProbe:
         #: False the call site increments ``counts[topic]`` directly --
         #: the whole of :meth:`EventBus.tally` without the call.
         self.counts = bus._topic_counts
-        bus._probes.setdefault(topic, self)
+        bus._probes.setdefault(topic, []).append(self)
 
     def wants(self) -> bool:
         """The probe's current answer (an alias for :attr:`active`)."""

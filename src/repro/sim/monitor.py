@@ -49,14 +49,16 @@ class SafetyMonitor:
         self._violations: list[Violation] = []
         self._violated_goals: set[str] = set()
         # Invariants registered at the same clock time share one periodic
-        # sweep: registration time -> [(goal_id, check), ...].
-        self._sweeps: dict[float, list[tuple[str, InvariantCheck]]] = {}
+        # sweep: registration time -> [(goal_ids, check), ...].
+        self._sweeps: dict[
+            float, list[tuple[tuple[str, ...], InvariantCheck]]
+        ] = {}
 
     # -- invariants ---------------------------------------------------------
 
     def add_invariant(
         self,
-        goal_id: str,
+        goal_id: str | tuple[str, ...],
         check: InvariantCheck,
         until: float | None = None,
     ) -> None:
@@ -65,6 +67,13 @@ class SafetyMonitor:
         The first violation per goal is recorded (with its detail); later
         periods do not re-record it -- a violated goal stays violated for
         the rest of the run, matching the test-verdict semantics.
+
+        ``goal_id`` may be a tuple of goal ids guarded by the one check:
+        the check runs while any of them still holds, and a violation is
+        recorded for each goal not yet violated, in tuple order, with the
+        one detail.  That is exactly what registering the same check once
+        per id in tuple order records, at half the evaluations -- the
+        fleet scenario guards ``("SG01", "SG01:<vehicle>")`` this way.
 
         Unbounded invariants registered at the same clock time (the
         common case: a scenario installs all its goal checks during
@@ -76,9 +85,12 @@ class SafetyMonitor:
         any check observes.  Bounded invariants (``until``) keep their
         own schedule, which stops exactly at ``until``.
         """
+        goal_ids = (goal_id,) if isinstance(goal_id, str) else goal_id
         if until is not None:
+            entry = [(goal_ids, check)]
+
             def run_check() -> None:
-                self._run_one(goal_id, check)
+                self._sweep(entry)
 
             self._clock.schedule_periodic(
                 self.check_period_ms, run_check, until=until
@@ -92,23 +104,21 @@ class SafetyMonitor:
                 self.check_period_ms,
                 lambda entries=entries: self._sweep(entries),
             )
-        entries.append((goal_id, check))
+        entries.append((goal_ids, check))
 
-    def _run_one(self, goal_id: str, check: InvariantCheck) -> None:
-        if goal_id in self._violated_goals:
-            return
-        detail = check()
-        if detail is not None:
-            self._record(goal_id, detail)
-
-    def _sweep(self, entries: list[tuple[str, InvariantCheck]]) -> None:
+    def _sweep(
+        self, entries: list[tuple[tuple[str, ...], InvariantCheck]]
+    ) -> None:
         violated = self._violated_goals
-        for goal_id, check in entries:
-            if goal_id in violated:
+        for goal_ids, check in entries:
+            # The first-id test settles the common case without a call.
+            if goal_ids[0] in violated and violated.issuperset(goal_ids):
                 continue
             detail = check()
             if detail is not None:
-                self._record(goal_id, detail)
+                for goal_id in goal_ids:
+                    if goal_id not in violated:
+                        self._record(goal_id, detail)
 
     # -- FTTI deadlines -------------------------------------------------------
 

@@ -526,11 +526,10 @@ class FleetConstructionSiteScenario(KernelScenario):
                 )
             return None
 
-        # Registered twice: once under the aggregate id the published
-        # oracles check, once per vehicle for the per-vehicle verdicts.
-        self.monitor.add_invariant("SG01", sg01_zone_without_driver)
+        # One check guarding two goals: the aggregate id the published
+        # oracles check, and the per-vehicle id for per-vehicle verdicts.
         self.monitor.add_invariant(
-            f"SG01:{vehicle.name}", sg01_zone_without_driver
+            ("SG01", f"SG01:{vehicle.name}"), sg01_zone_without_driver
         )
 
     # -- result collection ---------------------------------------------------

@@ -560,9 +560,8 @@ class Topology:
             raise SimulationError(
                 "topology has mobile actors but no clock to step them"
             )
-        self._clock.schedule_periodic(
-            self.tick_ms, self.step, start=self.tick_ms
-        )
+        # First step one period after the first mobile actor arrives.
+        self._clock.schedule_periodic(self.tick_ms, self.step)
         self._ticking = True
 
     def _step_scalar(self, actor: Actor, dt: float) -> None:

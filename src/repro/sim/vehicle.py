@@ -20,6 +20,7 @@ notification without returning driving control to human") and their FTTIs.
 from __future__ import annotations
 
 import enum
+import threading
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -35,6 +36,56 @@ class DrivingMode(enum.Enum):
     HANDOVER_REQUESTED = "handover requested"
     MANUAL = "manual"
     SAFE_STOP = "safe stop"
+
+
+class _TickCohort:
+    """Vehicles created at one clock time with one ``tick_ms``.
+
+    They share one periodic schedule, first firing one period after
+    their creation, that ticks them in creation order: a convoy of N
+    vehicles costs one clock event per period instead of N.  Per-vehicle
+    schedules would fire at the same times in the same order, back to
+    back unless another event was scheduled for exactly a tick time
+    between two vehicles' creation -- no scenario does that -- so what
+    each tick observes is unchanged.
+    """
+
+    __slots__ = ("clock", "created_at", "tick_ms", "vehicles")
+
+    def __init__(self, clock: SimClock, tick_ms: float) -> None:
+        self.clock = clock
+        self.created_at = clock.now
+        self.tick_ms = tick_ms
+        self.vehicles: list[Vehicle] = []
+        clock.schedule_periodic(tick_ms, self)
+
+    def __call__(self) -> None:
+        if getattr(_open_cohort, "cohort", None) is self:
+            # First firing: nothing can join any more; drop the
+            # reference so a finished simulation is not kept alive.
+            _open_cohort.cohort = None
+        for vehicle in self.vehicles:
+            vehicle._tick()
+
+
+#: The cohort the next vehicle built on this thread may join.  Only a
+#: vehicle on the same clock, at the same time and with the same period
+#: joins, so this is a per-clock cache: simulations never share it, and
+#: being per thread, cohorts never depend on thread interleaving.
+_open_cohort = threading.local()
+
+
+def _join_tick_cohort(vehicle: "Vehicle", clock: SimClock) -> None:
+    """Tick ``vehicle`` one period from now, in its creation cohort."""
+    cohort = getattr(_open_cohort, "cohort", None)
+    if (
+        cohort is None
+        or cohort.clock is not clock
+        or cohort.created_at != clock.now
+        or cohort.tick_ms != vehicle.tick_ms
+    ):
+        cohort = _open_cohort.cohort = _TickCohort(clock, vehicle.tick_ms)
+    cohort.vehicles.append(vehicle)
 
 
 class Vehicle:
@@ -80,7 +131,7 @@ class Vehicle:
         self._world = world
         self._handover_requested_at: float | None = None
         self._manual_since: float | None = None
-        clock.schedule_periodic(tick_ms, self._tick, start=tick_ms)
+        _join_tick_cohort(self, clock)
 
     # -- control ----------------------------------------------------------
 
@@ -212,6 +263,8 @@ class Vehicle:
         )
         if saturated:
             self.position_saturated = True
+        if position == previous_position:
+            return
         self.position_m = position
         # Zone-entry detection without per-tick set materialisation:
         # compare containment at the previous and new position directly.
@@ -220,6 +273,8 @@ class Vehicle:
             for zone in self._world.zones
             if zone.contains(position) and not zone.contains(previous_position)
         ]
+        if not entered:
+            return
         for zone_name in sorted(entered):
             self._bus.publish(
                 self._clock.now,

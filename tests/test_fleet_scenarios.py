@@ -18,7 +18,10 @@ from repro.engine.registry import (
     default_registry,
 )
 from repro.errors import SimulationError, ValidationError
+from repro.sim.clock import SimClock
+from repro.sim.events import EventBus
 from repro.sim.scenarios import FleetConstructionSiteScenario
+from repro.sim.vehicle import Vehicle
 
 
 class TestFleetScenario:
@@ -114,6 +117,68 @@ class TestFleetScenario:
         assert result.violated("SG01")
         assert result.stats["handovers"] == 0
         assert result.stats["v2x"]["out_of_range"] > 0
+
+
+def _long_convoy(fleet_size):
+    """The n=8 fleet geometry with the convoy tail grown backwards."""
+    lead_m = (fleet_size - 1) * 40.0
+    return FleetConstructionSiteScenario(
+        fleet_size=fleet_size,
+        headway_m=40.0,
+        zone_start_m=lead_m + 600.0,
+        zone_end_m=lead_m + 700.0,
+        rsu_position_m=lead_m + 399.0,
+        rsu_range_m=500.0,
+        road_length_m=lead_m + 3000.0,
+        trace_mode="counts",
+    )
+
+
+class TestFleetWorkCounters:
+    """Deterministic work gates: set-up is linear in the fleet size and
+    a convoy costs one tick event per period."""
+
+    FLEET = 256
+
+    def test_dispatch_plan_builds_are_linear(self, monkeypatch):
+        built = []
+        build_plan = EventBus._build_plan
+
+        def counting(bus, topic):
+            built.append(topic)
+            return build_plan(bus, topic)
+
+        monkeypatch.setattr(EventBus, "_build_plan", counting)
+        _long_convoy(self.FLEET)
+        assert len(built) <= 4 * self.FLEET
+
+    def test_one_tick_event_per_period_for_the_convoy(self, monkeypatch):
+        ticked = []
+        tick = Vehicle._tick
+
+        def counting_tick(vehicle):
+            ticked.append(vehicle.name)
+            tick(vehicle)
+
+        fired_ticks = []
+        schedule_periodic = SimClock.schedule_periodic
+
+        def recording(clock, period, callback, start=None, until=None):
+            def fire():
+                before = len(ticked)
+                callback()
+                if len(ticked) > before:
+                    fired_ticks.append(clock.now)
+
+            schedule_periodic(clock, period, fire, start, until)
+
+        monkeypatch.setattr(Vehicle, "_tick", counting_tick)
+        monkeypatch.setattr(SimClock, "schedule_periodic", recording)
+        scenario = _long_convoy(self.FLEET)
+        scenario.clock.run_until(1000.0)
+        assert fired_ticks == [100.0 * k for k in range(1, 11)]
+        assert len(ticked) == 10 * self.FLEET
+        assert ticked[: self.FLEET] == [v.name for v in scenario.vehicles]
 
 
 class TestFleetFamilies:

@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.can import CanBus, make_frame
 from repro.sim.clock import SimClock
-from repro.sim.events import EventBus
+from repro.sim.events import TRACE_MODES, EventBus, TopicProbe
 from repro.sim.network import Channel, Message
 from repro.threatlib.builder import ThreatLibraryBuilder
 from repro.model.asset import Asset, AssetGroup
@@ -62,6 +63,80 @@ class TestCanArbitrationProperty:
         clock.run()
         assert len(received) == count
         assert can.stats["lost"] == 0
+
+
+#: A small topic tree.  "a.bc" shares a string prefix with "a.b" but no
+#: segment, so a registration under "a.b" must leave it alone.
+_TOPICS = ("a", "a.b", "a.b.c", "a.bc", "d", "d.e")
+_PREFIXES = ("",) + _TOPICS
+_BUS_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("subscribe", "retain")),
+                  st.sampled_from(_PREFIXES)),
+        st.tuples(st.sampled_from(("probe", "direct-probe", "publish")),
+                  st.sampled_from(_TOPICS)),
+    ),
+    max_size=30,
+)
+
+
+def _retained(bus, topic, event):
+    """True when ``event`` was kept in ``bus``'s trace."""
+    if event is None:
+        return False
+    try:
+        events = bus.events(topic)
+    except SimulationError:  # counts mode, topic outside the retained set
+        return False
+    return bool(events) and events[-1] is event
+
+
+class TestIncrementalInvalidationProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(TRACE_MODES), _BUS_STEPS)
+    def test_bus_answers_like_a_fresh_bus(self, mode, steps):
+        """After any interleaving of registrations, probes and publishes,
+        every probe, dispatch order and retention bit matches a bus given
+        only the same registrations."""
+        bus = EventBus(mode)
+        registrations = []  # (kind, prefix), in registration order
+        probes = []
+        calls = []
+
+        def fresh_bus(log):
+            fresh = EventBus(mode)
+            for index, (kind, prefix) in enumerate(registrations):
+                if kind == "subscribe":
+                    fresh.subscribe(prefix, lambda e, i=index: log.append(i))
+                else:
+                    fresh.retain(prefix)
+            return fresh
+
+        for kind, topic in steps:
+            if kind == "subscribe":
+                index = len(registrations)
+                bus.subscribe(topic, lambda e, i=index: calls.append(i))
+                registrations.append((kind, topic))
+            elif kind == "retain":
+                bus.retain(topic)
+                registrations.append((kind, topic))
+            elif kind == "probe":
+                probes.append(bus.probe(topic))
+            elif kind == "direct-probe":
+                probes.append(TopicProbe(bus, topic))
+            else:
+                fresh_calls = []
+                fresh = fresh_bus(fresh_calls)
+                calls.clear()
+                event = bus.publish(1.0, topic, "s")
+                fresh_event = fresh.publish(1.0, topic, "s")
+                assert calls == fresh_calls
+                assert _retained(bus, topic, event) == _retained(
+                    fresh, topic, fresh_event
+                )
+            fresh = fresh_bus([])
+            for probe in probes:
+                assert probe.active == fresh.wants(probe.topic), probe.topic
 
 
 class TestChannelCongestionProperty:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.crypto import KeyStore
-from repro.sim.events import TRACE_COUNTS, TRACE_FULL, EventBus
+from repro.sim.events import TRACE_COUNTS, TRACE_FULL, EventBus, TopicProbe
 from repro.sim.network import Message
 
 
@@ -180,6 +180,15 @@ class TestEventBusHotPath:
     def test_unknown_mode_rejected(self):
         with pytest.raises(SimulationError):
             EventBus(mode="lossy")
+
+    def test_every_issued_probe_stays_current(self):
+        bus = EventBus(mode=TRACE_COUNTS)
+        shared = bus.probe("a.b")
+        direct = TopicProbe(bus, "a.b")
+        assert bus.probe("a.b") is shared
+        assert not shared.active and not direct.active
+        bus.subscribe("a", lambda event: None)
+        assert shared.active and direct.active
 
 
 class TestMacMemoSafety:

@@ -65,6 +65,40 @@ class TestSafetyMonitor:
         clock.run_until(20.0)
         assert monitor.violated_goals() == ("SG01", "SG02")
 
+    @pytest.mark.parametrize("until", [None, 500.0])
+    def test_one_check_guarding_two_goals_records_like_two(self, until):
+        def violations(merged):
+            clock, bus = SimClock(), EventBus()
+            monitor = SafetyMonitor(clock, bus, check_period_ms=10.0)
+            calls = []
+
+            def check_for(name, bad_from):
+                def check():
+                    calls.append(name)
+                    if clock.now >= bad_from:
+                        return f"{name} bad at {clock.now:.0f}"
+                    return None
+
+                return check
+
+            for name, bad_from in (("v1", 40.0), ("v2", 40.0), ("v3", 70.0)):
+                check = check_for(name, bad_from)
+                if merged:
+                    monitor.add_invariant(("SG01", f"SG01:{name}"), check, until)
+                else:
+                    monitor.add_invariant("SG01", check, until)
+                    monitor.add_invariant(f"SG01:{name}", check, until)
+            clock.run_until(200.0)
+            return monitor.violations, len(calls)
+
+        merged, merged_calls = violations(merged=True)
+        separate, separate_calls = violations(merged=False)
+        assert merged == separate
+        assert [v.goal_id for v in merged] == [
+            "SG01", "SG01:v1", "SG01:v2", "SG01:v3"
+        ]
+        assert merged_calls < separate_calls
+
     def test_parameter_validation(self):
         clock, bus = SimClock(), EventBus()
         with pytest.raises(SimulationError):

@@ -168,6 +168,16 @@ class TestMobilityModels:
         clock.run_until(3000.0)
         assert topology.position_of("tail") == 40.0
 
+    def test_mobile_actor_added_mid_run_steps_one_period_later(self, world):
+        clock = SimClock()
+        topology = Topology(world, clock=clock, tick_ms=100.0)
+        clock.run_until(250.0)
+        topology.add_mobile("car", 0.0, ConstantSpeedMobility(10.0))
+        clock.run_until(349.0)
+        assert topology.position_of("car") == 0.0
+        clock.run_until(350.0)
+        assert topology.position_of("car") == pytest.approx(1.0)
+
     def test_mobile_actor_without_clock_rejected(self, world):
         topology = Topology(world)  # no clock
         with pytest.raises(SimulationError, match="no clock"):

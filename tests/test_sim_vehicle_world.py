@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
+from repro.sim import vehicle as vehicle_module
 from repro.sim.vehicle import Driver, DrivingMode, Vehicle
 from repro.sim.world import World, Zone
 
@@ -130,6 +131,67 @@ class TestVehicle:
         __, __, __, vehicle = rig
         with pytest.raises(SimulationError):
             vehicle.set_target_speed(-1.0)
+
+    def test_vehicle_created_mid_run_ticks_one_period_later(self):
+        clock = SimClock()
+        clock.run_until(250.0)
+        late = Vehicle("late", clock, EventBus(), World(1000.0))
+        clock.run_until(349.0)
+        assert late.position_m == 0.0
+        clock.run_until(350.0)
+        assert late.position_m == pytest.approx(2.5)  # one 100 ms tick
+
+
+def _convoy_events(per_vehicle_schedules, monkeypatch):
+    """Zone entries of a 3-vehicle convoy: ``(time, source, data)``."""
+    if per_vehicle_schedules:
+        monkeypatch.setattr(
+            vehicle_module,
+            "_join_tick_cohort",
+            lambda vehicle, clock: clock.schedule_periodic(
+                vehicle.tick_ms, vehicle._tick
+            ),
+        )
+    clock, bus = SimClock(), EventBus()
+    world = World(road_length_m=400.0)
+    world.add_zone("site", 100.0, 200.0)
+    world.add_zone("approach", 50.0, 150.0)
+    world.add_zone("cone", 100.0, 120.0)  # entered with "site"
+    seen = []
+    convoy = [
+        Vehicle("lead", clock, bus, world, position_m=45.0, speed_mps=30.0),
+        Vehicle("mid", clock, bus, world, position_m=20.0, speed_mps=25.0),
+        Vehicle("tail", clock, bus, world, position_m=0.0, speed_mps=40.0),
+    ]
+
+    def on_entry(event):
+        seen.append((event.time, event.source, dict(event.data)))
+        # State a later tick in the same period reads.
+        if event.source == "lead" and event.data["zone"] == "site":
+            convoy[1].set_target_speed(5.0)
+
+    bus.subscribe("vehicle.entered_zone", on_entry)
+    clock.run_until(10000.0)
+    return seen, [(v.position_m, v.speed_mps) for v in convoy]
+
+
+class TestTickCohort:
+    def test_vehicles_created_together_share_one_schedule(self):
+        clock, bus, world = SimClock(), EventBus(), World(1000.0)
+        for index in range(3):
+            Vehicle(f"v{index}", clock, bus, world)
+        assert clock.pending == 1
+        Vehicle("slow", clock, bus, world, tick_ms=200.0)
+        assert clock.pending == 2
+        clock.run_until(50.0)
+        Vehicle("later", clock, bus, world)
+        assert clock.pending == 3
+
+    def test_zone_entries_match_per_vehicle_schedules(self, monkeypatch):
+        cohort = _convoy_events(False, monkeypatch)
+        per_vehicle = _convoy_events(True, monkeypatch)
+        assert cohort[0]  # the convoy did enter zones
+        assert cohort == per_vehicle
 
 
 class TestDriver:
