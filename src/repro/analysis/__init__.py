@@ -12,8 +12,7 @@ variant executes:
 * :mod:`repro.analysis.speccheck` -- registry/DSL validation without
   executing a single variant (``SPC001`` .. ``SPC009``);
 * :mod:`repro.analysis.report` -- schema-stable ``repro.lint/v1`` JSON
-  documents with a ``--diff`` baseline mode, mirroring
-  :mod:`repro.bench`.
+  documents with a ``--diff`` baseline mode.
 
 The ``repro lint`` CLI subcommand (and the CI ``lint`` job) is a thin
 shell over :func:`lint_paths` + :func:`check_all` + :func:`build_report`.

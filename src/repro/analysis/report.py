@@ -1,9 +1,9 @@
 """Schema-stable lint reports: findings, JSON documents, delta mode.
 
-The static-verification plane mirrors the conventions of
-:mod:`repro.bench`: one frozen pure-data record per observation
-(:class:`Finding`), a schema-tagged JSON document a CI job can archive
-(:func:`build_report` / :func:`validate_lint_payload`), and a delta mode
+The static-verification plane reports in three parts: one frozen
+pure-data record per observation (:class:`Finding`), a schema-tagged
+JSON document a CI job can archive (:func:`build_report` /
+:func:`validate_lint_payload`), and a delta mode
 (:func:`diff_findings`) so a gate can move from "zero findings" to "no
 *new* findings" if the rule catalog grows stricter than the codebase.
 
@@ -191,8 +191,8 @@ def diff_findings(
     fresh: Iterable[Finding], baseline: Iterable[Finding]
 ) -> tuple[Finding, ...]:
     """Findings in ``fresh`` whose line-free key is absent from
-    ``baseline`` -- the ``repro lint --diff`` gate (the mirror image of
-    ``repro bench --compare``: known debt passes, new debt fails)."""
+    ``baseline`` -- the ``repro lint --diff`` gate: known debt passes,
+    new debt fails."""
     known = {finding.key() for finding in baseline}
     return sort_findings(
         finding for finding in fresh if finding.key() not in known

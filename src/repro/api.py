@@ -27,7 +27,7 @@ pieces:
   and (optionally) the Step-4 bindings.  ``run()``/``verdicts()`` execute
   bound attacks and emit uniform :mod:`repro.results` records.
 
-* :class:`Workspace` -- the one entry point consumers (CLI, benchmarks,
+* :class:`Workspace` -- the one entry point consumers (CLI, examples,
   notebooks) talk to: declaratively registered use cases
   (:class:`UseCaseDefinition`), cached pipelines, campaign execution over
   the scenario registry, TARA-HARA cross-checks -- with every operation's
@@ -355,7 +355,7 @@ class Workspace:
     A workspace holds the registered use cases, builds (and caches) their
     pipelines, fans campaigns out over the scenario registry, and
     accumulates every operation's outcome into one uniform
-    :class:`~repro.results.ResultSet` -- so the CLI, the benchmarks and
+    :class:`~repro.results.ResultSet` -- so the CLI, the examples and
     interactive analysis all query the same shape instead of four
     bespoke ones.
     """

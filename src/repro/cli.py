@@ -17,12 +17,6 @@ Usage (also via ``python -m repro``)::
     repro campaign --list-families    # enumerate the variant families
     repro campaign --export out.csv   # export outcomes (json/csv/md)
     repro campaign --batch-size 8 --backend process --jobs 4  # batched tier
-    repro bench --json                # machine-readable benchmark records
-    repro bench backends --json       # serial vs thread vs process speedup
-    repro bench --suite rq1 --out .   # write BENCH_rq1.json
-    repro bench --compare BENCH_rq1.json --threshold 15   # perf gate
-    repro bench --history BENCH_HISTORY.jsonl   # append-only perf trajectory
-    repro bench --compare BENCH_HISTORY.jsonl   # gate vs the latest entry
     repro serve --port-file daemon.port --memo-dir .memo  # campaign daemon
     repro submit --port-file daemon.port --family coverage  # stream verdicts
     repro status --port-file daemon.port        # scheduler + memo health
@@ -50,7 +44,7 @@ from repro.core.reporting import (
     render_attack_description,
 )
 from repro.dsl import analyze, format_attacks, parse
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.results import SCHEMA as RESULTS_SCHEMA, ResultSet
 from repro.threatlib.catalog import build_catalog
 from repro.usecases import uc1, uc2
@@ -161,8 +155,6 @@ def _campaign_execution(
     args: argparse.Namespace,
 ) -> tuple[str, int, int | None]:
     """Resolve ``--backend``/``--jobs``/``--batch-size``."""
-    from repro.errors import ValidationError
-
     jobs = args.jobs
     if jobs is not None and jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
@@ -312,95 +304,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(result.to_text(verbose=args.verbose))
     inconclusive = result.counts().get("INCONCLUSIVE", 0)
     return 2 if inconclusive else 0
-
-
-def _bench_compare(args: argparse.Namespace) -> int:
-    """``repro bench --compare``: gate a fresh run against a baseline."""
-    from repro.bench import compare_against_baseline
-
-    try:
-        deltas, _fresh = compare_against_baseline(
-            args.compare, threshold_pct=args.threshold, out_dir=None
-        )
-    except (ReproError, OSError, json.JSONDecodeError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
-    for delta in deltas:
-        print(delta.render())
-    regressed = [delta for delta in deltas if delta.regressed]
-    if regressed:
-        print(
-            f"{len(regressed)} throughput metric(s) regressed more than "
-            f"{args.threshold:g}% below {args.compare}",
-            file=sys.stderr,
-        )
-        return 2
-    print(
-        f"{len(deltas)} throughput metric(s) within {args.threshold:g}% "
-        f"of {args.compare}"
-    )
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the built-in bench suites; write BENCH_<suite>.json records."""
-    from repro.bench import BENCH_SCHEMA, BENCH_SUITES, run_suites
-
-    if args.list:
-        for name in BENCH_SUITES:
-            print(name)
-        return 0
-    if args.compare is not None:
-        return _bench_compare(args)
-    selected = list(
-        dict.fromkeys(list(args.suites) + list(args.suite or ()))
-    )
-    if args.profile and args.history is not None:
-        print(
-            "ERROR: --profile numbers are inflated by the profiler; "
-            "refusing to append them to the history",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        results, paths = run_suites(
-            selected or None, out_dir=args.out, profile=args.profile
-        )
-        if args.history is not None:
-            from repro.bench import append_history
-
-            history_path = append_history(args.history, results)
-    except (ReproError, OSError) as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(
-            {
-                "schema": BENCH_SCHEMA,
-                "suites": {
-                    name: [record.to_payload() for record in records]
-                    for name, records in results.items()
-                },
-            },
-            indent=2,
-        ))
-    else:
-        for name, records in results.items():
-            for record in records:
-                metrics = ", ".join(
-                    f"{key}={value:.4g}" if isinstance(value, float)
-                    else f"{key}={value}"
-                    for key, value in record.metrics
-                )
-                print(f"[{record.status:6s}] {name}/{record.name}  {metrics}")
-        for path in paths:
-            print(f"wrote {path}")
-        if args.history is not None:
-            print(f"appended history entry to {history_path}")
-    failed = any(
-        not record.ok for records in results.values() for record in records
-    )
-    return 2 if failed else 0
 
 
 def _lint_findings(args: argparse.Namespace):
@@ -642,7 +545,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         }.items()
         if value is not None
     }
-    variants = registry.variants(**select)
+    golden = None
+    try:
+        variants = registry.variants(**select)
+        if args.golden:
+            golden = json.loads(Path(args.golden).read_text(encoding="utf-8"))
+            if not isinstance(golden, dict):
+                raise ValidationError(
+                    f"{args.golden}: a golden capture must be a JSON object "
+                    "mapping variant ids to [verdict, goals]"
+                )
+    except (ReproError, OSError, json.JSONDecodeError) as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 1
     if not variants:
         print("ERROR: selection matched no variants", file=sys.stderr)
         return 1
@@ -657,10 +572,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 1
     engine_kinds = tuple(k for k in kinds if SITE_BY_KIND[k] == "job-start")
     service_kinds = tuple(k for k in kinds if SITE_BY_KIND[k] != "job-start")
-
-    golden = None
-    if args.golden:
-        golden = json.loads(Path(args.golden).read_text(encoding="utf-8"))
 
     def signature(outcomes):
         return [
@@ -921,52 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.set_defaults(handler=cmd_campaign)
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the built-in bench suites (BENCH_<suite>.json records)",
-    )
-    bench.add_argument(
-        "suites", nargs="*", metavar="SUITE",
-        help="suites to run positionally (e.g. `repro bench backends`)",
-    )
-    bench.add_argument(
-        "--suite", action="append", metavar="NAME",
-        help="suite to run (repeatable; default: all; see --list)",
-    )
-    bench.add_argument(
-        "--out", default=".",
-        help="directory for BENCH_<suite>.json files (default: cwd)",
-    )
-    bench.add_argument(
-        "--json", action="store_true",
-        help="print all records as one JSON document",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="enumerate the known suites"
-    )
-    bench.add_argument(
-        "--compare", metavar="BASELINE", default=None,
-        help="re-run the baseline's suite(s) and exit non-zero when any "
-        "throughput metric regresses past --threshold; BASELINE is a "
-        "BENCH_<suite>.json file or a .jsonl history (latest entry)",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=20.0, metavar="PCT",
-        help="allowed throughput regression in percent (default 20)",
-    )
-    bench.add_argument(
-        "--history", metavar="HISTORY.jsonl", default=None,
-        help="append this run's records to an append-only JSONL history "
-        "(the commit-over-commit perf trajectory)",
-    )
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="run each suite under cProfile and print its top-20 "
-        "cumulative rows (no bench files are written: profiled "
-        "wall-clock numbers are inflated)",
-    )
-    bench.set_defaults(handler=cmd_bench)
-
     serve = commands.add_parser(
         "serve",
         help="run the persistent campaign daemon (memoised, sharded)",
@@ -1100,8 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--diff", metavar="BASELINE.json", default=None,
-        help="report only findings absent from the baseline document "
-        "(gate on new debt, like `repro bench --compare`)",
+        help="report only findings absent from the baseline document",
     )
     lint.set_defaults(handler=cmd_lint)
 
@@ -1163,7 +1027,6 @@ def main(argv: list[str] | None = None) -> int:
 __all__ = [
     "build_parser",
     "cmd_attack",
-    "cmd_bench",
     "cmd_campaign",
     "cmd_chaos",
     "cmd_export",

@@ -12,8 +12,8 @@ dependencies:
 
 Steps must complete in order (3 needs 1 and 2; 4 needs 3); the pipeline
 tracks completion and hands each step the artifacts it needs.  The stage
-graph of Fig. 1 is exposed as a :mod:`networkx` digraph for the figure
-bench.
+graph of Fig. 1 is exposed as a :mod:`networkx` digraph
+(:func:`stage_graph`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The scenario engine: a declarative registry and one campaign runner.
 
 The seed reproduction hard-coded exactly two SUT configurations and ran
-every benchmark serially.  This package is the architectural seam that
+every campaign serially.  This package is the architectural seam that
 replaces that:
 
 * :mod:`repro.engine.spec` -- declarative :class:`ScenarioSpec` /

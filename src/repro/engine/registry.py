@@ -11,7 +11,7 @@ expand each spec into a deterministic design-space sweep:
   seed verdicts bit-identically;
 * ``control-ablation``  -- deployed-control subsets (all, none,
   leave-one-out) under a representative attack, the design space the
-  ablation benchmarks walk;
+  ablation tests walk;
 * ``attacker-timing``   -- launch-time / rate / strategy sweeps of the
   catalog attacks;
 * ``traffic-density``   -- legitimate-load sweeps (RSU beacon period,

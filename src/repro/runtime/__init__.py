@@ -1,8 +1,7 @@
 """``repro.runtime`` -- the pluggable execution layer.
 
 Every fan-out in the reproduction (scenario campaigns, fuzz campaigns,
-benchmark repetitions, the CLI's ``--backend``/``--jobs`` options) runs
-through this package:
+the CLI's ``--backend``/``--jobs`` options) runs through this package:
 
 * :mod:`repro.runtime.backends` -- the :class:`ExecutionBackend`
   protocol and the ``serial`` / ``thread`` / ``process`` implementations
@@ -23,20 +22,15 @@ Quick use::
             if not result.ok:
                 print("failed:", result.error.message)
 
-Environment knobs: ``REPRO_BACKEND`` (``serial``/``thread``/``process``),
-``REPRO_JOBS`` and ``REPRO_BATCH_SIZE`` feed :func:`backend_from_env`
-(used by the bench harness); ``MULTIPROCESSING_START_METHOD`` selects
-the process start method (the CI spawn matrix leg).  Wrapping any
+``MULTIPROCESSING_START_METHOD`` selects the process start method
+(the CI spawn matrix leg).  Wrapping any
 backend in :class:`BatchedBackend` declares a batch size batch-aware
 callers (:meth:`Runtime.map_batches`, the campaign runner) use to group
 jobs with shared setup.
 """
 
 from repro.runtime.backends import (
-    BACKEND_ENV,
     BACKEND_NAMES,
-    BATCH_SIZE_ENV,
-    JOBS_ENV,
     START_METHOD_ENV,
     BatchedBackend,
     ExecutionBackend,
@@ -44,7 +38,6 @@ from repro.runtime.backends import (
     SerialBackend,
     ThreadBackend,
     available_start_methods,
-    backend_from_env,
     backend_from_spec,
     default_start_method,
     in_worker_process,
@@ -69,14 +62,11 @@ from repro.runtime.runtime import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKEND_NAMES",
-    "BATCH_SIZE_ENV",
     "BatchedBackend",
     "CancelToken",
     "DEFAULT_TRANSIENT_TYPES",
     "ExecutionBackend",
-    "JOBS_ENV",
     "JobError",
     "JobFuture",
     "JobResult",
@@ -89,7 +79,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "available_start_methods",
-    "backend_from_env",
     "backend_from_spec",
     "default_start_method",
     "derive_seed",

@@ -2,7 +2,7 @@
 
 This is the **only** module in the repository that imports
 :mod:`multiprocessing`.  Everything that fans work out -- the campaign
-runner, fuzz campaigns, benchmarks, the CLI -- goes through the
+runner, fuzz campaigns, the service plane, the CLI -- goes through the
 :class:`ExecutionBackend` protocol, so swapping how jobs execute
 (in-process, threads, processes, and in the future async or distributed
 runners) never touches the call sites again.
@@ -38,7 +38,6 @@ from typing import (
     Callable,
     Iterable,
     Iterator,
-    Mapping,
     Protocol,
     runtime_checkable,
 )
@@ -49,12 +48,6 @@ _log = logging.getLogger("repro.runtime")
 
 #: Environment variable selecting the process start method (CI matrix).
 START_METHOD_ENV = "MULTIPROCESSING_START_METHOD"
-
-#: Environment variables the bench harness uses to thread backend choice
-#: down into scripts it cannot pass arguments to.
-BACKEND_ENV = "REPRO_BACKEND"
-JOBS_ENV = "REPRO_JOBS"
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
 
 #: The backend names :func:`make_backend` (and every ``--backend`` CLI
 #: option) accepts, in increasing isolation order.
@@ -168,7 +161,7 @@ class ExecutionBackend(Protocol):
 
     Attributes:
         name: Stable backend tag (``"serial"``, ``"thread"``,
-            ``"process"``) recorded in campaign results and bench files.
+            ``"process"``) recorded in campaign results.
         jobs: Maximum concurrently executing jobs.
         shares_memory: True when jobs see the caller's objects directly
             (serial, thread); False when jobs cross a pickle boundary
@@ -574,48 +567,15 @@ def backend_from_spec(
     return backend
 
 
-def _int_env(environ: Mapping[str, str], variable: str) -> int | None:
-    text = environ.get(variable, "").strip()
-    if not text:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(
-            f"{variable} must be an integer, got {text!r}"
-        ) from None
-
-
-def backend_from_env(
-    environ: Mapping[str, str] | None = None,
-) -> ExecutionBackend:
-    """Build a backend from ``REPRO_BACKEND`` / ``REPRO_JOBS`` /
-    ``REPRO_BATCH_SIZE``.
-
-    Unset variables mean the serial default, so scripts wired through
-    this helper behave exactly as before unless a harness (or a user)
-    opts into parallelism or batching.
-    """
-    environ = os.environ if environ is None else environ
-    name = environ.get(BACKEND_ENV, "").strip() or None
-    jobs = _int_env(environ, JOBS_ENV)
-    batch_size = _int_env(environ, BATCH_SIZE_ENV)
-    return backend_from_spec(name, jobs, batch_size=batch_size)
-
-
 __all__ = [
-    "BACKEND_ENV",
     "BACKEND_NAMES",
-    "BATCH_SIZE_ENV",
     "BatchedBackend",
     "ExecutionBackend",
-    "JOBS_ENV",
     "ProcessBackend",
     "START_METHOD_ENV",
     "SerialBackend",
     "ThreadBackend",
     "available_start_methods",
-    "backend_from_env",
     "backend_from_spec",
     "default_start_method",
     "in_worker_process",

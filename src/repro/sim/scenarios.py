@@ -18,7 +18,7 @@ runner executes) live in :mod:`repro.engine.registry` -- these classes
 remain the single source of truth the registry's specs point at.
 
 Both scenarios take a ``controls`` set naming the security controls to
-deploy, so ablation benchmarks can flip each expected measure on and off
+deploy, so ablation runs can flip each expected measure on and off
 and observe the attack verdict change exactly as the attack description
 predicts.
 """

@@ -201,3 +201,30 @@ class TestLint:
         # live registry/DSL spec checks, exactly as CI runs them.
         assert main(["lint"]) == 0
         assert "clean: 0 findings" in capsys.readouterr().out
+
+
+class TestChaos:
+    """Bad input is a user error (``ERROR:``, exit 1) caught before the
+    clean run starts, like ``campaign``/``submit``/``status``."""
+
+    def test_zero_limit_rejected(self, capsys):
+        assert main(["chaos", "--family", "coverage", "--limit", "0"]) == 1
+        assert capsys.readouterr().err.startswith("ERROR:")
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", "[1, 2]"],
+        ids=["missing", "malformed", "not-an-object"],
+    )
+    def test_bad_golden_file_rejected(self, tmp_path, capsys, content):
+        golden = tmp_path / "golden.json"
+        if content is not None:
+            golden.write_text(content, encoding="utf-8")
+        code = main([
+            "chaos", "--family", "coverage", "--limit", "1",
+            "--golden", str(golden),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("ERROR:")
+        assert "chaos:" not in captured.out  # the clean run never started

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core.pipeline import (
+    INPUT_SAFETY_ANALYSIS,
+    INPUT_SCENARIO_DESCRIPTION,
+    INPUT_SECURITY_ANALYSIS,
     INPUT_SUT_IMPLEMENTATION,
     SaSeValPipeline,
     Step,
@@ -77,6 +80,31 @@ class TestStageGraph:
         import networkx
 
         assert networkx.is_directed_acyclic_graph(stage_graph())
+
+    @pytest.mark.parametrize(
+        "source, step",
+        [
+            (INPUT_SECURITY_ANALYSIS, Step.THREAT_LIBRARY_CREATION),
+            (INPUT_SCENARIO_DESCRIPTION, Step.THREAT_LIBRARY_CREATION),
+            (INPUT_SAFETY_ANALYSIS, Step.SAFETY_CONCERN_IDENTIFICATION),
+        ],
+    )
+    def test_fig1_inputs_feed_their_step(self, source, step):
+        assert stage_graph().has_edge(source, step.value)
+
+    def test_fig1_topological_order(self):
+        import networkx
+
+        order = list(networkx.topological_sort(stage_graph()))
+        steps = [
+            order.index(step.value)
+            for step in (
+                Step.THREAT_LIBRARY_CREATION,
+                Step.ATTACK_DESCRIPTION,
+                Step.IMPLEMENT_ATTACK,
+            )
+        ]
+        assert steps == sorted(steps)
 
 
 class TestPipelineOrdering:
@@ -156,6 +184,18 @@ class TestReporting:
             "Attack Description", "SG IDs", "Interface / ECU",
             "Link to Threat Library", "Types", "Precondition",
             "Expected Measures", "Attack Success", "Attack Fails",
+        ):
+            assert label in text
+
+    def test_ad20_rendering_has_every_table_vi_row(self):
+        from repro.usecases import uc1
+
+        text = render_attack_description(uc1.build_attacks().get("AD20"))
+        for label in (
+            "Attack Description", "SG IDs", "Interface / ECU",
+            "Link to Threat Library", "Types", "Precondition",
+            "Expected Measures", "Attack Success", "Attack Fails",
+            "Attack impl. comments",
         ):
             assert label in text
 

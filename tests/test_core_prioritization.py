@@ -119,3 +119,39 @@ class TestBudget:
         for budget in (1, 7, 13, 101):
             plan = Prioritizer(goals).plan(attacks, budget=budget)
             assert plan.total_allocated == budget
+
+
+class TestUseCaseIReduction:
+    """RQ2 on the published UC I attack set."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        from repro.usecases import uc1
+
+        return uc1.pipeline_builder().build()
+
+    def test_survivors_shrink_as_the_floor_rises(self, pipeline):
+        prioritizer = Prioritizer(list(pipeline.goals))
+        counts = [
+            len(prioritizer.filter(pipeline.attacks, floor))
+            for floor in (Asil.QM, Asil.A, Asil.B, Asil.C, Asil.D)
+        ]
+        assert counts[0] == 23  # no reduction at the QM floor
+        assert counts == sorted(counts, reverse=True)
+        assert counts[-1] >= 1  # the ASIL D signage attacks remain
+
+    def test_mean_budget_share_rises_with_the_asil(self, pipeline):
+        plan = Prioritizer(list(pipeline.goals)).plan(
+            pipeline.attacks, budget=1000
+        )
+        assert plan.total_allocated == 1000
+
+        def mean(asil):
+            shares = [
+                entry.allocated_tests
+                for entry in plan.entries
+                if entry.asil is asil
+            ]
+            return sum(shares) / len(shares)
+
+        assert mean(Asil.D) > mean(Asil.C) > mean(Asil.B) > mean(Asil.A)

@@ -9,22 +9,22 @@ identical to serial execution at every batch size, on every inner
 backend, under both fork and spawn start methods.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.engine.batch import BatchPlan, VariantBatch, execute_batch
 from repro.engine.campaign import ERROR_VERDICT, run_campaign
 from repro.engine.registry import default_registry
-from repro.engine.spec import VariantSpec
+from repro.engine.spec import VariantSpec, freeze_params
 from repro.errors import ValidationError, VariantExecutionError
 from repro.runtime import (
-    BATCH_SIZE_ENV,
     BatchedBackend,
     ProcessBackend,
     Runtime,
     SerialBackend,
     ThreadBackend,
     available_start_methods,
-    backend_from_env,
     backend_from_spec,
     derive_seed,
 )
@@ -148,16 +148,6 @@ class TestBatchedBackendContract:
         assert backend_from_spec(ready, batch_size=3).batch_size == 3
         assert backend_from_spec(ready).batch_size == 3
 
-    def test_backend_from_env_reads_batch_size(self):
-        backend = backend_from_env({BATCH_SIZE_ENV: "4"})
-        assert isinstance(backend, BatchedBackend)
-        assert backend.batch_size == 4
-        assert backend.inner.name == "serial"
-
-    def test_backend_from_env_rejects_garbage(self):
-        with pytest.raises(ValidationError):
-            backend_from_env({BATCH_SIZE_ENV: "many"})
-
 
 class TestSeedStability:
     def test_map_batches_seeds_match_unbatched_map(self):
@@ -224,6 +214,34 @@ class TestBatchedCampaignParity:
             backend=BatchedBackend(
                 ProcessBackend(jobs=2, start_method=method), batch_size=2
             ),
+        )
+        assert _fingerprint(batched) == _fingerprint(serial)
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_large_convoys_batched_match_serial(self, size):
+        """The n=8 baseline and jam convoys, tail grown to ``size``."""
+        lead_m = (size - 1) * 40.0
+        geometry = {
+            "fleet_size": size,
+            "zone_start_m": lead_m + 600.0,
+            "zone_end_m": lead_m + 700.0,
+            "rsu_position_m": lead_m + 399.0,
+            "road_length_m": lead_m + 3000.0,
+        }
+        variants = [
+            dataclasses.replace(
+                variant,
+                variant_id=f"{variant.variant_id}@n{size}",
+                params=freeze_params({**variant.params_dict(), **geometry}),
+            )
+            for variant in default_registry().variants(family="fleet")
+            if variant.params_dict()["fleet_size"] == 8
+            and variant.attack in (None, "jam")
+        ]
+        assert len(variants) == 2
+        serial = run_campaign(variants, backend=SerialBackend())
+        batched = run_campaign(
+            variants, backend=BatchedBackend(SerialBackend(), batch_size=4)
         )
         assert _fingerprint(batched) == _fingerprint(serial)
 

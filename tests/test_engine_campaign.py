@@ -9,7 +9,7 @@ from repro.engine.campaign import (
     run_campaign,
 )
 from repro.engine.registry import default_registry
-from repro.engine.spec import VariantSpec
+from repro.engine.spec import VariantSpec, freeze_params
 from repro.errors import ValidationError
 from repro.runtime import ProcessBackend
 from repro.sim.attacks import JammingAttack
@@ -233,6 +233,119 @@ class TestRunCampaign:
         summary = result.summary()
         assert summary["total"] == 2
         assert summary["families"] == {"baseline": 2}
+
+
+class TestControlAblationFamily:
+    """Removing each attack's expected measure flips its outcome, and the
+    named control is the one that did the detecting."""
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        result = run_campaign(
+            default_registry().variants(family="control-ablation")
+        )
+        return {outcome.variant_id: outcome for outcome in result.outcomes}
+
+    @pytest.mark.parametrize(
+        "protected, exposed, ecu, control, goal",
+        [
+            (
+                "uc1/control-ablation/flood-all",
+                "uc1/control-ablation/flood-no-flooding-detector",
+                "OBU", "flooding-detector", "SG01",
+            ),
+            (
+                "uc2/control-ablation/ad08-all",
+                "uc2/control-ablation/ad08-no-id-whitelist",
+                "ECU_GW", "id-whitelist", "SG01",
+            ),
+            (
+                "uc2/control-ablation/ad03-with-flooding-detector",
+                "uc2/control-ablation/ad03-no-flooding-detector",
+                "ECU_GW", "flooding-detector", "SG03",
+            ),
+        ],
+        ids=["ad20", "ad08", "ad03"],
+    )
+    def test_removing_the_measure_flips_the_verdict(
+        self, outcomes, protected, exposed, ecu, control, goal
+    ):
+        protected, exposed = outcomes[protected], outcomes[exposed]
+        assert protected.sut_passed
+        assert goal not in protected.violated_goals
+        assert protected.detections_of(ecu, control) > 0
+        assert not exposed.sut_passed
+        assert goal in exposed.violated_goals
+
+    def test_forged_key_opens_only_without_whitelist(self, outcomes):
+        protected = outcomes["uc2/control-ablation/ad08-all"]
+        exposed = outcomes["uc2/control-ablation/ad08-no-id-whitelist"]
+        assert protected.stats["door"]["state"] == "closed"
+        assert exposed.stats["door"]["state"] == "open"
+
+    def test_replay_needs_both_freshness_controls_removed(self, outcomes):
+        assert outcomes["uc2/control-ablation/ad02-all"].sut_passed
+        # The message counter still covers the replay when only the
+        # guard falls: defence in depth.
+        assert outcomes["uc2/control-ablation/ad02-no-replay-guard"].sut_passed
+        exposed = outcomes["uc2/control-ablation/ad02-no-freshness"]
+        assert not exposed.sut_passed
+        assert "SG01" in exposed.violated_goals
+
+    def test_unchecked_can_flood_loses_frames(self, outcomes):
+        exposed = outcomes["uc2/control-ablation/ad03-no-flooding-detector"]
+        assert exposed.stats["can"]["lost"] > 0
+
+
+def _flood_variant(interval_ms):
+    """An unprotected (sender-auth only) flood at one message rate."""
+    return VariantSpec(
+        variant_id=f"test/flood-rate/i{interval_ms}",
+        scenario="uc1-construction-site",
+        family="flood-rate",
+        params=freeze_params(
+            {
+                "controls": ("sender-auth",),
+                "zone_start_m": 400.0,
+                "zone_end_m": 500.0,
+            }
+        ),
+        attack="flood",
+        attack_params=freeze_params(
+            {
+                "interval_ms": interval_ms,
+                "duration_ms": 3000.0,
+                "launch_ms": 100.0,
+            }
+        ),
+        duration_ms=22000.0,
+    )
+
+
+class TestLoadSweeps:
+    def test_flood_violation_is_monotone_in_the_rate(self):
+        """AD20's outcome is a property of load: 4 msg/ms overwhelms the
+        OBU's 2 msg/ms service rate, 0.5 msg/ms does not."""
+        intervals = (0.25, 0.5, 2.0)
+        result = run_campaign([_flood_variant(i) for i in intervals])
+        violated = ["SG01" in o.violated_goals for o in result.outcomes]
+        assert violated[0] is True
+        assert violated[-1] is False
+        assert violated == sorted(violated, reverse=True)
+
+    def test_beacon_period_sweep_never_flags_the_rsu(self):
+        variants = [
+            variant
+            for variant in default_registry().variants(
+                scenario="uc1-construction-site", family="traffic-density"
+            )
+            if "rsu-p" in variant.variant_id
+        ]
+        assert len(variants) >= 10
+        result = run_campaign(variants)
+        for outcome in result.outcomes:
+            assert outcome.sut_passed, outcome.variant_id
+            assert dict(outcome.detections).get("OBU", 0) == 0
 
 
 class TestHarnessIntegration:

@@ -351,6 +351,25 @@ class TestRetryAndQuarantine:
                     retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
                 )
 
+    def test_compiled_transients_retry_two_variants_with_parity(self, tmp_path):
+        variants = default_registry().variants(family="coverage")
+        clean = _signature(run_campaign(variants).outcomes)
+        plan = compile_plan(
+            1,
+            ("raise-transient", "raise-transient"),
+            total_jobs=len(variants),
+            state_dir=str(tmp_path / "state"),
+        )
+        with armed(plan):
+            result = run_campaign(
+                variants,
+                on_error="record",
+                retry=RetryPolicy(base_delay_s=0.0),
+            )
+        retried = [o for o in result.outcomes if o.stats.get("attempts", 1) > 1]
+        assert len(retried) == 2
+        assert _signature(result.outcomes) == clean
+
     def test_non_transient_error_is_not_retried(self):
         poisoned = VariantSpec(
             variant_id="test/poison/bad-attack",
@@ -462,6 +481,29 @@ class TestProcessSupervision:
         assert backend.respawns == 1
         assert all(r.ok for r in results)
         assert [r.value for r in results] == [v * v for v in range(6)]
+
+    def test_killed_campaign_worker_respawns_once_with_parity(self, tmp_path):
+        variants = default_registry().variants(family="coverage")
+        clean = _signature(run_campaign(variants).outcomes)
+        plan = compile_plan(
+            2,
+            ("kill-worker",),
+            total_jobs=len(variants),
+            state_dir=str(tmp_path / "state"),
+        )
+        backend = ProcessBackend(jobs=2)
+        try:
+            with armed(plan):
+                result = run_campaign(
+                    variants,
+                    backend=backend,
+                    on_error="record",
+                    retry=RetryPolicy(base_delay_s=0.0),
+                )
+        finally:
+            backend.shutdown()
+        assert backend.respawns == 1
+        assert _signature(result.outcomes) == clean
 
     def test_past_budget_degrades_to_inline_drain(self, tmp_path):
         plan = FaultPlan(

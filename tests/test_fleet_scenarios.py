@@ -236,6 +236,24 @@ class TestFleetFamilies:
         ]
         assert out_of_range == sorted(out_of_range, reverse=True)
 
+    def test_coverage_family_four_vehicle_sweep(self):
+        """Across every n=4 range, out-of-range deliveries fall and
+        handovers rise as the RSU transmit range grows."""
+        variants = sorted(
+            (
+                variant
+                for variant in default_registry().variants(family="coverage")
+                if variant.variant_id.endswith("-n4")
+            ),
+            key=lambda variant: variant.params_dict()["rsu_range_m"],
+        )
+        assert len(variants) >= 5
+        outcomes = run_campaign(variants, backend="serial").outcomes
+        out_of_range = [o.stats["v2x"]["out_of_range"] for o in outcomes]
+        assert out_of_range == sorted(out_of_range, reverse=True)
+        handovers = [o.stats["handovers"] for o in outcomes]
+        assert handovers == sorted(handovers)
+
     @pytest.mark.slow
     def test_attacker_position_flips_verdict(self):
         """The same flood at the same launch time succeeds inside radio

@@ -191,6 +191,7 @@ class TestCrossUseCaseConsistency:
         assert "AD08" in text
         summary = report.summary()
         assert summary["total"] == 5
+        assert not report.inconclusive
         # The only expected successes are the residual-risk attacks the
         # SUT has no counter-measure for (jamming, passive profiling).
         vulnerable = {e.test.attack_id for e in report.sut_failed}

@@ -74,7 +74,9 @@ class TestProfilingAblation:
     traffic; pseudonym rotation collapses the profile while honest
     receivers still authenticate every message."""
 
-    def run_broadcasts(self, rotate: bool):
+    def run_broadcasts(
+        self, rotate: bool, messages: int = 10, rotation_ms: float = 1000.0
+    ):
         clock = SimClock()
         bus = EventBus()
         keystore = KeyStore()
@@ -82,7 +84,7 @@ class TestProfilingAblation:
         spy = EavesdropAttack("spy", clock, channel)
         auth = SenderAuthentication(keystore)
         provider = PseudonymProvider(
-            "vehicle-1", clock, keystore, rotation_period_ms=1000.0
+            "vehicle-1", clock, keystore, rotation_period_ms=rotation_ms
         )
         keystore.provision("vehicle-1")
         accepted = []
@@ -100,7 +102,7 @@ class TestProfilingAblation:
             )
             channel.send(message)
 
-        for index in range(10):
+        for index in range(messages):
             clock.schedule_at(index * 500.0, lambda i=index: broadcast(i))
         clock.run()
         senders = [sender for __, __, sender in spy.observations]
@@ -115,3 +117,17 @@ class TestProfilingAblation:
         score, accepted = self.run_broadcasts(rotate=True)
         assert score <= 0.5  # 10 messages over 5 epochs of 2
         assert all(accepted)  # receivers still authenticate every epoch
+
+    def test_forty_messages_over_two_second_epochs(self):
+        score, accepted = self.run_broadcasts(
+            rotate=True, messages=40, rotation_ms=2000.0
+        )
+        assert score <= 4 / 40 + 1e-9  # 4 messages per pseudonym
+        assert all(accepted)
+
+    def test_linkability_grows_with_the_rotation_period(self):
+        scores = [
+            self.run_broadcasts(rotate=True, messages=40, rotation_ms=period)[0]
+            for period in (1000.0, 2000.0, 5000.0, 10000.0)
+        ]
+        assert scores == sorted(scores)

@@ -4,16 +4,13 @@ import pytest
 
 from repro.errors import ExecutionError, ValidationError
 from repro.runtime import (
-    BACKEND_ENV,
     CancelToken,
-    JOBS_ENV,
     ProcessBackend,
     Runtime,
     SerialBackend,
     START_METHOD_ENV,
     ThreadBackend,
     available_start_methods,
-    backend_from_env,
     backend_from_spec,
     derive_seed,
     make_backend,
@@ -90,19 +87,6 @@ class TestBackendFactories:
         with pytest.raises(ValidationError, match="conflicts"):
             backend_from_spec(backend, jobs=4)
         assert backend_from_spec(backend, jobs=2) is backend
-
-    def test_backend_from_env(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert backend_from_env().name == "serial"
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        monkeypatch.setenv(JOBS_ENV, "3")
-        backend = backend_from_env()
-        assert backend.name == "thread"
-        assert backend.jobs == 3
-        monkeypatch.setenv(JOBS_ENV, "not-a-number")
-        with pytest.raises(ValidationError, match="integer"):
-            backend_from_env()
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValidationError, match=">= 1"):

@@ -20,6 +20,7 @@ from repro.engine.spec import VariantSpec
 from repro.errors import ValidationError, VariantExecutionError
 from repro.results import ResultSink
 from repro.runtime import (
+    BatchedBackend,
     CancelToken,
     ProcessBackend,
     SerialBackend,
@@ -72,6 +73,32 @@ class TestBackendParity:
         assert _fingerprint(parallel) == _fingerprint(serial)
         assert serial.outcome("uc2/parity/ad08").sut_passed
         assert serial.outcome("uc1/parity/ad20").sut_passed
+
+    def test_fleet_family_matches_serial_on_every_backend(self):
+        """Per-vehicle verdicts cross every backend unchanged."""
+        variants = [
+            variant
+            for variant in default_registry().variants(family="fleet")
+            if variant.params_dict()["fleet_size"] in (2, 4, 8)
+        ]
+
+        def fleet_fingerprint(result):
+            return [
+                fingerprint + (outcome.stats["per_vehicle_verdicts"],)
+                for fingerprint, outcome in zip(
+                    _fingerprint(result), result.outcomes
+                )
+            ]
+
+        serial = fleet_fingerprint(run_campaign(variants, backend="serial"))
+        for backend in (
+            ThreadBackend(jobs=2),
+            ProcessBackend(jobs=2),
+            BatchedBackend(ProcessBackend(jobs=2), batch_size=2),
+        ):
+            with backend:
+                result = run_campaign(variants, backend=backend)
+            assert fleet_fingerprint(result) == serial, backend.name
 
     @pytest.mark.parametrize("method", available_start_methods())
     def test_process_parity_under_every_start_method(self, method):
@@ -241,6 +268,13 @@ class TestWorkspaceIntegration:
         assert result.backend == "thread"
         records = workspace.results()
         assert len(records) == result.total
+        serial = run_campaign(
+            default_registry().variants(
+                scenario="uc2-keyless-entry", family="zone-geometry"
+            ),
+            backend="serial",
+        )
+        assert _fingerprint(result) == _fingerprint(serial)
 
     def test_workspace_default_backend(self):
         from repro.api import Workspace

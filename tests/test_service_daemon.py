@@ -86,11 +86,14 @@ class TestRoundTrip:
 
     def test_resubmission_is_served_from_cache(self, client):
         variants = _variants(4)
-        _cold, cold_summary = client.submit(variants)
+        cold, cold_summary = client.submit(variants)
         assert cold_summary["cached"] == 0
         warm, warm_summary = client.submit(variants)
         assert warm_summary["cached"] == len(variants)
         assert all(outcome.from_cache for outcome in warm)
+        assert [(o.verdict, o.violated_goals) for o in warm] == [
+            (o.verdict, o.violated_goals) for o in cold
+        ]
         assert client.status()["memo"]["hits"] == len(variants)
 
     def test_submit_stream_yields_incrementally(self, client):

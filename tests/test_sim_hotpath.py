@@ -69,6 +69,16 @@ class TestClockHotPath:
         clock.run()
         assert order == ["a", "b"] * 4
 
+    def test_run_returns_the_number_of_events_executed(self):
+        clock = SimClock()
+        fired = []
+        for index in range(16):
+            clock.schedule_periodic(
+                1.0, lambda i=index: fired.append(i), until=1000.0
+            )
+        assert clock.run() == len(fired) == 16000
+        assert fired[:32] == list(range(16)) * 2
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
@@ -121,6 +131,21 @@ class TestEventBusHotPath:
         bus.clear()
         assert bus.count("x") == 0
         assert bus.events("x") == ()
+
+    @pytest.mark.parametrize("mode", [TRACE_FULL, TRACE_COUNTS])
+    def test_retained_counts_survive_a_publish_storm(self, mode):
+        bus = EventBus(mode=mode)
+        hot = []
+        bus.subscribe("hot.topic", hot.append)
+        bus.retain("hot.topic")
+        topics = ("hot.topic", "cold.one", "cold.two", "cold.three")
+        for index in range(400):
+            bus.publish(float(index), topics[index & 3], "s", n=index)
+        assert bus.count("hot.topic") == len(hot) == 100
+        assert bus.count("cold") == 300
+        assert len(bus.events("hot.topic")) == 100
+        if mode == TRACE_FULL:
+            assert len(bus.trace) == 400
 
     def test_dispatch_order_across_prefixes_is_subscription_order(self):
         bus = EventBus()

@@ -13,6 +13,7 @@ from repro.stride.mapping import (
     stride_types_for,
     validate_pair,
 )
+from repro.threatlib.catalog import table3_rows
 
 
 class TestTableIv:
@@ -142,7 +143,9 @@ class TestClassifier:
                 "Eavesdropping the communication to create profiles",
                 StrideType.INFORMATION_DISCLOSURE,
             ),
-        ],
+        ]
+        # Table III's statements, verbatim.
+        + [(text, StrideType(stride)) for text, stride in table3_rows()],
     )
     def test_paper_threat_statements(self, text, expected):
         assert suggest_stride(text) is expected

@@ -122,6 +122,27 @@ class TestFuzzCampaign:
         assert report.rejection_rate == 1.0
         assert not report.accepted
 
+    def test_auth_freshness_and_whitelist_alone_reject_every_mutant(self):
+        """The §II-B.2 hardened stack without the range check still
+        rejects every mutant on both planned interfaces."""
+        keystore = KeyStore()
+        seed = seed_message(keystore)
+        clock, bus = SimClock(), EventBus()
+        clock.run_until(150.0)
+        pipeline = ControlPipeline("ECU_GW", clock, bus)
+        pipeline.add(SenderAuthentication(keystore))
+        pipeline.add(ReplayGuard(max_age_ms=500.0))
+        pipeline.add(MessageCounterCheck())
+        pipeline.add(IdWhitelist({"KEY-1"}, kinds={"open_command"}))
+        campaign = FuzzCampaign(
+            clock, pipeline, FuzzPlan.from_tree(make_tree())
+        )
+        campaign.fuzz_interface("BLE", seed)
+        campaign.fuzz_interface("CAN", seed)
+        report = campaign.report()
+        assert report.rejection_rate == 1.0
+        assert report.interface_coverage == 1.0
+
     def test_weak_pipeline_accepts_mutants(self):
         keystore = KeyStore()
         seed = seed_message(keystore)

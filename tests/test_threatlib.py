@@ -6,8 +6,10 @@ from repro.errors import CatalogError, ValidationError
 from repro.model.asset import Asset, AssetGroup, AssetRelevance
 from repro.model.scenario import Scenario
 from repro.model.threat import AttackType, StrideType, ThreatScenario
+from repro.stride.mapping import stride_types_for
 from repro.threatlib.builder import ThreatLibraryBuilder
 from repro.threatlib.catalog import (
+    SCENARIO_KEEP_CAR_SECURE,
     TS_GATEWAY_DOS,
     TS_V2X_SPOOFING,
     build_catalog,
@@ -200,14 +202,39 @@ class TestCatalog:
         assert "802.11p" in v2x_spoof.text
         assert v2x_spoof.primary_stride is StrideType.SPOOFING
 
+    def test_asset_scoping_reduces_the_catalog(self):
+        library = build_catalog()
+        full = library.stats()
+        scoped = library.scoped(
+            {AssetRelevance.GENERIC_CURRENT_VEHICLE}
+        ).stats()
+        assert scoped["assets"] < full["assets"]
+        assert scoped["threat_scenarios"] < full["threat_scenarios"]
+
     def test_three_scenarios(self):
         library = build_catalog()
-        assert len(library.scenarios) == 3
+        assert {scenario.name for scenario in library.scenarios} == {
+            "Road intersection",
+            "Keep car secure for the whole vehicle lifetime",
+            "Advanced access to vehicle",
+        }
+        assert library.stats()["sub_scenarios"] == 5
 
     def test_table1_has_five_sub_scenarios(self):
         rows = table1_rows()
         assert len(rows) == 5
-        assert any("hijacked automated vehicle" in row[1] for row in rows)
+        expected = (
+            ("Road", "hijacked automated vehicle"),
+            ("Road", "road-side system providing information"),
+            ("Road", "Emergency vehicle approaches"),
+            ("Keep", "Vehicle updates are changes made"),
+            ("Advanced", "orders a car in the target destination"),
+        )
+        for (first_word, excerpt), (scenario, description) in zip(
+            expected, rows
+        ):
+            assert scenario.startswith(first_word)
+            assert excerpt.lower() in description.lower()
 
     def test_table2_matches_paper(self):
         assert table2_rows() == (
@@ -217,16 +244,46 @@ class TestCatalog:
             ("V2X communications", "Hardware/ Information"),
         )
 
+    def test_table2_assets_registered_in_catalog(self):
+        library = build_catalog()
+        names = [name for name, __ in table2_rows()]
+        assert [library.asset(name).name for name in names] == names
+
     def test_table3_stride_mappings(self):
-        rows = dict(table3_rows())
-        assert rows["Spoofing of messages by impersonation"] == "Spoofing"
-        assert any("USB" in key for key in rows)
+        assert table3_rows() == (
+            ("Spoofing of messages by impersonation", "Spoofing"),
+            (
+                "External interfaces (such as USB) may be used as a point "
+                "of attack, for example through code injection",
+                "Elevation of privilege",
+            ),
+            (
+                "Manipulation of functions to operate systems remotely, "
+                "such as remote key, immobiliser, and charging pile",
+                "Tampering",
+            ),
+        )
 
     def test_table5_has_four_rows_with_examples(self):
         rows = table5_rows()
         assert len(rows) == 4
         assert all(len(row) == 5 for row in rows)
         assert any("USB memories infected" in row[4] for row in rows)
+        assert rows[0][0] == "Gateway"
+        assert [row[3] for row in rows][:2] == ["Gain elevated access", "Inject"]
+        assert rows[3][3] == "Fake messages"
+
+    @pytest.mark.parametrize("row", table5_rows(), ids=lambda row: row[3])
+    def test_table5_rows_consistent_with_catalog(self, row):
+        asset, __, stride_label, attack_type, __ = row
+        # The attack type manifests the row's STRIDE type (Table IV) ...
+        assert stride_label in {s.value for s in stride_types_for(attack_type)}
+        # ... and the asset has a threat of that type in the scenario.
+        assert any(
+            threat.scenario == SCENARIO_KEEP_CAR_SECURE
+            and stride_label in {s.value for s in threat.stride}
+            for threat in build_catalog().threats_for_asset(asset)
+        )
 
     def test_catalog_threats_all_classifier_consistent(self):
         # The keyword classifier should agree with at least half of the
@@ -240,6 +297,29 @@ class TestCatalog:
             if best is not None and threat.describes(best):
                 agreements += 1
         assert agreements >= len(library.threats) // 2
+
+
+class TestLibraryScaling:
+    def test_type_queries_cover_a_large_library(self):
+        library = ThreatLibrary(name="x50")
+        library.add_scenario(Scenario(name="S"))
+        strides = list(StrideType)
+        for index in range(50):
+            asset = Asset.of(f"asset-{index}", AssetGroup.HARDWARE)
+            library.add_asset(asset)
+            for threat_index in range(5):
+                library.add_threat(
+                    ThreatScenario(
+                        identifier=f"1.{index + 1}.{threat_index + 1}",
+                        text=f"threat {threat_index} against asset {index}",
+                        scenario="S",
+                        asset=asset.name,
+                        stride=(strides[(index + threat_index) % 6],),
+                    )
+                )
+        assert sum(
+            len(library.threats_of_type(stride)) for stride in StrideType
+        ) == 250
 
 
 class TestPersistence:
