@@ -445,7 +445,6 @@ class Workspace:
         rsu_range_m: float | None = None,
         backend: Any | None = None,
         jobs: int | None = None,
-        batch_size: int | None = None,
         on_error: str = "raise",
         on_event: Any | None = None,
         cancel: Any | None = None,
@@ -462,10 +461,10 @@ class Workspace:
         topology-capable variants (convoy size, RSU transmit range)
         through :func:`~repro.engine.registry.apply_topology_overrides`.
         ``backend``/``jobs`` (per call, falling back to the workspace
-        defaults) and ``batch_size`` pick where variants run, resolved
-        by :func:`~repro.runtime.backend_from_spec`; a backend built
-        here from a name is shut down after the run.  Verdicts are
-        backend- and batching-independent by construction.  The other
+        defaults) pick where variants run, resolved by
+        :func:`~repro.runtime.backend_from_spec`; a backend built here
+        from a name is shut down after the run.  Verdicts are
+        backend-independent by construction.  The other
         options are :class:`~repro.engine.campaign.CampaignConfig`
         fields, passed through to
         :func:`~repro.engine.campaign.run_campaign` (``trace_mode``
@@ -503,7 +502,7 @@ class Workspace:
             )
         if backend is None and jobs is None:
             backend, jobs = self._backend_spec, self._jobs
-        resolved = backend_from_spec(backend, jobs, batch_size=batch_size)
+        resolved = backend_from_spec(backend, jobs)
         try:
             return run_campaign(
                 variants,

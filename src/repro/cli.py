@@ -16,7 +16,6 @@ Usage (also via ``python -m repro``)::
     repro campaign --list             # enumerate variants without running
     repro campaign --list-families    # enumerate the variant families
     repro campaign --export out.csv   # export outcomes (json/csv/md)
-    repro campaign --batch-size 8 --backend process --jobs 4  # batched tier
     repro serve --port-file daemon.port --memo-dir .memo  # campaign daemon
     repro submit --port-file daemon.port --family coverage  # stream verdicts
     repro status --port-file daemon.port        # scheduler + memo health
@@ -151,22 +150,17 @@ def _export_records(records: ResultSet, target: str) -> None:
     path.write_text(document, encoding="utf-8")
 
 
-def _campaign_execution(
-    args: argparse.Namespace,
-) -> tuple[str, int, int | None]:
-    """Resolve ``--backend``/``--jobs``/``--batch-size``."""
+def _campaign_execution(args: argparse.Namespace) -> tuple[str, int]:
+    """Resolve ``--backend``/``--jobs``."""
     jobs = args.jobs
     if jobs is not None and jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    batch_size = getattr(args, "batch_size", None)
-    if batch_size is not None and batch_size < 1:
-        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
     backend = args.backend
     if backend is None:
         backend = "process" if jobs is not None and jobs > 1 else "serial"
     if jobs is None:
         jobs = 1
-    return backend, jobs, batch_size
+    return backend, jobs
 
 
 def _print_families(registry, args: argparse.Namespace) -> int:
@@ -215,7 +209,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.engine.registry import apply_topology_overrides, default_registry
 
     try:
-        backend, jobs, batch_size = _campaign_execution(args)
+        backend, jobs = _campaign_execution(args)
         # Selection needs only the registry; the execution backend is
         # resolved once, inside Workspace.campaign below.
         registry = default_registry()
@@ -273,7 +267,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             variants=variants,
             backend=backend,
             jobs=jobs,
-            batch_size=batch_size,
             retry=retry,
             deadline_s=args.deadline_s,
             # Fault-tolerant runs record failures as tagged outcomes
@@ -788,12 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--jobs", type=int, default=None,
         help="concurrent jobs on the chosen backend (default 1)",
-    )
-    campaign.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="ship same-family variants as shared-setup batches of up "
-        "to N (amortises topology/key/factory setup; verdicts are "
-        "batching-independent)",
     )
     campaign.add_argument(
         "--limit", type=int, default=None,

@@ -16,12 +16,8 @@ replaces that:
 * :mod:`repro.engine.campaign` -- the campaign runner: one validated
   :class:`CampaignConfig` and one execution path fanning scenario x
   attack x control combinations across any :mod:`repro.runtime`
-  execution backend (serial, thread, process), streaming outcomes and
-  aggregating verdicts;
-* :mod:`repro.engine.batch` -- family batching: :class:`BatchPlan`
-  groups same-``(scenario, family)`` variants so
-  :class:`~repro.runtime.BatchedBackend` workers build shared setup
-  (factory resolution, bound attacks, key material) once per batch.
+  execution backend (serial, thread, process), one variant per task,
+  streaming outcomes and aggregating verdicts.
 
 The discrete-event kernel every scenario builds on lives in (and is
 exported by) :mod:`repro.sim.kernel`; :class:`SimKernel`,
@@ -56,10 +52,6 @@ _EXPORTS = {
     "UC2_SCENARIO": "repro.engine.registry",
     "apply_topology_overrides": "repro.engine.registry",
     "default_registry": "repro.engine.registry",
-    "BatchContext": "repro.engine.batch",
-    "BatchPlan": "repro.engine.batch",
-    "VariantBatch": "repro.engine.batch",
-    "execute_batch": "repro.engine.batch",
     "CAMPAIGN_TRACE_MODE": "repro.engine.campaign",
     "CampaignConfig": "repro.engine.campaign",
     "CampaignMemo": "repro.engine.campaign",

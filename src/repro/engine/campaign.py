@@ -10,11 +10,9 @@ the safety monitor (any violated goal counts as a successful attack).
 ``run_campaign`` (input-ordered aggregate) and ``iter_campaign``
 (streaming) are the only campaign entry points.  Both take their options
 as keywords -- the fields of :class:`CampaignConfig`, validated once --
-and feed one private ``(index, outcome)`` stream.  That stream runs
-:func:`~repro.engine.batch.execute_batch` over a
-:class:`~repro.engine.batch.BatchPlan` on any :mod:`repro.runtime`
-backend: a :class:`~repro.runtime.BatchedBackend` ships same-family
-batches, every other backend one-variant tasks in input order.  Variants
+and feed one private ``(index, outcome)`` stream.  That stream maps one
+job function over the variants with :meth:`repro.runtime.Runtime.map`
+on any :mod:`repro.runtime` backend, one variant per task.  Variants
 and outcomes are plain dataclasses that pickle, so process fan-out works
 under both ``fork`` and ``spawn`` start methods; each worker process
 claims a disjoint identifier block on first use so parallel workers
@@ -44,7 +42,6 @@ from typing import (
 )
 
 from repro.engine.attacks import arm_catalog_attack
-from repro.engine.batch import BatchPlan, execute_batch
 from repro.engine.registry import ScenarioRegistry, default_registry
 from repro.engine.spec import VariantSpec
 from repro.errors import (
@@ -369,6 +366,27 @@ def _execute_checked(
     return outcome
 
 
+def _campaign_job(
+    variant: VariantSpec,
+    registry: ScenarioRegistry | None,
+    trace_mode: str,
+    default_deadline_s: float | None,
+) -> VariantOutcome:
+    """The campaign job function: one variant, on whichever worker runs it.
+
+    Module-level so a ``functools.partial`` over it pickles for process
+    backends.  In a process worker the first job also claims the
+    worker's identifier block.
+    """
+    _ensure_worker_identity()
+    return _execute_checked(
+        variant,
+        registry,
+        trace_mode=trace_mode,
+        default_deadline_s=default_deadline_s,
+    )
+
+
 # -- results ------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -502,7 +520,7 @@ def error_outcome(
     ``attempts`` records how many executions were tried and
     ``quarantined=True`` tags a variant that exhausted its
     :class:`~repro.runtime.RetryPolicy` budget -- the campaign carries
-    on without it, so one pathological variant never poisons its batch.
+    on without it, so one pathological variant never poisons the run.
     """
     stats: dict[str, Any] = {
         "error_type": error.type,
@@ -731,18 +749,14 @@ def _execute(
         else:
             yield index, hit
     backend = config.backend
-    plan = BatchPlan.plan(
-        [variant for _index, variant in pending],
-        getattr(backend, "batch_size", None),
-    )
     job = functools.partial(
-        execute_batch,
+        _campaign_job,
         registry=config.registry,
         trace_mode=config.trace_mode,
         default_deadline_s=config.deadline_s,
     )
-    stream = Runtime(backend, on_event=on_event, cancel=cancel).map_batches(
-        job, [(batch.context(), batch.jobs()) for batch in plan]
+    stream = Runtime(backend, on_event=on_event, cancel=cancel).map(
+        job, [variant for _index, variant in pending]
     )
     # Transient failures are parked here and re-executed after the main
     # stream drains; run_campaign's position sort restores input order,

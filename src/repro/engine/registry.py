@@ -172,31 +172,6 @@ class ScenarioRegistry:
         """Instantiate the scenario a variant describes (without attack)."""
         return self.get(variant.scenario).build(variant.params)
 
-    def batches(
-        self,
-        batch_size: int,
-        scenario: str | None = None,
-        family: str | None = None,
-        attack: str | None = None,
-        limit: int | None = None,
-        use_case: str | None = None,
-    ):
-        """The (filtered) variant list as a same-family
-        :class:`~repro.engine.batch.BatchPlan` -- the shape the batched
-        execution tier ships to workers."""
-        from repro.engine.batch import BatchPlan
-
-        return BatchPlan.plan(
-            self.variants(
-                scenario=scenario,
-                family=family,
-                attack=attack,
-                limit=limit,
-                use_case=use_case,
-            ),
-            batch_size,
-        )
-
 
 # -- stock variant families --------------------------------------------------
 

@@ -112,7 +112,7 @@ def factory_accepts(path: str, keyword: str) -> bool:
 def _merged_base(defaults: ParamItems, topology: ParamItems) -> dict[str, Any]:
     """The defaults+topology layer of :meth:`ScenarioSpec.build`, cached.
 
-    A campaign batch builds hundreds of scenarios from the same spec;
+    A campaign builds hundreds of scenarios from the same spec;
     thawing the identical two base layers each time is pure overhead.
     Callers must **copy** the returned dict before mutating it.
     """

@@ -7,8 +7,9 @@ the CLI's ``--backend``/``--jobs`` options) runs through this package:
   protocol and the ``serial`` / ``thread`` / ``process`` implementations
   (the only module in the repository importing :mod:`multiprocessing`);
 * :mod:`repro.runtime.runtime` -- the :class:`Runtime` facade adding
-  chunking, deterministic per-job seeds, progress events, structured
-  error capture and cooperative cancellation on top of any backend;
+  deterministic per-job seeds, progress events, structured error
+  capture and cooperative cancellation on top of any backend, one job
+  per backend task;
 * :mod:`repro.runtime.retry` -- :class:`RetryPolicy`, the deterministic
   transient-failure retry/backoff contract every retry loop in the tree
   must go through (rule ``REP011`` bans ad-hoc sleep loops elsewhere).
@@ -23,16 +24,12 @@ Quick use::
                 print("failed:", result.error.message)
 
 ``MULTIPROCESSING_START_METHOD`` selects the process start method
-(the CI spawn matrix leg).  Wrapping any
-backend in :class:`BatchedBackend` declares a batch size batch-aware
-callers (:meth:`Runtime.map_batches`, the campaign runner) use to group
-jobs with shared setup.
+(the CI spawn matrix leg).
 """
 
 from repro.runtime.backends import (
     BACKEND_NAMES,
     START_METHOD_ENV,
-    BatchedBackend,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -63,7 +60,6 @@ from repro.runtime.runtime import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "BatchedBackend",
     "CancelToken",
     "DEFAULT_TRANSIENT_TYPES",
     "ExecutionBackend",

@@ -431,68 +431,6 @@ class ProcessBackend(_PoolBackend):
                     future.cancel()
 
 
-class BatchedBackend(_BackendBase):
-    """An inner backend plus a batching contract.
-
-    The wrapper delegates every protocol call to the wrapped
-    serial/thread/process backend unchanged -- individual jobs submitted
-    to a batched backend behave exactly as before.  What it adds is the
-    declaration, carried in ``batch_size``, that batch-aware callers
-    (:meth:`repro.runtime.Runtime.map_batches`, the campaign runner's
-    :class:`~repro.engine.batch.BatchPlan`) may ship groups of up to
-    ``batch_size`` jobs to a worker as one unit, amortising per-group
-    setup.  Callers that never look at ``batch_size`` are unaffected,
-    which is why wrapping is safe everywhere a plain backend is accepted.
-
-    ``shares_memory`` and ``jobs`` proxy the inner backend so existing
-    capability checks (custom-registry refusal on pickle boundaries,
-    chunk sizing) keep working unchanged.
-    """
-
-    def __init__(self, inner: ExecutionBackend, batch_size: int = 8) -> None:
-        if isinstance(inner, BatchedBackend):
-            raise ValidationError("batched backends do not nest")
-        if batch_size < 1:
-            raise ValidationError(
-                f"batch size must be >= 1, got {batch_size}"
-            )
-        self.inner = inner
-        self.batch_size = batch_size
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"batched-{self.inner.name}"
-
-    @property
-    def jobs(self) -> int:  # type: ignore[override]
-        return self.inner.jobs
-
-    @property
-    def shares_memory(self) -> bool:  # type: ignore[override]
-        return self.inner.shares_memory
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> _futures.Future:
-        return self.inner.submit(fn, *args, **kwargs)
-
-    def map_unordered(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> Iterator[tuple[int, Any]]:
-        return self.inner.map_unordered(fn, items)
-
-    def as_completed(
-        self, fs: Iterable[_futures.Future], timeout: float | None = None
-    ) -> Iterator[_futures.Future]:
-        return self.inner.as_completed(fs, timeout=timeout)
-
-    def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
-        self.inner.shutdown(wait=wait, cancel_pending=cancel_pending)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BatchedBackend({self.inner!r}, batch_size={self.batch_size})"
-        )
-
-
 # -- factories ----------------------------------------------------------------
 
 
@@ -525,7 +463,6 @@ def make_backend(
 def backend_from_spec(
     spec: "str | ExecutionBackend | None",
     jobs: int | None = None,
-    batch_size: int | None = None,
 ) -> ExecutionBackend:
     """Normalise the ``backend=``/``jobs=`` calling convention.
 
@@ -533,43 +470,24 @@ def backend_from_spec(
     which case ``process`` (the CPU-bound default).  A string goes
     through :func:`make_backend`; a ready backend is returned unchanged
     (``jobs`` must then be unset -- the backend already knows its size).
-
-    ``batch_size`` wraps the resolved backend in a
-    :class:`BatchedBackend` so batch-aware callers group jobs; passing
-    it alongside an already-batched backend is a conflict.
     """
-    if isinstance(spec, BatchedBackend):
-        if batch_size is not None and batch_size != spec.batch_size:
-            raise ValidationError(
-                f"batch_size={batch_size} conflicts with the provided "
-                f"backend ({spec.name}, batch_size={spec.batch_size}); "
-                "size the backend directly"
-            )
-        backend = spec.inner
-        batch_size = spec.batch_size
-    else:
-        backend = spec
-    if backend is None:
+    if spec is None:
         if jobs is None or jobs <= 1:
-            backend = SerialBackend()
-        else:
-            backend = ProcessBackend(jobs=jobs)
-    elif isinstance(backend, str):
-        backend = make_backend(backend, jobs=jobs)
-    elif jobs is not None and jobs != backend.jobs:
+            return SerialBackend()
+        return ProcessBackend(jobs=jobs)
+    if isinstance(spec, str):
+        return make_backend(spec, jobs=jobs)
+    if jobs is not None and jobs != spec.jobs:
         raise ValidationError(
             f"jobs={jobs} conflicts with the provided backend "
-            f"({backend.name}, jobs={backend.jobs}); size the backend "
+            f"({spec.name}, jobs={spec.jobs}); size the backend "
             "directly"
         )
-    if batch_size is not None:
-        return BatchedBackend(backend, batch_size=batch_size)
-    return backend
+    return spec
 
 
 __all__ = [
     "BACKEND_NAMES",
-    "BatchedBackend",
     "ExecutionBackend",
     "ProcessBackend",
     "START_METHOD_ENV",

@@ -1,11 +1,8 @@
-"""The :class:`Runtime` facade: batched, seeded, observable job execution.
+"""The :class:`Runtime` facade: seeded, observable job execution.
 
 Backends (:mod:`repro.runtime.backends`) answer *where* a call runs; this
-module answers *how a workload runs well*:
+module answers *how a workload runs well*, one job per backend task:
 
-* **chunking** -- items are grouped into chunks so fine-grained jobs
-  amortise per-task dispatch overhead (``chunksize=1`` streams at single
-  -job granularity, the default);
 * **deterministic seeds** -- every job receives a seed derived from the
   runtime's root seed and the job's index via :func:`derive_seed`, so a
   campaign re-run with the same root seed is bit-identical on any
@@ -30,7 +27,7 @@ import hashlib
 import threading
 import time
 import traceback
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import DeadlineExceededError, ExecutionError, ValidationError
 from repro.runtime.backends import ExecutionBackend, SerialBackend
@@ -208,75 +205,49 @@ class ProgressEvent:
     result: JobResult | None = None
 
 
-# -- worker-side chunk execution ----------------------------------------------
+# -- worker-side job execution ------------------------------------------------
 #
-# Top-level (hence picklable) so ProcessBackend can ship chunks to
-# workers under both fork and spawn.
+# Top-level (hence picklable) so ProcessBackend can ship jobs to workers
+# under both fork and spawn.
 
 
-def _run_chunk(
+def _run_job(
     fn: Callable[..., Any],
     seeded: bool,
-    chunk: Sequence[tuple[int, int, Any]],
+    job: tuple[int, int, Any],
     deadline_s: float | None = None,
-) -> list[dict[str, Any]]:
-    """Execute one chunk of ``(index, seed, item)`` jobs; capture errors.
+) -> JobResult:
+    """Execute one ``(index, seed, item)`` job; capture its error.
 
     ``deadline_s`` is a cooperative per-job wall-clock budget: the job
     runs to completion and a breach is reported afterwards as a
-    :class:`~repro.errors.DeadlineExceededError`-typed error payload, so
+    :class:`~repro.errors.DeadlineExceededError`-typed error result, so
     the check is deterministic rather than a race with a timer thread.
     """
-    results: list[dict[str, Any]] = []
-    for index, seed, item in chunk:
-        started = time.perf_counter()
-        try:
-            value = fn(item, seed) if seeded else fn(item)
-        except Exception as exc:  # noqa: BLE001 - captured, reported upstream
-            results.append(
-                {
-                    "index": index,
-                    "seed": seed,
-                    "error": dataclasses.asdict(JobError.from_exception(exc)),
-                    "wall_time_s": time.perf_counter() - started,
-                }
-            )
-        else:
-            elapsed = time.perf_counter() - started
-            if deadline_s is not None and elapsed > deadline_s:
-                breach = DeadlineExceededError(
-                    f"job {index} exceeded its {deadline_s:g}s deadline "
-                    f"({elapsed:.3f}s)"
-                )
-                results.append(
-                    {
-                        "index": index,
-                        "seed": seed,
-                        "error": dataclasses.asdict(
-                            JobError.from_exception(breach)
-                        ),
-                        "wall_time_s": elapsed,
-                    }
-                )
-            else:
-                results.append(
-                    {
-                        "index": index,
-                        "seed": seed,
-                        "value": value,
-                        "wall_time_s": elapsed,
-                    }
-                )
-    return results
-
-
-def _chunked(
-    jobs: Sequence[tuple[int, int, Any]], chunksize: int
-) -> list[tuple[tuple[int, int, Any], ...]]:
-    return [
-        tuple(jobs[start : start + chunksize])
-        for start in range(0, len(jobs), chunksize)
-    ]
+    index, seed, item = job
+    started = time.perf_counter()
+    try:
+        value = fn(item, seed) if seeded else fn(item)
+    except Exception as exc:  # noqa: BLE001 - captured, reported upstream
+        return JobResult(
+            index=index,
+            error=JobError.from_exception(exc),
+            seed=seed,
+            wall_time_s=time.perf_counter() - started,
+        )
+    elapsed = time.perf_counter() - started
+    if deadline_s is not None and elapsed > deadline_s:
+        breach = DeadlineExceededError(
+            f"job {index} exceeded its {deadline_s:g}s deadline "
+            f"({elapsed:.3f}s)"
+        )
+        return JobResult(
+            index=index,
+            error=JobError.from_exception(breach),
+            seed=seed,
+            wall_time_s=elapsed,
+        )
+    return JobResult(index=index, value=value, seed=seed, wall_time_s=elapsed)
 
 
 class JobFuture:
@@ -289,7 +260,7 @@ class JobFuture:
     as raised exceptions (only infrastructure faults raise).
     """
 
-    def __init__(self, future: "_futures.Future[list[dict[str, Any]]]", index: int, seed: int) -> None:
+    def __init__(self, future: "_futures.Future[JobResult]", index: int, seed: int) -> None:
         self._future = future
         self.index = index
         self.seed = seed
@@ -306,19 +277,10 @@ class JobFuture:
         """Block for the job's :class:`JobResult` (cancelled jobs yield
         an error-carrying result rather than raising)."""
         try:
-            payloads = self._future.result(timeout=timeout)
+            return self._future.result(timeout=timeout)
         except _futures.CancelledError:
             error = JobError(type="CancelledError", message="job cancelled before start")
             return JobResult(index=self.index, value=None, error=error, seed=self.seed)
-        payload = payloads[0]
-        error_payload = payload.get("error")
-        return JobResult(
-            index=payload["index"],
-            value=payload.get("value"),
-            error=JobError(**error_payload) if error_payload else None,
-            seed=payload["seed"],
-            wall_time_s=payload["wall_time_s"],
-        )
 
     def add_done_callback(self, callback: "Callable[[JobFuture], None]") -> None:
         """Run ``callback(self)`` when the job completes (or immediately
@@ -326,17 +288,8 @@ class JobFuture:
         self._future.add_done_callback(lambda _f: callback(self))
 
 
-def _run_batch(
-    fn: Callable[[Any, Sequence[tuple[int, int, Any]]], list[dict[str, Any]]],
-    batch: tuple[Any, Sequence[tuple[int, int, Any]]],
-) -> list[dict[str, Any]]:
-    """Worker-side unpacking shim for :meth:`Runtime.map_batches`."""
-    context, jobs = batch
-    return fn(context, jobs)
-
-
 class Runtime:
-    """Batched, seeded, observable execution over one backend.
+    """Seeded, observable execution over one backend.
 
     A runtime is cheap: it owns no workers itself (the backend does) and
     can be used as a context manager to shut the backend down::
@@ -390,18 +343,16 @@ class Runtime:
         items: Iterable[Any],
         *,
         seeded: bool = False,
-        chunksize: int = 1,
     ) -> Iterator[JobResult]:
         """Run ``fn`` over ``items``; yield :class:`JobResult` as completed.
 
         ``fn`` is called as ``fn(item)`` -- or ``fn(item, seed)`` with
-        the job's derived seed when ``seeded=True``.  On a process
-        backend both ``fn`` and the items must pickle.  Failures arrive
-        as error-carrying results; this iterator itself only raises for
-        infrastructure faults (e.g. a broken worker pool).
+        the job's derived seed when ``seeded=True``.  Each item is one
+        backend task.  On a process backend both ``fn`` and the items
+        must pickle.  Failures arrive as error-carrying results; this
+        iterator itself only raises for infrastructure faults (e.g. a
+        broken worker pool).
         """
-        if chunksize < 1:
-            raise ValidationError(f"chunksize must be >= 1, got {chunksize}")
         jobs = [
             (index, derive_seed(self.seed, index), item)
             for index, item in enumerate(items)
@@ -411,78 +362,23 @@ class Runtime:
         if self.cancel.cancelled:
             self._emit("cancelled", done, total)
             return
-        chunks = _chunked(jobs, chunksize)
-        # partial over the module-level _run_chunk pickles, so one shape
+        # partial over the module-level _run_job pickles, so one shape
         # serves the in-process and the process backends alike.
         stream = self.backend.map_unordered(
-            functools.partial(
-                _run_chunk, fn, seeded, deadline_s=self.deadline_s
-            ),
-            chunks,
+            functools.partial(_run_job, fn, seeded, deadline_s=self.deadline_s),
+            jobs,
         )
-        yield from self._stream_payloads(stream, total)
-
-    def _stream_payloads(
-        self, stream: Iterator[tuple[int, list[dict[str, Any]]]], total: int
-    ) -> Iterator[JobResult]:
-        """Consume a payload-list stream into per-job results + events."""
-        done = 0
         try:
-            for _group_index, payloads in stream:
-                for payload in payloads:
-                    error = payload.get("error")
-                    result = JobResult(
-                        index=payload["index"],
-                        value=payload.get("value"),
-                        error=JobError(**error) if error else None,
-                        seed=payload["seed"],
-                        wall_time_s=payload["wall_time_s"],
-                    )
-                    done += 1
-                    self._emit("completed", done, total, result)
-                    yield result
+            for _position, result in stream:
+                done += 1
+                self._emit("completed", done, total, result)
+                yield result
                 if self.cancel.cancelled:
                     self._emit("cancelled", done, total)
                     return
         finally:
             stream.close()
         self._emit("finished", done, total)
-
-    def map_batches(
-        self,
-        fn: Callable[[Any, Sequence[tuple[int, int, Any]]], list[dict[str, Any]]],
-        batches: Iterable[tuple[Any, Sequence[tuple[int, Any]]]],
-    ) -> Iterator[JobResult]:
-        """Run a batch-level function; stream *per-item* :class:`JobResult`.
-
-        Each element of ``batches`` is ``(context, jobs)``: an opaque
-        shared-setup context the batch function builds once per batch,
-        plus ``(index, item)`` pairs carrying every item's position in
-        the original *unbatched* sequence.  ``fn`` is called once per
-        batch as ``fn(context, triples)`` where the triples are the
-        ``(index, seed, item)`` shape of :func:`_run_chunk` -- the seed
-        is derived from the original index exactly as :meth:`map`
-        derives it, so grouping jobs into batches never moves a seed.
-        ``fn`` returns a list of payload dicts (``index``, ``seed``,
-        ``value``/``error``, ``wall_time_s``); reuse :func:`_run_chunk`
-        for the per-item loop.  On a process backend ``fn``, contexts
-        and items must pickle.
-        """
-        work = []
-        for context, jobs in batches:
-            triples = tuple(
-                (index, derive_seed(self.seed, index), item)
-                for index, item in jobs
-            )
-            work.append((context, triples))
-        total = sum(len(triples) for _context, triples in work)
-        if self.cancel.cancelled:
-            self._emit("cancelled", 0, total)
-            return
-        stream = self.backend.map_unordered(
-            functools.partial(_run_batch, fn), work
-        )
-        yield from self._stream_payloads(stream, total)
 
     def submit_job(
         self,
@@ -495,13 +391,13 @@ class Runtime:
         """Submit one job; return a :class:`JobFuture` immediately.
 
         The job runs through the same worker-side shape as :meth:`map`
-        (``_run_chunk`` with a one-job chunk), so seeding and error
-        capture are identical -- ``index`` stands in for the position a
-        batch map would have assigned, and the seed derives from it.
+        (``_run_job``), so seeding and error capture are identical --
+        ``index`` stands in for the position :meth:`map` would have
+        assigned, and the seed derives from it.
         """
         seed = derive_seed(self.seed, index)
         future = self.backend.submit(
-            _run_chunk, fn, seeded, ((index, seed, item),), self.deadline_s
+            _run_job, fn, seeded, (index, seed, item), self.deadline_s
         )
         return JobFuture(future, index, seed)
 
@@ -511,11 +407,10 @@ class Runtime:
         items: Iterable[Any],
         *,
         seeded: bool = False,
-        chunksize: int = 1,
     ) -> list[JobResult]:
         """Like :meth:`map` but collected and ordered by job index."""
         return sorted(
-            self.map(fn, items, seeded=seeded, chunksize=chunksize),
+            self.map(fn, items, seeded=seeded),
             key=lambda result: result.index,
         )
 

@@ -10,9 +10,9 @@ invocation (the ``iter_campaign`` lifecycle):
   :class:`~repro.engine.campaign.VariantOutcome`, so any previously-run
   variant -- submitted by any client, before or after a daemon restart
   -- is served from cache instead of re-executed;
-* :mod:`repro.service.scheduler` -- the :class:`Scheduler`: shards
-  submissions into :class:`~repro.engine.batch.BatchPlan`-derived work
-  units across a worker pool with work-stealing between shards, tracks
+* :mod:`repro.service.scheduler` -- the :class:`Scheduler`: cuts
+  submissions into fixed-size work units, in input order, and shards
+  them across a worker pool with work-stealing between shards, tracks
   per-shard health (a repeatedly-failing shard is drained and benched
   until it recovers), and streams outcomes back per submission as they
   land;

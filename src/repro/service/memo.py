@@ -11,7 +11,7 @@ hashes exactly those three into one sha256 hex digest; the
 Consequences, by construction:
 
 * resubmitting any previously-run variant -- from any client, in any
-  order, inside any batch -- returns the cached outcome instantly;
+  order, inside any submission -- returns the cached outcome instantly;
 * a daemon killed mid-campaign resumes from its journal: completed
   variants are served from cache, only the remainder re-executes;
 * editing **any** ``repro`` source file changes
@@ -87,8 +87,8 @@ def variant_key(
     owning spec's factory/defaults/topology layers (so two registries
     binding the same variant id to different scenarios can never
     collide), the seed derives from ``seed_root`` and the variant id
-    (stable across submission order and batching), and the fingerprint
-    is :func:`code_fingerprint` unless pinned by the caller.
+    (stable across submission order), and the fingerprint is
+    :func:`code_fingerprint` unless pinned by the caller.
 
     Raises:
         ValidationError: when the variant's scenario is not registered

@@ -2,12 +2,11 @@
 
 A :class:`Scheduler` owns a small pool of worker threads and a fixed
 number of **shards** (independent work deques).  Each accepted
-:class:`Submission` is split into :class:`~repro.engine.batch.BatchPlan`
--derived work units (same-``(scenario, family)`` variants stay together,
-preserving the batching locality PR 6 built) which are dealt round-robin
-across the shards; every worker drains its home shard first and
-**steals** from the richest other shard when home runs dry, so one huge
-submission cannot starve a small one that landed on another shard.
+:class:`Submission` is split, in input order, into work units of
+``unit_size`` variants, which are dealt round-robin across the shards;
+every worker drains its home shard first and **steals** from the
+richest other shard when home runs dry, so one huge submission cannot
+starve a small one that landed on another shard.
 
 Results stream: each executed (or memo-served) variant is pushed onto
 its submission's event queue the moment it lands, so the daemon can
@@ -41,7 +40,6 @@ import threading
 import time
 from typing import Any, Iterable, Sequence
 
-from repro.engine.batch import BatchPlan
 from repro.engine.campaign import (
     CAMPAIGN_TRACE_MODE,
     CampaignConfig,
@@ -165,9 +163,8 @@ class Scheduler:
             consulted before and fed after every execution.
         shards: Number of independent work deques (>= 1).
         workers: Worker threads (default: one per shard).
-        unit_size: Variants per stealable work unit; units are carved
-            from :class:`~repro.engine.batch.BatchPlan` batches so
-            same-family locality survives the split.
+        unit_size: Variants per stealable work unit; a submission is
+            cut into consecutive units of this size, in input order.
         registry: Scenario registry variants resolve against.
         trace_mode: Trace mode every execution runs under.
         cancel: Scheduler-wide cancellation token; each submission gets
@@ -261,11 +258,11 @@ class Scheduler:
         if not variant_list:
             submission._finish()
             return submission
-        units: list[tuple[Submission, tuple[tuple[int, VariantSpec], ...]]] = []
-        for batch in BatchPlan.plan(variant_list, self.unit_size):
-            jobs = tuple(batch.jobs())
-            for start in range(0, len(jobs), self.unit_size):
-                units.append((submission, jobs[start : start + self.unit_size]))
+        jobs = tuple(enumerate(variant_list))
+        units = [
+            (submission, jobs[start : start + self.unit_size])
+            for start in range(0, len(jobs), self.unit_size)
+        ]
         with self._cond:
             healthy = [
                 i for i in range(self.shards) if i not in self._unhealthy

@@ -65,7 +65,6 @@ from repro.sim.crypto import (
     canonical_payload,
     compute_mac,
     derive_key,
-    shared_mac_memo,
     verify_mac,
 )
 from repro.sim.ecu import Ecu, Gateway
@@ -86,7 +85,6 @@ from repro.sim.network import (
     Message,
     PropagationModel,
     Receiver,
-    shared_message_memo,
 )
 from repro.sim.scenarios import (
     CONTROL_AUTH,
@@ -220,7 +218,5 @@ __all__ = [
     "linkability",
     "make_frame",
     "numpy_enabled",
-    "shared_mac_memo",
-    "shared_message_memo",
     "verify_mac",
 ]

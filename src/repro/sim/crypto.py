@@ -13,65 +13,17 @@ Nothing here is security advice; it is a simulation substrate.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import hashlib
 import hmac
-import threading
 
 from repro.errors import SimulationError
 
-# Batch-scoped HMAC memo (see shared_mac_memo).  Thread-local so batches
-# running on a thread backend never share mutable state across workers.
-# Sized so a whole family batch fits: flood variants sign ~12.5k distinct
-# (key, payload) pairs each, and exposed/protected twins replay the same
-# attacker schedule, so a limit above one variant's footprint turns the
-# second variant's signing pass into pure dict hits.
-_MEMO_STATE = threading.local()
-_MEMO_LIMIT = 65536
-
-
-@contextlib.contextmanager
-def shared_mac_memo():
-    """Activate a shared ``(key, payload) -> tag`` memo for this thread.
-
-    HMAC-SHA256 is a pure function, so memoising it is semantically
-    transparent; what the context manager adds over the per-``Message``
-    caches in :mod:`repro.sim.network` is *cross-variant* reuse: a batch
-    of variants from one scenario family re-signs and re-verifies the
-    same canonical payloads with the same provisioned keys, and the memo
-    lets the whole batch pay for each distinct digest once.
-
-    Scoped (rather than a module global) so that unbatched runs keep the
-    exact PR-5 cost profile and serial-vs-batched benchmarks stay honest.
-    Nesting reuses the outer memo.
-    """
-    previous = getattr(_MEMO_STATE, "memo", None)
-    memo = {} if previous is None else previous
-    _MEMO_STATE.memo = memo
-    try:
-        yield memo
-    finally:
-        _MEMO_STATE.memo = previous
-
 
 def compute_mac(key: bytes, payload: bytes) -> str:
-    """HMAC-SHA256 tag (hex) over ``payload`` with ``key``.
-
-    Inside a :func:`shared_mac_memo` scope, distinct ``(key, payload)``
-    pairs are digested once and replayed from the memo thereafter.
-    """
-    memo = getattr(_MEMO_STATE, "memo", None)
-    if memo is None:
-        return hmac.digest(key, payload, "sha256").hex()
-    token = (key, payload)
-    tag = memo.get(token)
-    if tag is None:
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        tag = memo[token] = hmac.digest(key, payload, "sha256").hex()
-    return tag
+    """HMAC-SHA256 tag (hex) over ``payload`` with ``key``."""
+    return hmac.digest(key, payload, "sha256").hex()
 
 
 def verify_mac(key: bytes, payload: bytes, tag: str) -> bool:
@@ -93,7 +45,7 @@ def derive_key(identity: str) -> bytes:
 
     Pure sha256 over the identity string, so the cache is safe to share
     process-wide: every :class:`KeyStore` derives the same bytes for the
-    same identity.  Campaign batches re-provision the same handful of
+    same identity.  A campaign re-provisions the same handful of
     identities ("rsu", "av", fleet vehicle names) per variant; caching
     the digest makes provisioning a dict lookup after the first variant.
     """
@@ -199,6 +151,5 @@ __all__ = [
     "canonical_payload",
     "compute_mac",
     "derive_key",
-    "shared_mac_memo",
     "verify_mac",
 ]

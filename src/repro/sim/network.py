@@ -18,11 +18,9 @@ verification and freshness checks.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import itertools
-import threading
 from collections import deque
 from typing import (
     Any,
@@ -37,39 +35,6 @@ from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.crypto import KeyStore, compute_mac, verify_mac
 from repro.sim.events import EventBus
-
-# Batch-scoped signed-message memo (see shared_message_memo).  Thread-
-# local for the same reason as crypto._MEMO_STATE: thread-backend
-# workers must never share mutable state.
-_MESSAGE_MEMO_STATE = threading.local()
-_MESSAGE_MEMO_LIMIT = 65536
-
-
-@contextlib.contextmanager
-def shared_message_memo():
-    """Activate cross-variant reuse of honestly signed messages.
-
-    Variants of one scenario family replay identical deterministic
-    traffic: the same senders sign the same (kind, counter, timestamp,
-    payload) tuples with the same derived keys -- a flooding attacker's
-    whole schedule is repeated verbatim by its exposed/protected twin.
-    Inside this scope :meth:`Message.create_signed` returns the *same
-    frozen instance* for a repeated signature request, skipping payload
-    canonicalisation, the HMAC, and dataclass construction.
-
-    Sharing an instance is safe for the same reason broadcasts are: a
-    ``Message`` is frozen, its payload is immutable by contract, and its
-    per-instance caches memoise pure functions of those fields.  Scoped
-    to :func:`repro.engine.batch.execute_batch` so unbatched runs keep
-    their exact cost profile.  Nesting reuses the outer memo.
-    """
-    previous = getattr(_MESSAGE_MEMO_STATE, "memo", None)
-    memo = {} if previous is None else previous
-    _MESSAGE_MEMO_STATE.memo = memo
-    try:
-        yield memo
-    finally:
-        _MESSAGE_MEMO_STATE.memo = previous
 
 
 def _signing_payload(
@@ -223,30 +188,8 @@ class Message:
         caches pre-seeded.  Consumes exactly one ``unique_id`` -- the
         same as the two-step spelling, whose ``signed()`` copy carries
         the throwaway original's id.
-
-        Inside a :func:`shared_message_memo` scope, a repeated request
-        (same fields, same key) returns the previously built instance.
         """
         key = keystore.key_of(sender)
-        memo = getattr(_MESSAGE_MEMO_STATE, "memo", None)
-        token = None
-        if memo is not None:
-            try:
-                token = (
-                    kind,
-                    sender,
-                    counter,
-                    timestamp,
-                    location,
-                    key,
-                    tuple(sorted(payload.items())),
-                )
-                cached = memo.get(token)
-            except TypeError:  # unhashable payload value: not memoisable
-                memo = None
-            else:
-                if cached is not None:
-                    return cached
         signing = _signing_payload(kind, sender, counter, timestamp, payload)
         message = cls(
             kind=kind,
@@ -259,10 +202,6 @@ class Message:
         )
         object.__setattr__(message, "_signing_cache", signing)
         object.__setattr__(message, "_mac_cache", {key: True})
-        if memo is not None and token is not None:
-            if len(memo) >= _MESSAGE_MEMO_LIMIT:
-                memo.clear()
-            memo[token] = message
         return message
 
     def with_timestamp(self, time: float) -> "Message":
@@ -578,5 +517,4 @@ __all__ = [
     "Message",
     "PropagationModel",
     "Receiver",
-    "shared_message_memo",
 ]

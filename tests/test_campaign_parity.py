@@ -8,9 +8,12 @@ variants (``fleet`` / ``coverage`` / ``attacker-position`` families)
 before the hot-path overhaul of the clock/bus/crypto core (PR 5).
 
 The campaign below runs with the runner's defaults -- including the lean
-``counts`` trace mode -- so this test simultaneously gates (a) the
-substrate rewrite (tuple-heap clock, indexed bus, MAC memoisation) and
-(b) the claim that trace retention is verdict-neutral.
+``counts`` trace mode -- on the one campaign execution path (one variant
+per task), so this test simultaneously gates (a) the substrate rewrite
+(tuple-heap clock, indexed bus, per-message MAC memoisation) and (b) the
+claim that trace retention is verdict-neutral.  Backend parity of the
+same path is gated on cheaper subsets in
+``tests/test_runtime_campaign.py``.
 """
 
 import json
@@ -20,7 +23,6 @@ import pytest
 
 from repro.engine.campaign import run_campaign
 from repro.engine.registry import default_registry
-from repro.runtime import BatchedBackend, SerialBackend
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
 
@@ -65,33 +67,5 @@ class TestGoldenParity:
                 }
         assert not mismatches, (
             f"{len(mismatches)} variant(s) changed behaviour: {mismatches}"
-        )
-        assert result.total == len(golden)
-
-    @pytest.mark.slow
-    def test_all_verdicts_identical_batched(self, golden):
-        """The family-batching tier (PR 6) reproduces every golden
-        verdict over the full registry: shared-setup amortisation and
-        the batch-scoped MAC memo are verdict-neutral.
-
-        The full sweep runs once at a mid-size batch; exhaustive
-        batch-size coverage (1 through oversize, thread and process
-        inners, fork and spawn) runs on cheaper variant subsets in
-        ``tests/test_engine_batch.py``."""
-        backend = BatchedBackend(SerialBackend(), batch_size=8)
-        result = run_campaign(all_variants(), backend=backend)
-        assert result.backend == "batched-serial"
-        mismatches = {}
-        for outcome in result.outcomes:
-            expected_verdict, expected_goals = golden[outcome.variant_id]
-            actual = (outcome.verdict, list(outcome.violated_goals))
-            if actual != (expected_verdict, expected_goals):
-                mismatches[outcome.variant_id] = {
-                    "expected": (expected_verdict, expected_goals),
-                    "actual": actual,
-                }
-        assert not mismatches, (
-            f"{len(mismatches)} variant(s) changed under batching: "
-            f"{mismatches}"
         )
         assert result.total == len(golden)

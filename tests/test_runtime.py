@@ -150,16 +150,6 @@ class TestRuntimeSemantics:
         ]
         assert all(r.ok and r.wall_time_s >= 0 for r in results)
 
-    @pytest.mark.parametrize("chunksize", (1, 2, 5))
-    def test_chunking_preserves_results(self, chunksize):
-        with Runtime(ThreadBackend(jobs=2)) as runtime:
-            results = runtime.run(_square, range(9), chunksize=chunksize)
-        assert [r.value for r in results] == [v * v for v in range(9)]
-
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ValidationError, match="chunksize"):
-            list(Runtime().map(_square, [1], chunksize=0))
-
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_errors_are_captured_not_raised(self, name):
         with Runtime(_backend(name)) as runtime:
@@ -171,6 +161,26 @@ class TestRuntimeSemantics:
         assert "ValueError" in failed.error.traceback
         with pytest.raises(ExecutionError, match="poisoned"):
             failed.unwrap()
+
+    @pytest.mark.parametrize("jobs", (1, 2, 5))
+    def test_pool_size_does_not_change_results(self, jobs):
+        """Each item is one task, so the pool size moves no index, seed
+        or value."""
+        with Runtime(ThreadBackend(jobs=jobs), seed=3) as runtime:
+            results = runtime.run(_echo_seed, range(9), seeded=True)
+        assert [r.index for r in results] == list(range(9))
+        assert [r.value for r in results] == [
+            (value, derive_seed(3, value)) for value in range(9)
+        ]
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_empty_input_runs_no_job(self, name):
+        events = []
+        with Runtime(_backend(name), on_event=events.append) as runtime:
+            assert runtime.run(_square, []) == []
+        assert [(e.kind, e.done, e.total) for e in events] == [
+            ("finished", 0, 0)
+        ]
 
     def test_progress_events_sequence(self):
         events = []

@@ -8,6 +8,8 @@ tagged error records (or as
 mid-campaign cancellation.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.engine.campaign import (
@@ -16,11 +18,10 @@ from repro.engine.campaign import (
     run_campaign,
 )
 from repro.engine.registry import default_registry
-from repro.engine.spec import VariantSpec
+from repro.engine.spec import VariantSpec, freeze_params
 from repro.errors import ValidationError, VariantExecutionError
 from repro.results import ResultSink
 from repro.runtime import (
-    BatchedBackend,
     CancelToken,
     ProcessBackend,
     SerialBackend,
@@ -49,6 +50,39 @@ def _fingerprint(result):
         (o.variant_id, o.verdict, o.violated_goals, o.detections)
         for o in result.outcomes
     ]
+
+
+def _fleet_fingerprint(result):
+    """:func:`_fingerprint` plus each outcome's per-vehicle verdicts."""
+    return [
+        fingerprint + (outcome.stats["per_vehicle_verdicts"],)
+        for fingerprint, outcome in zip(_fingerprint(result), result.outcomes)
+    ]
+
+
+def _large_convoys(size):
+    """The n=8 fleet baseline and jam variants, tail grown to ``size``
+    vehicles with the zone, RSU and road shifted ahead of the lead."""
+    lead_m = (size - 1) * 40.0
+    geometry = {
+        "fleet_size": size,
+        "zone_start_m": lead_m + 600.0,
+        "zone_end_m": lead_m + 700.0,
+        "rsu_position_m": lead_m + 399.0,
+        "road_length_m": lead_m + 3000.0,
+    }
+    variants = [
+        dataclasses.replace(
+            variant,
+            variant_id=f"{variant.variant_id}@n{size}",
+            params=freeze_params({**variant.params_dict(), **geometry}),
+        )
+        for variant in default_registry().variants(family="fleet")
+        if variant.params_dict()["fleet_size"] == 8
+        and variant.attack in (None, "jam")
+    ]
+    assert len(variants) == 2
+    return variants
 
 
 class TestBackendParity:
@@ -81,24 +115,21 @@ class TestBackendParity:
             for variant in default_registry().variants(family="fleet")
             if variant.params_dict()["fleet_size"] in (2, 4, 8)
         ]
-
-        def fleet_fingerprint(result):
-            return [
-                fingerprint + (outcome.stats["per_vehicle_verdicts"],)
-                for fingerprint, outcome in zip(
-                    _fingerprint(result), result.outcomes
-                )
-            ]
-
-        serial = fleet_fingerprint(run_campaign(variants, backend="serial"))
-        for backend in (
-            ThreadBackend(jobs=2),
-            ProcessBackend(jobs=2),
-            BatchedBackend(ProcessBackend(jobs=2), batch_size=2),
-        ):
+        serial = _fleet_fingerprint(run_campaign(variants, backend="serial"))
+        for backend in (ThreadBackend(jobs=2), ProcessBackend(jobs=2)):
             with backend:
                 result = run_campaign(variants, backend=backend)
-            assert fleet_fingerprint(result) == serial, backend.name
+            assert _fleet_fingerprint(result) == serial, backend.name
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_large_convoys_match_serial_on_process(self, size):
+        """Large convoys keep every per-vehicle verdict across the
+        pickle boundary."""
+        variants = _large_convoys(size)
+        serial = run_campaign(variants, backend=SerialBackend())
+        with ProcessBackend(jobs=2) as backend:
+            parallel = run_campaign(variants, backend=backend)
+        assert _fleet_fingerprint(parallel) == _fleet_fingerprint(serial)
 
     @pytest.mark.parametrize("method", available_start_methods())
     def test_process_parity_under_every_start_method(self, method):

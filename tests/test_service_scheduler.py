@@ -108,6 +108,71 @@ class TestScheduling:
         assert status["stolen_units"] > 0
         assert status["executed"] == 8
 
+    def test_units_are_cut_in_input_order(self):
+        """8 variants from three interleaved families make 3 units of at
+        most 3 (grouping by family would make 4); every index is
+        delivered exactly once."""
+        registry = default_registry()
+        uc1 = registry.variants(
+            scenario="uc1-construction-site", family="zone-geometry"
+        )[:4]
+        uc2 = registry.variants(
+            scenario="uc2-keyless-entry", family="zone-geometry"
+        )[:3]
+        (baseline,) = registry.variants(
+            scenario="uc2-keyless-entry", family="baseline"
+        )
+        variants = [uc1[0], uc2[0], uc1[1], uc2[1], uc1[2], uc2[2], uc1[3]]
+        variants.append(baseline)
+        memo = _GateMemo()
+        scheduler = Scheduler(memo, shards=1, workers=1, unit_size=3)
+        try:
+            submission = scheduler.submit(variants)
+            # The worker holds the first unit; the other two stay queued.
+            assert memo.entered.wait(timeout=10.0)
+            assert scheduler.status()["queued_units"] == 2
+            memo.gate.set()
+            assert submission.wait(timeout=60.0)
+            indices = [
+                index
+                for kind, index, _payload in submission.events()
+                if kind == "outcome"
+            ]
+            assert sorted(indices) == list(range(8))
+            assert scheduler.status()["executed"] == 8
+        finally:
+            memo.gate.set()
+            scheduler.shutdown()
+
+    @pytest.mark.parametrize(
+        "unit_size, units", [(1, 8), (2, 4), (3, 3), (7, 2), (100, 1)]
+    )
+    def test_every_unit_size_delivers_each_index_once(self, unit_size, units):
+        """8 variants make ceil(8 / unit_size) units; the worker holds
+        the first one, the rest stay queued until it is released."""
+        variants = _variants(8)
+        memo = _GateMemo()
+        scheduler = Scheduler(memo, shards=1, workers=1, unit_size=unit_size)
+        try:
+            submission = scheduler.submit(variants)
+            assert memo.entered.wait(timeout=10.0)
+            assert scheduler.status()["queued_units"] == units - 1
+            memo.gate.set()
+            assert submission.wait(timeout=60.0)
+            delivered = [
+                (index, payload.variant_id)
+                for kind, index, payload in submission.events()
+                if kind == "outcome"
+            ]
+            assert sorted(delivered) == [
+                (index, variant.variant_id)
+                for index, variant in enumerate(variants)
+            ]
+            assert scheduler.status()["executed"] == 8
+        finally:
+            memo.gate.set()
+            scheduler.shutdown()
+
     def test_status_reports_geometry_and_progress(self):
         with Scheduler(shards=3, workers=2) as scheduler:
             submission = scheduler.submit(_variants(3))
