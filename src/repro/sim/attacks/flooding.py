@@ -99,8 +99,9 @@ class FloodingAttack(AttackInjector):
     def _send_one(self) -> None:
         self._counter += 1
         # Timestamp at construction: one Message build per flood packet
-        # (create_signed constructs the signed instance directly) on the
-        # hottest send path.
+        # on the hottest send path.  create_signed records the key and
+        # defers the HMAC to the first read of auth_tag, which an admit
+        # on the signer's own key never makes.
         if self.authenticated:
             assert self._keystore is not None
             message = Message.create_signed(

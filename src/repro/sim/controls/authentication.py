@@ -35,7 +35,7 @@ class SenderAuthentication(SecurityControl):
             return Decision.denied(
                 self.name, f"unknown sender {message.sender!r}"
             )
-        if not message.auth_tag:
+        if not message.has_auth_tag():
             return Decision.denied(
                 self.name, f"unauthenticated message from {message.sender!r}"
             )

@@ -34,6 +34,9 @@ def verify_mac(key: bytes, payload: bytes, tag: str) -> bool:
     :meth:`repro.sim.network.Message.mac_verified`, which memoises the
     verdict per ``(message instance, key)`` -- safe because messages are
     frozen, and a tampered replica is a fresh instance with cold caches.
+    A signed message's memo starts with its signer's key, so an honest
+    receiver reaches this function (and the message computes its lazy
+    tag) only for some other key.
     """
     expected = compute_mac(key, payload)
     return hmac.compare_digest(expected, tag)

@@ -61,6 +61,28 @@ def _signing_payload(
     return "|".join(parts).encode("utf-8")
 
 
+#: Source of :attr:`Message.unique_id`; :meth:`Message._sign` bypasses
+#: ``__init__`` and draws from it directly.
+_next_unique_id = itertools.count(1).__next__
+
+
+class _LazyTag:
+    """Non-data descriptor behind :attr:`Message.auth_tag`.
+
+    ``__init__`` stores the tag in the instance ``__dict__``, which
+    shadows this descriptor; only messages from :meth:`Message._sign`
+    reach it, on their first read, which computes the tag once and
+    stores it on the instance.
+    """
+
+    def __get__(self, message: "Message | None", owner: type) -> str:
+        if message is None:
+            return ""  # the dataclass field default
+        tag = compute_mac(message._signer_key, message.signing_bytes())
+        vars(message)["auth_tag"] = tag
+        return tag
+
+
 @dataclasses.dataclass(frozen=True)
 class Message:
     """One message on a channel.
@@ -73,7 +95,9 @@ class Message:
         counter: Per-sender message counter (monotonic for honest senders).
         timestamp: Send time in ms (stamped by the channel when unset).
         auth_tag: HMAC over (kind, sender, counter, timestamp, payload);
-            empty for unauthenticated messages.
+            empty for unauthenticated messages.  Signed messages compute
+            it on first read (see :meth:`has_auth_tag` for a presence
+            check that does not).
         location: Logical origin location (used by plausibility checks on
             replayed warnings "from other locations").
         unique_id: Globally unique message id, assigned at construction.
@@ -84,25 +108,25 @@ class Message:
     payload: dict[str, Any]
     counter: int = 0
     timestamp: float = -1.0
-    auth_tag: str = ""
+    auth_tag: str = _LazyTag()  # type: ignore[assignment]
     location: str = ""
-    unique_id: int = dataclasses.field(
-        default_factory=itertools.count(1).__next__
-    )
+    unique_id: int = dataclasses.field(default_factory=_next_unique_id)
 
     # Per-instance caches (class-attribute fallbacks; instances override
-    # via object.__setattr__).  Safe because a Message is frozen and its
+    # via their ``__dict__``).  Safe because a Message is frozen and its
     # payload is treated as immutable everywhere (attacks copy before
-    # mutating): the signing bytes and any MAC verdict over them can
-    # never change for a given instance.  ``dataclasses.replace`` builds
-    # a *new* instance from fields only, so tampered/re-signed copies --
-    # which share ``unique_id`` and possibly ``auth_tag`` with their
-    # original -- start with cold caches and re-verify honestly.  (That
-    # is also why the memo is per-instance rather than keyed on
-    # ``(key, unique_id, tag)`` globally: a tampered replica would hit a
-    # stale global entry.)
+    # mutating): the signing bytes, the tag and any MAC verdict over
+    # them can never change for a given instance.  A signed message
+    # holds its signer's key and builds the bytes and tag on first
+    # read.  ``dataclasses.replace`` reads every field (forcing the tag)
+    # and builds a *new* instance, so tampered copies -- which share
+    # ``unique_id`` and ``auth_tag`` with their original -- start with
+    # cold caches and re-verify honestly.  (That is also why the memo is
+    # per-instance rather than keyed on ``(key, unique_id, tag)``
+    # globally: a tampered replica would hit a stale global entry.)
     _signing_cache: ClassVar[bytes | None] = None
     _mac_cache: ClassVar[dict | None] = None
+    _signer_key: ClassVar[bytes | None] = None
 
     def signing_bytes(self) -> bytes:
         """The byte string the auth tag covers (computed once per
@@ -117,13 +141,24 @@ class Message:
             object.__setattr__(self, "_signing_cache", cached)
         return cached
 
+    def has_auth_tag(self) -> bool:
+        """Whether the message carries an auth tag, without computing it.
+
+        The presence check of the authentication controls: reading
+        ``not message.auth_tag`` would force a signed message's lazy
+        HMAC on every admit.
+        """
+        return self._signer_key is not None or bool(self.auth_tag)
+
     def mac_verified(self, key: bytes) -> bool:
         """Whether :attr:`auth_tag` verifies under ``key`` (memoised).
 
         One fleet broadcast reaches N on-board units, each running the
         same HMAC verification over the same bytes; the verdict is
         cached per ``key`` on the message instance so the work happens
-        once per broadcast instead of once per receiver.
+        once per broadcast instead of once per receiver.  A signed
+        message answers for its signer's key from the memo seeded at
+        signing, without ever computing its tag.
         """
         cache = self._mac_cache
         if cache is None:
@@ -135,38 +170,51 @@ class Message:
             cache[key] = verdict
         return verdict
 
+    @classmethod
+    def _sign(
+        cls, key: bytes, kind: str, sender: str, payload: dict[str, Any],
+        counter: int, timestamp: float, location: str, unique_id: int,
+    ) -> "Message":
+        """The one signing constructor: a message tagged under ``key``.
+
+        The tag is computed on first read of :attr:`auth_tag`.  The
+        verdict memo is pre-seeded with ``{key: True}`` (HMAC is
+        deterministic), so receivers of an honestly signed message never
+        redo the signer's work; any *other* key, and any tampered
+        replica (a new instance), still verifies from scratch.
+
+        Fills the instance dict directly: the frozen ``__init__`` costs
+        one ``object.__setattr__`` per field on the per-packet flood
+        path, and would store the ``auth_tag`` left to :class:`_LazyTag`.
+        """
+        message = object.__new__(cls)
+        vars(message).update(
+            kind=kind,
+            sender=sender,
+            payload=payload,
+            counter=counter,
+            timestamp=timestamp,
+            location=location,
+            unique_id=unique_id,
+            _signer_key=key,
+            _mac_cache={key: True},
+        )
+        return message
+
     def signed(self, keystore: KeyStore) -> "Message":
         """Return a copy carrying a valid auth tag for ``sender``.
 
         The sender must be provisioned in ``keystore``; honest components
         sign everything they send, attackers can only sign with identities
-        they actually control.
-
-        The copy's caches are pre-seeded: its signing bytes are the ones
-        just signed (``auth_tag`` is not part of them), and the fresh tag
-        verifies under ``key`` by construction (HMAC is deterministic),
-        so receivers of an honestly signed message never redo the
-        signer's work.  Any *other* key -- and any tampered replica,
-        which is a new instance -- still verifies from scratch.
+        they actually control.  The copy carries ``unique_id`` over, as
+        ``dataclasses.replace`` would, and computes its tag on first
+        read (see :meth:`_sign`).
         """
-        key = keystore.key_of(self.sender)
-        signing = self.signing_bytes()
-        # Direct construction (not dataclasses.replace): replace() walks
-        # every field through getattr, and signing sits on the per-send
-        # hot path.  unique_id is carried over, exactly as replace does.
-        copy = Message(
-            kind=self.kind,
-            sender=self.sender,
-            payload=self.payload,
-            counter=self.counter,
-            timestamp=self.timestamp,
-            auth_tag=compute_mac(key, signing),
-            location=self.location,
-            unique_id=self.unique_id,
+        return self._sign(
+            keystore.key_of(self.sender), self.kind, self.sender,
+            self.payload, self.counter, self.timestamp, self.location,
+            self.unique_id,
         )
-        object.__setattr__(copy, "_signing_cache", signing)
-        object.__setattr__(copy, "_mac_cache", {key: True})
-        return copy
 
     @classmethod
     def create_signed(
@@ -180,29 +228,17 @@ class Message:
         timestamp: float = -1.0,
         location: str = "",
     ) -> "Message":
-        """Construct a message already carrying a valid auth tag.
+        """Construct a message carrying a valid auth tag for ``sender``.
 
-        Equivalent to ``Message(...).signed(keystore)`` but with a single
-        construction: the signing bytes are built from the raw fields,
-        the tag is computed, and the one instance is created with both
-        caches pre-seeded.  Consumes exactly one ``unique_id`` -- the
-        same as the two-step spelling, whose ``signed()`` copy carries
-        the throwaway original's id.
+        Equivalent to ``Message(...).signed(keystore)`` with a single
+        construction; consumes exactly one ``unique_id``, the same as
+        the two-step spelling, whose ``signed()`` copy carries the
+        throwaway original's id.
         """
-        key = keystore.key_of(sender)
-        signing = _signing_payload(kind, sender, counter, timestamp, payload)
-        message = cls(
-            kind=kind,
-            sender=sender,
-            payload=payload,
-            counter=counter,
-            timestamp=timestamp,
-            auth_tag=compute_mac(key, signing),
-            location=location,
+        return cls._sign(
+            keystore.key_of(sender), kind, sender, payload, counter,
+            timestamp, location, _next_unique_id(),
         )
-        object.__setattr__(message, "_signing_cache", signing)
-        object.__setattr__(message, "_mac_cache", {key: True})
-        return message
 
     def with_timestamp(self, time: float) -> "Message":
         """Copy with ``timestamp`` set (tag untouched -- stamp first, then sign)."""

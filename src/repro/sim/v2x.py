@@ -62,7 +62,8 @@ class RoadsideUnit:
     def _send(self, kind: str, payload: dict) -> Message:
         self._counter += 1
         # Timestamp at construction and create_signed (not construct +
-        # signed copy) -- one Message build per periodic broadcast.
+        # signed copy) -- one Message build per periodic broadcast, its
+        # tag computed only if something reads it.
         message = Message.create_signed(
             self._keystore,
             kind=kind,
@@ -160,7 +161,7 @@ class V2VRelay:
 
     def _authentic(self, message: Message) -> bool:
         """True when the message's tag verifies for its claimed sender."""
-        if not message.auth_tag or not self._keystore.is_provisioned(
+        if not message.has_auth_tag() or not self._keystore.is_provisioned(
             message.sender
         ):
             return False

@@ -7,7 +7,9 @@ trace-mode verdict neutrality, and the safety of the per-instance MAC
 memo against tampered replicas.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.crypto import KeyStore
+from repro.sim.crypto import KeyStore, compute_mac
 from repro.sim.events import TRACE_COUNTS, TRACE_FULL, EventBus, TopicProbe
 from repro.sim.network import Message
+from repro.tara.fuzzing import MessageFuzzer
 
 
 class TestClockHotPath:
@@ -284,6 +287,145 @@ class TestMacMemoSafety:
         signed = message.signed(keystore)
         assert signed.signing_bytes() == unsigned_bytes
         assert signed.signing_bytes() is signed.signing_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.text(max_size=12),
+        sender=st.text(min_size=1, max_size=12),
+        counter=st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
+        timestamp=st.floats(allow_nan=False),
+        payload=st.dictionaries(
+            st.text(max_size=8),
+            st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False) | st.text(max_size=8),
+            max_size=4,
+        ),
+    )
+    def test_lazy_tag_equals_eager_tag(
+        self, kind, sender, counter, timestamp, payload
+    ):
+        keystore = KeyStore()
+        key = keystore.provision(sender)
+        fields = dict(
+            kind=kind, sender=sender, payload=payload, counter=counter,
+            timestamp=timestamp,
+        )
+        lazy = Message.create_signed(keystore, **fields)
+        eager = compute_mac(key, Message(**fields).signing_bytes())
+        # Built without __init__: every field but the tag is set, and
+        # nothing has read the tag yet.
+        assert set(vars(lazy)) >= {
+            field.name for field in dataclasses.fields(Message)
+        } - {"auth_tag"}
+        assert "auth_tag" not in vars(lazy)
+        assert lazy.auth_tag == compute_mac(key, lazy.signing_bytes())
+        assert lazy.auth_tag == eager
+        assert Message(**fields).signed(keystore).auth_tag == eager
+
+    def test_every_read_path_carries_the_real_tag(self):
+        keystore = KeyStore()
+        key = keystore.provision("RSU")
+
+        def fresh():
+            return Message.create_signed(
+                keystore, kind="k", sender="RSU", payload={"a": 1},
+                counter=2, timestamp=4.0, location="site-A",
+            )
+
+        message = fresh()
+        tag = compute_mac(key, message.signing_bytes())
+        assert f"auth_tag={tag!r}" in repr(fresh())
+        assert dataclasses.replace(fresh(), location="x").auth_tag == tag
+        assert fresh().with_timestamp(9.0).auth_tag == tag
+        assert copy.copy(fresh()).auth_tag == tag
+        assert pickle.loads(pickle.dumps(fresh())).auth_tag == tag
+        eager = Message(
+            kind="k", sender="RSU", payload={"a": 1}, counter=2,
+            timestamp=4.0, auth_tag=tag, location="site-A",
+            unique_id=message.unique_id,
+        )
+        assert message == eager and eager == message
+        assert message.auth_tag == tag
+        mutants = {
+            case.operator: case.message
+            for case in MessageFuzzer().mutate(fresh())
+        }
+        assert mutants["counter_jump"].auth_tag == tag
+        corrupted = mutants["corrupt_mac"].auth_tag
+        assert corrupted != tag and corrupted[1:] == tag[1:]
+
+    def test_tampered_replica_of_unread_message_fails(self):
+        """replace() of a never-read signed message forces the tag on
+        the original; the replica shares it and still fails."""
+        keystore = KeyStore()
+        key = keystore.provision("RSU")
+        original = Message.create_signed(
+            keystore, kind="road_works_warning", sender="RSU",
+            payload={"zone_start_m": 1500.0}, counter=1, timestamp=10.0,
+        )
+        assert original.has_auth_tag() and "auth_tag" not in vars(original)
+        tampered = dataclasses.replace(
+            original, payload={"zone_start_m": 0.0}
+        )
+        assert tampered.unique_id == original.unique_id
+        assert tampered.auth_tag == original.auth_tag
+        assert tampered.has_auth_tag()
+        assert not tampered.mac_verified(key)
+        assert original.mac_verified(key)
+
+    def test_tag_presence_check_does_not_compute_the_tag(self):
+        keystore = KeyStore()
+        key = keystore.provision("RSU")
+        message = Message(
+            kind="k", sender="RSU", payload={}, counter=1, timestamp=1.0
+        )
+        assert not message.has_auth_tag()
+        signed = message.signed(keystore)
+        assert signed.has_auth_tag() and signed.mac_verified(key)
+        assert "auth_tag" not in vars(signed)
+        assert signed.unique_id == message.unique_id
+
+
+class TestFloodTagWork:
+    """Deterministic work counter: an authenticated flood admitted on
+    its signer's key computes no auth tag per packet."""
+
+    def test_tags_computed_do_not_grow_with_flood_length(self, monkeypatch):
+        from repro.engine.campaign import execute_variant
+        from repro.engine.registry import default_registry
+        from repro.sim import network
+
+        registry = default_registry()
+        (ad20,) = (
+            variant for variant in registry.variants()
+            if variant.variant_id == "uc1/parity/ad20"
+        )
+        macs = []
+        signs = []
+        compute = network.compute_mac
+        create_signed = network.Message.create_signed
+        monkeypatch.setattr(
+            network, "compute_mac",
+            lambda key, payload: macs.append(1) or compute(key, payload),
+        )
+        monkeypatch.setattr(
+            network.Message, "create_signed",
+            classmethod(
+                lambda cls, *args, **kwargs: signs.append(1)
+                or create_signed(*args, **kwargs)
+            ),
+        )
+        counts = []
+        for duration_ms in (1000.0, 3000.0):
+            macs.clear()
+            signs.clear()
+            execute_variant(
+                dataclasses.replace(ad20, duration_ms=duration_ms), registry
+            )
+            counts.append((len(macs), len(signs)))
+        (short_macs, short_signs), (long_macs, long_signs) = counts
+        assert long_signs > 2 * short_signs > 0  # the flood did run longer
+        assert long_macs == short_macs
 
 
 class TestTraceModeVerdictNeutrality:
