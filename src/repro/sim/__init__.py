@@ -43,7 +43,7 @@ from repro.sim.ble import (
     Smartphone,
 )
 from repro.sim.can import CanBus, make_frame
-from repro.sim.clock import EventHandle, SimClock
+from repro.sim.clock import EventHandle, Lane, SimClock
 from repro.sim.controls import (
     ControlPipeline,
     Decision,
@@ -174,6 +174,7 @@ __all__ = [
     "KeyForgeryAttack",
     "KeyStore",
     "KeylessEntryScenario",
+    "Lane",
     "LocationConsistencyCheck",
     "Medium",
     "Message",

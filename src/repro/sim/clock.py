@@ -22,17 +22,24 @@ to the original dataclass-heap implementation:
   re-scanning the whole queue per access;
 * :meth:`SimClock.schedule_periodic` drives each repetition through one
   reusable ``__slots__`` object rather than allocating a fresh closure
-  pair per firing.
+  pair per firing;
+* a :class:`Lane` (:meth:`SimClock.lane`) queues a FIFO stream of items
+  for one callback -- message delivery, ECU service slots -- behind a
+  single heap entry for its head, so a flood's in-flight packets cost
+  three deque slots each instead of a heap tuple and a bound
+  ``partial``.
 
-Sequence numbers are consumed one per scheduled occurrence in the same
-program order as before, so tie-breaking (and therefore every verdict of
-the golden-parity harness) is preserved exactly.
+Sequence numbers are consumed one per scheduled occurrence (and one per
+lane push) in the same program order as before, so tie-breaking (and
+therefore every verdict of the golden-parity harness) is preserved
+exactly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 
@@ -108,6 +115,68 @@ class _PeriodicSchedule:
             self._clock._push(next_time, None, self)
 
 
+class Lane:
+    """A FIFO stream of items for one callback, behind one heap entry.
+
+    For callers whose event times never decrease (a channel's deliveries,
+    an ECU's service slots).  :meth:`push` reserves the clock's next
+    sequence number exactly as :meth:`SimClock.post` does; only the head
+    item sits on the clock heap, keyed ``(head_time, head_seq)``, and
+    the rest wait in a deque.  Items behind the head have keys no
+    smaller than the head's, so the global ``(time, sequence)`` order --
+    and :meth:`SimClock.run_until`'s count of one event per item -- is
+    the same as one ``post`` per item.
+    """
+
+    __slots__ = ("_clock", "_callback", "_items", "_tail")
+
+    def __init__(
+        self, clock: "SimClock", callback: Callable[[Any], None]
+    ) -> None:
+        self._clock = clock
+        self._callback = callback
+        # Flat (time, sequence, item) triples; allocated on first push
+        # so idle lanes cost nothing.
+        self._items: deque | None = None
+        self._tail = float("-inf")
+
+    def push(self, time: float, item: Any) -> None:
+        """Queue ``callback(item)`` at ``time``.
+
+        Raises:
+            SimulationError: when ``time`` is in the past or earlier
+                than the last push (lanes are FIFO).
+        """
+        clock = self._clock
+        if time < self._tail or time < clock.now:
+            raise SimulationError(
+                f"cannot push at {time} ms onto a lane whose tail is at "
+                f"{self._tail} ms; clock is at {clock.now} ms"
+            )
+        self._tail = time
+        sequence = clock._sequence
+        clock._sequence = sequence + 1
+        clock._pending += 1
+        items = self._items
+        if items is None:
+            items = self._items = deque()
+        if not items:
+            heappush(clock._queue, (time, sequence, None, self))
+        items.append(time)
+        items.append(sequence)
+        items.append(item)
+
+    def __call__(self) -> None:
+        items = self._items
+        popleft = items.popleft
+        popleft()
+        popleft()
+        item = popleft()
+        if items:
+            heappush(self._clock._queue, (items[0], items[1], None, self))
+        self._callback(item)
+
+
 class SimClock:
     """The discrete-event scheduler.
 
@@ -174,9 +243,9 @@ class SimClock:
     def post(self, time: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule_at`: no :class:`EventHandle`.
 
-        The non-allocating path for hot callers (message delivery, ECU
-        service queues) that never cancel: ordering semantics are
-        identical, only the handle -- and its allocation -- is skipped.
+        For callers that never cancel (attack bursts, one-shot timers):
+        ordering semantics are identical, only the handle -- and its
+        allocation -- is skipped.  FIFO streams use a :meth:`lane`.
 
         Raises:
             SimulationError: when scheduling in the past.
@@ -185,11 +254,14 @@ class SimClock:
             raise SimulationError(
                 f"cannot schedule at {time} ms; clock is at {self.now} ms"
             )
-        # _push inlined: post runs once per delivery and per ECU service
-        # slot -- the two highest-volume scheduling sites in a campaign.
+        # _push inlined: post runs once per flood packet (the burst).
         heappush(self._queue, (time, self._sequence, None, callback))
         self._sequence += 1
         self._pending += 1
+
+    def lane(self, callback: Callable[[Any], None]) -> Lane:
+        """A FIFO :class:`Lane` firing ``callback(item)`` per pushed item."""
+        return Lane(self, callback)
 
     def schedule_periodic(
         self,
@@ -269,5 +341,6 @@ class SimClock:
 
 __all__ = [
     "EventHandle",
+    "Lane",
     "SimClock",
 ]

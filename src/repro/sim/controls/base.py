@@ -14,6 +14,8 @@ decide the *Attack Fails* criteria.
 from __future__ import annotations
 
 import abc
+from array import array
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from repro.sim.clock import SimClock
@@ -103,6 +105,17 @@ class SecurityControl(abc.ABC):
 #: The implicit "no control objected" verdict (immutable, shared).
 _PIPELINE_PASS = Decision.passed()
 
+#: Stand-in for the last run of an empty log: matches no denial.
+_NO_RUN = (None,) * 5
+
+
+def _expand(runs: list[tuple]):
+    """The plain rows of run-length ``runs``, one per denial, in order."""
+    return chain.from_iterable(
+        zip(times, repeat(name), repeat(reason), repeat(kind), repeat(sender))
+        for times, name, reason, kind, sender in runs
+    )
+
 
 class ControlPipeline:
     """An ordered stack of controls guarding one ECU.
@@ -117,7 +130,7 @@ class ControlPipeline:
         "_clock",
         "_bus",
         "_controls",
-        "_detections",
+        "_runs",
         "_counts",
         "_detection_topic",
         "_detection_probe",
@@ -134,12 +147,15 @@ class ControlPipeline:
         self._clock = clock
         self._bus = bus
         self._controls: list[SecurityControl] = list(controls or [])
-        # Columnar log: plain 5-tuples in DetectionRecord field order.
-        # A flood appends one row per denied packet; the named view is
-        # materialised lazily (``detections``) while per-control totals
-        # are kept incrementally (``control_counts``), so verdict
-        # derivation never walks tens of thousands of rows.
-        self._detections: list[tuple] = []
+        # Run-length log: ``(times, control, reason, kind, sender)``
+        # runs, where ``times`` is an ``array('d')`` of the denial times
+        # of consecutive denials sharing the other four fields.  A flood
+        # denies the same sender's packets for the same reason back to
+        # back, so it appends one float per packet instead of a row; the
+        # rows are expanded on read (``raw_detections``) while
+        # per-control totals are kept incrementally (``control_counts``),
+        # so verdict derivation never walks tens of thousands of rows.
+        self._runs: list[tuple] = []
         self._counts: dict[str, int] = {}
         # Built once: a per-denial f-string means a fresh hash per publish.
         self._detection_topic = f"control.detection.{ecu_name}"
@@ -166,20 +182,23 @@ class ControlPipeline:
         for control in controls:
             decision = control.inspect(message, now)
             if not decision.allowed:
-                # Raw-tuple row (DetectionRecord field order): building
-                # the NamedTuple here costs ~3x on a path that runs
-                # once per denied packet; named access is restored
-                # lazily by the ``detections`` view.
                 name = decision.control or control.name
-                self._detections.append(
-                    (
-                        now,
-                        name,
-                        decision.reason,
-                        message.kind,
-                        message.sender,
+                reason = decision.reason
+                kind = message.kind
+                sender = message.sender
+                runs = self._runs
+                run = runs[-1] if runs else _NO_RUN
+                if (
+                    run[1] == name
+                    and run[2] == reason
+                    and run[3] == kind
+                    and run[4] == sender
+                ):
+                    run[0].append(now)
+                else:
+                    runs.append(
+                        (array("d", (now,)), name, reason, kind, sender)
                     )
-                )
                 counts = self._counts
                 counts[name] = counts.get(name, 0) + 1
                 if self._detection_probe.active:
@@ -188,9 +207,9 @@ class ControlPipeline:
                         self._detection_topic,
                         self.ecu_name,
                         control=name,
-                        reason=decision.reason,
-                        kind=message.kind,
-                        sender=message.sender,
+                        reason=reason,
+                        kind=kind,
+                        sender=sender,
                     )
                 else:
                     # Inlined EventBus.tally: one increment per denial.
@@ -206,16 +225,17 @@ class ControlPipeline:
     @property
     def detections(self) -> tuple[DetectionRecord, ...]:
         """The intrusion log of this ECU (named records, built on read)."""
-        return tuple(map(DetectionRecord._make, self._detections))
+        return tuple(map(DetectionRecord._make, _expand(self._runs)))
 
     def raw_detections(self) -> tuple[tuple, ...]:
         """The intrusion log as plain rows (DetectionRecord field order).
 
-        Rows compare equal to the corresponding :class:`DetectionRecord`
-        (both are tuples); scenario result collection uses this form to
-        avoid materialising one NamedTuple per denied flood packet.
+        Expanded from the run-length log on each call.  Rows compare
+        equal to the corresponding :class:`DetectionRecord` (both are
+        tuples); scenario result collection uses this form to avoid
+        materialising one NamedTuple per denied flood packet.
         """
-        return tuple(self._detections)
+        return tuple(_expand(self._runs))
 
     @property
     def control_counts(self) -> dict[str, int]:
@@ -224,17 +244,14 @@ class ControlPipeline:
 
     def detections_by(self, control_name: str) -> tuple[DetectionRecord, ...]:
         """Detections raised by one named control."""
-        return tuple(
-            DetectionRecord._make(row)
-            for row in self._detections
-            if row[1] == control_name
-        )
+        runs = [run for run in self._runs if run[1] == control_name]
+        return tuple(map(DetectionRecord._make, _expand(runs)))
 
     def reset(self) -> None:
         """Clear control state and the detection log."""
         for control in self._controls:
             control.reset()
-        self._detections.clear()
+        self._runs.clear()
         self._counts.clear()
 
 

@@ -16,7 +16,6 @@ request" reduces availability.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -65,6 +64,7 @@ class Ecu:
         "_topic_shutdown",
         "_processed_probe",
         "_admit",
+        "_service",
     )
 
     def __init__(
@@ -104,6 +104,8 @@ class Ecu:
         self._processed_probe = bus.probe(self._topic_processed)
         # Bound once: receive() runs once per receiver per delivery.
         self._admit = self.pipeline.admit
+        # Service times are FIFO: max(now, busy_until) + service_time.
+        self._service = clock.lane(self._process)
 
     # -- Receiver protocol -------------------------------------------------
 
@@ -143,7 +145,7 @@ class Ecu:
         finish = start + self.service_time_ms
         self._busy_until = finish
         self._queued += 1
-        self._clock.post(finish, functools.partial(self._process, message))
+        self._service.push(finish, message)
 
     def _process(self, message: Message) -> None:
         self._queued -= 1

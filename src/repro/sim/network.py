@@ -19,7 +19,6 @@ verification and freshness checks.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from collections import deque
 from typing import (
@@ -117,13 +116,15 @@ class Message:
     # payload is treated as immutable everywhere (attacks copy before
     # mutating): the signing bytes, the tag and any MAC verdict over
     # them can never change for a given instance.  A signed message
-    # holds its signer's key and builds the bytes and tag on first
-    # read.  ``dataclasses.replace`` reads every field (forcing the tag)
-    # and builds a *new* instance, so tampered copies -- which share
-    # ``unique_id`` and ``auth_tag`` with their original -- start with
-    # cold caches and re-verify honestly.  (That is also why the memo is
-    # per-instance rather than keyed on ``(key, unique_id, tag)``
-    # globally: a tampered replica would hit a stale global entry.)
+    # holds its signer's key -- which alone answers ``mac_verified`` for
+    # that key -- and builds the bytes and tag on first read.
+    # ``dataclasses.replace`` reads every field (forcing the tag) and
+    # builds a *new* instance without a signer key, so tampered copies
+    # -- which share ``unique_id`` and ``auth_tag`` with their original
+    # -- start with cold caches and re-verify honestly.  (That is also
+    # why the memo is per-instance rather than keyed on ``(key,
+    # unique_id, tag)`` globally: a tampered replica would hit a stale
+    # global entry.)
     _signing_cache: ClassVar[bytes | None] = None
     _mac_cache: ClassVar[dict | None] = None
     _signer_key: ClassVar[bytes | None] = None
@@ -157,9 +158,13 @@ class Message:
         same HMAC verification over the same bytes; the verdict is
         cached per ``key`` on the message instance so the work happens
         once per broadcast instead of once per receiver.  A signed
-        message answers for its signer's key from the memo seeded at
-        signing, without ever computing its tag.
+        message answers True for its signer's key (HMAC is
+        deterministic) without ever computing its tag; the key is
+        compared by value, like the memo's dict lookup.
         """
+        signer_key = self._signer_key
+        if signer_key is not None and key == signer_key:
+            return True
         cache = self._mac_cache
         if cache is None:
             cache = {}
@@ -178,10 +183,10 @@ class Message:
         """The one signing constructor: a message tagged under ``key``.
 
         The tag is computed on first read of :attr:`auth_tag`.  The
-        verdict memo is pre-seeded with ``{key: True}`` (HMAC is
-        deterministic), so receivers of an honestly signed message never
-        redo the signer's work; any *other* key, and any tampered
-        replica (a new instance), still verifies from scratch.
+        stored signer key answers :meth:`mac_verified` for ``key``, so
+        receivers of an honestly signed message never redo the signer's
+        work; any *other* key, and any tampered replica (a new instance),
+        still verifies from scratch.
 
         Fills the instance dict directly: the frozen ``__init__`` costs
         one ``object.__setattr__`` per field on the per-packet flood
@@ -197,7 +202,6 @@ class Message:
             location=location,
             unique_id=unique_id,
             _signer_key=key,
-            _mac_cache={key: True},
         )
         return message
 
@@ -377,6 +381,7 @@ class Channel:
         self._dropped = 0
         self._out_of_range = 0
         self._delays: deque[float] = deque(maxlen=1000)
+        self._deliveries = clock.lane(self._deliver)
         # Topic strings built once; per-message f-strings rehash per publish.
         self._topic_delivered = f"channel.{name}.delivered"
         self._topic_dropped = f"channel.{name}.dropped"
@@ -467,21 +472,23 @@ class Channel:
                 reason="jammed",
             )
             return message
-        delay = self.latency_ms + self._congestion_delay()
-        self._delays.append(delay)
-        self._clock.post(
-            self._clock.now + delay, functools.partial(self._deliver, message)
-        )
+        now = self._clock.now
+        earliest = self._airtime_slot(now)
+        self._delays.append(self.latency_ms + (earliest - now))
+        # FIFO by construction: ``earliest`` never decreases.  (``now +
+        # delay`` can round one ulp below an earlier send's time.)
+        self._deliveries.push(earliest + self.latency_ms, message)
         return message
 
-    def _congestion_delay(self) -> float:
-        """Extra queueing delay from the bandwidth limit."""
+    def _airtime_slot(self, now: float) -> float:
+        """Start of this send's airtime: ``now`` unless the bandwidth
+        limit queues it behind earlier traffic."""
         if self.bandwidth_per_ms is None:
-            return 0.0
+            return now
         slot = 1.0 / self.bandwidth_per_ms
-        earliest = max(self._clock.now, self._next_free)
+        earliest = max(now, self._next_free)
         self._next_free = earliest + slot
-        return earliest - self._clock.now
+        return earliest
 
     def _deliver(self, message: Message) -> None:
         self._delivered += 1

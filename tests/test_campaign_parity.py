@@ -14,8 +14,18 @@ per task), so this test simultaneously gates (a) the substrate rewrite
 claim that trace retention is verdict-neutral.  Backend parity of the
 same path is gated on cheaper subsets in
 ``tests/test_runtime_campaign.py``.
+
+``tests/data/golden_outcomes.json`` is the finer gate over the same run:
+one sha256 per variant of ``json.dumps(asdict(outcome) minus
+wall_time_s, sort_keys=True)`` -- every detection count, violation time
+and component statistic, not just the verdict.  Like the verdict file it
+is captured from the parent tree only (the tree before the change it
+gates, never the changed tree), with :func:`outcome_digest` over a
+serial ``run_campaign`` of every registry variant.
 """
 
+import dataclasses
+import hashlib
 import json
 import pathlib
 
@@ -25,11 +35,27 @@ from repro.engine.campaign import run_campaign
 from repro.engine.registry import default_registry
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
+OUTCOMES_PATH = pathlib.Path(__file__).parent / "data" / "golden_outcomes.json"
 
 
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    """The one full serial campaign both slow gates read."""
+    return run_campaign(all_variants(), backend="serial")
+
+
+def outcome_digest(outcome) -> str:
+    """sha256 of an outcome's fields, wall time excluded."""
+    fields = dataclasses.asdict(outcome)
+    del fields["wall_time_s"]
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode()
+    ).hexdigest()
 
 
 def all_variants():
@@ -52,10 +78,10 @@ class TestGoldenParity:
         assert not extra, f"variants without golden coverage: {sorted(extra)}"
 
     @pytest.mark.slow
-    def test_all_verdicts_identical(self, golden):
+    def test_all_verdicts_identical(self, golden, campaign):
         """Every variant reproduces its captured verdict and
         violated-goal set exactly (the optimisation's hard gate)."""
-        result = run_campaign(all_variants(), backend="serial")
+        result = campaign
         mismatches = {}
         for outcome in result.outcomes:
             expected_verdict, expected_goals = golden[outcome.variant_id]
@@ -69,3 +95,19 @@ class TestGoldenParity:
             f"{len(mismatches)} variant(s) changed behaviour: {mismatches}"
         )
         assert result.total == len(golden)
+
+    @pytest.mark.slow
+    def test_all_outcomes_identical(self, campaign):
+        """Every outcome field but wall time matches the parent tree's."""
+        expected = json.loads(OUTCOMES_PATH.read_text(encoding="utf-8"))
+        actual = {
+            outcome.variant_id: outcome_digest(outcome)
+            for outcome in campaign.outcomes
+        }
+        changed = sorted(
+            variant_id
+            for variant_id in expected
+            if actual.get(variant_id) != expected[variant_id]
+        )
+        assert not changed, f"{len(changed)} outcome(s) changed: {changed}"
+        assert actual.keys() == expected.keys()

@@ -1,22 +1,35 @@
-"""Invariants of the PR-5 hot-path overhaul: clock, bus, MAC memo.
+"""Invariants of the simulator hot path: clock, lanes, bus, MAC memo, log.
 
-The rewrite's contract is "faster, bit-identical": these tests pin the
-behaviours the optimisations could plausibly have broken -- tie-broken
-execution order, the live ``pending`` counter, cached trace views,
-trace-mode verdict neutrality, and the safety of the per-instance MAC
-memo against tampered replicas.
+The optimisations' contract is "faster, bit-identical": these tests pin
+the behaviours they could plausibly have broken -- tie-broken execution
+order, FIFO lanes against one ``post`` per item, the live ``pending``
+counter, cached trace views, trace-mode verdict neutrality, the safety
+of the per-instance MAC memo against tampered replicas, and the
+run-length intrusion log against a row-per-denial reference.
 """
 
+import collections
 import copy
 import dataclasses
+import functools
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
+from repro.sim.controls.authentication import (
+    MessageCounterCheck,
+    SenderAuthentication,
+)
+from repro.sim.controls.base import (
+    ControlPipeline,
+    Decision,
+    DetectionRecord,
+    SecurityControl,
+)
 from repro.sim.crypto import KeyStore, compute_mac
 from repro.sim.events import TRACE_COUNTS, TRACE_FULL, EventBus, TopicProbe
 from repro.sim.network import Message
@@ -108,6 +121,135 @@ class TestClockHotPath:
             ((time, index) for index, time in enumerate(times)),
             key=lambda pair: pair[0],
         )
+
+
+#: One step of a clock script: (operation, lane or handle index, delta).
+_CLOCK_STEPS = st.tuples(
+    st.sampled_from(
+        ["post", "at", "cancel", "periodic", "push", "push-echo", "run"]
+    ),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
+)
+
+
+def _drive_clock(steps, use_lanes):
+    """Run a clock script; lane pushes go through two lanes, or -- the
+    reference -- through one ``post`` of a ``functools.partial`` each.
+
+    Returns the execution order, ``pending`` after every step and every
+    ``run_until`` return value.  An ``echo`` item pushes a follow-up onto
+    its lane from inside the lane callback, at the lane's tail (or now,
+    if later).
+    """
+    clock = SimClock()
+    order = []
+    handles = []
+    tails = [0.0, 0.0]
+
+    def push(lane, item):
+        time = max(tails[lane], clock.now)
+        tails[lane] = time
+        if use_lanes:
+            lanes[lane].push(time, item)
+        else:
+            clock.post(time, functools.partial(fire, item))
+
+    def fire(item):
+        order.append(item)
+        lane, label, echo = item
+        if echo:
+            push(lane, (lane, label + "'", False))
+
+    lanes = [clock.lane(fire), clock.lane(fire)]
+    pendings = []
+    returns = []
+    for index, (operation, which, delta) in enumerate(steps):
+        label = f"{operation}{index}"
+        if operation == "post":
+            clock.post(clock.now + delta, functools.partial(order.append, label))
+        elif operation == "at":
+            handles.append(
+                clock.schedule_at(
+                    clock.now + delta, functools.partial(order.append, label)
+                )
+            )
+        elif operation == "cancel":
+            if handles:
+                handles[which % len(handles)].cancel()
+        elif operation == "periodic":
+            clock.schedule_periodic(
+                0.5 + delta,
+                functools.partial(order.append, label),
+                until=clock.now + 3.0,
+            )
+        elif operation in ("push", "push-echo"):
+            lane = which % 2
+            tails[lane] = max(tails[lane], clock.now) + delta
+            push(lane, (lane, label, operation == "push-echo"))
+        else:
+            returns.append(clock.run_until(clock.now + delta))
+        pendings.append(clock.pending)
+    returns.append(clock.run_until(clock.now + 100.0))
+    pendings.append(clock.pending)
+    return order, pendings, returns
+
+
+class TestClockLanes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_CLOCK_STEPS, max_size=60))
+    def test_lane_equals_one_post_per_item(self, steps):
+        """Order, ``pending`` and ``run_until`` counts match the
+        reference run in which every lane push is a plain ``post``."""
+        assert _drive_clock(steps, use_lanes=True) == _drive_clock(
+            steps, use_lanes=False
+        )
+
+    def test_push_before_the_tail_raises(self):
+        clock = SimClock()
+        lane = clock.lane(lambda item: None)
+        lane.push(10.0, "a")
+        lane.push(10.0, "b")  # ties are FIFO, not an error
+        with pytest.raises(SimulationError):
+            lane.push(9.5, "c")
+        assert clock.pending == 2
+        assert clock.run() == 2
+
+    def test_push_into_the_past_raises(self):
+        clock = SimClock()
+        lane = clock.lane(lambda item: None)
+        clock.run_until(100.0)
+        with pytest.raises(SimulationError):
+            lane.push(50.0, "late")
+        assert clock.pending == 0
+
+    def test_idle_lane_allocates_no_queue(self):
+        lane = SimClock().lane(lambda item: None)
+        assert lane._items is None
+
+    def test_flood_keeps_the_heap_small(self):
+        """Deterministic gate: an AD20-rate flood (one packet per
+        0.2 ms onto a 4-per-ms channel) backs up thousands of
+        deliveries, yet the clock heap holds only lane heads and the
+        scenario's own timers."""
+        from repro.sim.attacks.flooding import FloodingAttack
+        from repro.sim.scenarios import ConstructionSiteScenario
+
+        scenario = ConstructionSiteScenario(trace_mode=TRACE_COUNTS)
+        clock = scenario.clock
+        FloodingAttack(
+            "attacker", clock, scenario.v2x, kind="cam_message",
+            interval_ms=0.2, duration_ms=5000.0,
+            keystore=scenario.keystore, authenticated=True,
+            location=scenario.RSU_LOCATION,
+        ).launch(100.0)
+        samples = []
+        clock.schedule_periodic(
+            250.0, lambda: samples.append((len(clock._queue), clock.pending))
+        )
+        scenario.run(5000.0)
+        assert max(heap for heap, _pending in samples) <= 8
+        assert max(pending for _heap, pending in samples) >= 1000
 
 
 class TestEventBusHotPath:
@@ -383,6 +525,7 @@ class TestMacMemoSafety:
         signed = message.signed(keystore)
         assert signed.has_auth_tag() and signed.mac_verified(key)
         assert "auth_tag" not in vars(signed)
+        assert "_mac_cache" not in vars(signed)  # no memo dict either
         assert signed.unique_id == message.unique_id
 
 
@@ -426,6 +569,126 @@ class TestFloodTagWork:
         (short_macs, short_signs), (long_macs, long_signs) = counts
         assert long_signs > 2 * short_signs > 0  # the flood did run longer
         assert long_macs == short_macs
+
+
+#: One admitted message: (sender, kind, counter, signed, clock advance).
+_ADMITS = st.tuples(
+    st.sampled_from(["a", "b", "ghost"]),
+    st.sampled_from(["cam", "warning"]),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([True, True, True, False]),
+    st.sampled_from([0.0, 0.0, 0.5]),
+)
+
+
+class _BlockWarnings(SecurityControl):
+    """Denies warnings whose counter has the given parity, with one
+    reason shared by every sender and by both parities."""
+
+    def __init__(self, parity: int) -> None:
+        super().__init__(f"block-parity-{parity}")
+        self.parity = parity
+
+    def inspect(self, message, now):
+        if message.kind == "warning" and message.counter % 2 == self.parity:
+            return Decision.denied(self.name, "warnings blocked")
+        return self.pass_decision
+
+
+class TestRunLengthLog:
+    """The run-length intrusion log reads back exactly the rows a
+    row-per-denial log would hold: the published denial events."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        admits=st.lists(_ADMITS, max_size=60),
+        reset_at=st.integers(min_value=0, max_value=60),
+    )
+    @example(  # back-to-back counter denials differing only in reason
+        admits=[("a", "cam", counter, True, 0.0) for counter in (2, 1, 0)],
+        reset_at=60,
+    )
+    def test_views_equal_a_row_per_denial_reference(self, admits, reset_at):
+        clock, bus = SimClock(), EventBus()
+        keystore = KeyStore()
+        keystore.provision("a")
+        keystore.provision("b")
+        # Every control builds a fresh Decision per denial.  The counter
+        # check's reason names the counter, so its runs stay short; the
+        # two warning blocks share a reason that names no sender, so
+        # only the control and sender fields split their runs.
+        pipeline = ControlPipeline("ECU", clock, bus)
+        pipeline.add(SenderAuthentication(keystore))
+        pipeline.add(_BlockWarnings(0))
+        pipeline.add(_BlockWarnings(1))
+        pipeline.add(MessageCounterCheck())
+        skipped = 0
+        for index, (sender, kind, counter, signed, advance) in enumerate(
+            admits
+        ):
+            if index == reset_at:
+                pipeline.reset()
+                skipped = len(bus.events("control.detection"))
+            clock.run_until(clock.now + advance)
+            fields = dict(kind=kind, sender=sender, payload={}, counter=counter)
+            if signed and sender != "ghost":
+                message = Message.create_signed(keystore, **fields)
+            else:
+                message = Message(**fields)
+            pipeline.admit(message)
+        reference = tuple(
+            DetectionRecord(
+                event.time,
+                event.data["control"],
+                event.data["reason"],
+                event.data["kind"],
+                event.data["sender"],
+            )
+            for event in bus.events("control.detection")[skipped:]
+        )
+        assert pipeline.raw_detections() == reference
+        assert all(type(row) is tuple for row in pipeline.raw_detections())
+        assert pipeline.detections == reference
+        assert all(
+            type(record) is DetectionRecord for record in pipeline.detections
+        )
+        for control in (
+            "sender-auth", "block-parity-0", "block-parity-1",
+            "message-counter", "absent",
+        ):
+            assert pipeline.detections_by(control) == tuple(
+                record for record in reference if record.control == control
+            )
+        assert pipeline.control_counts == dict(
+            collections.Counter(record.control for record in reference)
+        )
+        pipeline.reset()
+        assert pipeline.raw_detections() == ()
+        assert pipeline.control_counts == {}
+
+    @pytest.mark.slow
+    def test_flood_log_stores_few_runs(self, monkeypatch):
+        """Storage gate: the OBU's log of the full AD20 flood is a
+        handful of runs, not one row per denied packet."""
+        from repro.engine.campaign import execute_variant
+        from repro.engine.registry import default_registry
+
+        registry = default_registry()
+        (ad20,) = (
+            variant for variant in registry.variants()
+            if variant.variant_id == "uc1/parity/ad20"
+        )
+        pipelines = []
+        raw_detections = ControlPipeline.raw_detections
+        monkeypatch.setattr(
+            ControlPipeline, "raw_detections",
+            lambda self: pipelines.append(self) or raw_detections(self),
+        )
+        outcome = execute_variant(ad20, registry)
+        (obu,) = (p for p in pipelines if p.ecu_name == "OBU")
+        denials = outcome.detections_of("OBU")
+        assert denials == sum(len(run[0]) for run in obu._runs) == 319_146
+        assert len(obu._runs) <= 100
 
 
 class TestTraceModeVerdictNeutrality:
