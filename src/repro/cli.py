@@ -445,12 +445,10 @@ def cmd_submit(args: argparse.Namespace) -> int:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        import dataclasses
-
         print(json.dumps(
             {
                 "summary": summary,
-                "outcomes": [dataclasses.asdict(o) for o in outcomes],
+                "outcomes": [o.to_payload() for o in outcomes],
             },
             indent=2,
         ))

@@ -125,9 +125,27 @@ class VariantOutcome:
         per_ecu = dict(self.detections_by_control).get(ecu, ())
         return dict(per_ecu).get(control, 0)
 
+    def to_payload(self) -> dict[str, Any]:
+        """Plain-dict form for the wire and the memo journal.
+
+        A shallow ``{field: value}`` map over every dataclass field.
+        Values are passed through, not copied: they are tuples of
+        primitives plus a ``stats`` dict that nothing mutates after
+        construction (payloads and memo hits share it), and
+        ``json.dumps`` writes tuples as it writes lists, so the JSON
+        equals that of ``dataclasses.asdict``.
+        """
+        return {name: getattr(self, name) for name in _OUTCOME_FIELDS}
+
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "VariantOutcome":
-        """Rebuild an outcome from its ``dataclasses.asdict`` form."""
+        """Rebuild an outcome from :meth:`to_payload` output or its JSON
+        round trip.
+
+        Raises:
+            KeyError, TypeError, ValueError: when ``payload`` is not a
+                complete outcome.
+        """
         data = dict(payload)
         data["violated_goals"] = tuple(data["violated_goals"])
         data["violations"] = tuple(tuple(v) for v in data["violations"])
@@ -171,6 +189,9 @@ class VariantOutcome:
             attrs=freeze_items(attrs),
             notes=self.notes,
         )
+
+
+_OUTCOME_FIELDS = tuple(field.name for field in dataclasses.fields(VariantOutcome))
 
 
 @functools.lru_cache(maxsize=None)
@@ -684,26 +705,27 @@ def execute_memoised(
 
     The per-variant path of in-process executors such as the service
     scheduler (campaign backends split the same steps between the
-    calling process and the workers).  Failures follow the ``on_error="record"`` contract:
-    they come back as an :func:`error_outcome`, never as an exception,
-    so callers branch on ``outcome.from_cache`` and ``outcome.is_error``.
+    calling process and the workers).  Failures of the execution or of
+    the memo follow the ``on_error="record"`` contract: they come back
+    as an :func:`error_outcome`, never as an exception, so callers
+    branch on ``outcome.from_cache`` and ``outcome.is_error``.
     """
-    hit = _lookup(config, variant)
-    if hit is not None:
-        return hit
     started = time.perf_counter()
     try:
+        hit = _lookup(config, variant)
+        if hit is not None:
+            return hit
         outcome = _execute_checked(
             variant,
             config.registry,
             trace_mode=config.trace_mode,
             default_deadline_s=config.deadline_s,
         )
+        return _remember(config, variant, outcome)
     except Exception as exc:  # noqa: BLE001 - reported as an ERROR outcome
         return error_outcome(
             variant, JobError.from_exception(exc), time.perf_counter() - started
         )
-    return _remember(config, variant, outcome)
 
 
 def _campaign_stream(

@@ -274,12 +274,19 @@ class VariantSpec:
         return thaw_params(self.attack_params)
 
     def to_payload(self) -> dict[str, Any]:
-        """Plain-dict form for transport to worker processes."""
-        return dataclasses.asdict(self)
+        """Plain-dict form for transport and memo keys.
+
+        A shallow ``{field: value}`` map over every dataclass field: the
+        values are already immutable plain data, so a recursive copy
+        (``dataclasses.asdict``) would change no byte of the JSON that
+        wire lines and memo keys are made of.
+        """
+        return {name: getattr(self, name) for name in _VARIANT_FIELDS}
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "VariantSpec":
-        """Rebuild a variant from :meth:`to_payload` output."""
+        """Rebuild a variant from :meth:`to_payload` output (or its JSON
+        round trip, which turns the parameter tuples into lists)."""
         data = dict(payload)
         for key in ("params", "attack_params"):
             data[key] = tuple(
@@ -287,6 +294,9 @@ class VariantSpec:
                 for item in data.get(key, ())
             )
         return cls(**data)
+
+
+_VARIANT_FIELDS = tuple(field.name for field in dataclasses.fields(VariantSpec))
 
 
 __all__ = [

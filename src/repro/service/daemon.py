@@ -24,7 +24,6 @@ import os
 import socketserver
 import threading
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -39,7 +38,7 @@ from repro.service.protocol import (
     validate_request,
     write_message,
 )
-from repro.service.scheduler import Scheduler, Submission
+from repro.service.scheduler import Scheduler
 
 _log = logging.getLogger("repro.service")
 
@@ -283,7 +282,7 @@ class CampaignDaemon:
                             "event": "outcome",
                             "id": submission.id,
                             "index": index,
-                            "outcome": asdict(payload),
+                            "outcome": payload.to_payload(),
                         },
                     )
                 else:

@@ -145,7 +145,9 @@ class MemoStore:
         self._seed_root = seed_root
         self._trace_mode = trace_mode
         self._fingerprint = code_fingerprint()
-        self._entries: dict[str, dict[str, Any]] = {}
+        #: key -> the outcome a hit returns (``from_cache=True``),
+        #: decoded once at load or put, never per lookup.
+        self._entries: dict[str, VariantOutcome] = {}
         self._lock = threading.RLock()
         self._file: Any = None
         self._torn = False
@@ -195,7 +197,29 @@ class MemoStore:
                 # entry can never be looked up -- drop it as stale.
                 self.stale += 1
                 continue
-            self._entries[entry["key"]] = dict(entry)
+            try:
+                outcome = VariantOutcome.from_payload(
+                    {**entry["outcome"], "from_cache": True}
+                )
+            except (KeyError, TypeError, ValueError):
+                # Right schema and fingerprint, but not an outcome: it
+                # could never be served, so it is dropped like a torn line.
+                self.corrupt += 1
+                continue
+            self._entries[entry["key"]] = outcome
+
+    def _journal_entry(
+        self, key: str, variant_id: str, outcome: VariantOutcome
+    ) -> dict[str, Any]:
+        payload = outcome.to_payload()
+        payload["from_cache"] = False  # journalled as executed
+        return {
+            "schema": MEMO_SCHEMA,
+            "key": key,
+            "variant_id": variant_id,
+            "fingerprint": self._fingerprint,
+            "outcome": payload,
+        }
 
     def _append(self, entry: Mapping[str, Any]) -> None:
         if self._dir is None:
@@ -259,34 +283,30 @@ class MemoStore:
             return key in self._entries
 
     def get(self, key: str) -> VariantOutcome | None:
-        """The cached outcome under ``key``, or ``None``."""
+        """The outcome cached under ``key`` as executed
+        (``from_cache=False``), or ``None``."""
         with self._lock:
-            entry = self._entries.get(key)
-        if entry is None:
+            hit = self._entries.get(key)
+        if hit is None:
             return None
-        return VariantOutcome.from_payload(entry["outcome"])
+        return dataclasses.replace(hit, from_cache=False)
 
     def put(self, key: str, variant_id: str, outcome: VariantOutcome) -> None:
         """Journal + cache one executed outcome under ``key``.
 
-        Cached outcomes are stored as executed (``from_cache`` reset), so
-        a later :meth:`lookup` can mark its copy honestly.  Re-putting an
-        existing key is a no-op -- the journal never grows from replays.
+        The journal stores the outcome as executed (``from_cache``
+        reset); the cache keeps the copy every later :meth:`lookup`
+        returns, marked ``from_cache``.  Re-putting an existing key is a
+        no-op -- the journal never grows from replays.
         """
-        if outcome.from_cache:
-            outcome = dataclasses.replace(outcome, from_cache=False)
-        entry = {
-            "schema": MEMO_SCHEMA,
-            "key": key,
-            "variant_id": variant_id,
-            "fingerprint": self._fingerprint,
-            "outcome": dataclasses.asdict(outcome),
-        }
+        if not outcome.from_cache:
+            outcome = dataclasses.replace(outcome, from_cache=True)
         with self._lock:
             if key in self._entries:
                 return
-            self._entries[key] = entry
-            self._append(entry)
+            # Journal first: an append that raises leaves nothing cached.
+            self._append(self._journal_entry(key, variant_id, outcome))
+            self._entries[key] = outcome
 
     # -- the campaign runner's memo protocol -------------------------------
 
@@ -308,15 +328,13 @@ class MemoStore:
             with self._lock:
                 self.misses += 1
             return None
-        outcome = self.get(key)
         with self._lock:
-            if outcome is None:
+            hit = self._entries.get(key)
+            if hit is None:
                 self.misses += 1
             else:
                 self.hits += 1
-        if outcome is None:
-            return None
-        return dataclasses.replace(outcome, from_cache=True)
+        return hit
 
     def record(
         self,
@@ -367,7 +385,8 @@ class MemoStore:
             self._dir.mkdir(parents=True, exist_ok=True)
             tmp = self.journal_path.with_suffix(".jsonl.tmp")
             with open(tmp, "w", encoding="utf-8") as handle:
-                for entry in self._entries.values():
+                for key, outcome in self._entries.items():
+                    entry = self._journal_entry(key, outcome.variant_id, outcome)
                     handle.write(json.dumps(entry, default=repr) + "\n")
             tmp.replace(self.journal_path)
             self.stale = 0

@@ -31,11 +31,25 @@ import pathlib
 
 import pytest
 
-from repro.engine.campaign import run_campaign
+from repro.engine.campaign import VariantOutcome, run_campaign
 from repro.engine.registry import default_registry
+from repro.engine.spec import VariantSpec
+from repro.service.memo import variant_key
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
 OUTCOMES_PATH = pathlib.Path(__file__).parent / "data" / "golden_outcomes.json"
+
+#: ``variant_key(v, fingerprint="0" * 64)`` captured from the tree that
+#: still marshalled variants through ``dataclasses.asdict``: one UC2
+#: variant, one fleet variant, one catalog attack with attack params.
+PINNED_KEYS = {
+    "uc2/parity/ad02":
+        "1a55c145fd87bdbb078e903e991fc544a49b457ce5292483bec6ec5964397941",
+    "uc1/fleet/convoy-n2-baseline":
+        "5baa55de08d1a7e86499c8392d409bb6f3cc2666da3fab154ede54b92dfa7f98",
+    "uc1/control-ablation/flood-no-flooding-detector":
+        "fd50cea535750f764cbcd7e015633c5ef5076bf3a6654ff81c4778443b1eabe3",
+}
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +125,37 @@ class TestGoldenParity:
         )
         assert not changed, f"{len(changed)} outcome(s) changed: {changed}"
         assert actual.keys() == expected.keys()
+
+
+def _asdict_json(value) -> str:
+    return json.dumps(dataclasses.asdict(value), sort_keys=True)
+
+
+class TestPayloadCodecs:
+    """The shallow ``to_payload`` codecs write the same JSON as the
+    ``dataclasses.asdict`` deep copy they replaced, and round-trip."""
+
+    @pytest.mark.slow
+    def test_every_outcome_matches_asdict_and_round_trips(self, campaign):
+        assert len(campaign.outcomes) == len(all_variants())
+        for outcome in campaign.outcomes:
+            payload = outcome.to_payload()
+            assert json.dumps(payload, sort_keys=True) == _asdict_json(outcome)
+            decoded = VariantOutcome.from_payload(
+                json.loads(json.dumps(payload))
+            )
+            assert decoded == outcome, outcome.variant_id
+
+    def test_every_variant_matches_asdict_and_round_trips(self):
+        for variant in all_variants():
+            payload = variant.to_payload()
+            assert json.dumps(payload, sort_keys=True) == _asdict_json(variant)
+            decoded = VariantSpec.from_payload(json.loads(json.dumps(payload)))
+            assert decoded == variant, variant.variant_id
+
+    @pytest.mark.parametrize("variant_id", sorted(PINNED_KEYS))
+    def test_memo_keys_are_pinned(self, variant_id):
+        variant = default_registry().variant(variant_id)
+        assert variant_key(variant, fingerprint="0" * 64) == PINNED_KEYS[
+            variant_id
+        ]

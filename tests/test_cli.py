@@ -129,6 +129,33 @@ class TestCampaign:
         assert "ERROR" in capsys.readouterr().err
 
 
+class TestSubmit:
+    def test_json_outcomes_round_trip(self, tmp_path, capsys):
+        import json
+
+        from repro.engine.campaign import VariantOutcome
+        from repro.service import CampaignDaemon
+
+        with CampaignDaemon(port=0, memo_dir=tmp_path / "memo").start() as daemon:
+            argv = [
+                "submit", "--port", str(daemon.port),
+                "--family", "zone-geometry", "--scenario", "uc2-keyless-entry",
+                "--json",
+            ]
+            assert main(argv) == 0
+            cold = capsys.readouterr().out
+            assert main(argv) == 0
+            warm = capsys.readouterr().out
+        for out, cached in ((cold, False), (warm, True)):
+            payload = json.loads(out[out.index("\n{") + 1:])
+            assert payload["summary"]["total"] == 3
+            for item in payload["outcomes"]:
+                outcome = VariantOutcome.from_payload(item)
+                assert outcome.from_cache is cached
+                assert json.loads(json.dumps(outcome.to_payload())) == item
+                assert outcome.verdict == "ATTACK_FAILED"
+
+
 class TestLint:
     BAD = "def collect(value, bucket=[]):\n    return bucket\n"
     GOOD = "def collect(value, bucket=None):\n    return bucket\n"

@@ -141,6 +141,26 @@ class TestMemoStore:
         assert len(reloaded) == 1
         assert reloaded.stale == 1
 
+    def test_malformed_outcome_is_corrupt_not_served(self, tmp_path):
+        # Right schema, key and fingerprint, but no outcome inside: it is
+        # rejected at load, not on the lookup that would try to serve it.
+        variant = _variants(1)[0]
+        store = MemoStore(tmp_path)
+        entry = {
+            "schema": MEMO_SCHEMA,
+            "key": store.key_for(variant),
+            "variant_id": variant.variant_id,
+            "fingerprint": code_fingerprint(),
+            "outcome": {"verdict": "X"},
+        }
+        (tmp_path / JOURNAL_NAME).write_text(
+            json.dumps(entry) + "\n", encoding="utf-8"
+        )
+        reloaded = MemoStore(tmp_path)
+        assert reloaded.corrupt == 1
+        assert len(reloaded) == 0
+        assert reloaded.lookup(variant) is None
+
     def test_compact_rewrites_only_live_entries(self, tmp_path):
         variant = _variants(1)[0]
         with MemoStore(tmp_path) as store:

@@ -5,6 +5,8 @@ library object, which is exactly the layering REP009 enforces.  Wire
 behaviour is covered by ``tests/test_service_daemon.py``.
 """
 
+import json
+import pathlib
 import threading
 
 import pytest
@@ -13,8 +15,16 @@ from repro.engine.campaign import execute_variant
 from repro.engine.registry import default_registry
 from repro.engine.spec import VariantSpec
 from repro.errors import ValidationError
-from repro.service import MemoStore, Scheduler
+from repro.service import (
+    JOURNAL_NAME,
+    MEMO_SCHEMA,
+    MemoStore,
+    Scheduler,
+    code_fingerprint,
+)
 from repro.runtime import CancelToken
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
 
 
 def _variants(count=6):
@@ -45,6 +55,18 @@ class _GateMemo:
 
     def record(self, variant, outcome, trace_mode=None):
         return None
+
+
+class _FullDiskOnceMemo(MemoStore):
+    """A journal-backed store whose first append fails like a full disk."""
+
+    full = True
+
+    def _append(self, entry):
+        if self.full:
+            self.full = False
+            raise OSError(28, "No space left on device")
+        super()._append(entry)
 
 
 class TestSubmission:
@@ -252,3 +274,51 @@ class TestSchedulerMemo:
             assert warm.wait(timeout=60.0)
             assert warm.summary()["cached"] == len(variants)
         assert store.hits == len(variants)
+
+    def test_failing_journal_append_is_an_error_outcome(self, tmp_path):
+        # The append raises inside the worker: the variant comes back as
+        # an error outcome, counted against the shard, nothing is cached,
+        # and the one worker lives on to serve the next submission.
+        variant = _variants(1)[0]
+        store = _FullDiskOnceMemo(tmp_path)
+        with Scheduler(
+            store, shards=2, workers=1, failure_threshold=1
+        ) as scheduler:
+            first = scheduler.submit([variant])
+            assert first.wait(timeout=60.0)
+            (_kind, _index, outcome), _done = list(first.events())
+            assert outcome.is_error
+            assert outcome.stats["error_type"] == "OSError"
+            assert scheduler.status()["unhealthy_shards"] == [0]
+            assert len(store) == 0
+
+            second = scheduler.submit([variant])
+            assert second.wait(timeout=60.0)
+            summary = second.summary()
+            assert (summary["completed"], summary["errors"]) == (1, 0)
+            assert scheduler.status()["unhealthy_shards"] == []
+        assert len(store) == 1
+
+    def test_malformed_journal_entry_executes_fresh(self, tmp_path):
+        variant = _variants(1)[0]
+        entry = {
+            "schema": MEMO_SCHEMA,
+            "key": MemoStore().key_for(variant),
+            "variant_id": variant.variant_id,
+            "fingerprint": code_fingerprint(),
+            "outcome": {"verdict": "X"},
+        }
+        (tmp_path / JOURNAL_NAME).write_text(
+            json.dumps(entry) + "\n", encoding="utf-8"
+        )
+        store = MemoStore(tmp_path)
+        assert store.corrupt == 1
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        with Scheduler(store, shards=1, workers=1) as scheduler:
+            submission = scheduler.submit([variant])
+            assert submission.wait(timeout=60.0)
+            (_kind, _index, outcome), _done = list(submission.events())
+        assert not outcome.from_cache and not outcome.is_error
+        assert [outcome.verdict, list(outcome.violated_goals)] == golden[
+            variant.variant_id
+        ]
