@@ -16,8 +16,8 @@ Checks (codes are stable, like the ``REPnnn`` lint rules):
 * ``SPC003`` parameter keys the factory signature does not accept
   (variant params, spec defaults and topology alike);
 * ``SPC004`` fleet sizes outside the supported bounds;
-* ``SPC005`` factories that do not accept ``trace_mode`` (campaigns run
-  lean by default; such a factory silently falls back to full tracing);
+* ``SPC005`` factories that do not accept ``trace_mode`` (campaigns always
+  run lean; such a factory silently falls back to full tracing);
 * ``SPC006`` attack references that are neither a Step-4 bound id of
   the spec's use case nor a catalog key, and catalog-attack parameters
   the armer does not accept;
@@ -99,7 +99,7 @@ def _check_spec(spec: ScenarioSpec) -> Iterator[Finding]:
         yield _finding(
             "SPC005",
             f"factory {spec.factory!r} does not accept trace_mode; "
-            "campaigns default to the lean counts mode and this spec "
+            "campaigns always run the lean counts mode and this spec "
             "would silently run full tracing",
             symbol=spec.name,
         )

@@ -448,7 +448,6 @@ class Workspace:
         on_error: str = "raise",
         on_event: Any | None = None,
         cancel: Any | None = None,
-        trace_mode: str | None = None,
         retry: Any | None = None,
         deadline_s: float | None = None,
     ):
@@ -464,19 +463,17 @@ class Workspace:
         defaults) pick where variants run, resolved by
         :func:`~repro.runtime.backend_from_spec`; a backend built here
         from a name is shut down after the run.  Verdicts are
-        backend-independent by construction.  The other
-        options are :class:`~repro.engine.campaign.CampaignConfig`
-        fields, passed through to
-        :func:`~repro.engine.campaign.run_campaign` (``trace_mode``
-        defaults to the lean campaign mode).  Each outcome's record
-        joins the workspace result set the moment its job completes, so
-        :meth:`results` reflects a still-running campaign when called
-        from an ``on_event`` callback.  Returns the
+        backend-independent by construction.  The other options are
+        :class:`~repro.engine.campaign.CampaignConfig` fields, passed
+        through to :func:`~repro.engine.campaign.run_campaign`.  Each
+        outcome's record joins the workspace result set the moment its
+        job completes, so :meth:`results` reflects a still-running
+        campaign when called from an ``on_event`` callback.  Returns the
         :class:`~repro.engine.campaign.CampaignResult`.
         """
         # Imported lazily: the engine pulls in the whole simulator stack,
         # which pipeline-only workspace uses should not pay for.
-        from repro.engine.campaign import CAMPAIGN_TRACE_MODE, run_campaign
+        from repro.engine.campaign import run_campaign
         from repro.engine.registry import (
             apply_topology_overrides,
             default_registry,
@@ -512,7 +509,6 @@ class Workspace:
                 on_event=on_event,
                 cancel=cancel,
                 sink=ResultSink(on_record=self._records.append),
-                trace_mode=trace_mode or CAMPAIGN_TRACE_MODE,
                 retry=retry,
                 deadline_s=deadline_s,
             )

@@ -296,7 +296,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     elif not args.export:
         print(result.to_text(verbose=args.verbose))
     inconclusive = result.counts().get("INCONCLUSIVE", 0)
-    return 2 if inconclusive else 0
+    return 2 if inconclusive or result.errors() else 0
 
 
 def _lint_findings(args: argparse.Namespace):

@@ -75,11 +75,12 @@ from repro.testing.testcase import TestCase, Verdict
 ERROR_VERDICT = "ERROR"
 
 #: The trace mode campaign workers run scenarios under.  Campaigns only
-#: read verdicts, violations, detections and stats, so they default to
+#: read verdicts, violations, detections and stats, so they always run
 #: the lean ``"counts"`` bus mode (per-prefix counters + the scenario's
 #: ``RETAINED_TOPICS``); verdicts are mode-independent by construction
 #: and asserted so by the golden-parity harness and the trace-mode
-#: property tests.  Pass ``trace_mode="full"`` to keep complete traces.
+#: property tests.  For a complete trace, build the scenario directly
+#: (``spec.build(params, trace_mode="full")``).
 CAMPAIGN_TRACE_MODE = "counts"
 
 
@@ -252,13 +253,13 @@ def _result_detections(
 def execute_variant(
     variant: VariantSpec,
     registry: ScenarioRegistry | None = None,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
 ) -> VariantOutcome:
     """Execute one variant end to end and derive its verdict.
 
-    ``trace_mode`` selects the scenario's event-bus retention mode
-    (lean ``"counts"`` by default -- see :data:`CAMPAIGN_TRACE_MODE`).
+    The scenario runs under :data:`CAMPAIGN_TRACE_MODE`, read at call
+    time.
     """
+    trace_mode = CAMPAIGN_TRACE_MODE
     registry = registry or default_registry()
     spec = registry.get(variant.scenario)
     started = time.perf_counter()
@@ -359,7 +360,6 @@ def _ensure_worker_identity() -> None:
 def _execute_checked(
     variant: VariantSpec,
     registry: ScenarioRegistry | None = None,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
     default_deadline_s: float | None = None,
 ) -> VariantOutcome:
     """:func:`execute_variant` under the fault-tolerance contract.
@@ -373,7 +373,7 @@ def _execute_checked(
     deterministic (no timer races, no partially-executed simulations).
     """
     fault_point("job-start")
-    outcome = execute_variant(variant, registry, trace_mode=trace_mode)
+    outcome = execute_variant(variant, registry)
     deadline = (
         variant.deadline_s
         if variant.deadline_s is not None
@@ -390,7 +390,6 @@ def _execute_checked(
 def _campaign_job(
     variant: VariantSpec,
     registry: ScenarioRegistry | None,
-    trace_mode: str,
     default_deadline_s: float | None,
 ) -> VariantOutcome:
     """The campaign job function: one variant, on whichever worker runs it.
@@ -401,10 +400,7 @@ def _campaign_job(
     """
     _ensure_worker_identity()
     return _execute_checked(
-        variant,
-        registry,
-        trace_mode=trace_mode,
-        default_deadline_s=default_deadline_s,
+        variant, registry, default_deadline_s=default_deadline_s
     )
 
 
@@ -582,15 +578,10 @@ class CampaignMemo(Protocol):
     or ``None``; ``record`` observes each freshly-executed outcome.
     """
 
-    def lookup(
-        self, variant: VariantSpec, trace_mode: str | None = None
-    ) -> VariantOutcome | None: ...
+    def lookup(self, variant: VariantSpec) -> VariantOutcome | None: ...
 
     def record(
-        self,
-        variant: VariantSpec,
-        outcome: VariantOutcome,
-        trace_mode: str | None = None,
+        self, variant: VariantSpec, outcome: VariantOutcome
     ) -> None: ...
 
 
@@ -613,8 +604,6 @@ class CampaignConfig:
             backends refuse it loudly -- their workers resolve variants
             against the default registry and would silently run the
             wrong specs.
-        trace_mode: Scenario event-trace mode (lean ``"counts"`` by
-            default; ``"full"`` retains complete traces).
         memo: Optional :class:`CampaignMemo` (e.g.
             :class:`repro.service.MemoStore`): variants it already knows
             are served as ``from_cache`` outcomes and never re-executed;
@@ -634,7 +623,6 @@ class CampaignConfig:
 
     backend: ExecutionBackend | str | None = None
     registry: ScenarioRegistry | None = None
-    trace_mode: str = CAMPAIGN_TRACE_MODE
     memo: CampaignMemo | None = None
     retry: RetryPolicy | None = None
     deadline_s: float | None = None
@@ -672,7 +660,7 @@ def _lookup(config: CampaignConfig, variant: VariantSpec) -> VariantOutcome | No
     """The memo's cached outcome of ``variant``, or ``None``."""
     if config.memo is None:
         return None
-    return config.memo.lookup(variant, config.trace_mode)
+    return config.memo.lookup(variant)
 
 
 def _remember(
@@ -680,7 +668,7 @@ def _remember(
 ) -> VariantOutcome:
     """Record a freshly executed ``outcome`` in the memo; return it."""
     if config.memo is not None:
-        config.memo.record(variant, outcome, config.trace_mode)
+        config.memo.record(variant, outcome)
     return outcome
 
 
@@ -716,10 +704,7 @@ def execute_memoised(
         if hit is not None:
             return hit
         outcome = _execute_checked(
-            variant,
-            config.registry,
-            trace_mode=config.trace_mode,
-            default_deadline_s=config.deadline_s,
+            variant, config.registry, default_deadline_s=config.deadline_s
         )
         return _remember(config, variant, outcome)
     except Exception as exc:  # noqa: BLE001 - reported as an ERROR outcome
@@ -760,9 +745,8 @@ def _execute(
 ) -> Iterator[tuple[int, VariantOutcome]]:
     """Memo hits, then the backend's results, then parked retries."""
     # Memo filtering: serve cache hits immediately, submit only misses.
-    # Verdicts cannot move under this split -- variant execution never
-    # consumes the runtime's per-index seed, so re-indexing the submitted
-    # subset changes nothing observable.
+    # Jobs carry no seed, so re-indexing the submitted subset changes
+    # nothing observable.
     pending: list[tuple[int, VariantSpec]] = []
     for index, variant in enumerate(variants):
         hit = _lookup(config, variant)
@@ -774,7 +758,6 @@ def _execute(
     job = functools.partial(
         _campaign_job,
         registry=config.registry,
-        trace_mode=config.trace_mode,
         default_deadline_s=config.deadline_s,
     )
     stream = Runtime(backend, on_event=on_event, cancel=cancel).map(
@@ -813,10 +796,10 @@ def _retry_variant(
 ) -> VariantOutcome | None:
     """Re-run one transiently-failed variant under ``config.retry``.
 
-    Retries run inline in the driver process: they are rare, variant
-    execution is unseeded, and the simulator is deterministic, so the
-    verdict matches what any backend's worker would have produced.  Each
-    attempt waits out the policy's seeded backoff first.  The wait is a
+    Retries run inline in the driver process: they are rare and the
+    simulator is deterministic, so the verdict matches what any
+    backend's worker would have produced.  Each attempt waits out the
+    policy's seeded backoff first.  The wait is a
     cancellation point: a cancelled retry starts nothing new and returns
     ``None`` -- the variant is dropped like any other unfinished one,
     never quarantined.  Otherwise returns a success annotated with its
@@ -833,10 +816,7 @@ def _retry_variant(
         attempt += 1
         try:
             outcome = _execute_checked(
-                variant,
-                config.registry,
-                trace_mode=config.trace_mode,
-                default_deadline_s=config.deadline_s,
+                variant, config.registry, default_deadline_s=config.deadline_s
             )
         except Exception as exc:  # noqa: BLE001 - captured, policy decides
             error = JobError.from_exception(exc)
@@ -868,8 +848,8 @@ def iter_campaign(
     """Execute ``variants``; yield outcomes as they finish.
 
     ``options`` are the :class:`CampaignConfig` fields (``backend``,
-    ``registry``, ``trace_mode``, ``memo``, ``retry``, ``deadline_s``,
-    ``on_error``), validated before anything runs.  Outcomes arrive in
+    ``registry``, ``memo``, ``retry``, ``deadline_s``, ``on_error``),
+    validated before anything runs.  Outcomes arrive in
     **completion** order (use :func:`run_campaign` for input-ordered
     aggregation); each one's record is pushed into ``sink`` the moment
     it exists, so partial results are exportable mid-run.  ``on_event``

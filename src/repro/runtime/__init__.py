@@ -7,9 +7,9 @@ the CLI's ``--backend``/``--jobs`` options) runs through this package:
   protocol and the ``serial`` / ``thread`` / ``process`` implementations
   (the only module in the repository importing :mod:`multiprocessing`);
 * :mod:`repro.runtime.runtime` -- the :class:`Runtime` facade adding
-  deterministic per-job seeds, progress events, structured error
-  capture and cooperative cancellation on top of any backend, one job
-  per backend task;
+  progress events, structured error capture and cooperative
+  cancellation on top of any backend, one job per backend task, plus
+  :func:`derive_seed`, the stable seed derivation;
 * :mod:`repro.runtime.retry` -- :class:`RetryPolicy`, the deterministic
   transient-failure retry/backoff contract every retry loop in the tree
   must go through (rule ``REP011`` bans ad-hoc sleep loops elsewhere).
@@ -18,7 +18,7 @@ Quick use::
 
     from repro.runtime import ProcessBackend, Runtime
 
-    with Runtime(ProcessBackend(jobs=4), seed=7) as runtime:
+    with Runtime(ProcessBackend(jobs=4)) as runtime:
         for result in runtime.map(execute, items):   # streams
             if not result.ok:
                 print("failed:", result.error.message)
@@ -51,7 +51,6 @@ from repro.runtime.runtime import (
     MAX_SEED,
     CancelToken,
     JobError,
-    JobFuture,
     JobResult,
     ProgressEvent,
     Runtime,
@@ -64,7 +63,6 @@ __all__ = [
     "DEFAULT_TRANSIENT_TYPES",
     "ExecutionBackend",
     "JobError",
-    "JobFuture",
     "JobResult",
     "MAX_SEED",
     "ProcessBackend",

@@ -126,30 +126,18 @@ def in_worker_process() -> bool:
     return _IN_WORKER_PROCESS
 
 
-def _process_worker_init(
-    sequence: Any,
-    initializer: Callable[..., None] | None,
-    initargs: tuple[Any, ...],
-) -> None:
-    """Pool-process startup: claim a worker index, then the user hook."""
+def _process_worker_init(sequence: Any) -> None:
+    """Pool-process startup: claim a worker index."""
     global _WORKER_INDEX, _IN_WORKER_PROCESS
     with sequence.get_lock():
         _WORKER_INDEX = sequence.value
         sequence.value += 1
     _IN_WORKER_PROCESS = True
-    if initializer is not None:
-        initializer(*initargs)
 
 
-def _thread_worker_init(
-    counter: Iterator[int],
-    initializer: Callable[..., None] | None,
-    initargs: tuple[Any, ...],
-) -> None:
-    """Pool-thread startup: claim a slot index, then the user hook."""
+def _thread_worker_init(counter: Iterator[int]) -> None:
+    """Pool-thread startup: claim a slot index."""
     _thread_state.index = next(counter)
-    if initializer is not None:
-        initializer(*initargs)
 
 
 # -- the protocol -------------------------------------------------------------
@@ -157,7 +145,7 @@ def _thread_worker_init(
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Where jobs run.  All backends speak this four-method protocol.
+    """Where jobs run.  All backends speak this two-method protocol.
 
     Attributes:
         name: Stable backend tag (``"serial"``, ``"thread"``,
@@ -172,10 +160,6 @@ class ExecutionBackend(Protocol):
     jobs: int
     shares_memory: bool
 
-    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> _futures.Future:
-        """Schedule one call; return its future."""
-        ...
-
     def map_unordered(
         self, fn: Callable[[Any], Any], items: Iterable[Any]
     ) -> Iterator[tuple[int, Any]]:
@@ -184,12 +168,6 @@ class ExecutionBackend(Protocol):
         The iterator is lazy where the backend allows it; closing it
         early cancels whatever has not started.
         """
-        ...
-
-    def as_completed(
-        self, fs: Iterable[_futures.Future], timeout: float | None = None
-    ) -> Iterator[_futures.Future]:
-        """Yield futures as they finish."""
         ...
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
@@ -201,16 +179,11 @@ class ExecutionBackend(Protocol):
 
 
 class _BackendBase:
-    """Shared future bookkeeping for all built-in backends."""
+    """Shared context-manager plumbing for all built-in backends."""
 
     name = "base"
     jobs = 1
     shares_memory = True
-
-    def as_completed(
-        self, fs: Iterable[_futures.Future], timeout: float | None = None
-    ) -> Iterator[_futures.Future]:
-        return _futures.as_completed(fs, timeout=timeout)
 
     def __enter__(self) -> "ExecutionBackend":
         return self  # type: ignore[return-value]
@@ -233,14 +206,6 @@ class SerialBackend(_BackendBase):
     name = "serial"
     jobs = 1
     shares_memory = True
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> _futures.Future:
-        future: _futures.Future = _futures.Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 - future carries it
-            future.set_exception(exc)
-        return future
 
     def map_unordered(
         self, fn: Callable[[Any], Any], items: Iterable[Any]
@@ -310,22 +275,15 @@ class ThreadBackend(_PoolBackend):
     name = "thread"
     shares_memory = True
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         super().__init__(jobs if jobs is not None else usable_cpus())
-        self._initializer = initializer
-        self._initargs = initargs
 
     def _make_executor(self) -> _futures.Executor:
         return _futures.ThreadPoolExecutor(
             max_workers=self.jobs,
             thread_name_prefix="repro-runtime",
             initializer=_thread_worker_init,
-            initargs=(itertools.count(), self._initializer, self._initargs),
+            initargs=(itertools.count(),),
         )
 
 
@@ -334,10 +292,9 @@ class ProcessBackend(_PoolBackend):
 
     Every worker process runs :func:`_process_worker_init` first: it
     claims a stable :func:`worker_index` from a shared counter and sets
-    the :func:`in_worker_process` flag, then calls the optional user
-    ``initializer``.  Works under both ``fork`` and ``spawn`` -- the
-    shared counter travels through the executor's process-creation
-    arguments, never through a task pickle.
+    the :func:`in_worker_process` flag.  Works under both ``fork`` and
+    ``spawn`` -- the shared counter travels through the executor's
+    process-creation arguments, never through a task pickle.
 
     The backend is *supervised*: a worker dying mid-job (OOM kill,
     segfault, hard ``os._exit``) breaks a :class:`ProcessPoolExecutor`
@@ -357,8 +314,6 @@ class ProcessBackend(_PoolBackend):
         self,
         jobs: int | None = None,
         start_method: str | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
         respawn_limit: int = 2,
     ) -> None:
         super().__init__(jobs if jobs is not None else usable_cpus())
@@ -367,8 +322,6 @@ class ProcessBackend(_PoolBackend):
                 f"respawn_limit must be >= 0, got {respawn_limit}"
             )
         self._start_method = start_method
-        self._initializer = initializer
-        self._initargs = initargs
         self.respawn_limit = respawn_limit
         self.respawns = 0
 
@@ -384,7 +337,7 @@ class ProcessBackend(_PoolBackend):
             max_workers=self.jobs,
             mp_context=context,
             initializer=_process_worker_init,
-            initargs=(sequence, self._initializer, self._initargs),
+            initargs=(sequence,),
         )
 
     def map_unordered(

@@ -1,12 +1,8 @@
-"""The :class:`Runtime` facade: seeded, observable job execution.
+"""The :class:`Runtime` facade: observable job execution.
 
 Backends (:mod:`repro.runtime.backends`) answer *where* a call runs; this
 module answers *how a workload runs well*, one job per backend task:
 
-* **deterministic seeds** -- every job receives a seed derived from the
-  runtime's root seed and the job's index via :func:`derive_seed`, so a
-  campaign re-run with the same root seed is bit-identical on any
-  backend, under any start method, at any parallelism;
 * **structured error capture** -- a job that raises yields a
   :class:`JobResult` carrying a :class:`JobError` (type, message,
   worker-side traceback) instead of crashing the whole fan-out;
@@ -16,11 +12,13 @@ module answers *how a workload runs well*, one job per backend task:
 * **cooperative cancellation** -- a shared :class:`CancelToken` stops
   dispatch between jobs and cancels whatever has not started, yielding
   the results already produced.
+
+:func:`derive_seed` is the stable seed derivation the retry jitter, fault
+plans, fuzzers and memo keys share.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as _futures
 import dataclasses
 import functools
 import hashlib
@@ -29,7 +27,7 @@ import time
 import traceback
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import DeadlineExceededError, ExecutionError, ValidationError
+from repro.errors import ExecutionError
 from repro.runtime.backends import ExecutionBackend, SerialBackend
 
 #: Largest derived seed (63 bits: always a positive Python/NumPy-safe int).
@@ -37,7 +35,7 @@ MAX_SEED = (1 << 63) - 1
 
 
 def derive_seed(root: int, *parts: Any) -> int:
-    """Derive a stable per-job seed from a root seed and identifying parts.
+    """Derive a stable seed from a root seed and identifying parts.
 
     The derivation hashes ``root`` and the parts' string forms, so it is
     identical across processes, start methods and platforms -- unlike
@@ -168,14 +166,12 @@ class JobResult:
         index: The job's position in the submitted item sequence.
         value: The job function's return value (``None`` on error).
         error: The captured worker-side failure (``None`` on success).
-        seed: The deterministic seed the job was derived (always set).
         wall_time_s: Worker-side execution time of this job alone.
     """
 
     index: int
     value: Any = None
     error: JobError | None = None
-    seed: int = 0
     wall_time_s: float = 0.0
 
     @property
@@ -211,120 +207,48 @@ class ProgressEvent:
 # under both fork and spawn.
 
 
-def _run_job(
-    fn: Callable[..., Any],
-    seeded: bool,
-    job: tuple[int, int, Any],
-    deadline_s: float | None = None,
-) -> JobResult:
-    """Execute one ``(index, seed, item)`` job; capture its error.
-
-    ``deadline_s`` is a cooperative per-job wall-clock budget: the job
-    runs to completion and a breach is reported afterwards as a
-    :class:`~repro.errors.DeadlineExceededError`-typed error result, so
-    the check is deterministic rather than a race with a timer thread.
-    """
-    index, seed, item = job
+def _run_job(fn: Callable[[Any], Any], job: tuple[int, Any]) -> JobResult:
+    """Execute one ``(index, item)`` job; capture its error."""
+    index, item = job
     started = time.perf_counter()
     try:
-        value = fn(item, seed) if seeded else fn(item)
+        value = fn(item)
     except Exception as exc:  # noqa: BLE001 - captured, reported upstream
         return JobResult(
             index=index,
             error=JobError.from_exception(exc),
-            seed=seed,
             wall_time_s=time.perf_counter() - started,
         )
-    elapsed = time.perf_counter() - started
-    if deadline_s is not None and elapsed > deadline_s:
-        breach = DeadlineExceededError(
-            f"job {index} exceeded its {deadline_s:g}s deadline "
-            f"({elapsed:.3f}s)"
-        )
-        return JobResult(
-            index=index,
-            error=JobError.from_exception(breach),
-            seed=seed,
-            wall_time_s=elapsed,
-        )
-    return JobResult(index=index, value=value, seed=seed, wall_time_s=elapsed)
-
-
-class JobFuture:
-    """A single in-flight job, resolvable to one :class:`JobResult`.
-
-    The async-friendly sibling of :meth:`Runtime.map`: where ``map``
-    drains a whole workload, a future lets a scheduler keep many
-    independent jobs in flight on one shared backend and harvest each
-    as it lands -- errors still arrive as error-carrying results, never
-    as raised exceptions (only infrastructure faults raise).
-    """
-
-    def __init__(self, future: "_futures.Future[JobResult]", index: int, seed: int) -> None:
-        self._future = future
-        self.index = index
-        self.seed = seed
-
-    def done(self) -> bool:
-        """True once the job has finished (or was cancelled)."""
-        return self._future.done()
-
-    def cancel(self) -> bool:
-        """Try to cancel; False if the job already started running."""
-        return self._future.cancel()
-
-    def result(self, timeout: float | None = None) -> JobResult:
-        """Block for the job's :class:`JobResult` (cancelled jobs yield
-        an error-carrying result rather than raising)."""
-        try:
-            return self._future.result(timeout=timeout)
-        except _futures.CancelledError:
-            error = JobError(type="CancelledError", message="job cancelled before start")
-            return JobResult(index=self.index, value=None, error=error, seed=self.seed)
-
-    def add_done_callback(self, callback: "Callable[[JobFuture], None]") -> None:
-        """Run ``callback(self)`` when the job completes (or immediately
-        if it already has)."""
-        self._future.add_done_callback(lambda _f: callback(self))
+    return JobResult(
+        index=index, value=value, wall_time_s=time.perf_counter() - started
+    )
 
 
 class Runtime:
-    """Seeded, observable execution over one backend.
+    """Observable execution over one backend.
 
     A runtime is cheap: it owns no workers itself (the backend does) and
     can be used as a context manager to shut the backend down::
 
-        with Runtime(ProcessBackend(jobs=4), seed=7) as runtime:
+        with Runtime(ProcessBackend(jobs=4)) as runtime:
             for result in runtime.map(execute, items):
                 ...  # streams in completion order
 
     Args:
         backend: Where jobs run (default: a fresh :class:`SerialBackend`).
-        seed: Root seed all per-job seeds derive from.
         on_event: Progress callback receiving :class:`ProgressEvent`.
         cancel: Shared cancellation token (one is created if omitted).
-        deadline_s: Cooperative per-job wall-clock budget applied by
-            :meth:`map` and :meth:`submit_job`; a job that runs longer
-            yields a ``DeadlineExceededError``-typed error result.
     """
 
     def __init__(
         self,
         backend: ExecutionBackend | None = None,
         *,
-        seed: int = 1,
         on_event: Callable[[ProgressEvent], None] | None = None,
         cancel: CancelToken | None = None,
-        deadline_s: float | None = None,
     ) -> None:
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValidationError(
-                f"deadline_s must be positive, got {deadline_s}"
-            )
         self.backend = backend if backend is not None else SerialBackend()
-        self.seed = seed
         self.cancel = cancel if cancel is not None else CancelToken()
-        self.deadline_s = deadline_s
         self._on_event = on_event
 
     # -- events ------------------------------------------------------------
@@ -338,25 +262,17 @@ class Runtime:
     # -- execution ---------------------------------------------------------
 
     def map(
-        self,
-        fn: Callable[..., Any],
-        items: Iterable[Any],
-        *,
-        seeded: bool = False,
+        self, fn: Callable[[Any], Any], items: Iterable[Any]
     ) -> Iterator[JobResult]:
         """Run ``fn`` over ``items``; yield :class:`JobResult` as completed.
 
-        ``fn`` is called as ``fn(item)`` -- or ``fn(item, seed)`` with
-        the job's derived seed when ``seeded=True``.  Each item is one
-        backend task.  On a process backend both ``fn`` and the items
-        must pickle.  Failures arrive as error-carrying results; this
-        iterator itself only raises for infrastructure faults (e.g. a
-        broken worker pool).
+        ``fn`` is called as ``fn(item)``; each item is one backend task
+        and each result carries the item's input position as ``index``.
+        On a process backend both ``fn`` and the items must pickle.
+        Failures arrive as error-carrying results; this iterator itself
+        only raises for infrastructure faults (e.g. a broken worker pool).
         """
-        jobs = [
-            (index, derive_seed(self.seed, index), item)
-            for index, item in enumerate(items)
-        ]
+        jobs = list(enumerate(items))
         total = len(jobs)
         done = 0
         if self.cancel.cancelled:
@@ -365,8 +281,7 @@ class Runtime:
         # partial over the module-level _run_job pickles, so one shape
         # serves the in-process and the process backends alike.
         stream = self.backend.map_unordered(
-            functools.partial(_run_job, fn, seeded, deadline_s=self.deadline_s),
-            jobs,
+            functools.partial(_run_job, fn), jobs
         )
         try:
             for _position, result in stream:
@@ -379,40 +294,6 @@ class Runtime:
         finally:
             stream.close()
         self._emit("finished", done, total)
-
-    def submit_job(
-        self,
-        fn: Callable[..., Any],
-        item: Any,
-        *,
-        index: int = 0,
-        seeded: bool = False,
-    ) -> JobFuture:
-        """Submit one job; return a :class:`JobFuture` immediately.
-
-        The job runs through the same worker-side shape as :meth:`map`
-        (``_run_job``), so seeding and error capture are identical --
-        ``index`` stands in for the position :meth:`map` would have
-        assigned, and the seed derives from it.
-        """
-        seed = derive_seed(self.seed, index)
-        future = self.backend.submit(
-            _run_job, fn, seeded, (index, seed, item), self.deadline_s
-        )
-        return JobFuture(future, index, seed)
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        items: Iterable[Any],
-        *,
-        seeded: bool = False,
-    ) -> list[JobResult]:
-        """Like :meth:`map` but collected and ordered by job index."""
-        return sorted(
-            self.map(fn, items, seeded=seeded),
-            key=lambda result: result.index,
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -430,7 +311,6 @@ class Runtime:
 __all__ = [
     "CancelToken",
     "JobError",
-    "JobFuture",
     "JobResult",
     "MAX_SEED",
     "ProgressEvent",

@@ -1,10 +1,11 @@
 """Content-addressed variant memoisation (the daemon's warm path).
 
-A variant's outcome is a pure function of three things: its **resolved
+A variant's outcome is a pure function of two things: its **resolved
 configuration** (the variant payload merged over its scenario spec's
-factory, defaults and topology layers), the **derived seed** the runtime
-would hand it, and the **code** that executes it.  :func:`variant_key`
-hashes exactly those three into one sha256 hex digest; the
+factory, defaults and topology layers) and the **code** that executes
+it.  :func:`variant_key` hashes both into one sha256 hex digest, along
+with two fixed fields (a per-variant seed and the campaign trace mode)
+that keep every key byte-identical to earlier journals; the
 :class:`MemoStore` maps that digest to the cached
 :class:`~repro.engine.campaign.VariantOutcome`.
 
@@ -76,19 +77,15 @@ def variant_key(
     variant: VariantSpec,
     *,
     registry: ScenarioRegistry | None = None,
-    seed_root: int = 1,
-    trace_mode: str = CAMPAIGN_TRACE_MODE,
     fingerprint: str | None = None,
 ) -> str:
     """The content address of one variant's outcome.
 
-    ``sha256(resolved variant config + derived seed + code
-    fingerprint)``: the resolved config is the variant payload plus the
-    owning spec's factory/defaults/topology layers (so two registries
-    binding the same variant id to different scenarios can never
-    collide), the seed derives from ``seed_root`` and the variant id
-    (stable across submission order), and the fingerprint is
-    :func:`code_fingerprint` unless pinned by the caller.
+    ``sha256(resolved variant config + code fingerprint)``: the resolved
+    config is the variant payload plus the owning spec's
+    factory/defaults/topology layers (so two registries binding the same
+    variant id to different scenarios can never collide), and the
+    fingerprint is :func:`code_fingerprint` unless pinned by the caller.
 
     Raises:
         ValidationError: when the variant's scenario is not registered
@@ -105,8 +102,11 @@ def variant_key(
             "defaults": spec.defaults,
             "topology": spec.topology,
         },
-        "seed": derive_seed(seed_root, variant.variant_id),
-        "trace_mode": trace_mode,
+        # Fixed fields: no execution reads a seed and campaigns always run
+        # CAMPAIGN_TRACE_MODE, but both stay in the payload so every key
+        # keeps its bytes (PINNED_KEYS in tests/test_campaign_parity.py).
+        "seed": derive_seed(1, variant.variant_id),
+        "trace_mode": CAMPAIGN_TRACE_MODE,
         "code": fingerprint if fingerprint is not None else code_fingerprint(),
     }
     text = json.dumps(payload, sort_keys=True, default=repr)
@@ -122,10 +122,6 @@ class MemoStore:
             keeps the store purely in memory (tests, ad-hoc runs).
         registry: Registry the key derivation resolves scenario specs
             against (default: the stock registry).
-        seed_root: Root seed folded into every key.
-        trace_mode: The trace mode folded into every key -- outcomes
-            cached under ``"counts"`` are not served to a ``"full"``
-            campaign, whose stats legitimately differ.
 
     The store implements the campaign runner's duck-typed memo protocol
     (:meth:`lookup` / :meth:`record`), so it plugs straight into
@@ -137,13 +133,9 @@ class MemoStore:
         path: str | Path | None = None,
         *,
         registry: ScenarioRegistry | None = None,
-        seed_root: int = 1,
-        trace_mode: str = CAMPAIGN_TRACE_MODE,
     ) -> None:
         self._dir = Path(path) if path is not None else None
         self._registry = registry or default_registry()
-        self._seed_root = seed_root
-        self._trace_mode = trace_mode
         self._fingerprint = code_fingerprint()
         #: key -> the outcome a hit returns (``from_cache=True``),
         #: decoded once at load or put, never per lookup.
@@ -267,29 +259,12 @@ class MemoStore:
     def key_for(self, variant: VariantSpec) -> str:
         """This store's content address for one variant."""
         return variant_key(
-            variant,
-            registry=self._registry,
-            seed_root=self._seed_root,
-            trace_mode=self._trace_mode,
-            fingerprint=self._fingerprint,
+            variant, registry=self._registry, fingerprint=self._fingerprint
         )
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def get(self, key: str) -> VariantOutcome | None:
-        """The outcome cached under ``key`` as executed
-        (``from_cache=False``), or ``None``."""
-        with self._lock:
-            hit = self._entries.get(key)
-        if hit is None:
-            return None
-        return dataclasses.replace(hit, from_cache=False)
 
     def put(self, key: str, variant_id: str, outcome: VariantOutcome) -> None:
         """Journal + cache one executed outcome under ``key``.
@@ -310,18 +285,13 @@ class MemoStore:
 
     # -- the campaign runner's memo protocol -------------------------------
 
-    def lookup(self, variant: VariantSpec, trace_mode: str | None = None) -> VariantOutcome | None:
+    def lookup(self, variant: VariantSpec) -> VariantOutcome | None:
         """The cached outcome of ``variant``, marked ``from_cache``.
 
-        Returns ``None`` -- and counts a miss -- for unseen variants,
+        Returns ``None`` -- and counts a miss -- for unseen variants and
         for variants whose scenario the registry does not know (they
-        cannot be keyed; execution will surface the real error), and for
-        a ``trace_mode`` other than the store's own.
+        cannot be keyed; execution will surface the real error).
         """
-        if trace_mode is not None and trace_mode != self._trace_mode:
-            with self._lock:
-                self.misses += 1
-            return None
         try:
             key = self.key_for(variant)
         except (ReproError, KeyError):
@@ -336,18 +306,11 @@ class MemoStore:
                 self.hits += 1
         return hit
 
-    def record(
-        self,
-        variant: VariantSpec,
-        outcome: VariantOutcome,
-        trace_mode: str | None = None,
-    ) -> None:
+    def record(self, variant: VariantSpec, outcome: VariantOutcome) -> None:
         """Cache one freshly-executed outcome (errors are never cached:
         a crash may be environmental, and serving it forever would make
         one bad run permanent)."""
         if outcome.is_error:
-            return
-        if trace_mode is not None and trace_mode != self._trace_mode:
             return
         try:
             key = self.key_for(variant)

@@ -41,7 +41,6 @@ import time
 from typing import Any, Iterable, Sequence
 
 from repro.engine.campaign import (
-    CAMPAIGN_TRACE_MODE,
     CampaignConfig,
     CampaignMemo,
     VariantOutcome,
@@ -166,7 +165,6 @@ class Scheduler:
         unit_size: Variants per stealable work unit; a submission is
             cut into consecutive units of this size, in input order.
         registry: Scenario registry variants resolve against.
-        trace_mode: Trace mode every execution runs under.
         cancel: Scheduler-wide cancellation token; each submission gets
             a :meth:`~repro.runtime.CancelToken.child` of it.
         failure_threshold: Consecutive fresh (non-memo) failures after
@@ -185,7 +183,6 @@ class Scheduler:
         workers: int | None = None,
         unit_size: int = DEFAULT_UNIT_SIZE,
         registry: ScenarioRegistry | None = None,
-        trace_mode: str = CAMPAIGN_TRACE_MODE,
         cancel: CancelToken | None = None,
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         deadline_s: float | None = None,
@@ -201,7 +198,6 @@ class Scheduler:
         #: The engine options every variant runs under, validated once.
         self.config = CampaignConfig(
             registry=registry,
-            trace_mode=trace_mode,
             memo=memo,
             deadline_s=deadline_s,
             on_error="record",
@@ -431,19 +427,6 @@ class Scheduler:
             "redistributed_units": redistributed,
             "submissions": submissions,
         }
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Block until every accepted submission finished; True if all did."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            submissions = list(self._submissions.values())
-        for submission in submissions:
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            if not submission.wait(remaining):
-                return False
-        return True
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the workers (idempotent).  ``wait=False`` abandons queued

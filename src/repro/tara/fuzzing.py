@@ -355,15 +355,17 @@ class FuzzCampaign:
                     f"attack paths of {self._plan.tree_goal!r}"
                 )
         # Per-interface determinism comes from _mutate_interface's own
-        # derive_seed(self._seed, interface); the runtime's seeded mode
-        # is unused here.
+        # derive_seed(self._seed, interface).
         runtime = Runtime(resolved)
         try:
-            results = runtime.run(
-                lambda interface: self._mutate_interface(
-                    interface, seeds[interface]
+            results = sorted(
+                runtime.map(
+                    lambda interface: self._mutate_interface(
+                        interface, seeds[interface]
+                    ),
+                    interfaces,
                 ),
-                interfaces,
+                key=lambda result: result.index,
             )
         finally:
             if backend is None or isinstance(backend, str):

@@ -18,7 +18,6 @@ import pytest
 
 from repro.engine import campaign
 from repro.engine.campaign import (
-    CAMPAIGN_TRACE_MODE,
     ERROR_VERDICT,
     _campaign_job,
     execute_variant,
@@ -88,7 +87,7 @@ def _poisoned_variant():
 # Module-level so it pickles into process workers under fork and spawn.
 def _job_then_claim(variant):
     """Run one campaign job, then mint an attack id in the same worker."""
-    _campaign_job(variant, None, CAMPAIGN_TRACE_MODE, None)
+    _campaign_job(variant, None, None)
     return worker_index(), claim_id("AD")
 
 
@@ -102,10 +101,10 @@ class _DictMemo:
         }
         self.recorded = []
 
-    def lookup(self, variant, trace_mode=None):
+    def lookup(self, variant):
         return self.outcomes.get(variant.variant_id)
 
-    def record(self, variant, outcome, trace_mode=None):
+    def record(self, variant, outcome):
         self.recorded.append(variant.variant_id)
 
 
@@ -175,7 +174,6 @@ class TestJobFunction:
         job = functools.partial(
             _campaign_job,
             registry=None,
-            trace_mode=CAMPAIGN_TRACE_MODE,
             default_deadline_s=None,
         )
         shipped = pickle.loads(pickle.dumps(job))
@@ -186,11 +184,11 @@ class TestJobFunction:
     def test_campaign_default_deadline_applies(self):
         variant = _quick_variants()[0]
         with pytest.raises(DeadlineExceededError, match="deadline"):
-            _campaign_job(variant, None, CAMPAIGN_TRACE_MODE, 1e-9)
+            _campaign_job(variant, None, 1e-9)
 
     def test_variant_deadline_wins_over_campaign_default(self):
         variant = dataclasses.replace(_quick_variants()[0], deadline_s=60.0)
-        outcome = _campaign_job(variant, None, CAMPAIGN_TRACE_MODE, 1e-9)
+        outcome = _campaign_job(variant, None, 1e-9)
         assert outcome.variant_id == variant.variant_id
         assert not outcome.is_error
 
@@ -199,9 +197,7 @@ class TestJobFunction:
         caller's allocator keeps counting where it was."""
         try:
             before = int(claim_id("AD")[2:])
-            _campaign_job(
-                _quick_variants()[0], None, CAMPAIGN_TRACE_MODE, None
-            )
+            _campaign_job(_quick_variants()[0], None, None)
             assert campaign._worker_identity_claimed is False
             assert int(claim_id("AD")[2:]) > before
         finally:
@@ -212,7 +208,7 @@ class TestJobFunction:
         worker's own block, so ids minted in parallel never collide."""
         variants = _quick_variants()[:6]
         with Runtime(ProcessBackend(jobs=2)) as runtime:
-            results = runtime.run(_job_then_claim, variants)
+            results = list(runtime.map(_job_then_claim, variants))
         assert all(r.ok for r in results)
         minted = [(index, int(ident[2:])) for index, ident in
                   (r.value for r in results)]

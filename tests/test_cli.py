@@ -128,6 +128,48 @@ class TestCampaign:
         assert main(["campaign", "--scenario", "uc9-imaginary"]) == 1
         assert "ERROR" in capsys.readouterr().err
 
+    def test_errored_variants_exit_two(self, capsys):
+        assert main([
+            "campaign", "--family", "baseline", "--deadline-s", "1e-9",
+        ]) == 2
+        assert "errored" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv", ".md"])
+    def test_export_writes_file(self, tmp_path, capsys, suffix):
+        target = tmp_path / f"records{suffix}"
+        assert main([
+            "campaign", "--family", "baseline", "--export", str(target),
+        ]) == 0
+        assert target.read_text(encoding="utf-8").strip()
+        out = capsys.readouterr().out
+        assert f"exported 2 record(s) to {target}" in out
+
+    def test_export_unknown_suffix_errors(self, tmp_path, capsys):
+        target = tmp_path / "records.xlsx"
+        assert main([
+            "campaign", "--family", "baseline", "--export", str(target),
+        ]) == 1
+        assert "cannot infer export format" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_retries_on_clean_family_match_golden(self, capsys):
+        import json
+        import pathlib
+
+        golden = json.loads(
+            (pathlib.Path(__file__).parent / "data" / "golden_verdicts.json")
+            .read_text(encoding="utf-8")
+        )
+        assert main([
+            "campaign", "--family", "baseline", "--retries", "2", "--json",
+        ]) == 0
+        records = json.loads(capsys.readouterr().out)["outcomes"]
+        assert len(records) == 2
+        for record in records:
+            assert [record["verdict"], record["goals"]] == golden[
+                record["subject"]
+            ]
+
 
 class TestSubmit:
     def test_json_outcomes_round_trip(self, tmp_path, capsys):
@@ -154,6 +196,37 @@ class TestSubmit:
                 assert outcome.from_cache is cached
                 assert json.loads(json.dumps(outcome.to_payload())) == item
                 assert outcome.verdict == "ATTACK_FAILED"
+
+
+class TestStatus:
+    @pytest.fixture
+    def daemon(self, tmp_path, capsys):
+        from repro.service import CampaignDaemon
+
+        with CampaignDaemon(port=0, memo_dir=tmp_path / "memo").start() as daemon:
+            assert main([
+                "submit", "--port", str(daemon.port),
+                "--family", "zone-geometry", "--scenario", "uc2-keyless-entry",
+            ]) == 0
+            capsys.readouterr()
+            yield daemon
+
+    def test_text_report(self, daemon, capsys):
+        assert main(["status", "--port", str(daemon.port)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("daemon pid ")
+        assert "3 executed" in out
+        assert "0 active / 1 total" in out
+        assert "memo: 3 entries" in out
+
+    def test_json_report(self, daemon, capsys):
+        import json
+
+        assert main(["status", "--port", str(daemon.port), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["scheduler"]["executed"] == 3
+        assert status["scheduler"]["total_submissions"] == 1
+        assert status["memo"]["entries"] == 3
 
 
 class TestLint:

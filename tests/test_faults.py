@@ -56,11 +56,6 @@ def _faulted_square(value):
     return value * value
 
 
-def _slow_job(value):
-    time.sleep(0.05)
-    return value
-
-
 class _PoisonedStr(Exception):
     def __str__(self):
         raise RuntimeError("__str__ is poisoned")
@@ -262,18 +257,6 @@ class TestRetryPolicy:
 
 
 class TestDeadlines:
-    def test_runtime_deadline_yields_typed_error(self):
-        with Runtime(deadline_s=0.01) as runtime:
-            results = list(runtime.map(_slow_job, [1]))
-        assert len(results) == 1 and not results[0].ok
-        assert results[0].error.type == "DeadlineExceededError"
-        with Runtime(deadline_s=60.0) as runtime:
-            assert all(r.ok for r in runtime.map(_slow_job, [1, 2]))
-
-    def test_runtime_rejects_non_positive_deadline(self):
-        with pytest.raises(ValidationError, match="deadline_s"):
-            Runtime(deadline_s=0.0)
-
     def test_campaign_default_deadline_records_error(self):
         variants = _variants(1)
         result = run_campaign(variants, on_error="record", deadline_s=1e-9)
@@ -394,7 +377,7 @@ class TestRetryAndQuarantine:
 
         executions = []
 
-        def always_transient(variant, registry=None, trace_mode=None):
+        def always_transient(variant, registry=None):
             executions.append(variant.variant_id)
             raise TransientError("still flaky")
 

@@ -23,8 +23,8 @@ def _square(value):
     return value * value
 
 
-def _echo_seed(value, seed):
-    return (value, seed)
+def _derive(value):
+    return (value, derive_seed(5, value))
 
 
 def _fail_on_two(value):
@@ -44,6 +44,11 @@ ALL_BACKENDS = ("serial", "thread", "process")
 
 def _backend(name):
     return make_backend(name, jobs=None if name == "serial" else 2)
+
+
+def _run(runtime, fn, items):
+    """Every result of ``runtime.map``, in input order."""
+    return sorted(runtime.map(fn, items), key=lambda result: result.index)
 
 
 class TestSeedDerivation:
@@ -108,16 +113,6 @@ class TestBackendExecution:
             backend.shutdown()
         assert got == {index: index * index for index in range(8)}
 
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_submit_and_as_completed(self, name):
-        backend = _backend(name)
-        try:
-            futures = [backend.submit(_square, value) for value in (2, 3)]
-            results = sorted(f.result() for f in backend.as_completed(futures))
-        finally:
-            backend.shutdown()
-        assert results == [4, 9]
-
     def test_serial_is_lazy(self):
         executed = []
 
@@ -141,19 +136,17 @@ class TestBackendExecution:
 
 class TestRuntimeSemantics:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_results_ordered_and_seeded(self, name):
-        with Runtime(_backend(name), seed=11) as runtime:
-            results = runtime.run(_echo_seed, ["a", "b", "c"], seeded=True)
-        assert [r.value[0] for r in results] == ["a", "b", "c"]
-        assert [r.seed for r in results] == [
-            derive_seed(11, index) for index in range(3)
-        ]
+    def test_results_carry_their_input_index(self, name):
+        with Runtime(_backend(name)) as runtime:
+            results = _run(runtime, _square, [3, 1, 2])
+        assert [r.index for r in results] == [0, 1, 2]
+        assert [r.value for r in results] == [9, 1, 4]
         assert all(r.ok and r.wall_time_s >= 0 for r in results)
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_errors_are_captured_not_raised(self, name):
         with Runtime(_backend(name)) as runtime:
-            results = runtime.run(_fail_on_two, range(4))
+            results = _run(runtime, _fail_on_two, range(4))
         assert [r.ok for r in results] == [True, True, False, True]
         failed = results[2]
         assert failed.error.type == "ValueError"
@@ -164,20 +157,20 @@ class TestRuntimeSemantics:
 
     @pytest.mark.parametrize("jobs", (1, 2, 5))
     def test_pool_size_does_not_change_results(self, jobs):
-        """Each item is one task, so the pool size moves no index, seed
-        or value."""
-        with Runtime(ThreadBackend(jobs=jobs), seed=3) as runtime:
-            results = runtime.run(_echo_seed, range(9), seeded=True)
+        """Each item is one task, so the pool size moves no index or
+        value."""
+        with Runtime(ThreadBackend(jobs=jobs)) as runtime:
+            results = _run(runtime, _derive, range(9))
         assert [r.index for r in results] == list(range(9))
         assert [r.value for r in results] == [
-            (value, derive_seed(3, value)) for value in range(9)
+            (value, derive_seed(5, value)) for value in range(9)
         ]
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_empty_input_runs_no_job(self, name):
         events = []
         with Runtime(_backend(name), on_event=events.append) as runtime:
-            assert runtime.run(_square, []) == []
+            assert _run(runtime, _square, []) == []
         assert [(e.kind, e.done, e.total) for e in events] == [
             ("finished", 0, 0)
         ]
@@ -216,21 +209,20 @@ class TestRuntimeSemantics:
 class TestProcessBackendSemantics:
     @pytest.mark.parametrize("method", available_start_methods())
     def test_seeds_identical_under_every_start_method(self, method):
-        """Seed derivation is parent-side and content-addressed, so the
-        seed a worker sees is identical under fork and spawn."""
-        with Runtime(
-            ProcessBackend(jobs=2, start_method=method), seed=5
-        ) as runtime:
-            results = runtime.run(_echo_seed, ["x", "y", "z"], seeded=True)
+        """Seed derivation is content-addressed, so a seed derived in a
+        worker is identical under fork and spawn."""
+        with Runtime(ProcessBackend(jobs=2, start_method=method)) as runtime:
+            results = _run(runtime, _derive, ["x", "y", "z"])
+        assert [r.index for r in results] == [0, 1, 2]
         assert [r.value for r in results] == [
-            ("x", derive_seed(5, 0)),
-            ("y", derive_seed(5, 1)),
-            ("z", derive_seed(5, 2)),
+            ("x", derive_seed(5, "x")),
+            ("y", derive_seed(5, "y")),
+            ("z", derive_seed(5, "z")),
         ]
 
     def test_workers_know_their_identity(self):
         with Runtime(ProcessBackend(jobs=2)) as runtime:
-            results = runtime.run(_report_worker, range(6))
+            results = _run(runtime, _report_worker, range(6))
         assert all(r.value[0] is True for r in results)
         assert {r.value[1] for r in results} <= {0, 1}
 

@@ -139,7 +139,7 @@ class TestTornJournal:
         store = MemoStore(tmp_path / "memo")
         with armed(plan):
             for variant, outcome in zip(variants, outcomes):
-                store.record(variant, outcome, "counts")
+                store.record(variant, outcome)
         store.close()
         reloaded = MemoStore(tmp_path / "memo")
         status = reloaded.status()
@@ -148,7 +148,7 @@ class TestTornJournal:
         assert status["corrupt"] == 1
         assert status["entries"] == 3
         hits = [
-            reloaded.lookup(variant, "counts") is not None
+            reloaded.lookup(variant) is not None
             for variant in variants
         ]
         assert hits.count(True) == 3
@@ -158,7 +158,7 @@ class TestTornJournal:
         variants = _variants(2)
         store = MemoStore(tmp_path / "memo")
         for variant in variants:
-            store.record(variant, execute_variant(variant), "counts")
+            store.record(variant, execute_variant(variant))
         store.close()
         reloaded = MemoStore(tmp_path / "memo")
         assert reloaded.status()["corrupt"] == 0

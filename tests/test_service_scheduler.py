@@ -48,12 +48,12 @@ class _GateMemo:
         self.entered = threading.Event()
         self.gate = threading.Event()
 
-    def lookup(self, variant, trace_mode=None):
+    def lookup(self, variant):
         self.entered.set()
         assert self.gate.wait(timeout=10.0)
         return None
 
-    def record(self, variant, outcome, trace_mode=None):
+    def record(self, variant, outcome):
         return None
 
 

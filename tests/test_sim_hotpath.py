@@ -699,6 +699,7 @@ class TestTraceModeVerdictNeutrality:
     @settings(max_examples=8, deadline=None)
     @given(st.data())
     def test_counts_and_full_verdicts_match(self, data):
+        from repro.engine import campaign
         from repro.engine.campaign import execute_variant
         from repro.engine.registry import default_registry
 
@@ -713,8 +714,11 @@ class TestTraceModeVerdictNeutrality:
             if variant.params_dict().get("fleet_size") == 2
         )
         variant = data.draw(st.sampled_from(quick))
-        full = execute_variant(variant, trace_mode=TRACE_FULL)
-        lean = execute_variant(variant, trace_mode=TRACE_COUNTS)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(campaign, "CAMPAIGN_TRACE_MODE", TRACE_FULL)
+            full = execute_variant(variant)
+        assert campaign.CAMPAIGN_TRACE_MODE == TRACE_COUNTS
+        lean = execute_variant(variant)
         assert lean.verdict == full.verdict
         assert lean.violated_goals == full.violated_goals
         assert lean.violations == full.violations
