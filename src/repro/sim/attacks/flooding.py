@@ -83,20 +83,45 @@ class FloodingAttack(AttackInjector):
     def _burst(self) -> None:
         # The whole flood repeats through this one bound method -- a
         # closure per packet would allocate ~12k lambdas per variant.
-        if self._clock.now > self._burst_end:
+        clock = self._clock
+        now = clock.now
+        if now > self._burst_end:
             self._mark_end()
             return
-        self._send_one()
+        message = self._message(now)
+        self._emit(message)
+        next_time = now + self._gap()
+        if next_time <= self._burst_end:
+            stop = self.channel.train_stop(message)
+            if next_time < stop:
+                next_time = self._train(next_time, stop)
+        # post, not schedule: the burst never cancels itself, so the
+        # per-packet EventHandle allocation is pure overhead.
+        clock.post(next_time, self._burst)
+
+    def _train(self, next_time: float, stop: float) -> float:
+        """Run the bursts due before ``stop`` (and the end) as one train,
+        without advancing the clock; returns the next burst's time."""
+        times = []
+        messages = []
+        while next_time < stop and next_time <= self._burst_end:
+            times.append(next_time)
+            messages.append(self._message(next_time))
+            next_time += self._gap()
+        self.channel.send_train(times, messages)
+        self.messages_sent += len(times)
+        return next_time
+
+    def _gap(self) -> float:
+        """The gap to the next burst (one step of the pattern)."""
         gap = self.interval_ms
         if self.chaotic:
             gap *= _CHAOTIC_PATTERN[self._burst_step % len(_CHAOTIC_PATTERN)]
         self._burst_step += 1
-        # post, not schedule: the burst never cancels itself, so the
-        # per-packet EventHandle allocation is pure overhead.
-        clock = self._clock
-        clock.post(clock.now + max(gap, 0.01), self._burst)
+        return max(gap, 0.01)
 
-    def _send_one(self) -> None:
+    def _message(self, now: float) -> Message:
+        """The next flood packet, stamped ``now``."""
         self._counter += 1
         # Timestamp at construction: one Message build per flood packet
         # on the hottest send path.  create_signed records the key and
@@ -104,25 +129,23 @@ class FloodingAttack(AttackInjector):
         # on the signer's own key never makes.
         if self.authenticated:
             assert self._keystore is not None
-            message = Message.create_signed(
+            return Message.create_signed(
                 self._keystore,
                 kind=self.kind,
                 sender=self.name,
                 payload=self._payload_factory(self._counter),
                 counter=self._counter,
-                timestamp=self._clock.now,
+                timestamp=now,
                 location=self.location,
             )
-        else:
-            message = Message(
-                kind=self.kind,
-                sender=self.name,
-                payload=self._payload_factory(self._counter),
-                counter=self._counter,
-                timestamp=self._clock.now,
-                location=self.location,
-            )
-        self._emit(message)
+        return Message(
+            kind=self.kind,
+            sender=self.name,
+            payload=self._payload_factory(self._counter),
+            counter=self._counter,
+            timestamp=now,
+            location=self.location,
+        )
 
 
 __all__ = [

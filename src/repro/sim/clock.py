@@ -27,7 +27,11 @@ to the original dataclass-heap implementation:
   for one callback -- message delivery, ECU service slots -- behind a
   single heap entry for its head, so a flood's in-flight packets cost
   three deque slots each instead of a heap tuple and a bound
-  ``partial``.
+  ``partial``;
+* a flood *train* (:meth:`Lane.push_many`, :meth:`Lane.pop_before`)
+  runs a flood's bursts and due deliveries as one event up to the next
+  *foreign* event (:meth:`SimClock.next_foreign`), consuming the
+  sequence numbers and ``pending`` counts of the events it replaces.
 
 Sequence numbers are consumed one per scheduled occurrence (and one per
 lane push) in the same program order as before, so tie-breaking (and
@@ -38,8 +42,8 @@ exactly.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import Any, Callable
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Callable, Iterator
 
 from repro.errors import SimulationError
 
@@ -150,8 +154,9 @@ class Lane:
         clock = self._clock
         if time < self._tail or time < clock.now:
             raise SimulationError(
-                f"cannot push at {time} ms onto a lane whose tail is at "
-                f"{self._tail} ms; clock is at {clock.now} ms"
+                f"cannot push at {time} ms onto a lane: "
+                + (f"its tail is at {self._tail} ms (lanes are FIFO)"
+                   if time < self._tail else f"clock is at {clock.now} ms")
             )
         self._tail = time
         sequence = clock._sequence
@@ -165,6 +170,57 @@ class Lane:
         items.append(time)
         items.append(sequence)
         items.append(item)
+
+    def push_many(self, times: list[float], items: list[Any]) -> None:
+        """Queue ``items[i]`` at ``times[i]`` (FIFO, unchecked) for a
+        flood train: each item skips one sequence number, the burst post
+        the train replaces, then takes one as :meth:`push` would."""
+        if not items:
+            return
+        clock = self._clock
+        entries = self._items
+        if entries is None:
+            entries = self._items = deque()
+        sequence = clock._sequence
+        if not entries:
+            heappush(clock._queue, (times[0], sequence + 1, None, self))
+        append = entries.append
+        for time, item in zip(times, items):
+            sequence += 2
+            append(time)
+            append(sequence - 1)
+            append(item)
+        clock._sequence = sequence
+        clock._pending += len(items)
+        self._tail = times[-1]
+
+    def pop_before(self, stop: float) -> list[float]:
+        """Remove the items due strictly before ``stop``, unfired, and
+        return their times.  The lane's heap entry, which must then be
+        the heap top, is re-keyed to the next item or dropped."""
+        items = self._items
+        if not items or items[0] >= stop:
+            return []
+        clock = self._clock
+        queue = clock._queue
+        assert queue[0][3] is self, "the lane head is not the earliest event"
+        popleft = items.popleft
+        times = []
+        while items and items[0] < stop:
+            times.append(popleft())
+            popleft()
+            popleft()
+        if items:
+            heapreplace(queue, (items[0], items[1], None, self))
+        else:
+            heappop(queue)
+        clock._pending -= len(times)
+        return times
+
+    def __iter__(self) -> Iterator[tuple[float, int, Any]]:
+        """The queued ``(time, sequence, item)`` triples, in firing order."""
+        items = iter(self._items or ())
+        return zip(items, items, items)
 
     def __call__(self) -> None:
         items = self._items
@@ -184,7 +240,7 @@ class SimClock:
     :meth:`run_until` / :meth:`run`.
     """
 
-    __slots__ = ("now", "_sequence", "_queue", "_pending")
+    __slots__ = ("now", "_sequence", "_queue", "_pending", "_horizon")
 
     def __init__(self) -> None:
         #: Current simulation time in milliseconds.  A plain slot
@@ -197,6 +253,8 @@ class SimClock:
         # Heap of (time, sequence, EventHandle | None, callback).
         self._queue: list[tuple] = []
         self._pending = 0
+        # run_until's argument (infinity under run()): trains stop there.
+        self._horizon = float("inf")
 
     def _push(
         self,
@@ -263,6 +321,15 @@ class SimClock:
         """A FIFO :class:`Lane` firing ``callback(item)`` per pushed item."""
         return Lane(self, callback)
 
+    def next_foreign(self, lane: Lane) -> float:
+        """The earliest queued event time other than ``lane``'s head
+        (cancelled entries count), capped at the run horizon: where a
+        flood train feeding ``lane`` must stop."""
+        queue = self._queue
+        # The heap's second-smallest entry is a child of the root.
+        top = queue[1:3] if queue and queue[0][3] is lane else queue[:1]
+        return min([entry[0] for entry in top] + [self._horizon])
+
     def schedule_periodic(
         self,
         period: float,
@@ -291,13 +358,16 @@ class SimClock:
     def run_until(self, time: float) -> int:
         """Execute events up to and including ``time``; advance the clock.
 
-        Returns the number of events executed.  The clock ends exactly at
-        ``time`` even if the queue drains earlier.
+        Returns the number of events executed; a flood train counts as
+        one event, while :attr:`pending` still counts every packet it
+        left queued.  The clock ends exactly at ``time`` even if the
+        queue drains earlier.
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot run backwards to {time} ms from {self.now} ms"
             )
+        self._horizon = time
         queue = self._queue
         executed = 0
         while queue and queue[0][0] <= time:
@@ -316,8 +386,10 @@ class SimClock:
     def run(self) -> int:
         """Execute all pending events (events may schedule new ones).
 
-        Returns the number of events executed.
+        Returns the number of events executed (a flood train counts as
+        one, as in :meth:`run_until`).
         """
+        self._horizon = float("inf")
         queue = self._queue
         executed = 0
         while queue:

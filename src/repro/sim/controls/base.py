@@ -98,6 +98,13 @@ class SecurityControl(abc.ABC):
     def inspect(self, message: Message, now: float) -> Decision:
         """Inspect a message at time ``now`` and allow or deny it."""
 
+    def standing_denial(self, sender: str) -> tuple[float, Decision] | None:
+        """``(until, decision)`` promises that until ``until``,
+        :meth:`inspect` of any message from ``sender`` returns
+        ``decision`` and changes no state (so a flood train may deny in
+        bulk); ``None``, the default, promises nothing."""
+        return None
+
     def reset(self) -> None:
         """Clear any per-sender state (between test executions)."""
 
@@ -186,19 +193,7 @@ class ControlPipeline:
                 reason = decision.reason
                 kind = message.kind
                 sender = message.sender
-                runs = self._runs
-                run = runs[-1] if runs else _NO_RUN
-                if (
-                    run[1] == name
-                    and run[2] == reason
-                    and run[3] == kind
-                    and run[4] == sender
-                ):
-                    run[0].append(now)
-                else:
-                    runs.append(
-                        (array("d", (now,)), name, reason, kind, sender)
-                    )
+                self._run_times(name, reason, kind, sender).append(now)
                 counts = self._counts
                 counts[name] = counts.get(name, 0) + 1
                 if self._detection_probe.active:
@@ -221,6 +216,49 @@ class ControlPipeline:
                         topic_counts[topic] = 1
                 return decision
         return _PIPELINE_PASS
+
+    def _run_times(
+        self, name: str, reason: str, kind: str, sender: str
+    ) -> array:
+        """The times of the log's last run if it has these fields, else
+        of a new run appended for them."""
+        runs = self._runs
+        run = runs[-1] if runs else _NO_RUN
+        if (
+            run[1] == name
+            and run[2] == reason
+            and run[3] == kind
+            and run[4] == sender
+        ):
+            return run[0]
+        times = array("d")
+        runs.append((times, name, reason, kind, sender))
+        return times
+
+    def standing_denial(self, sender: str) -> tuple[float, Decision] | None:
+        """The first control's :meth:`SecurityControl.standing_denial`
+        (it decides alone while it denies); ``None`` when there is no
+        control or denials are observed (each one is published)."""
+        controls = self._controls
+        if not controls or self._detection_probe.active:
+            return None
+        return controls[0].standing_denial(sender)
+
+    def reject_many(
+        self, times: list[float], decision: Decision, kind: str, sender: str
+    ) -> None:
+        """Log and count one denial per time, as :meth:`admit` would
+        under a :meth:`standing_denial` (whose topic is unobserved)."""
+        count = len(times)
+        if not count:
+            return
+        name = decision.control or self._controls[0].name
+        self._run_times(name, decision.reason, kind, sender).extend(times)
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + count
+        topic_counts = self._detection_probe.counts
+        topic = self._detection_topic
+        topic_counts[topic] = topic_counts.get(topic, 0) + count
 
     @property
     def detections(self) -> tuple[DetectionRecord, ...]:

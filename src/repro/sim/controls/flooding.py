@@ -74,14 +74,7 @@ class FloodingDetector(SecurityControl):
                 and last[0] == sender
             ):
                 return last[2]
-            block = (sender, blocked_until)
-            decision = self._block_decisions.get(block)
-            if decision is None:
-                decision = self._block_decisions[block] = Decision.denied(
-                    self.name,
-                    f"sender {sender!r} blocked until {blocked_until:.0f} ms "
-                    "(enforced frequency change)",
-                )
+            decision = self._block_decision(sender, blocked_until)
             self._last_block = (sender, blocked_until, decision)
             return decision
         window = self._history.get(sender)
@@ -101,6 +94,24 @@ class FloodingDetector(SecurityControl):
                 "identified as unwanted sender",
             )
         return self.pass_decision
+
+    def _block_decision(self, sender: str, blocked_until: float) -> Decision:
+        block = (sender, blocked_until)
+        decision = self._block_decisions.get(block)
+        if decision is None:
+            decision = self._block_decisions[block] = Decision.denied(
+                self.name,
+                f"sender {sender!r} blocked until {blocked_until:.0f} ms "
+                "(enforced frequency change)",
+            )
+        return decision
+
+    def standing_denial(self, sender: str) -> tuple[float, Decision] | None:
+        """The sender's current block (``inspect``'s cached decision)."""
+        blocked_until = self._blocked_until.get(sender)
+        if blocked_until is None:
+            return None
+        return blocked_until, self._block_decision(sender, blocked_until)
 
     def is_flagged(self, sender: str) -> bool:
         """True when the sender was ever identified as unwanted."""

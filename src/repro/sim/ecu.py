@@ -20,7 +20,7 @@ from typing import Callable
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.controls.base import ControlPipeline
+from repro.sim.controls.base import ControlPipeline, Decision
 from repro.sim.events import EventBus
 from repro.sim.network import Message
 
@@ -146,6 +146,26 @@ class Ecu:
         self._busy_until = finish
         self._queued += 1
         self._service.push(finish, message)
+
+    def standing_denial(
+        self, sender: str
+    ) -> tuple[float, Decision | None] | None:
+        """Until when (and how) :meth:`receive` surely denies ``sender``:
+        forever once shut down, else as the pipeline says.  A subclass
+        overriding :meth:`receive` must override this too."""
+        if self._shut_down:
+            return float("inf"), None
+        return self.pipeline.standing_denial(sender)
+
+    def reject_many(
+        self, times: list[float], decision: Decision | None, kind: str,
+        sender: str,
+    ) -> None:
+        """One :meth:`receive` per time under a :meth:`standing_denial`."""
+        if self._shut_down:
+            return
+        self._rejected += len(times)
+        self.pipeline.reject_many(times, decision, kind, sender)
 
     def _process(self, message: Message) -> None:
         self._queued -= 1

@@ -297,6 +297,10 @@ class PropagationModel(Protocol):
     broadcast; :class:`~repro.sim.topology.RangePropagation` gates
     delivery on the sender's transmit range over a
     :class:`~repro.sim.topology.Topology`.
+
+    Reach contract: the answer depends only on the message's sender and
+    on state that only clock events change (positions move in vehicle
+    ticks), so a flood train asks once per train.
     """
 
     def receivers(
@@ -382,6 +386,11 @@ class Channel:
         self._out_of_range = 0
         self._delays: deque[float] = deque(maxlen=1000)
         self._deliveries = clock.lane(self._deliver)
+        # train_stop's (stop, receivers out of range, [(receiver,
+        # denial)]) for the send_train that follows it.
+        self._train: tuple[float, int, list[tuple[Receiver, Any]]] = (
+            0.0, 0, []
+        )
         # Topic strings built once; per-message f-strings rehash per publish.
         self._topic_delivered = f"channel.{name}.delivered"
         self._topic_dropped = f"channel.{name}.dropped"
@@ -490,6 +499,89 @@ class Channel:
         self._next_free = earliest + slot
         return earliest
 
+    def train_stop(self, message: Message) -> float:
+        """Before when the flood that just sent ``message`` may send and
+        deliver as one clock event: ``now`` (no train) under a tap, a
+        jam or an observed delivery topic, or when a receiver in reach
+        may admit the flood; else the earliest of the next foreign
+        event, the end of a receiver's standing denial and the first
+        queued delivery of another sender or kind."""
+        clock = self._clock
+        now = clock.now
+        if self._taps or now < self._jam_until or self._delivered_probe.active:
+            return now
+        kind = message.kind
+        sender = message.sender
+        attached = self._receivers
+        if self._kind_limits:
+            view = self._kind_views.get(kind)
+            attached = view if view is not None else self._kind_view(kind)
+        reached = self.propagation.receivers(message, attached)
+        denials = []
+        stop = float("inf")
+        for receiver in reached:
+            standing = getattr(receiver, "standing_denial", None)
+            denial = standing(sender) if standing is not None else None
+            if denial is None:
+                return now
+            until, decision = denial
+            if until < stop:
+                stop = until
+            denials.append((receiver, decision))
+        if len({id(receiver) for receiver in reached}) < len(reached):
+            return now  # one receiver twice: its log interleaves packets
+        stop = min(stop, clock.next_foreign(self._deliveries))
+        for due, _sequence, queued in self._deliveries:
+            if due >= stop:
+                break
+            if queued.sender != sender or queued.kind != kind:
+                stop = due
+                break
+        missed = len(attached) - len(reached) if reached is not attached else 0
+        self._train = (stop, missed, denials)
+        return stop
+
+    def send_train(self, times: list[float], messages: list[Message]) -> None:
+        """Send ``messages[i]`` at ``times[i]`` (before the last
+        :meth:`train_stop`) as :meth:`send` would, then deliver every
+        packet due before that stop in bulk: counted and denied."""
+        self._sent += len(times)
+        latency = self.latency_ms
+        airtime_slot = self._airtime_slot
+        due = []
+        delays = []
+        for now in times:
+            earliest = airtime_slot(now)
+            delays.append(latency + (earliest - now))
+            due.append(earliest + latency)
+        self._delays.extend(delays[-1000:])
+        self._deliveries.push_many(due, messages)
+        stop, missed, denials = self._train
+        delivered = self._deliveries.pop_before(stop)
+        count = len(delivered)
+        if not count:
+            return
+        self._delivered += count
+        topic_counts = self._delivered_probe.counts
+        topic = self._topic_delivered
+        topic_counts[topic] = topic_counts.get(topic, 0) + count
+        self._out_of_range += missed * count
+        kind = messages[0].kind
+        sender = messages[0].sender
+        for receiver, decision in denials:
+            receiver.reject_many(delivered, decision, kind, sender)
+
+    def _kind_view(self, kind: str) -> list[Receiver]:
+        """The receivers that declared ``kind`` (or nothing), cached
+        until attach/detach: a stable list keeps propagation memos."""
+        limits = self._kind_limits
+        view = self._kind_views[kind] = [
+            receiver
+            for receiver in self._receivers
+            if (limit := limits.get(receiver)) is None or kind in limit
+        ]
+        return view
+
     def _deliver(self, message: Message) -> None:
         self._delivered += 1
         if self._delivered_probe.active:
@@ -518,17 +610,7 @@ class Channel:
             kind = message.kind
             view = self._kind_views.get(kind)
             if view is None:
-                # Built once per kind (invalidated by attach/detach):
-                # the fan-out for a kind only visits receivers that
-                # declared it (or declared nothing).  Stable list
-                # identity keeps downstream propagation memos valid.
-                limits = self._kind_limits
-                view = self._kind_views[kind] = [
-                    receiver
-                    for receiver in attached
-                    if (limit := limits.get(receiver)) is None
-                    or kind in limit
-                ]
+                view = self._kind_view(kind)
             attached = view
         reached = self.propagation.receivers(message, attached)
         if reached is not attached:
@@ -540,7 +622,8 @@ class Channel:
 
     @property
     def stats(self) -> dict[str, float]:
-        """Traffic statistics: sent/delivered/dropped and mean delay."""
+        """Traffic counts, and ``mean_delay_ms``: the mean delay over
+        the last 1,000 sends, not over all sends."""
         mean_delay = (
             sum(self._delays) / len(self._delays) if self._delays else 0.0
         )

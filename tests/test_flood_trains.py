@@ -1,0 +1,415 @@
+"""Flood trains: a flood between foreign clock events runs as one event.
+
+A train sends a flood's later packets and denies its due deliveries in
+bulk while every receiver in reach has a standing denial of the
+flooder.  The contract is "fewer events, identical results": these
+tests pin the clock and lane primitives a train is built from, the
+``standing_denial`` promise it relies on, its equivalence with the
+per-packet path (selected by patching :meth:`Channel.train_stop` to
+return ``now``), and a deterministic work gate on the full AD20 flood.
+"""
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from repro.sim.attacks import FloodingAttack, JammingAttack
+from repro.sim.clock import SimClock
+from repro.sim.controls import FloodingDetector, SenderAuthentication
+from repro.sim.controls.base import ControlPipeline
+from repro.sim.crypto import KeyStore
+from repro.sim.events import TRACE_COUNTS, EventBus
+from repro.sim.network import Channel, Message
+from repro.sim.scenarios import (
+    UC1_ALL_CONTROLS,
+    ConstructionSiteScenario,
+    FleetConstructionSiteScenario,
+)
+
+
+def _noop() -> None:
+    pass
+
+
+def _lane_clock():
+    clock = SimClock()
+    fired = []
+    return clock, clock.lane(fired.append), fired
+
+
+class TestNextForeign:
+    def test_lane_head_at_the_top_looks_past_it(self):
+        clock, lane, _fired = _lane_clock()
+        lane.push(1.0, "a")
+        lane.push(2.0, "b")  # behind the head: not a heap entry
+        clock.post(5.0, _noop)
+        clock.post(3.0, _noop)
+        assert clock._queue[0][3] is lane
+        assert clock.next_foreign(lane) == 3.0
+
+    def test_lane_head_below_the_top(self):
+        clock, lane, _fired = _lane_clock()
+        lane.push(1.0, "a")
+        clock.post(0.5, _noop)
+        assert clock.next_foreign(lane) == 0.5
+
+    def test_cancelled_entry_at_the_top_still_stops(self):
+        clock, lane, _fired = _lane_clock()
+        lane.push(1.0, "a")
+        clock.schedule_at(0.5, _noop).cancel()
+        assert clock.next_foreign(lane) == 0.5
+
+    def test_lane_alone_is_unbounded(self):
+        clock, lane, _fired = _lane_clock()
+        assert clock.next_foreign(lane) == float("inf")
+        lane.push(1.0, "a")
+        assert clock.next_foreign(lane) == float("inf")
+
+    def test_run_until_caps_at_its_horizon_and_run_does_not(self):
+        clock, lane, _fired = _lane_clock()
+        seen = []
+        clock.post(1.0, lambda: seen.append(clock.next_foreign(lane)))
+        clock.post(10.0, _noop)
+        clock.run_until(4.0)
+        clock.post(5.0, lambda: seen.append(clock.next_foreign(lane)))
+        clock.run()
+        assert seen == [4.0, 10.0]
+
+
+class TestBulkLane:
+    def test_pop_before_keeps_pending_and_rekeys_the_head(self):
+        clock, lane, fired = _lane_clock()
+        for time in (1.0, 2.0, 2.0, 3.0, 4.0):
+            lane.push(time, time)
+        clock.post(10.0, _noop)
+        assert clock.pending == 6
+        assert lane.pop_before(3.0) == [1.0, 2.0, 2.0]
+        assert clock.pending == 3
+        assert clock._queue[0][:2] == (3.0, 3)  # the 4th push's key
+        assert clock.run() == 3
+        assert fired == [3.0, 4.0]
+        assert clock.pending == 0
+
+    def test_pop_before_nothing_due_changes_nothing(self):
+        clock, lane, _fired = _lane_clock()
+        lane.push(2.0, "a")
+        head = clock._queue[0]
+        assert lane.pop_before(2.0) == []
+        assert clock._queue[0] is head and clock.pending == 1
+
+    def test_popping_every_item_drops_the_heap_entry(self):
+        clock, lane, fired = _lane_clock()
+        lane.push(1.0, "a")
+        lane.push(2.0, "b")
+        clock.post(5.0, _noop)
+        assert lane.pop_before(5.0) == [1.0, 2.0]
+        assert len(clock._queue) == 1 and clock.pending == 1
+        clock.run()
+        assert fired == []
+        lane.push(6.0, "c")  # a drained lane re-enters the heap
+        clock.run()
+        assert fired == ["c"]
+
+    def test_pop_before_asserts_the_lane_head_is_earliest(self):
+        clock, lane, _fired = _lane_clock()
+        lane.push(1.0, "a")
+        clock.post(0.5, _noop)
+        with pytest.raises(AssertionError, match="earliest"):
+            lane.pop_before(2.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        before=st.lists(st.floats(0.0, 5.0), max_size=4),
+        bulk=st.lists(st.floats(0.0, 5.0), max_size=6),
+    )
+    def test_push_many_equals_a_skipped_post_then_a_push(self, before, bulk):
+        before = sorted(before)
+        bulk = sorted(bulk)
+        if before and bulk:
+            bulk = [max(time, before[-1]) for time in bulk]
+        clocks = []
+        for one_by_one in (False, True):
+            clock, lane, _fired = _lane_clock()
+            for time in before:
+                lane.push(time, ("before", time))
+            items = [("bulk", index) for index in range(len(bulk))]
+            if one_by_one:
+                for time, item in zip(bulk, items):
+                    clock._sequence += 1  # the burst post a train replaces
+                    lane.push(time, item)
+            else:
+                lane.push_many(bulk, items)
+            clocks.append((clock, lane))
+        (bulk_clock, bulk_lane), (ref_clock, ref_lane) = clocks
+        assert list(bulk_lane) == list(ref_lane)
+        assert [entry[:2] for entry in bulk_clock._queue] == [
+            entry[:2] for entry in ref_clock._queue
+        ]
+        assert bulk_clock._sequence == ref_clock._sequence
+        assert bulk_clock.pending == ref_clock.pending
+
+
+def _detector_state(detector: FloodingDetector):
+    return (
+        {sender: list(window) for sender, window in detector._history.items()},
+        dict(detector._blocked_until),
+        set(detector._flagged),
+    )
+
+
+class TestStandingDenial:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b"]),
+                st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+                st.floats(0.0, 1.0, exclude_max=True),
+            ),
+            max_size=60,
+        )
+    )
+    def test_inspect_returns_the_promised_decision_without_change(
+        self, steps
+    ):
+        detector = FloodingDetector(
+            window_ms=10.0, max_messages=3, cooldown_ms=50.0
+        )
+        now = 0.0
+        for sender, advance, fraction in steps:
+            now += advance
+            message = Message(kind="cam", sender=sender, payload={})
+            standing = detector.standing_denial(sender)
+            if standing is not None:
+                until, decision = standing
+                assert not decision.allowed
+                probe_at = now + fraction * max(until - now, 0.0)
+                if probe_at < until:
+                    state = _detector_state(detector)
+                    assert detector.inspect(message, probe_at) == decision
+                    assert _detector_state(detector) == state
+            detector.inspect(message, now)
+
+    def test_only_the_detector_promises_and_only_first_in_line(self):
+        clock = SimClock()
+        bus = EventBus(mode=TRACE_COUNTS)
+        detector = FloodingDetector(window_ms=10.0, max_messages=1)
+        pipeline = ControlPipeline("ECU", clock, bus, [detector])
+        message = Message(kind="cam", sender="x", payload={})
+        assert pipeline.standing_denial("x") is None
+        pipeline.admit(message)
+        pipeline.admit(message)  # the second message flags the sender
+        until, decision = pipeline.standing_denial("x")
+        assert until == detector.cooldown_ms
+        assert pipeline.admit(message) == decision
+        guarded = ControlPipeline(
+            "ECU", clock, bus, [SenderAuthentication(KeyStore()), detector]
+        )
+        assert guarded.standing_denial("x") is None
+
+
+#: Parameters of one flood-equivalence run (see ``_run``).
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "fleet": st.booleans(),
+        "fleet_size": st.integers(1, 3),
+        "attacker_position_m": st.one_of(st.none(), st.floats(0.0, 2500.0)),
+        "detector": st.sampled_from([True, True, True, False]),
+        "others": st.sets(
+            st.sampled_from(sorted(UC1_ALL_CONTROLS - {"flooding-detector"}))
+        ),
+        "interval_ms": st.floats(0.05, 2.0),
+        "chaotic": st.booleans(),
+        "authenticated": st.booleans(),
+        "launch_ms": st.floats(0.0, 600.0),
+        "duration_ms": st.floats(20.0, 1500.0),
+        "bandwidth_per_ms": st.one_of(st.none(), st.integers(1, 8)),
+        "jam": st.one_of(
+            st.none(),
+            st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 400.0)),
+        ),
+        "second": st.one_of(
+            st.none(),
+            st.tuples(
+                st.floats(0.1, 3.0),
+                st.floats(0.0, 800.0),
+                st.floats(20.0, 800.0),
+                st.booleans(),
+            ),
+        ),
+        "cooldown_ms": st.one_of(st.none(), st.floats(1.0, 600.0)),
+        "attach_twice": st.booleans(),
+        "tail_ms": st.floats(-1000.0, 1500.0),
+        "split": st.one_of(st.none(), st.floats(0.05, 0.95)),
+    }
+)
+
+
+def _run(config: dict, trains: bool):
+    """Run one flood scenario in counts mode; everything a train must
+    leave as the per-packet path would."""
+    controls = set(config["others"])
+    if config["detector"]:
+        controls.add("flooding-detector")
+    if config["fleet"]:
+        scenario = FleetConstructionSiteScenario(
+            controls=controls,
+            fleet_size=config["fleet_size"],
+            attacker_position_m=config["attacker_position_m"],
+            trace_mode=TRACE_COUNTS,
+        )
+    else:
+        scenario = ConstructionSiteScenario(
+            controls=controls, trace_mode=TRACE_COUNTS
+        )
+    clock, channel = scenario.clock, scenario.v2x
+    channel.bandwidth_per_ms = config["bandwidth_per_ms"]
+    obus = scenario.obus if config["fleet"] else [scenario.obu]
+    if config["attach_twice"]:
+        channel.attach(obus[0])
+    if config["cooldown_ms"] is not None:  # blocks that end mid-flood
+        for obu in obus:
+            for control in obu.pipeline.controls:
+                if isinstance(control, FloodingDetector):
+                    control.cooldown_ms = config["cooldown_ms"]
+    launch, duration = config["launch_ms"], config["duration_ms"]
+    floods = [
+        FloodingAttack(
+            "attacker", clock, channel, kind="cam_message",
+            interval_ms=config["interval_ms"], duration_ms=duration,
+            keystore=scenario.keystore,
+            authenticated=config["authenticated"],
+            chaotic=config["chaotic"], location=scenario.RSU_LOCATION,
+        )
+    ]
+    floods[0].launch(launch)
+    end = launch + max(duration + config["tail_ms"], 10.0)
+    if config["second"] is not None:
+        interval, offset, length, authenticated = config["second"]
+        floods.append(
+            FloodingAttack(
+                "attacker-2", clock, channel, kind="cam_message",
+                interval_ms=interval, duration_ms=length,
+                keystore=scenario.keystore, authenticated=authenticated,
+            )
+        )
+        floods[1].launch(offset)
+    if config["jam"] is not None:
+        at, length = config["jam"]
+        JammingAttack("jammer", clock, channel, duration_ms=length).launch(
+            launch + at * duration
+        )
+    trained = []
+    with pytest.MonkeyPatch.context() as patch:
+        if trains:
+            send_train = Channel.send_train
+            patch.setattr(
+                Channel, "send_train",
+                lambda self, times, *args: trained.append(len(times))
+                or send_train(self, times, *args),
+            )
+        else:
+            patch.setattr(Channel, "train_stop", lambda self, message: clock.now)
+        if config["split"] is not None:
+            clock.run_until(config["split"] * end)
+        result = scenario.run(end)
+    observed = (
+        result,
+        (clock._sequence, clock.pending, clock.now, scenario.bus.count("")),
+        [
+            (flood.messages_sent, flood.started_at, flood.ended_at)
+            for flood in floods
+        ],
+    )
+    return observed, sum(trained)
+
+
+class TestTrainEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(config=_CONFIGS)
+    def test_trains_match_the_per_packet_path(self, config):
+        trained, inline_packets = _run(config, trains=True)
+        reference, _none = _run(config, trains=False)
+        event(f"trains ran: {inline_packets > 0}")
+        assert trained[0] == reference[0]  # the whole ScenarioResult
+        assert trained[1:] == reference[1:]
+
+    def test_a_blocked_flood_runs_as_trains(self):
+        config = dict(
+            fleet=False, fleet_size=1, attacker_position_m=None,
+            detector=True, others={"sender-auth"}, interval_ms=0.2,
+            chaotic=True, authenticated=True, launch_ms=100.0,
+            duration_ms=1500.0, bandwidth_per_ms=4, jam=None, second=None,
+            cooldown_ms=None, attach_twice=False, tail_ms=500.0, split=0.5,
+        )
+        trained, inline_packets = _run(config, trains=True)
+        reference, _none = _run(config, trains=False)
+        assert inline_packets > 5000  # most of the ~7,500 packets
+        assert trained == reference
+        rows = trained[0].detection_records["OBU"]
+        assert len(rows) > 5000
+        assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+
+
+class TestFloodWorkGate:
+    """Deterministic work gate, no timing: the full AD20 flood of
+    ``uc1/parity/ad20`` (counts mode) runs mostly as trains."""
+
+    def test_ad20_event_and_admit_counts(self, monkeypatch):
+        from repro.engine.campaign import execute_variant
+        from repro.engine.registry import default_registry
+
+        registry = default_registry()
+        (ad20,) = (
+            variant for variant in registry.variants()
+            if variant.variant_id == "uc1/parity/ad20"
+        )
+        events = []
+        admits = []
+        run_until = SimClock.run_until
+        admit = ControlPipeline.admit
+        monkeypatch.setattr(
+            SimClock, "run_until",
+            lambda self, time: events.append(run_until(self, time))
+            or events[-1],
+        )
+        monkeypatch.setattr(
+            ControlPipeline, "admit",
+            lambda self, message: admits.append(1) or admit(self, message),
+        )
+        outcome = execute_variant(ad20, registry)
+        # The per-packet path executes 672,604 events and 319,593 admits.
+        assert sum(events) <= 60_000
+        assert len(admits) <= 50_000
+        assert outcome.verdict == "ATTACK_FAILED"
+        assert outcome.detections_of("OBU") == 319_146
+        assert dict(outcome.detections_by_control) == {
+            "OBU": (("flooding-detector", 319_146),)
+        }
+        assert outcome.stats["v2x"] == {
+            "sent": 350_161, "delivered": 319_593, "dropped": 0,
+            "out_of_range": 0, "mean_delay_ms": 17409.971200448057,
+        }
+        assert outcome.stats["obu"] == {
+            "processed": 447, "rejected": 319_146, "overloaded": 0,
+            "queued": 0, "backlog_ms": 0.0, "shut_down": False,
+        }
+
+
+def test_full_trace_mode_keeps_the_per_packet_path(monkeypatch):
+    """Every delivery and denial is a recorded event in full mode."""
+    scenario = ConstructionSiteScenario()
+    FloodingAttack(
+        "attacker", scenario.clock, scenario.v2x, kind="cam_message",
+        interval_ms=0.5, duration_ms=500.0, keystore=scenario.keystore,
+    ).launch(100.0)
+    monkeypatch.setattr(
+        Channel, "send_train",
+        lambda *args: pytest.fail("a train ran in full trace mode"),
+    )
+    result = scenario.run(1000.0)
+    assert result.detections_of("OBU") > 0
+    assert len(scenario.bus.events("control.detection")) == (
+        result.detections_of("OBU")
+    )
+

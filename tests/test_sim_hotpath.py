@@ -210,8 +210,9 @@ class TestClockLanes:
         lane = clock.lane(lambda item: None)
         lane.push(10.0, "a")
         lane.push(10.0, "b")  # ties are FIFO, not an error
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="tail is at 10.0") as bad:
             lane.push(9.5, "c")
+        assert "clock" not in str(bad.value)  # names the bound that failed
         assert clock.pending == 2
         assert clock.run() == 2
 
@@ -219,8 +220,9 @@ class TestClockLanes:
         clock = SimClock()
         lane = clock.lane(lambda item: None)
         clock.run_until(100.0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="clock is at 100.0") as bad:
             lane.push(50.0, "late")
+        assert "tail" not in str(bad.value)
         assert clock.pending == 0
 
     def test_idle_lane_allocates_no_queue(self):
