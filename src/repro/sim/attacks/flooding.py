@@ -26,6 +26,8 @@ from repro.sim.network import Channel, Message
 
 #: Deterministic "chaotic" gap pattern (multipliers on the base interval).
 _CHAOTIC_PATTERN = (0.2, 1.7, 0.4, 0.1, 2.3, 0.6, 0.3, 1.1)
+#: The constant rate as a pattern (``x * 1.0 == x`` for every float).
+_STEADY_PATTERN = (1.0,)
 
 
 class FloodingAttack(AttackInjector):
@@ -37,6 +39,15 @@ class FloodingAttack(AttackInjector):
         duration_ms: Attack window length.
         authenticated: Sign messages with the attacker's provisioned key.
         chaotic: Use the varying gap pattern instead of a constant rate.
+
+    ``payload_factory`` maps a packet's counter to its payload.  A flood
+    train defers its packets (see :meth:`_train`), and a deferred packet
+    is built -- its payload made and its ``unique_id`` drawn -- only if
+    the channel delivers it on its own, so the factory runs for built
+    packets only and must be pure.  The process-global ``unique_id``
+    only tells messages apart for the replay and tamper taps, and no
+    train runs under a tap, so drawing it at delivery changes no
+    outcome.
     """
 
     def __init__(
@@ -101,14 +112,32 @@ class FloodingAttack(AttackInjector):
 
     def _train(self, next_time: float, stop: float) -> float:
         """Run the bursts due before ``stop`` (and the end) as one train,
-        without advancing the clock; returns the next burst's time."""
+        without advancing the clock; returns the next burst's time.
+
+        Sends deferred packets ``(self, counter, time)``: the channel
+        builds one (:meth:`_build`) only if it delivers it on its own.
+        The loop inlines :meth:`_gap` and :meth:`_message`'s counter.
+        """
+        end = self._burst_end
+        counter = self._counter
+        step = self._burst_step
+        interval = self.interval_ms
+        pattern = _CHAOTIC_PATTERN if self.chaotic else _STEADY_PATTERN
+        period = len(pattern)
         times = []
-        messages = []
-        while next_time < stop and next_time <= self._burst_end:
+        packets = []
+        while next_time < stop and next_time <= end:
+            counter += 1
             times.append(next_time)
-            messages.append(self._message(next_time))
-            next_time += self._gap()
-        self.channel.send_train(times, messages)
+            packets.append((self, counter, next_time))
+            gap = interval * pattern[step % period]
+            step += 1
+            if gap < 0.01:
+                gap = 0.01
+            next_time += gap
+        self._counter = counter
+        self._burst_step = step
+        self.channel.send_train(times, packets, self.kind, self.name)
         self.messages_sent += len(times)
         return next_time
 
@@ -123,27 +152,32 @@ class FloodingAttack(AttackInjector):
     def _message(self, now: float) -> Message:
         """The next flood packet, stamped ``now``."""
         self._counter += 1
-        # Timestamp at construction: one Message build per flood packet
-        # on the hottest send path.  create_signed records the key and
-        # defers the HMAC to the first read of auth_tag, which an admit
-        # on the signer's own key never makes.
+        return self._build(self._counter, now)
+
+    def _build(self, counter: int, timestamp: float) -> Message:
+        """Flood packet number ``counter``, stamped ``timestamp``.
+
+        ``create_signed`` records the key and defers the HMAC to the
+        first read of auth_tag, which an admit on the signer's own key
+        never makes.
+        """
         if self.authenticated:
             assert self._keystore is not None
             return Message.create_signed(
                 self._keystore,
                 kind=self.kind,
                 sender=self.name,
-                payload=self._payload_factory(self._counter),
-                counter=self._counter,
-                timestamp=now,
+                payload=self._payload_factory(counter),
+                counter=counter,
+                timestamp=timestamp,
                 location=self.location,
             )
         return Message(
             kind=self.kind,
             sender=self.name,
-            payload=self._payload_factory(self._counter),
-            counter=self._counter,
-            timestamp=now,
+            payload=self._payload_factory(counter),
+            counter=counter,
+            timestamp=timestamp,
             location=self.location,
         )
 

@@ -32,6 +32,10 @@ to the original dataclass-heap implementation:
   runs a flood's bursts and due deliveries as one event up to the next
   *foreign* event (:meth:`SimClock.next_foreign`), consuming the
   sequence numbers and ``pending`` counts of the events it replaces.
+  Its lane items are deferred packets, ``(attack, counter, time)``
+  tuples: the channel builds a message from one only when the lane
+  fires it, and a packet a later train drains with ``pop_before`` is
+  counted and denied by its time alone, never built.
 
 Sequence numbers are consumed one per scheduled occurrence (and one per
 lane push) in the same program order as before, so tie-breaking (and

@@ -505,7 +505,9 @@ class Channel:
         jam or an observed delivery topic, or when a receiver in reach
         may admit the flood; else the earliest of the next foreign
         event, the end of a receiver's standing denial and the first
-        queued delivery of another sender or kind."""
+        queued delivery of another sender or kind.  A queued deferred
+        packet ``(attack, counter, time)`` is the attack's: its sender
+        is ``attack.name`` and its kind ``attack.kind``."""
         clock = self._clock
         now = clock.now
         if self._taps or now < self._jam_until or self._delivered_probe.active:
@@ -534,28 +536,51 @@ class Channel:
         for due, _sequence, queued in self._deliveries:
             if due >= stop:
                 break
-            if queued.sender != sender or queued.kind != kind:
+            if queued.__class__ is tuple:
+                attack = queued[0]
+                foreign = attack.name != sender or attack.kind != kind
+            else:
+                foreign = queued.sender != sender or queued.kind != kind
+            if foreign:
                 stop = due
                 break
         missed = len(attached) - len(reached) if reached is not attached else 0
         self._train = (stop, missed, denials)
         return stop
 
-    def send_train(self, times: list[float], messages: list[Message]) -> None:
-        """Send ``messages[i]`` at ``times[i]`` (before the last
+    def send_train(
+        self, times: list[float], packets: list[Any], kind: str, sender: str
+    ) -> None:
+        """Send ``packets[i]`` at ``times[i]`` (before the last
         :meth:`train_stop`) as :meth:`send` would, then deliver every
-        packet due before that stop in bulk: counted and denied."""
-        self._sent += len(times)
+        packet due before that stop in bulk: counted and denied.
+
+        The packets are one flood's, of ``kind`` from ``sender``, and
+        deferred: ``(attack, counter, time)`` items that :meth:`_deliver`
+        builds with ``attack._build(counter, time)`` if one is delivered
+        on its own.  The bulk denial reads only their times, so a packet
+        it drains is never built."""
+        sent = len(times)
+        self._sent += sent
         latency = self.latency_ms
-        airtime_slot = self._airtime_slot
-        due = []
-        delays = []
-        for now in times:
-            earliest = airtime_slot(now)
-            delays.append(latency + (earliest - now))
-            due.append(earliest + latency)
-        self._delays.extend(delays[-1000:])
-        self._deliveries.push_many(due, messages)
+        if self.bandwidth_per_ms is None:
+            # _airtime_slot inlined: every send starts its airtime now.
+            due = [now + latency for now in times]
+            self._delays.extend([latency] * min(sent, 1000))
+        else:
+            # _airtime_slot inlined, same float operations in order.
+            slot = 1.0 / self.bandwidth_per_ms
+            next_free = self._next_free
+            due = []
+            delays = []
+            for now in times:
+                earliest = next_free if next_free > now else now
+                next_free = earliest + slot
+                delays.append(latency + (earliest - now))
+                due.append(earliest + latency)
+            self._next_free = next_free
+            self._delays.extend(delays[-1000:])
+        self._deliveries.push_many(due, packets)
         stop, missed, denials = self._train
         delivered = self._deliveries.pop_before(stop)
         count = len(delivered)
@@ -566,8 +591,6 @@ class Channel:
         topic = self._topic_delivered
         topic_counts[topic] = topic_counts.get(topic, 0) + count
         self._out_of_range += missed * count
-        kind = messages[0].kind
-        sender = messages[0].sender
         for receiver, decision in denials:
             receiver.reject_many(delivered, decision, kind, sender)
 
@@ -582,7 +605,9 @@ class Channel:
         ]
         return view
 
-    def _deliver(self, message: Message) -> None:
+    def _deliver(self, message: Message | tuple) -> None:
+        if message.__class__ is tuple:  # a train's deferred packet
+            message = message[0]._build(message[1], message[2])
         self._delivered += 1
         if self._delivered_probe.active:
             self._bus.publish(

@@ -15,7 +15,6 @@ import contextlib
 import dataclasses
 import os
 import threading
-import time
 
 import pytest
 
@@ -246,13 +245,24 @@ class TestRetryPolicy:
         again = [RetryPolicy(seed=4).delay_s(a, "v1") for a in (1, 2, 3)]
         assert first == again
 
-    def test_wait_is_a_cancellation_point(self):
-        policy = RetryPolicy(base_delay_s=5.0, jitter=0.0)
+    def test_wait_is_a_cancellation_point(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.runtime.retry.time.sleep",
+            lambda seconds: pytest.fail("wait slept instead of on its token"),
+        )
+        policy = RetryPolicy(base_delay_s=5.0, max_delay_s=5.0, jitter=0.0)
         cancel = CancelToken()
         cancel.cancel()
-        started = time.monotonic()
-        policy.wait(1, "job", cancel=cancel)
-        assert time.monotonic() - started < 1.0
+        waits = []
+        token_wait = cancel.wait
+
+        def recording_wait(timeout=None):
+            waits.append((timeout, token_wait(timeout)))
+            return waits[-1][1]
+
+        monkeypatch.setattr(cancel, "wait", recording_wait)
+        assert policy.wait(1, "job", cancel=cancel) == 5.0
+        assert waits == [(5.0, True)]  # the fired token ends the wait
         assert RetryPolicy(base_delay_s=0.0, jitter=0.0).wait(1) == 0.0
 
 

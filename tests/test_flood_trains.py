@@ -2,11 +2,14 @@
 
 A train sends a flood's later packets and denies its due deliveries in
 bulk while every receiver in reach has a standing denial of the
-flooder.  The contract is "fewer events, identical results": these
-tests pin the clock and lane primitives a train is built from, the
-``standing_denial`` promise it relies on, its equivalence with the
-per-packet path (selected by patching :meth:`Channel.train_stop` to
-return ``now``), and a deterministic work gate on the full AD20 flood.
+flooder.  Its packets are deferred: a :class:`Message` is built only
+for a packet the channel delivers on its own.  The contract is "fewer
+events, identical results": these tests pin the clock and lane
+primitives a train is built from, the ``standing_denial`` promise it
+relies on, its equivalence with the per-packet path (selected by
+patching :meth:`Channel.train_stop` to return ``now``) down to the
+content of every delivered message, and a deterministic work gate on
+the full AD20 flood.
 """
 
 import pytest
@@ -241,13 +244,45 @@ _CONFIGS = st.fixed_dictionaries(
         "attach_twice": st.booleans(),
         "tail_ms": st.floats(-1000.0, 1500.0),
         "split": st.one_of(st.none(), st.floats(0.05, 0.95)),
+        "request_payload": st.booleans(),
     }
 )
 
 
+def _request_payload(counter: int) -> dict:
+    """UC2's flood payload shape."""
+    return {"request": counter}
+
+
+def _record_deliveries(channel: Channel, patch: pytest.MonkeyPatch) -> dict:
+    """Record every message that ``channel``'s receivers are handed,
+    keyed ``(sender, counter)``: the fields a receiver can read, and the
+    signed bytes and tag.  Patches the receivers' classes (they have
+    slots), capturing every original before patching any."""
+    records = {}
+    originals = {
+        cls: cls.receive for cls in {type(r) for r in channel._receivers}
+    }
+    for cls, receive in originals.items():
+
+        def recording(self, message, receive=receive):
+            record = (
+                message.kind, message.sender, message.counter,
+                message.timestamp, message.payload, message.location,
+                message.signing_bytes(), message.auth_tag,
+            )
+            key = (message.sender, message.counter)
+            assert records.setdefault(key, record) == record
+            receive(self, message)
+
+        patch.setattr(cls, "receive", recording)
+    return records
+
+
 def _run(config: dict, trains: bool):
     """Run one flood scenario in counts mode; everything a train must
-    leave as the per-packet path would."""
+    leave as the per-packet path would, the delivered messages' records
+    and the number of packets sent in trains."""
     controls = set(config["others"])
     if config["detector"]:
         controls.add("flooding-detector")
@@ -280,6 +315,9 @@ def _run(config: dict, trains: bool):
             keystore=scenario.keystore,
             authenticated=config["authenticated"],
             chaotic=config["chaotic"], location=scenario.RSU_LOCATION,
+            payload_factory=(
+                _request_payload if config["request_payload"] else None
+            ),
         )
     ]
     floods[0].launch(launch)
@@ -301,6 +339,7 @@ def _run(config: dict, trains: bool):
         )
     trained = []
     with pytest.MonkeyPatch.context() as patch:
+        records = _record_deliveries(channel, patch)
         if trains:
             send_train = Channel.send_train
             patch.setattr(
@@ -321,18 +360,29 @@ def _run(config: dict, trains: bool):
             for flood in floods
         ],
     )
-    return observed, sum(trained)
+    return observed, records, sum(trained)
+
+
+def _assert_trains_match(config: dict):
+    """Run ``config`` with trains and per packet; require the same
+    observations, and the per-packet record of every message the trains
+    run delivers.  Returns the trains run's observations, both runs'
+    record counts and the number of packets sent in trains."""
+    trained, records, inline_packets = _run(config, trains=True)
+    reference, reference_records, _none = _run(config, trains=False)
+    assert trained[0] == reference[0]  # the whole ScenarioResult
+    assert trained[1:] == reference[1:]
+    for key, record in records.items():
+        assert reference_records[key] == record
+    return trained, len(records), len(reference_records), inline_packets
 
 
 class TestTrainEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(config=_CONFIGS)
     def test_trains_match_the_per_packet_path(self, config):
-        trained, inline_packets = _run(config, trains=True)
-        reference, _none = _run(config, trains=False)
+        *_observed, inline_packets = _assert_trains_match(config)
         event(f"trains ran: {inline_packets > 0}")
-        assert trained[0] == reference[0]  # the whole ScenarioResult
-        assert trained[1:] == reference[1:]
 
     def test_a_blocked_flood_runs_as_trains(self):
         config = dict(
@@ -341,19 +391,38 @@ class TestTrainEquivalence:
             chaotic=True, authenticated=True, launch_ms=100.0,
             duration_ms=1500.0, bandwidth_per_ms=4, jam=None, second=None,
             cooldown_ms=None, attach_twice=False, tail_ms=500.0, split=0.5,
+            request_payload=True,
         )
-        trained, inline_packets = _run(config, trains=True)
-        reference, _none = _run(config, trains=False)
+        trained, built, reference_built, inline_packets = (
+            _assert_trains_match(config)
+        )
         assert inline_packets > 5000  # most of the ~7,500 packets
-        assert trained == reference
+        # ~2,000 deferred packets are built and delivered one by one.
+        assert 1000 < built < reference_built
         rows = trained[0].detection_records["OBU"]
         assert len(rows) > 5000
         assert [row[0] for row in rows] == sorted(row[0] for row in rows)
 
+    def test_a_train_stops_at_another_floods_deferred_packets(self):
+        """The first flood ends with a bandwidth backlog of deferred
+        packets; the second, still running, trains behind them and
+        must not deny them as its own."""
+        config = dict(
+            fleet=False, fleet_size=1, attacker_position_m=None,
+            detector=True, others=set(), interval_ms=0.1, chaotic=False,
+            authenticated=True, launch_ms=100.0, duration_ms=300.0,
+            bandwidth_per_ms=2, jam=None, second=(0.5, 150.0, 1200.0, True),
+            cooldown_ms=None, attach_twice=False, tail_ms=1500.0,
+            split=None, request_payload=False,
+        )
+        *_observed, inline_packets = _assert_trains_match(config)
+        assert inline_packets > 1000
+
 
 class TestFloodWorkGate:
     """Deterministic work gate, no timing: the full AD20 flood of
-    ``uc1/parity/ad20`` (counts mode) runs mostly as trains."""
+    ``uc1/parity/ad20`` (counts mode) runs mostly as trains, whose
+    packets are mostly never built."""
 
     def test_ad20_event_and_admit_counts(self, monkeypatch):
         from repro.engine.campaign import execute_variant
@@ -366,8 +435,10 @@ class TestFloodWorkGate:
         )
         events = []
         admits = []
+        builds = []
         run_until = SimClock.run_until
         admit = ControlPipeline.admit
+        create_signed = Message.create_signed.__func__
         monkeypatch.setattr(
             SimClock, "run_until",
             lambda self, time: events.append(run_until(self, time))
@@ -377,10 +448,19 @@ class TestFloodWorkGate:
             ControlPipeline, "admit",
             lambda self, message: admits.append(1) or admit(self, message),
         )
+        monkeypatch.setattr(
+            Message, "create_signed",
+            classmethod(
+                lambda cls, *args, **fields: builds.append(1)
+                or create_signed(cls, *args, **fields)
+            ),
+        )
         outcome = execute_variant(ad20, registry)
-        # The per-packet path executes 672,604 events and 319,593 admits.
+        # The per-packet path executes 672,604 events and 319,593
+        # admits; trains that build every packet make 350,161 builds.
         assert sum(events) <= 60_000
         assert len(admits) <= 50_000
+        assert len(builds) <= 60_000
         assert outcome.verdict == "ATTACK_FAILED"
         assert outcome.detections_of("OBU") == 319_146
         assert dict(outcome.detections_by_control) == {
