@@ -68,6 +68,12 @@ class RetryPolicy:
             )
         if self.base_delay_s < 0 or self.max_delay_s < 0:
             raise ValidationError("retry delays must be >= 0")
+        if self.base_delay_s > self.max_delay_s:
+            # The cap would silently shorten even the first backoff.
+            raise ValidationError(
+                f"base_delay_s ({self.base_delay_s}) must not exceed "
+                f"max_delay_s ({self.max_delay_s})"
+            )
         if not 0 <= self.jitter <= 1:
             raise ValidationError(
                 f"jitter must be within [0, 1], got {self.jitter}"

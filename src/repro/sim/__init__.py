@@ -120,10 +120,11 @@ from repro.sim.v2x import (
     RoadsideUnit,
     V2VRelay,
 )
-from repro.sim.vehicle import Driver, DrivingMode, Vehicle
+from repro.sim.vehicle import AUTOMATED_MODES, Driver, DrivingMode, Vehicle
 from repro.sim.world import ClampedPosition, World, Zone
 
 __all__ = [
+    "AUTOMATED_MODES",
     "AccessEcu",
     "Actor",
     "AttackInjector",

@@ -53,7 +53,7 @@ from repro.sim.v2x import (
     RoadsideUnit,
     V2VRelay,
 )
-from repro.sim.vehicle import Driver, DrivingMode, Vehicle
+from repro.sim.vehicle import AUTOMATED_MODES, Driver, Vehicle
 
 __all__ = [
     "CONTROL_AUTH",
@@ -224,16 +224,18 @@ class ConstructionSiteScenario(KernelScenario):
             )
 
     def _install_goal_checks(self) -> None:
-        # Zone resolved once; the periodic check runs thousands of times.
+        # Zone bounds resolved once; the periodic check runs thousands of
+        # times.
         zone = self.world.zone(self.ZONE_NAME)
+        start, end = zone.start, zone.end
 
         def sg01_zone_without_driver() -> str | None:
-            in_zone = zone.contains(self.vehicle.position_m)
-            automated = self.vehicle.mode in (
-                DrivingMode.AUTOMATED,
-                DrivingMode.HANDOVER_REQUESTED,
-            )
-            if in_zone and automated:
+            # ``_position_m`` is what the ``position_m`` property returns,
+            # read without the property call on every check.
+            if (
+                start <= self.vehicle._position_m < end
+                and self.vehicle.mode in AUTOMATED_MODES
+            ):
                 return (
                     "vehicle inside the construction zone in "
                     f"{self.vehicle.mode.value} mode at "
@@ -511,14 +513,16 @@ class FleetConstructionSiteScenario(KernelScenario):
 
     def _install_vehicle_goals(self, vehicle: Vehicle) -> None:
         zone = self.world.zone(self.ZONE_NAME)
+        start, end = zone.start, zone.end
 
         def sg01_zone_without_driver() -> str | None:
-            in_zone = zone.contains(vehicle.position_m)
-            automated = vehicle.mode in (
-                DrivingMode.AUTOMATED,
-                DrivingMode.HANDOVER_REQUESTED,
-            )
-            if in_zone and automated:
+            # Runs once per vehicle per monitor period, so it reads the
+            # ``position_m`` property's storage directly: the property
+            # call would double the cost of the common (outside) case.
+            if (
+                start <= vehicle._position_m < end
+                and vehicle.mode in AUTOMATED_MODES
+            ):
                 return (
                     f"{vehicle.name} inside the construction zone in "
                     f"{vehicle.mode.value} mode at "

@@ -38,6 +38,12 @@ class DrivingMode(enum.Enum):
     SAFE_STOP = "safe stop"
 
 
+#: The modes in which the automation still drives (SG01's "without
+#: returning driving control to human").  A tuple, not a set: ``in`` on
+#: a tuple tests identity first, while ``Enum.__hash__`` is Python code.
+AUTOMATED_MODES = (DrivingMode.AUTOMATED, DrivingMode.HANDOVER_REQUESTED)
+
+
 class _TickCohort:
     """Vehicles created at one clock time with one ``tick_ms``.
 
@@ -48,6 +54,14 @@ class _TickCohort:
     back unless another event was scheduled for exactly a tick time
     between two vehicles' creation -- no scenario does that -- so what
     each tick observes is unchanged.
+
+    The cohort owns the kinematics: each firing updates every vehicle's
+    speed (bounded accel/decel towards its target) and position
+    (clamped onto the road, flagging ``position_saturated``), notifies
+    its motion listeners when it moved, and publishes
+    ``vehicle.entered_zone`` per newly entered zone in name order.  The
+    loop is inline, with no call per vehicle, because a convoy ticks
+    every vehicle every period.
     """
 
     __slots__ = ("clock", "created_at", "tick_ms", "vehicles")
@@ -64,8 +78,50 @@ class _TickCohort:
             # First firing: nothing can join any more; drop the
             # reference so a finished simulation is not kept alive.
             _open_cohort.cohort = None
+        dt = self.tick_ms / 1000.0
+        now = self.clock.now
+        decel_step = Vehicle.MAX_DECEL_MPS2 * dt
+        accel_step = Vehicle.MAX_ACCEL_MPS2 * dt
         for vehicle in self.vehicles:
-            vehicle._tick()
+            speed = vehicle.speed_mps
+            target = vehicle.target_speed_mps
+            if target < speed:
+                speed = vehicle.speed_mps = max(target, speed - decel_step)
+            elif target > speed:
+                speed = vehicle.speed_mps = min(target, speed + accel_step)
+            world = vehicle._world
+            previous = vehicle._position_m
+            position = previous + speed * dt
+            if position < 0.0:
+                position = 0.0
+                vehicle.position_saturated = True
+            elif position > world.road_length_m:
+                position = world.road_length_m
+                vehicle.position_saturated = True
+            if position == previous:
+                continue
+            # What the ``position_m`` setter does for a changed position.
+            vehicle._position_m = position
+            for listener in vehicle._motion_listeners:
+                listener()
+            # Zone-entry detection without per-tick set materialisation:
+            # compare containment at the previous and new position.
+            entered = []
+            for zone in world.zones:
+                start, end = zone.start, zone.end
+                if start <= position < end and not start <= previous < end:
+                    entered.append(zone.name)
+            if not entered:
+                continue
+            for zone_name in sorted(entered):
+                vehicle._bus.publish(
+                    now,
+                    "vehicle.entered_zone",
+                    vehicle.name,
+                    zone=zone_name,
+                    mode=vehicle.mode.value,
+                    speed_mps=vehicle.speed_mps,
+                )
 
 
 #: The cohort the next vehicle built on this thread may join.  Only a
@@ -90,6 +146,11 @@ def _join_tick_cohort(vehicle: "Vehicle", clock: SimClock) -> None:
 
 class Vehicle:
     """A longitudinally simulated vehicle.
+
+    The vehicle holds the state and the control inputs; its kinematics
+    run in the :class:`_TickCohort` it joins on creation, which advances
+    it every ``tick_ms`` (``MAX_DECEL_MPS2``/``MAX_ACCEL_MPS2`` bound
+    how fast it approaches ``target_speed_mps``).
 
     Attributes:
         name: Vehicle identity ("ego").
@@ -242,49 +303,6 @@ class Vehicle:
         """True when currently inside the named world zone."""
         return self._world.in_zone(self.position_m, zone_name)
 
-    # -- kinematics ---------------------------------------------------------
-
-    def _tick(self) -> None:
-        dt = self.tick_ms / 1000.0
-        previous_position = self.position_m
-        delta = self.target_speed_mps - self.speed_mps
-        if delta < 0:
-            self.speed_mps = max(
-                self.target_speed_mps,
-                self.speed_mps - self.MAX_DECEL_MPS2 * dt,
-            )
-        elif delta > 0:
-            self.speed_mps = min(
-                self.target_speed_mps,
-                self.speed_mps + self.MAX_ACCEL_MPS2 * dt,
-            )
-        position, saturated = self._world.clamp_value(
-            previous_position + self.speed_mps * dt
-        )
-        if saturated:
-            self.position_saturated = True
-        if position == previous_position:
-            return
-        self.position_m = position
-        # Zone-entry detection without per-tick set materialisation:
-        # compare containment at the previous and new position directly.
-        entered = [
-            zone.name
-            for zone in self._world.zones
-            if zone.contains(position) and not zone.contains(previous_position)
-        ]
-        if not entered:
-            return
-        for zone_name in sorted(entered):
-            self._bus.publish(
-                self._clock.now,
-                "vehicle.entered_zone",
-                self.name,
-                zone=zone_name,
-                mode=self.mode.value,
-                speed_mps=self.speed_mps,
-            )
-
 
 class Driver:
     """The human driver: reacts to take-over warnings after a delay.
@@ -325,6 +343,7 @@ class Driver:
 
 
 __all__ = [
+    "AUTOMATED_MODES",
     "Driver",
     "DrivingMode",
     "Vehicle",

@@ -22,6 +22,12 @@ and component statistic, not just the verdict.  Like the verdict file it
 is captured from the parent tree only (the tree before the change it
 gates, never the changed tree), with :func:`outcome_digest` over a
 serial ``run_campaign`` of every registry variant.
+
+``tests/data/golden_large_convoys.json`` holds the same digests for the
+n=8 fleet baseline and jam variants rescaled to 64 and 256 vehicles
+(``_large_convoys`` in ``tests/test_runtime_campaign.py``): the
+registry's convoys stop at n=8, so only this file pins per-vehicle
+violation times and details at scale.
 """
 
 import dataclasses
@@ -35,9 +41,13 @@ from repro.engine.campaign import VariantOutcome, run_campaign
 from repro.engine.registry import default_registry
 from repro.engine.spec import VariantSpec
 from repro.service.memo import variant_key
+from test_runtime_campaign import _large_convoys
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
 OUTCOMES_PATH = pathlib.Path(__file__).parent / "data" / "golden_outcomes.json"
+LARGE_CONVOYS_PATH = (
+    pathlib.Path(__file__).parent / "data" / "golden_large_convoys.json"
+)
 
 #: ``variant_key(v, fingerprint="0" * 64)`` captured from the tree that
 #: still marshalled variants through ``dataclasses.asdict``: one UC2
@@ -125,6 +135,21 @@ class TestGoldenParity:
         )
         assert not changed, f"{len(changed)} outcome(s) changed: {changed}"
         assert actual.keys() == expected.keys()
+
+
+class TestLargeConvoyGolden:
+    def test_large_convoy_outcomes_identical(self):
+        """The n=64 and n=256 convoys match the parent tree's outcomes,
+        per-vehicle violation times and details included."""
+        expected = json.loads(LARGE_CONVOYS_PATH.read_text(encoding="utf-8"))
+        actual = {
+            outcome.variant_id: outcome_digest(outcome)
+            for size in (64, 256)
+            for outcome in run_campaign(
+                _large_convoys(size), backend="serial"
+            ).outcomes
+        }
+        assert actual == expected
 
 
 def _asdict_json(value) -> str:

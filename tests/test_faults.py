@@ -211,6 +211,11 @@ class TestRetryPolicy:
             RetryPolicy(jitter=1.5)
         with pytest.raises(ValidationError, match=">= 0"):
             RetryPolicy(base_delay_s=-0.1)
+        with pytest.raises(
+            ValidationError, match=r"base_delay_s \(5\.0\).*max_delay_s \(2\.0\)"
+        ):
+            RetryPolicy(base_delay_s=5.0, jitter=0.0)
+        assert RetryPolicy(base_delay_s=2.0, max_delay_s=2.0).base_delay_s == 2.0
 
     def test_transient_classification(self):
         policy = RetryPolicy()

@@ -21,7 +21,6 @@ from repro.errors import SimulationError, ValidationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
 from repro.sim.scenarios import FleetConstructionSiteScenario
-from repro.sim.vehicle import Vehicle
 
 
 class TestFleetScenario:
@@ -153,13 +152,9 @@ class TestFleetWorkCounters:
         assert len(built) <= 4 * self.FLEET
 
     def test_one_tick_event_per_period_for_the_convoy(self, monkeypatch):
+        # Every convoy vehicle moves on every tick, so its motion
+        # listener records each of its ticks.
         ticked = []
-        tick = Vehicle._tick
-
-        def counting_tick(vehicle):
-            ticked.append(vehicle.name)
-            tick(vehicle)
-
         fired_ticks = []
         schedule_periodic = SimClock.schedule_periodic
 
@@ -172,9 +167,12 @@ class TestFleetWorkCounters:
 
             schedule_periodic(clock, period, fire, start, until)
 
-        monkeypatch.setattr(Vehicle, "_tick", counting_tick)
         monkeypatch.setattr(SimClock, "schedule_periodic", recording)
         scenario = _long_convoy(self.FLEET)
+        for vehicle in scenario.vehicles:
+            vehicle.add_motion_listener(
+                lambda name=vehicle.name: ticked.append(name)
+            )
         scenario.clock.run_until(1000.0)
         assert fired_ticks == [100.0 * k for k in range(1, 11)]
         assert len(ticked) == 10 * self.FLEET

@@ -1,6 +1,8 @@
 """Property-based tests on the simulator substrate."""
 
-from hypothesis import given, settings
+from types import SimpleNamespace
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -8,6 +10,8 @@ from repro.sim.can import CanBus, make_frame
 from repro.sim.clock import SimClock
 from repro.sim.events import TRACE_MODES, EventBus, TopicProbe
 from repro.sim.network import Channel, Message
+from repro.sim.vehicle import DrivingMode, Vehicle
+from repro.sim.world import World
 from repro.threatlib.builder import ThreatLibraryBuilder
 from repro.model.asset import Asset, AssetGroup
 from repro.model.scenario import Scenario
@@ -186,6 +190,154 @@ class TestChannelCongestionProperty:
             return channel.stats["mean_delay_ms"]
 
         assert mean_delay(bandwidth) >= mean_delay(bandwidth * 2) - 1e-9
+
+
+def _reference_tick(state, world, now, moved, entries):
+    """The per-vehicle kinematics step the tick cohort replaced, kept as
+    the oracle: ``state`` is a plain copy of one vehicle's fields."""
+    dt = state.tick_ms / 1000.0
+    previous_position = state.position_m
+    delta = state.target_speed_mps - state.speed_mps
+    if delta < 0:
+        state.speed_mps = max(
+            state.target_speed_mps,
+            state.speed_mps - Vehicle.MAX_DECEL_MPS2 * dt,
+        )
+    elif delta > 0:
+        state.speed_mps = min(
+            state.target_speed_mps,
+            state.speed_mps + Vehicle.MAX_ACCEL_MPS2 * dt,
+        )
+    position, saturated = world.clamp_value(
+        previous_position + state.speed_mps * dt
+    )
+    if saturated:
+        state.position_saturated = True
+    if position == previous_position:
+        return
+    state.position_m = position
+    moved.append(state.name)
+    entered = [
+        zone.name
+        for zone in world.zones
+        if zone.contains(position) and not zone.contains(previous_position)
+    ]
+    for zone_name in sorted(entered):
+        entries.append((now, state.name, {
+            "zone": zone_name,
+            "mode": state.mode.value,
+            "speed_mps": state.speed_mps,
+        }))
+
+
+#: Placements as fractions of the road: on a zone start, inside a zone
+#: or between zones.
+_FRACTIONS = (0.0, 0.2, 0.25, 0.4, 0.5, 0.6, 0.8)
+#: Zone starts: a coarse grid, so zones often share a start and one
+#: tick enters several of them.
+_ZONE_STARTS = (0.0, 0.25, 0.5)
+
+
+@st.composite
+def _cohort_cases(draw):
+    road = draw(st.one_of(
+        st.integers(min_value=20, max_value=400),
+        st.floats(min_value=20.0, max_value=400.0),
+    ))
+    names = draw(st.permutations(["zeta", "alpha", "mid"]))
+    zones = []
+    for name in names[: draw(st.integers(min_value=0, max_value=3))]:
+        start = draw(st.sampled_from(_ZONE_STARTS)) * road
+        end = start + draw(st.sampled_from((0.1, 0.25, 0.5))) * road
+        zones.append((name, start, min(end, road)))
+    vehicles = []
+    for __ in range(draw(st.integers(min_value=1, max_value=6))):
+        offset = draw(st.one_of(
+            st.sampled_from((0.0, 0.5)),
+            st.floats(min_value=0.0, max_value=5.0),
+        ))
+        position = draw(st.one_of(
+            st.just(offset),  # near the road start
+            st.just(road - offset),  # near the road end
+            st.sampled_from(_FRACTIONS).map(lambda f: f * road),
+        ))
+        speed = draw(st.floats(min_value=0.0, max_value=40.0))
+        # Decel clamp, accel clamp or none.  Negative targets are out of
+        # set_target_speed's reach, but they drive the road-start clamp.
+        target = draw(st.one_of(
+            st.just(speed),
+            st.floats(min_value=-5.0, max_value=45.0),
+        ))
+        mode = draw(st.sampled_from(list(DrivingMode)))
+        vehicles.append((position, speed, target, mode))
+    tick_ms = draw(st.sampled_from((100.0, 250.0, 1000.0)))
+    ticks = draw(st.integers(min_value=1, max_value=25))
+    return road, zones, vehicles, tick_ms, ticks
+
+
+class TestCohortKinematicsProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_cohort_cases())
+    # Pinned: one tick enters two zones defined in reverse name order,
+    # and a vehicle parked on the road end saturates without moving.
+    @example((
+        100.0,
+        [("zeta", 50.0, 60.0), ("alpha", 50.0, 75.0)],
+        [
+            (40.0, 15.0, 15.0, DrivingMode.AUTOMATED),
+            (100.0, 10.0, 10.0, DrivingMode.MANUAL),
+        ],
+        1000.0,
+        2,
+    ))
+    def test_cohort_ticks_like_the_per_vehicle_step(self, case):
+        """After every tick, a cohort's speeds, positions, saturation
+        flags, motion-listener calls and zone-entry events (order and
+        payload) match the per-vehicle reference step's."""
+        road, zones, specs, tick_ms, ticks = case
+        clock, bus = SimClock(), EventBus()
+        world = World(road)
+        for name, start, end in zones:
+            world.add_zone(name, start, end)
+        moved, entries = [], []
+        expected_moved, expected_entries = [], []
+        bus.subscribe(
+            "vehicle.entered_zone",
+            lambda e: entries.append((e.time, e.source, dict(e.data))),
+        )
+        vehicles, states = [], []
+        for index, (position, speed, target, mode) in enumerate(specs):
+            name = f"v{index}"
+            vehicle = Vehicle(
+                name, clock, bus, world,
+                position_m=position, speed_mps=speed, tick_ms=tick_ms,
+            )
+            vehicle.target_speed_mps = target
+            vehicle.mode = mode
+            vehicle.add_motion_listener(lambda n=name: moved.append(n))
+            vehicles.append(vehicle)
+            states.append(SimpleNamespace(
+                name=name, tick_ms=tick_ms, position_m=position,
+                speed_mps=speed, target_speed_mps=target, mode=mode,
+                position_saturated=False,
+            ))
+        for tick in range(1, ticks + 1):
+            now = tick * tick_ms
+            clock.run_until(now)
+            for state in states:
+                _reference_tick(
+                    state, world, now, expected_moved, expected_entries
+                )
+            # repr: an int road length must stay an int position.
+            assert [
+                (repr(v.speed_mps), repr(v.position_m), v.position_saturated)
+                for v in vehicles
+            ] == [
+                (repr(s.speed_mps), repr(s.position_m), s.position_saturated)
+                for s in states
+            ]
+            assert moved == expected_moved
+            assert entries == expected_entries
 
 
 class TestBuilderIdProperty:

@@ -145,12 +145,13 @@ class TestVehicle:
 def _convoy_events(per_vehicle_schedules, monkeypatch):
     """Zone entries of a 3-vehicle convoy: ``(time, source, data)``."""
     if per_vehicle_schedules:
+        # A cohort of one per vehicle: one periodic schedule each.
         monkeypatch.setattr(
             vehicle_module,
             "_join_tick_cohort",
-            lambda vehicle, clock: clock.schedule_periodic(
-                vehicle.tick_ms, vehicle._tick
-            ),
+            lambda vehicle, clock: vehicle_module._TickCohort(
+                clock, vehicle.tick_ms
+            ).vehicles.append(vehicle),
         )
     clock, bus = SimClock(), EventBus()
     world = World(road_length_m=400.0)
