@@ -8,7 +8,7 @@ variant executes:
   ``noqa`` suppression, file walking);
 * :mod:`repro.analysis.rules` -- the codified rule catalog (``REP001``
   .. ``REP008``: multiprocessing isolation, hot-path determinism,
-  hygiene, export contracts, lean-trace topic discipline);
+  hygiene, export contracts, trace-retention topic discipline);
 * :mod:`repro.analysis.speccheck` -- registry/DSL validation without
   executing a single variant (``SPC001`` .. ``SPC009``);
 * :mod:`repro.analysis.report` -- schema-stable ``repro.lint/v1`` JSON

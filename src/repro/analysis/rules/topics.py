@@ -1,15 +1,13 @@
-"""Lean-trace topic discipline: REP007.
+"""Trace-retention topic discipline: REP007.
 
-Campaign workers run scenarios under the lean ``counts`` trace mode,
-where the event bus only retains topics registered up front
+The event bus only retains topics registered up front
 (``RETAINED_TOPICS`` / ``bus.retain()``) and **raises** on reads outside
 that set.  A scenario class that reads a topic literal it never retains
-is therefore a latent campaign crash that no full-mode unit test will
-catch -- exactly the class of bug this rule moves from runtime to lint
-time.
+is therefore a latent crash on a code path its tests may not reach --
+exactly the class of bug this rule moves from runtime to lint time.
 
 Scope: classes under :mod:`repro.sim` that declare ``RETAINED_TOPICS``
-(i.e. participate in lean mode).  Reads through variables or f-strings
+(i.e. read their trace back).  Reads through variables or f-strings
 are out of static reach and are skipped; literal reads -- the dominant
 idiom -- are checked against the class's retained prefixes under the
 bus's own segment-prefix matching.
@@ -23,7 +21,7 @@ from typing import Iterator
 from repro.analysis.astlint import ModuleUnderLint
 from repro.analysis.report import Finding
 
-#: EventBus methods that raise on unretained prefixes in counts mode.
+#: EventBus methods that raise on unretained prefixes.
 _READ_METHODS = frozenset({"events", "last"})
 
 
@@ -45,7 +43,7 @@ def _retained_prefixes(class_node: ast.ClassDef) -> tuple[str, ...] | None:
     """The class's statically-known retained prefixes.
 
     ``None`` when the class declares no ``RETAINED_TOPICS`` (it does not
-    participate in lean mode) or declares one the linter cannot read.
+    read its trace back) or declares one the linter cannot read.
     Literal ``.retain("...")`` calls inside the class extend the set.
     """
     declared: tuple[str, ...] | None = None
@@ -91,14 +89,13 @@ def _covered(topic: str, prefixes: tuple[str, ...]) -> bool:
 
 
 class RetainedTopicRule:
-    """REP007: lean-mode trace reads must be retained up front."""
+    """REP007: trace reads must be retained up front."""
 
     code = "REP007"
     name = "unretained-topic-read"
     summary = (
         "a sim class that declares RETAINED_TOPICS must retain every "
-        "topic literal it reads via events()/last(); unretained reads "
-        "raise under the campaign's lean counts mode"
+        "topic literal it reads via events()/last(); unretained reads raise"
     )
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
@@ -137,8 +134,7 @@ class RetainedTopicRule:
                     self.code,
                     f"{class_node.name} reads topic {topic!r} via "
                     f".{node.func.attr}() but never retains it; add it "
-                    "to RETAINED_TOPICS or the read raises under trace "
-                    "mode 'counts'",
+                    "to RETAINED_TOPICS or the read raises",
                     node=node,
                     symbol=class_node.name,
                 )

@@ -9,15 +9,14 @@ variant** -- factories are resolved and introspected
 (``inspect.signature``), never called; attacks are checked against the
 catalog/binding tables, never armed.
 
-Checks (codes are stable, like the ``REPnnn`` lint rules):
+Checks (codes are stable, like the ``REPnnn`` lint rules; a retired
+code is never reused):
 
 * ``SPC001`` duplicate variant ids across families;
 * ``SPC002`` factory paths that do not resolve;
 * ``SPC003`` parameter keys the factory signature does not accept
   (variant params, spec defaults and topology alike);
 * ``SPC004`` fleet sizes outside the supported bounds;
-* ``SPC005`` factories that do not accept ``trace_mode`` (campaigns always
-  run lean; such a factory silently falls back to full tracing);
 * ``SPC006`` attack references that are neither a Step-4 bound id of
   the spec's use case nor a catalog key, and catalog-attack parameters
   the armer does not accept;
@@ -42,12 +41,7 @@ from repro.engine.registry import (
     ScenarioRegistry,
     default_registry,
 )
-from repro.engine.spec import (
-    ScenarioSpec,
-    VariantSpec,
-    factory_accepts,
-    resolve_factory,
-)
+from repro.engine.spec import ScenarioSpec, VariantSpec, resolve_factory
 from repro.errors import ReproError, ValidationError
 
 #: Largest convoy the spatial families are validated for; beyond this
@@ -85,7 +79,7 @@ def _accepted_keywords(spec: ScenarioSpec) -> tuple[frozenset[str], bool]:
 
 
 def _check_spec(spec: ScenarioSpec) -> Iterator[Finding]:
-    """Spec-level checks: factory resolution, trace_mode, layer keys."""
+    """Spec-level checks: factory resolution and layer keys."""
     try:
         accepted, var_keyword = _accepted_keywords(spec)
     except (ReproError, ImportError, TypeError, ValueError) as exc:
@@ -95,14 +89,6 @@ def _check_spec(spec: ScenarioSpec) -> Iterator[Finding]:
             symbol=spec.name,
         )
         return
-    if not factory_accepts(spec.factory, "trace_mode"):
-        yield _finding(
-            "SPC005",
-            f"factory {spec.factory!r} does not accept trace_mode; "
-            "campaigns always run the lean counts mode and this spec "
-            "would silently run full tracing",
-            symbol=spec.name,
-        )
     for layer_name, layer in (
         ("defaults", spec.defaults),
         ("topology", spec.topology),

@@ -40,7 +40,6 @@ _EXPORTS = {
     "ParamItems": "repro.engine.spec",
     "ScenarioSpec": "repro.engine.spec",
     "VariantSpec": "repro.engine.spec",
-    "factory_accepts": "repro.engine.spec",
     "freeze_params": "repro.engine.spec",
     "resolve_factory": "repro.engine.spec",
     "thaw_params": "repro.engine.spec",
@@ -52,7 +51,6 @@ _EXPORTS = {
     "UC2_SCENARIO": "repro.engine.registry",
     "apply_topology_overrides": "repro.engine.registry",
     "default_registry": "repro.engine.registry",
-    "CAMPAIGN_TRACE_MODE": "repro.engine.campaign",
     "CampaignConfig": "repro.engine.campaign",
     "CampaignMemo": "repro.engine.campaign",
     "CampaignResult": "repro.engine.campaign",

@@ -74,15 +74,6 @@ from repro.testing.testcase import TestCase, Verdict
 #: Verdict label of an outcome whose worker-side execution raised.
 ERROR_VERDICT = "ERROR"
 
-#: The trace mode campaign workers run scenarios under.  Campaigns only
-#: read verdicts, violations, detections and stats, so they always run
-#: the lean ``"counts"`` bus mode (per-prefix counters + the scenario's
-#: ``RETAINED_TOPICS``); verdicts are mode-independent by construction
-#: and asserted so by the golden-parity harness and the trace-mode
-#: property tests.  For a complete trace, build the scenario directly
-#: (``spec.build(params, trace_mode="full")``).
-CAMPAIGN_TRACE_MODE = "counts"
-
 
 @dataclasses.dataclass(frozen=True)
 class VariantOutcome:
@@ -254,12 +245,7 @@ def execute_variant(
     variant: VariantSpec,
     registry: ScenarioRegistry | None = None,
 ) -> VariantOutcome:
-    """Execute one variant end to end and derive its verdict.
-
-    The scenario runs under :data:`CAMPAIGN_TRACE_MODE`, read at call
-    time.
-    """
-    trace_mode = CAMPAIGN_TRACE_MODE
+    """Execute one variant end to end and derive its verdict."""
     registry = registry or default_registry()
     spec = registry.get(variant.scenario)
     started = time.perf_counter()
@@ -268,9 +254,7 @@ def execute_variant(
         template = _bound_test(spec.use_case, variant.attack)
         test = dataclasses.replace(
             template,
-            build_scenario=lambda: spec.build(
-                variant.params, trace_mode=trace_mode
-            ),
+            build_scenario=lambda: spec.build(variant.params),
             duration_ms=variant.duration_ms or template.duration_ms,
         )
         execution = TestHarness().execute(test)
@@ -292,7 +276,7 @@ def execute_variant(
             notes=execution.notes,
         )
 
-    scenario = spec.build(variant.params, trace_mode=trace_mode)
+    scenario = spec.build(variant.params)
     if variant.attack is not None:
         arm_catalog_attack(scenario, variant.attack, variant.attack_params_dict())
     duration_ms = (
@@ -905,7 +889,6 @@ def run_campaign(
 
 
 __all__ = [
-    "CAMPAIGN_TRACE_MODE",
     "CampaignConfig",
     "CampaignMemo",
     "CampaignResult",

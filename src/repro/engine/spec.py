@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib
-import inspect
 from typing import Any, Callable, Mapping
 
 from repro.errors import ValidationError
@@ -83,29 +82,6 @@ def resolve_factory(path: str) -> Callable[..., Any]:
         raise ValidationError(
             f"module {module_name!r} has no attribute {attribute!r}"
         ) from exc
-
-
-@functools.lru_cache(maxsize=None)
-def factory_accepts(path: str, keyword: str) -> bool:
-    """Whether the factory at ``path`` accepts ``keyword`` as an argument.
-
-    Used to pass engine-level knobs (the campaign's ``trace_mode``) only
-    to factories that understand them, so custom registries with plain
-    factories keep working.  Cached per process alongside
-    :func:`resolve_factory`.
-    """
-    factory = resolve_factory(path)
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins without introspection
-        return False
-    parameters = signature.parameters
-    if keyword in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,18 +152,11 @@ class ScenarioSpec:
     def build(
         self,
         params: Mapping[str, Any] | ParamItems | None = None,
-        *,
-        trace_mode: str | None = None,
     ) -> Any:
         """Instantiate the scenario with defaults + topology + ``params``.
 
         Precedence (low to high): spec ``defaults``, spec ``topology``
         parameters, then the variant's own ``params``.
-
-        ``trace_mode`` (the campaign's lean/full event-trace switch) is
-        forwarded only when the factory accepts the keyword and the
-        parameter layers did not already pin one -- factories that
-        predate trace modes keep working unchanged.
         """
         try:
             merged = dict(_merged_base(self.defaults, self.topology))
@@ -199,12 +168,6 @@ class ScenarioSpec:
                 merged.update(thaw_params(params))
             else:
                 merged.update(thaw_params(freeze_params(params)))
-        if (
-            trace_mode is not None
-            and "trace_mode" not in merged
-            and factory_accepts(self.factory, "trace_mode")
-        ):
-            merged["trace_mode"] = trace_mode
         return resolve_factory(self.factory)(**merged)
 
 
@@ -303,7 +266,6 @@ __all__ = [
     "ParamItems",
     "ScenarioSpec",
     "VariantSpec",
-    "factory_accepts",
     "freeze_params",
     "resolve_factory",
     "thaw_params",

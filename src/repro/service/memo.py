@@ -4,8 +4,8 @@ A variant's outcome is a pure function of two things: its **resolved
 configuration** (the variant payload merged over its scenario spec's
 factory, defaults and topology layers) and the **code** that executes
 it.  :func:`variant_key` hashes both into one sha256 hex digest, along
-with two fixed fields (a per-variant seed and the campaign trace mode)
-that keep every key byte-identical to earlier journals; the
+with two fixed fields (a per-variant seed and a retired trace-mode
+label) that keep every key byte-identical to earlier journals; the
 :class:`MemoStore` maps that digest to the cached
 :class:`~repro.engine.campaign.VariantOutcome`.
 
@@ -35,7 +35,7 @@ import threading
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.engine.campaign import CAMPAIGN_TRACE_MODE, VariantOutcome
+from repro.engine.campaign import VariantOutcome
 from repro.engine.registry import ScenarioRegistry, default_registry
 from repro.engine.spec import VariantSpec
 from repro.errors import ReproError
@@ -102,11 +102,11 @@ def variant_key(
             "defaults": spec.defaults,
             "topology": spec.topology,
         },
-        # Fixed fields: no execution reads a seed and campaigns always run
-        # CAMPAIGN_TRACE_MODE, but both stay in the payload so every key
+        # Fixed fields: no execution reads the seed or the retired
+        # trace-mode label, but both stay in the payload so every key
         # keeps its bytes (PINNED_KEYS in tests/test_campaign_parity.py).
         "seed": derive_seed(1, variant.variant_id),
-        "trace_mode": CAMPAIGN_TRACE_MODE,
+        "trace_mode": "counts",
         "code": fingerprint if fingerprint is not None else code_fingerprint(),
     }
     text = json.dumps(payload, sort_keys=True, default=repr)

@@ -68,14 +68,7 @@ from repro.sim.crypto import (
     verify_mac,
 )
 from repro.sim.ecu import Ecu, Gateway
-from repro.sim.events import (
-    TRACE_COUNTS,
-    TRACE_FULL,
-    TRACE_MODES,
-    EventBus,
-    SimEvent,
-    TopicProbe,
-)
+from repro.sim.events import EventBus, SimEvent, TopicProbe
 from repro.sim.kernel import KernelScenario, ScenarioResult, SimKernel
 from repro.sim.monitor import InvariantCheck, SafetyMonitor, Violation
 from repro.sim.network import (
@@ -195,9 +188,6 @@ __all__ = [
     "SenderAuthentication",
     "SimClock",
     "SimEvent",
-    "TRACE_COUNTS",
-    "TRACE_FULL",
-    "TRACE_MODES",
     "SimKernel",
     "Smartphone",
     "SpatialIndex",

@@ -149,7 +149,12 @@ class CanBus:
         }
 
     def delivery_latencies(self) -> tuple[float, ...]:
-        """Per-frame bus latencies from the event trace (ms)."""
+        """Per-frame bus latencies from the event trace (ms).
+
+        Reads the ``can.<name>.frame`` events, so the caller must
+        ``bus.retain()`` that topic before the run; otherwise the read
+        raises :class:`~repro.errors.SimulationError`.
+        """
         return tuple(
             event.data["latency_ms"]
             for event in self._bus.events(f"can.{self.name}.frame")

@@ -207,7 +207,7 @@ class ControlPipeline:
                         sender=sender,
                     )
                 else:
-                    # Inlined EventBus.tally: one increment per denial.
+                    # Unobserved publish: one counter increment per denial.
                     topic_counts = self._detection_probe.counts
                     topic = self._detection_topic
                     try:

@@ -100,7 +100,7 @@ class Ecu:
         self._topic_overload = f"ecu.{name}.overload"
         self._topic_shutdown = f"ecu.{name}.shutdown"
         # One processed event per admitted message: the probe keeps the
-        # unobserved case (counts mode, no subscriber) at counter cost.
+        # unobserved case (unretained, no subscriber) at counter cost.
         self._processed_probe = bus.probe(self._topic_processed)
         # Bound once: receive() runs once per receiver per delivery.
         self._admit = self.pipeline.admit
@@ -179,7 +179,7 @@ class Ecu:
                 sender=message.sender,
             )
         else:
-            # Inlined EventBus.tally: one increment per processed message.
+            # Unobserved publish: one counter increment per processed message.
             topic_counts = self._processed_probe.counts
             topic = self._topic_processed
             try:

@@ -2,9 +2,9 @@
 
 Components publish domain events ("handover.requested", "door.opened",
 "control.detection") on a shared bus; the safety monitor, test oracles and
-reports subscribe or read the recorded trace afterwards.  The full ordered
-trace doubles as the simulation's test report substrate ("how the test
-report is gathered", §III-C).
+reports subscribe or read the recorded trace afterwards.  The ordered
+trace (complete after ``retain("")``) doubles as the simulation's test
+report substrate ("how the test report is gathered", §III-C).
 
 The bus is on the hot path of every campaign variant, so its internals
 are index-based rather than scan-based:
@@ -25,26 +25,20 @@ are index-based rather than scan-based:
   those counters -- O(distinct topics) per query instead of a scan of
   the whole trace (bench oracles call it in loops, and the trace can
   be arbitrarily longer than the topic set).
-* **Trace reads** (:attr:`EventBus.trace`, :meth:`EventBus.events`)
-  return cached immutable tuples, invalidated on publish/clear, instead
-  of materialising a fresh copy of the whole trace on every access.
+* **Trace reads** (:meth:`EventBus.events`) return cached immutable
+  tuples, invalidated on publish/clear, instead of materialising a
+  fresh copy of the trace on every access.
 
-Trace modes
------------
+Trace retention
+---------------
 
-A bus records in one of two modes:
-
-* ``"full"`` (the default) -- every event is retained, exactly the
-  historical behaviour.
-* ``"counts"`` -- the kernel-level lean mode for campaign workers that
-  only read verdicts: per-prefix counters (and subscriber dispatch) work
-  as usual, but events are only retained when they fall under a prefix
-  registered via :meth:`EventBus.retain`.  Scenario assemblies register
-  the prefixes their safety-goal checks read *at construction time*, so
-  verdict-relevant reads see the identical event sequence in both modes.
-  Reading :meth:`events`/:meth:`last`/:attr:`trace` outside the retained
-  set raises :class:`~repro.errors.SimulationError` -- an oracle can
-  never silently observe an empty trace where the full mode had events.
+Dispatch and counting see every event, but the bus only *records*
+events under the prefixes registered via :meth:`EventBus.retain`.
+Scenario assemblies register the prefixes their safety-goal checks read
+*at construction time*; ``retain("")`` records the complete trace.
+Reading :meth:`~EventBus.events`/:meth:`~EventBus.last` outside the
+retained set raises :class:`~repro.errors.SimulationError` -- an oracle
+can never silently observe an empty trace where events were published.
 """
 
 from __future__ import annotations
@@ -55,11 +49,6 @@ from typing import Any, Callable
 from repro.errors import SimulationError
 
 Subscriber = Callable[["SimEvent"], None]
-
-#: Recognised trace modes.
-TRACE_FULL = "full"
-TRACE_COUNTS = "counts"
-TRACE_MODES = (TRACE_FULL, TRACE_COUNTS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,24 +85,15 @@ def _segment_prefixes(topic: str) -> tuple[str, ...]:
 
 
 class EventBus:
-    """Publish/subscribe bus with a complete ordered trace.
+    """Publish/subscribe bus with an ordered trace of retained topics.
 
     Subscriptions match exact topics or prefixes: subscribing to
     ``"v2x"`` receives ``"v2x.warning_received"`` and every other
     ``v2x.*`` topic; subscribing to ``""`` receives everything.
-
-    Args:
-        mode: Trace retention mode, ``"full"`` or ``"counts"`` (see the
-            module docstring).  Dispatch and counting are identical in
-            both modes; only event *retention* differs.
+    Retention (:meth:`retain`) matches prefixes the same way.
     """
 
-    def __init__(self, mode: str = TRACE_FULL) -> None:
-        if mode not in TRACE_MODES:
-            raise SimulationError(
-                f"unknown trace mode {mode!r} (choose one of {TRACE_MODES})"
-            )
-        self._mode = mode
+    def __init__(self) -> None:
         # prefix -> [(subscription order, subscriber), ...]
         self._subscribers: dict[str, list[tuple[int, Subscriber]]] = {}
         self._subscription_count = 0
@@ -134,12 +114,6 @@ class EventBus:
         self._probes: dict[str, list["TopicProbe"]] = {}
         # Cached immutable views, invalidated on publish/clear.
         self._events_cache: dict[str, tuple[SimEvent, ...]] = {}
-        self._trace_cache: tuple[SimEvent, ...] | None = None
-
-    @property
-    def mode(self) -> str:
-        """The bus's trace retention mode (``"full"`` or ``"counts"``)."""
-        return self._mode
 
     def subscribe(self, topic_prefix: str, subscriber: Subscriber) -> None:
         """Register ``subscriber`` for all topics under ``topic_prefix``."""
@@ -150,11 +124,10 @@ class EventBus:
         self._invalidate(topic_prefix)
 
     def retain(self, topic_prefix: str) -> None:
-        """Keep events under ``topic_prefix`` in the trace in every mode.
+        """Record events under ``topic_prefix`` in the trace.
 
-        In ``"counts"`` mode only retained prefixes are recorded; in
-        ``"full"`` mode this is a no-op (everything is retained anyway).
-        Like subscriptions, retention registrations survive
+        Only retained prefixes are recorded; ``retain("")`` records
+        everything.  Like subscriptions, retention registrations survive
         :meth:`clear`.  Register *before* the run starts: events
         published before the registration are not retroactively kept.
         """
@@ -171,10 +144,10 @@ class EventBus:
     ) -> SimEvent | None:
         """Record and dispatch an event.
 
-        Returns the recorded :class:`SimEvent` -- or ``None`` in
-        ``"counts"`` mode when the event was neither retained nor
-        dispatched to any subscriber (nothing needed the object, so it is
-        never allocated; the per-prefix counters still tick).
+        Returns the recorded :class:`SimEvent` -- or ``None`` when the
+        event was neither retained nor dispatched to any subscriber
+        (nothing needed the object, so it is never allocated; the
+        per-prefix counters still tick).
         """
         counts = self._topic_counts
         try:
@@ -193,26 +166,9 @@ class EventBus:
             self._trace.append(event)
             if self._events_cache:
                 self._events_cache.clear()
-            self._trace_cache = None
         for subscriber in subscribers:
             subscriber(event)
         return event
-
-    def tally(self, time: float, topic: str, source: str) -> None:
-        """Count a publication that nothing would observe.
-
-        Equivalent to :meth:`publish` for a topic :meth:`wants` answered
-        ``False`` for: the per-topic counter ticks, no event is
-        allocated.  Hot publishers pair it with a :class:`TopicProbe`
-        so the per-message cost is one dict increment instead of a
-        kwargs build plus plan lookup.  (``time``/``source`` are
-        accepted so call sites stay shaped like ``publish``.)
-        """
-        counts = self._topic_counts
-        try:
-            counts[topic] += 1
-        except KeyError:
-            counts[topic] = 1
 
     def wants(self, topic: str) -> bool:
         """True when publishing ``topic`` would retain or dispatch.
@@ -274,9 +230,7 @@ class EventBus:
             for pair in self._subscribers[prefix]
         ]
         matched.sort()
-        retained = self._mode == TRACE_FULL or not self._retained.isdisjoint(
-            prefixes
-        )
+        retained = not self._retained.isdisjoint(prefixes)
         plan = (tuple(subscriber for _order, subscriber in matched), retained)
         self._plans[topic] = plan
         return plan
@@ -284,45 +238,25 @@ class EventBus:
     # -- trace reads ----------------------------------------------------------
 
     def _require_retained(self, topic_prefix: str) -> None:
-        """In counts mode, reject reads outside the retained set."""
-        if self._mode == TRACE_FULL:
-            return
+        """Reject reads outside the retained set."""
         for retained in self._retained:
             if not retained or topic_prefix == retained or (
                 topic_prefix.startswith(retained + ".")
             ):
                 return
         raise SimulationError(
-            f"trace mode 'counts' did not retain events under "
-            f"{topic_prefix!r}; register bus.retain({topic_prefix!r}) "
-            "before the run (or use trace mode 'full')"
+            f"events under {topic_prefix!r} were not retained; register "
+            f"bus.retain({topic_prefix!r}) before the run (or "
+            "bus.retain('') for the complete trace)"
         )
-
-    @property
-    def trace(self) -> tuple[SimEvent, ...]:
-        """The complete event trace in publication order (cached view).
-
-        Raises:
-            SimulationError: in ``"counts"`` mode, where the complete
-                trace is -- by design -- not retained.
-        """
-        if self._mode != TRACE_FULL:
-            raise SimulationError(
-                "trace mode 'counts' does not retain the complete trace; "
-                "use trace mode 'full' (or read retained prefixes via "
-                "events())"
-            )
-        if self._trace_cache is None:
-            self._trace_cache = tuple(self._trace)
-        return self._trace_cache
 
     def events(self, topic_prefix: str) -> tuple[SimEvent, ...]:
         """Recorded events under a topic prefix (cached immutable view).
 
         Raises:
-            SimulationError: in ``"counts"`` mode for a prefix outside
-                the retained set (the events were not recorded and an
-                empty answer would be a lie).
+            SimulationError: for a prefix outside the retained set (the
+                events were not recorded and an empty answer would be a
+                lie).
         """
         cached = self._events_cache.get(topic_prefix)
         if cached is not None:
@@ -339,10 +273,10 @@ class EventBus:
     def count(self, topic_prefix: str) -> int:
         """Number of events published under a topic prefix.
 
-        Served from the running per-topic counters in every mode -- no
-        trace scan, and independent of trace retention.  Publishing
-        pays one counter increment; a count query sums the handful of
-        distinct topics matching the prefix.
+        Served from the running per-topic counters -- no trace scan,
+        and independent of trace retention.  Publishing pays one
+        counter increment; a count query sums the handful of distinct
+        topics matching the prefix.
         """
         counts = self._topic_counts
         exact = counts.get(topic_prefix, 0)
@@ -361,8 +295,7 @@ class EventBus:
         """Most recent event under a topic prefix, or None.
 
         Raises:
-            SimulationError: in ``"counts"`` mode for a prefix outside
-                the retained set.
+            SimulationError: for a prefix outside the retained set.
         """
         self._require_retained(topic_prefix)
         for event in reversed(self._trace):
@@ -376,7 +309,6 @@ class EventBus:
         self._trace.clear()
         self._topic_counts.clear()
         self._events_cache.clear()
-        self._trace_cache = None
 
 
 def _matches(prefix: str, topic: str) -> bool:
@@ -391,11 +323,11 @@ class TopicProbe:
 
     Hot publishers (per-denial detection logs, per-delivery channel
     events) emit hundreds of thousands of events per campaign variant
-    that -- in ``"counts"`` mode with no subscriber -- only ever tick a
+    that -- unretained and with no subscriber -- only ever tick a
     counter.  A probe answers :meth:`EventBus.wants` once, at creation,
-    so those call sites degrade to :meth:`EventBus.tally` (one dict
-    increment) instead of building kwargs for an event nobody would
-    see.  Dispatch semantics are untouched: the moment a subscriber or
+    so those call sites degrade to one increment of the bus's
+    per-topic counter (:attr:`counts`) instead of building kwargs for
+    an event nobody would see.  Dispatch semantics are untouched: the moment a subscriber or
     retention prefix covering the topic appears, the bus switches on
     every probe issued for it, so :attr:`active` is always current and
     hot paths can branch on a plain attribute read.
@@ -411,7 +343,7 @@ class TopicProbe:
         self.active = bus.wants(topic)
         #: The bus's live per-topic counter map: when :attr:`active` is
         #: False the call site increments ``counts[topic]`` directly --
-        #: the whole of :meth:`EventBus.tally` without the call.
+        #: all a publish would do.
         self.counts = bus._topic_counts
         bus._probes.setdefault(topic, []).append(self)
 
@@ -423,8 +355,5 @@ class TopicProbe:
 __all__ = [
     "EventBus",
     "SimEvent",
-    "TRACE_COUNTS",
-    "TRACE_FULL",
-    "TRACE_MODES",
     "TopicProbe",
 ]

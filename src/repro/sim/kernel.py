@@ -26,7 +26,7 @@ from repro.errors import SimulationError
 from repro.sim.can import CanBus
 from repro.sim.clock import SimClock
 from repro.sim.crypto import KeyStore
-from repro.sim.events import TRACE_FULL, EventBus
+from repro.sim.events import EventBus
 from repro.sim.monitor import SafetyMonitor, Violation
 from repro.sim.network import Channel, Medium, PropagationModel
 from repro.sim.topology import Topology
@@ -104,22 +104,11 @@ class SimKernel:
         world: The 1-D road world, or ``None`` for scenarios without
             geometry (e.g. the keyless opener).
         media: All registered communication media by name.
-
-    Args:
-        trace_mode: The event bus's retention mode -- ``"full"``
-            (default, complete trace) or ``"counts"`` (lean: per-prefix
-            counters only, plus prefixes registered via
-            ``bus.retain()``).  Campaign workers that only read verdicts
-            run lean; interactive/report use keeps the full trace.
     """
 
-    def __init__(
-        self,
-        road_length_m: float | None = None,
-        trace_mode: str = TRACE_FULL,
-    ) -> None:
+    def __init__(self, road_length_m: float | None = None) -> None:
         self.clock = SimClock()
-        self.bus = EventBus(mode=trace_mode)
+        self.bus = EventBus()
         self.keystore = KeyStore()
         self.world: World | None = (
             World(road_length_m) if road_length_m is not None else None
@@ -234,10 +223,9 @@ class KernelScenario:
     ``controls`` parameter accepts), :attr:`CONTROL_SCOPE` (used in the
     rejection message), :attr:`DEFAULT_DURATION_MS` and
     :attr:`RETAINED_TOPICS` (the event-topic prefixes their safety-goal
-    checks read back from the trace -- retained even under the lean
-    ``"counts"`` trace mode so verdicts are mode-independent), assemble
-    their components in ``__init__``, and implement the two collection
-    hooks.
+    checks read back from the trace -- the bus records nothing else),
+    assemble their components in ``__init__``, and implement the two
+    collection hooks.
 
     Attributes:
         kernel: The owning :class:`SimKernel`.
@@ -254,7 +242,7 @@ class KernelScenario:
     DEFAULT_DURATION_MS: float = 10000.0
     #: Topic prefixes the scenario's verdict path reads from the trace;
     #: registered with ``bus.retain()`` at construction time (before any
-    #: publish) so the lean trace mode records the identical sequence.
+    #: publish) so the trace holds every event those checks read.
     RETAINED_TOPICS: tuple[str, ...] = ()
 
     def __init__(

@@ -135,11 +135,10 @@ class SafetyMonitor:
         violated ("reaction not within the FTTI").
 
         The deadline check reads the event trace, so ``topic`` is
-        registered for retention -- under the lean ``"counts"`` trace
-        mode the scenario should additionally list it in its
-        ``RETAINED_TOPICS`` (retention starts at registration; events
-        published earlier in the same millisecond are only covered by a
-        construction-time registration).
+        registered for retention -- the scenario should additionally
+        list it in its ``RETAINED_TOPICS`` (retention starts at
+        registration; events published earlier in the same millisecond
+        are only covered by a construction-time registration).
         """
         if deadline_ms <= 0:
             raise SimulationError("deadline must be positive")

@@ -395,7 +395,7 @@ class Channel:
         self._topic_delivered = f"channel.{name}.delivered"
         self._topic_dropped = f"channel.{name}.dropped"
         # One delivered event per message: the probe keeps the
-        # unobserved case (counts mode, no subscriber) at counter cost.
+        # unobserved case (unretained, no subscriber) at counter cost.
         self._delivered_probe = bus.probe(self._topic_delivered)
 
     # -- wiring -----------------------------------------------------------
@@ -618,7 +618,7 @@ class Channel:
                 sender=message.sender,
             )
         else:
-            # Inlined EventBus.tally: one increment per delivery.
+            # Unobserved publish: one counter increment per delivery.
             topic_counts = self._delivered_probe.counts
             topic = self._topic_delivered
             try:

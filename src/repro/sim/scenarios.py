@@ -140,12 +140,8 @@ class ConstructionSiteScenario(KernelScenario):
         max_warnings: int = 5,
         obu_queue_capacity: int = 64,
         road_length_m: float = 3000.0,
-        trace_mode: str = "full",
     ) -> None:
-        super().__init__(
-            SimKernel(road_length_m=road_length_m, trace_mode=trace_mode),
-            controls,
-        )
+        super().__init__(SimKernel(road_length_m=road_length_m), controls)
         self.zone_speed_limit_mps = zone_speed_limit_mps
         self.handover_ftti_ms = handover_ftti_ms
         self.max_warnings = max_warnings
@@ -355,16 +351,12 @@ class FleetConstructionSiteScenario(KernelScenario):
         road_length_m: float = 3000.0,
         attacker_position_m: float | None = None,
         attacker_range_m: float = 250.0,
-        trace_mode: str = "full",
     ) -> None:
         if fleet_size < 1:
             raise SimulationError("fleet size must be >= 1")
         if headway_m <= 0:
             raise SimulationError("headway must be positive")
-        super().__init__(
-            SimKernel(road_length_m=road_length_m, trace_mode=trace_mode),
-            controls,
-        )
+        super().__init__(SimKernel(road_length_m=road_length_m), controls)
         self.fleet_size = fleet_size
         self.zone_speed_limit_mps = zone_speed_limit_mps
         self.max_warnings = max_warnings
@@ -604,8 +596,7 @@ class KeylessEntryScenario(KernelScenario):
     CONTROL_SCOPE = "UC2"
     DEFAULT_DURATION_MS = 20000.0
     #: SG01/SG03 read door.opened events (actor + timing), SG04 reads
-    #: door.closed -- retained so the lean trace mode stays
-    #: verdict-identical.
+    #: door.closed.
     RETAINED_TOPICS = ("door.opened", "door.closed")
 
     OWNER = "phone-owner"
@@ -618,9 +609,8 @@ class KeylessEntryScenario(KernelScenario):
         can_frame_time_ms: float = 1.0,
         open_deadline_ms: float = 500.0,
         max_transitions: int = 6,
-        trace_mode: str = "full",
     ) -> None:
-        super().__init__(SimKernel(trace_mode=trace_mode), controls)
+        super().__init__(SimKernel(), controls)
         self.open_deadline_ms = open_deadline_ms
         self.max_transitions = max_transitions
 

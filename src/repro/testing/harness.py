@@ -55,21 +55,6 @@ class TestHarness:
         executions = tuple(self.execute(test) for test in tests)
         return CampaignReport(executions=executions)
 
-    def execute_variant(self, variant, registry=None):
-        """Execute one registry :class:`~repro.engine.spec.VariantSpec`.
-
-        The scenario is built from the declarative registry entry (spec
-        factory + variant parameter overrides) instead of a hard-coded
-        class; bound attack descriptions run through their Step-4 binding
-        and published oracles.  Returns a
-        :class:`~repro.engine.campaign.VariantOutcome`.
-        """
-        # Imported lazily: the engine depends on this module's TestCase
-        # execution, not the other way around.
-        from repro.engine.campaign import execute_variant
-
-        return execute_variant(variant, registry=registry)
-
     @staticmethod
     def _derive(
         test: TestCase, success: bool, failure: bool

@@ -12,8 +12,8 @@ from repro.analysis import MAX_FLEET_SIZE, check_all, check_dsl, check_registry
 from repro.engine.registry import ScenarioRegistry
 from repro.engine.spec import ScenarioSpec, VariantSpec, freeze_params
 
-#: A real, resolvable factory that accepts ``trace_mode`` (plus the
-#: parameters the synthetic variants sweep).
+#: A real, resolvable factory that accepts the parameters the synthetic
+#: variants sweep.
 FACTORY = "repro.sim.scenarios:ConstructionSiteScenario"
 
 
@@ -116,15 +116,6 @@ class TestSyntheticRegistries:
             )
         )
         assert "SPC004" in codes(findings)
-
-    def test_spc005_factory_without_trace_mode(self):
-        spec = ScenarioSpec(
-            name="synthetic",
-            use_case="uc1",
-            factory="repro.engine.spec:freeze_params",
-        )
-        findings = check_registry(make_registry(spec=spec))
-        assert "SPC005" in codes(findings)
 
     def test_spc006_unbound_attack_id(self):
         findings = check_registry(

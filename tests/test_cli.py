@@ -67,6 +67,22 @@ class TestRun:
         out = capsys.readouterr().out
         assert "attack failed" in out
 
+    def test_run_flood_takes_the_train_path(self, capsys, monkeypatch):
+        # An interactive run keeps only the verdict's topics, so the
+        # AD20 flood runs as trains (a full trace would force one clock
+        # event per packet).
+        from repro.sim.network import Channel
+
+        trains = []
+        send_train = Channel.send_train
+        monkeypatch.setattr(
+            Channel, "send_train",
+            lambda self, *args: trains.append(1) or send_train(self, *args),
+        )
+        assert main(["run", "AD20", "--usecase", "uc1"]) == 0
+        assert "attack failed (SUT withstood)" in capsys.readouterr().out
+        assert trains
+
     def test_run_unbound_attack(self, capsys):
         assert main(["run", "AD01", "--usecase", "uc1"]) == 1
         assert "no executable binding" in capsys.readouterr().err

@@ -350,7 +350,7 @@ class TestLoadSweeps:
 
 class TestHarnessIntegration:
     def test_harness_executes_registry_variants(self):
-        outcome = TestHarness().execute_variant(
+        outcome = execute_variant(
             default_registry().variant("uc2/baseline/stock")
         )
         assert outcome.sut_passed

@@ -129,7 +129,6 @@ def _long_convoy(fleet_size):
         rsu_position_m=lead_m + 399.0,
         rsu_range_m=500.0,
         road_length_m=lead_m + 3000.0,
-        trace_mode="counts",
     )
 
 

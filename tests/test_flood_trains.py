@@ -21,7 +21,7 @@ from repro.sim.clock import SimClock
 from repro.sim.controls import FloodingDetector, SenderAuthentication
 from repro.sim.controls.base import ControlPipeline
 from repro.sim.crypto import KeyStore
-from repro.sim.events import TRACE_COUNTS, EventBus
+from repro.sim.events import EventBus
 from repro.sim.network import Channel, Message
 from repro.sim.scenarios import (
     UC1_ALL_CONTROLS,
@@ -195,7 +195,7 @@ class TestStandingDenial:
 
     def test_only_the_detector_promises_and_only_first_in_line(self):
         clock = SimClock()
-        bus = EventBus(mode=TRACE_COUNTS)
+        bus = EventBus()
         detector = FloodingDetector(window_ms=10.0, max_messages=1)
         pipeline = ControlPipeline("ECU", clock, bus, [detector])
         message = Message(kind="cam", sender="x", payload={})
@@ -280,7 +280,7 @@ def _record_deliveries(channel: Channel, patch: pytest.MonkeyPatch) -> dict:
 
 
 def _run(config: dict, trains: bool):
-    """Run one flood scenario in counts mode; everything a train must
+    """Run one flood scenario (lean trace); everything a train must
     leave as the per-packet path would, the delivered messages' records
     and the number of packets sent in trains."""
     controls = set(config["others"])
@@ -291,12 +291,9 @@ def _run(config: dict, trains: bool):
             controls=controls,
             fleet_size=config["fleet_size"],
             attacker_position_m=config["attacker_position_m"],
-            trace_mode=TRACE_COUNTS,
         )
     else:
-        scenario = ConstructionSiteScenario(
-            controls=controls, trace_mode=TRACE_COUNTS
-        )
+        scenario = ConstructionSiteScenario(controls=controls)
     clock, channel = scenario.clock, scenario.v2x
     channel.bandwidth_per_ms = config["bandwidth_per_ms"]
     obus = scenario.obus if config["fleet"] else [scenario.obu]
@@ -421,7 +418,7 @@ class TestTrainEquivalence:
 
 class TestFloodWorkGate:
     """Deterministic work gate, no timing: the full AD20 flood of
-    ``uc1/parity/ad20`` (counts mode) runs mostly as trains, whose
+    ``uc1/parity/ad20`` (lean trace) runs mostly as trains, whose
     packets are mostly never built."""
 
     def test_ad20_event_and_admit_counts(self, monkeypatch):
@@ -476,16 +473,17 @@ class TestFloodWorkGate:
         }
 
 
-def test_full_trace_mode_keeps_the_per_packet_path(monkeypatch):
-    """Every delivery and denial is a recorded event in full mode."""
+def test_a_retained_detection_topic_keeps_the_per_packet_path(monkeypatch):
+    """Every denial is a recorded event once its topic is retained."""
     scenario = ConstructionSiteScenario()
+    scenario.bus.retain("control.detection")
     FloodingAttack(
         "attacker", scenario.clock, scenario.v2x, kind="cam_message",
         interval_ms=0.5, duration_ms=500.0, keystore=scenario.keystore,
     ).launch(100.0)
     monkeypatch.setattr(
         Channel, "send_train",
-        lambda *args: pytest.fail("a train ran in full trace mode"),
+        lambda *args: pytest.fail("a train ran with denials retained"),
     )
     result = scenario.run(1000.0)
     assert result.detections_of("OBU") > 0

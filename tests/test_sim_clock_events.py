@@ -109,10 +109,11 @@ class TestSimClock:
 class TestEventBus:
     def test_publish_and_trace(self):
         bus = EventBus()
+        bus.retain("")
         bus.publish(1.0, "a.b", "src", value=1)
         bus.publish(2.0, "a.c", "src")
-        assert len(bus.trace) == 2
-        assert bus.trace[0].data["value"] == 1
+        assert len(bus.events("")) == 2
+        assert bus.events("")[0].data["value"] == 1
 
     def test_prefix_subscription(self):
         bus = EventBus()
@@ -137,6 +138,7 @@ class TestEventBus:
 
     def test_events_query_and_last(self):
         bus = EventBus()
+        bus.retain("")
         bus.publish(1.0, "door.opened", "door", actor="a")
         bus.publish(2.0, "door.opened", "door", actor="b")
         assert bus.count("door.opened") == 2
@@ -147,8 +149,9 @@ class TestEventBus:
         bus = EventBus()
         received = []
         bus.subscribe("t", received.append)
+        bus.retain("")
         bus.publish(1.0, "t", "s")
         bus.clear()
-        assert bus.trace == ()
+        assert bus.events("") == ()
         bus.publish(2.0, "t", "s")
         assert len(received) == 2

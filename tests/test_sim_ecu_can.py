@@ -206,12 +206,24 @@ class TestCanBus:
     def test_latency_trace(self, env):
         clock, bus = env
         can = CanBus("c", clock, bus, frame_time_ms=1.0)
+        bus.retain("can.c.frame")
         can.send(make_frame("s", 0x100))
         can.send(make_frame("s", 0x101))
         clock.run()
         latencies = can.delivery_latencies()
         assert len(latencies) == 2
         assert latencies[1] > latencies[0]
+
+    def test_latency_trace_without_retain_raises(self, env):
+        clock, bus = env
+        can = CanBus("c", clock, bus, frame_time_ms=1.0)
+        can.send(make_frame("s", 0x100))
+        clock.run()
+        assert bus.count("can.c.frame") == 1
+        with pytest.raises(
+            SimulationError, match=r"bus\.retain\('can\.c\.frame'\)"
+        ):
+            can.delivery_latencies()
 
     def test_invalid_parameters(self, env):
         clock, bus = env

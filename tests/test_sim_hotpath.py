@@ -3,8 +3,8 @@
 The optimisations' contract is "faster, bit-identical": these tests pin
 the behaviours they could plausibly have broken -- tie-broken execution
 order, FIFO lanes against one ``post`` per item, the live ``pending``
-counter, cached trace views, trace-mode verdict neutrality, the safety
-of the per-instance MAC memo against tampered replicas, and the
+counter, cached trace views, trace-retention verdict neutrality, the
+safety of the per-instance MAC memo against tampered replicas, and the
 run-length intrusion log against a row-per-denial reference.
 """
 
@@ -31,7 +31,7 @@ from repro.sim.controls.base import (
     SecurityControl,
 )
 from repro.sim.crypto import KeyStore, compute_mac
-from repro.sim.events import TRACE_COUNTS, TRACE_FULL, EventBus, TopicProbe
+from repro.sim.events import EventBus, TopicProbe
 from repro.sim.network import Message
 from repro.tara.fuzzing import MessageFuzzer
 
@@ -237,7 +237,7 @@ class TestClockLanes:
         from repro.sim.attacks.flooding import FloodingAttack
         from repro.sim.scenarios import ConstructionSiteScenario
 
-        scenario = ConstructionSiteScenario(trace_mode=TRACE_COUNTS)
+        scenario = ConstructionSiteScenario()
         clock = scenario.clock
         FloodingAttack(
             "attacker", clock, scenario.v2x, kind="cam_message",
@@ -257,10 +257,11 @@ class TestClockLanes:
 class TestEventBusHotPath:
     def test_events_view_is_cached_until_publish(self):
         bus = EventBus()
+        bus.retain("")
         bus.publish(1.0, "a.b", "s")
         first = bus.events("a")
         assert bus.events("a") is first  # cached, not a fresh copy
-        assert bus.trace is bus.trace
+        assert bus.events("") is bus.events("")
         bus.publish(2.0, "a.c", "s")
         second = bus.events("a")
         assert second is not first
@@ -268,6 +269,7 @@ class TestEventBusHotPath:
 
     def test_count_is_counter_backed_and_clear_resets(self):
         bus = EventBus()
+        bus.retain("x")
         for n in range(5):
             bus.publish(float(n), "x.y", "s")
         bus.publish(9.0, "x", "s")
@@ -279,9 +281,13 @@ class TestEventBusHotPath:
         assert bus.count("x") == 0
         assert bus.events("x") == ()
 
-    @pytest.mark.parametrize("mode", [TRACE_FULL, TRACE_COUNTS])
-    def test_retained_counts_survive_a_publish_storm(self, mode):
-        bus = EventBus(mode=mode)
+    @pytest.mark.parametrize(
+        "retain_all", [True, False], ids=["retain-all", "retain-hot"]
+    )
+    def test_retained_counts_survive_a_publish_storm(self, retain_all):
+        bus = EventBus()
+        if retain_all:
+            bus.retain("")
         hot = []
         bus.subscribe("hot.topic", hot.append)
         bus.retain("hot.topic")
@@ -291,8 +297,8 @@ class TestEventBusHotPath:
         assert bus.count("hot.topic") == len(hot) == 100
         assert bus.count("cold") == 300
         assert len(bus.events("hot.topic")) == 100
-        if mode == TRACE_FULL:
-            assert len(bus.trace) == 400
+        if retain_all:
+            assert len(bus.events("")) == 400
 
     def test_dispatch_order_across_prefixes_is_subscription_order(self):
         bus = EventBus()
@@ -311,8 +317,8 @@ class TestEventBusHotPath:
         bus.publish(2.0, "t.x", "s")
         assert [event.time for event in seen] == [2.0]
 
-    def test_counts_mode_counts_and_dispatches_without_retaining(self):
-        bus = EventBus(mode=TRACE_COUNTS)
+    def test_unretained_topics_count_and_dispatch_without_retaining(self):
+        bus = EventBus()
         seen = []
         bus.subscribe("hot", seen.append)
         consumed = bus.publish(1.0, "hot.x", "s")
@@ -323,8 +329,8 @@ class TestEventBusHotPath:
         assert bus.count("cold") == 1
         assert len(seen) == 1
 
-    def test_counts_mode_retains_registered_prefixes(self):
-        bus = EventBus(mode=TRACE_COUNTS)
+    def test_retains_registered_prefixes_only(self):
+        bus = EventBus()
         bus.retain("door")
         bus.publish(1.0, "door.opened", "s", actor="owner")
         bus.publish(2.0, "other.topic", "s")
@@ -332,29 +338,38 @@ class TestEventBusHotPath:
         assert [event.data["actor"] for event in events] == ["owner"]
         assert bus.last("door").time == 1.0
 
-    def test_counts_mode_rejects_unretained_reads_loudly(self):
-        bus = EventBus(mode=TRACE_COUNTS)
+    def test_rejects_unretained_reads_loudly(self):
+        bus = EventBus()
         bus.publish(1.0, "door.opened", "s")
-        with pytest.raises(SimulationError):
+        fix = r"bus\.retain\('door\.opened'\)"
+        with pytest.raises(SimulationError, match=fix):
             bus.events("door.opened")
         with pytest.raises(SimulationError):
             bus.last("door.opened")
         with pytest.raises(SimulationError):
-            bus.trace
+            bus.events("")
+
+    def test_read_guard_respects_segment_boundaries(self):
+        bus = EventBus()
+        bus.retain("door.opened")
+        bus.publish(1.0, "door.opened.front", "s")
+        bus.publish(2.0, "door.openedx", "s")
+        assert len(bus.events("door.opened")) == 1
+        assert len(bus.events("door.opened.front")) == 1
+        with pytest.raises(SimulationError):
+            bus.events("door.openedx")
+        with pytest.raises(SimulationError):
+            bus.events("door")
 
     def test_mid_run_retain_keeps_later_events(self):
-        bus = EventBus(mode=TRACE_COUNTS)
+        bus = EventBus()
         bus.publish(1.0, "t.x", "s")
         bus.retain("t.x")
         bus.publish(2.0, "t.x", "s")
         assert [event.time for event in bus.events("t.x")] == [2.0]
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError):
-            EventBus(mode="lossy")
-
     def test_every_issued_probe_stays_current(self):
-        bus = EventBus(mode=TRACE_COUNTS)
+        bus = EventBus()
         shared = bus.probe("a.b")
         direct = TopicProbe(bus, "a.b")
         assert bus.probe("a.b") is shared
@@ -612,6 +627,7 @@ class TestRunLengthLog:
     )
     def test_views_equal_a_row_per_denial_reference(self, admits, reset_at):
         clock, bus = SimClock(), EventBus()
+        bus.retain("control.detection")
         keystore = KeyStore()
         keystore.provision("a")
         keystore.provision("b")
@@ -693,15 +709,15 @@ class TestRunLengthLog:
         assert len(obu._runs) <= 100
 
 
-class TestTraceModeVerdictNeutrality:
-    """Trace mode ``counts`` must be observationally equivalent to
-    ``full`` wherever verdicts are derived."""
+class TestTraceRetentionVerdictNeutrality:
+    """A lean run (only the scenario's ``RETAINED_TOPICS``) must be
+    observationally equivalent to one that retains the complete trace
+    (``retain("")``) wherever verdicts are derived."""
 
     @pytest.mark.slow
     @settings(max_examples=8, deadline=None)
     @given(st.data())
-    def test_counts_and_full_verdicts_match(self, data):
-        from repro.engine import campaign
+    def test_lean_and_complete_trace_verdicts_match(self, data):
         from repro.engine.campaign import execute_variant
         from repro.engine.registry import default_registry
 
@@ -716,10 +732,16 @@ class TestTraceModeVerdictNeutrality:
             if variant.params_dict().get("fleet_size") == 2
         )
         variant = data.draw(st.sampled_from(quick))
+        lean_init = EventBus.__init__
+
+        def retain_everything(bus):
+            lean_init(bus)
+            bus.retain("")
+
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(campaign, "CAMPAIGN_TRACE_MODE", TRACE_FULL)
+            monkeypatch.setattr(EventBus, "__init__", retain_everything)
             full = execute_variant(variant)
-        assert campaign.CAMPAIGN_TRACE_MODE == TRACE_COUNTS
+        assert EventBus.__init__ is lean_init
         lean = execute_variant(variant)
         assert lean.verdict == full.verdict
         assert lean.violated_goals == full.violated_goals

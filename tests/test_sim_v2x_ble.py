@@ -101,6 +101,7 @@ def ble_rig():
 class TestKeylessEntry:
     def test_open_and_close_round_trip(self, ble_rig):
         clock, bus, __, __, lock, __, phone = ble_rig
+        bus.retain("door.opened")
         phone.send_open()
         clock.run_until(100.0)
         assert lock.state is DoorState.OPEN
@@ -127,6 +128,7 @@ class TestKeylessEntry:
         clock, bus, ble, can, __, __, phone = ble_rig
         from repro.sim.network import Message
 
+        bus.retain("can.body.frame")
         ble.send(Message(
             kind="diag_request", sender="tester", payload={"request": 1},
         ))

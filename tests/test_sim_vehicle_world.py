@@ -99,6 +99,7 @@ class TestVehicle:
 
     def test_manual_latency_published(self, rig):
         clock, bus, __, vehicle = rig
+        bus.retain("vehicle.manual_control")
         clock.run_until(1000.0)
         vehicle.request_handover("x")
         clock.run_until(3000.0)
@@ -116,6 +117,7 @@ class TestVehicle:
 
     def test_zone_entry_event_carries_mode(self, rig):
         clock, bus, __, vehicle = rig
+        bus.retain("vehicle.entered_zone")
         clock.run_until(70000.0)  # well past the zone at 25 m/s
         entries = bus.events("vehicle.entered_zone")
         assert len(entries) == 1

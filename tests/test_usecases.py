@@ -253,6 +253,12 @@ class TestFig2Storyline:
 
     def test_nominal_causal_chain(self):
         scenario = ConstructionSiteScenario()
+        for topic in (
+            "obu.warning_accepted",
+            "vehicle.manual_control",
+            "vehicle.entered_zone",
+        ):
+            scenario.bus.retain(topic)
         result = scenario.run(180000.0)
         warning = scenario.bus.events("obu.warning_accepted")[0]
         handover = scenario.bus.events("vehicle.handover_requested")[0]
