@@ -214,31 +214,14 @@ def _result_violations(result) -> tuple[tuple[float, str, str], ...]:
 def _result_detections(
     result,
 ) -> tuple[tuple[tuple[str, int], ...], tuple]:
-    """(total per ECU, per-ECU per-control counts), both as sorted tuples."""
-    incremental = getattr(result, "detection_control_counts", None)
-    if incremental is not None:
-        # Scenario-maintained counters: no walk over the (potentially
-        # tens of thousands of rows long) detection logs.
-        totals = tuple(
-            sorted(
-                (ecu, sum(counts.values()))
-                for ecu, counts in incremental.items()
-            )
-        )
-        by_control = tuple(
-            (ecu, tuple(sorted(counts.items())))
-            for ecu, counts in sorted(incremental.items())
-        )
-        return totals, by_control
+    """(total per ECU, per-ECU per-control counts), both as sorted
+    tuples, from the pipelines' incremental counts."""
+    counts = result.detection_control_counts
     totals = tuple(sorted(result.detection_counts().items()))
-    by_control = []
-    for ecu, records in sorted(result.detection_records.items()):
-        counts: dict[str, int] = {}
-        for record in records:
-            # Index 1 is the control name; rows may be raw tuples.
-            counts[record[1]] = counts.get(record[1], 0) + 1
-        by_control.append((ecu, tuple(sorted(counts.items()))))
-    return totals, tuple(by_control)
+    by_control = tuple(
+        (ecu, tuple(sorted(counts[ecu].items()))) for ecu in sorted(counts)
+    )
+    return totals, by_control
 
 
 def execute_variant(

@@ -43,7 +43,7 @@ from repro.sim.ble import (
     Smartphone,
 )
 from repro.sim.can import CanBus, make_frame
-from repro.sim.clock import EventHandle, Lane, SimClock
+from repro.sim.clock import EventHandle, Lane, Segment, SimClock
 from repro.sim.controls import (
     ControlPipeline,
     Decision,
@@ -185,6 +185,7 @@ __all__ = [
     "SafetyMonitor",
     "ScenarioResult",
     "SecurityControl",
+    "Segment",
     "SenderAuthentication",
     "SimClock",
     "SimEvent",

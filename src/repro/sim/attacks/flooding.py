@@ -17,6 +17,9 @@ The injector supports both halves of that implementation comment:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, cycle, islice
 from typing import Any, Callable
 
 from repro.sim.attacks.base import AttackInjector
@@ -114,31 +117,39 @@ class FloodingAttack(AttackInjector):
         """Run the bursts due before ``stop`` (and the end) as one train,
         without advancing the clock; returns the next burst's time.
 
-        Sends deferred packets ``(self, counter, time)``: the channel
-        builds one (:meth:`_build`) only if it delivers it on its own.
-        The loop inlines :meth:`_gap` and :meth:`_message`'s counter.
+        The send times are the ``next_time += gap`` chain of
+        :meth:`_gap`, built in C: ``accumulate`` over the gap cycle
+        rotated to the current step, cut with ``bisect`` where a burst
+        would be at or after ``stop``, or after the end.  The channel
+        defers the packets ``(self, counter, time)`` and builds one
+        (:meth:`_build`) only if it delivers it on its own.
         """
         end = self._burst_end
-        counter = self._counter
         step = self._burst_step
-        interval = self.interval_ms
         pattern = _CHAOTIC_PATTERN if self.chaotic else _STEADY_PATTERN
-        period = len(pattern)
-        times = []
-        packets = []
-        while next_time < stop and next_time <= end:
-            counter += 1
-            times.append(next_time)
-            packets.append((self, counter, next_time))
-            gap = interval * pattern[step % period]
-            step += 1
-            if gap < 0.01:
-                gap = 0.01
-            next_time += gap
-        self._counter = counter
-        self._burst_step = step
-        self.channel.send_train(times, packets, self.kind, self.name)
-        self.messages_sent += len(times)
+        gaps = [max(self.interval_ms * factor, 0.01) for factor in pattern]
+        phase = step % len(gaps)
+        gaps = gaps[phase:] + gaps[:phase]
+        # Enough bursts to pass the cut, doubled in the unlikely case the
+        # estimate falls short.
+        size = int((min(stop, end) - next_time) / sum(gaps) * len(gaps))
+        size += len(gaps) + 2
+        while True:
+            times = array(
+                "d",
+                islice(accumulate(cycle(gaps), initial=next_time), size),
+            )
+            cut = min(bisect_left(times, stop), bisect_right(times, end))
+            if cut < size:
+                break
+            size *= 2
+        next_time = times[cut]
+        del times[cut:]
+        first = self._counter + 1
+        self._counter += cut
+        self._burst_step = step + cut
+        self.channel.send_train(times, self, first)
+        self.messages_sent += cut
         return next_time
 
     def _gap(self) -> float:

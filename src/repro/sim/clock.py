@@ -25,17 +25,18 @@ to the original dataclass-heap implementation:
   pair per firing;
 * a :class:`Lane` (:meth:`SimClock.lane`) queues a FIFO stream of items
   for one callback -- message delivery, ECU service slots -- behind a
-  single heap entry for its head, so a flood's in-flight packets cost
-  three deque slots each instead of a heap tuple and a bound
-  ``partial``;
+  single heap entry for its head, so an in-flight packet costs three
+  deque slots instead of a heap tuple and a bound ``partial``;
 * a flood *train* (:meth:`Lane.push_many`, :meth:`Lane.pop_before`)
   runs a flood's bursts and due deliveries as one event up to the next
   *foreign* event (:meth:`SimClock.next_foreign`), consuming the
   sequence numbers and ``pending`` counts of the events it replaces.
-  Its lane items are deferred packets, ``(attack, counter, time)``
-  tuples: the channel builds a message from one only when the lane
-  fires it, and a packet a later train drains with ``pop_before`` is
-  counted and denied by its time alone, never built.
+  Its packets are one lane item, a :class:`Segment` holding their due
+  and send times as ``array('d')``: the lane fires a segment's packets
+  one at a time, as deferred ``(source, counter, time)`` items the
+  channel builds a message from, and ``pop_before`` drains whole
+  segments and splits the last one with ``bisect``, so a packet it
+  drains is counted and denied by its due time alone, never built.
 
 Sequence numbers are consumed one per scheduled occurrence (and one per
 lane push) in the same program order as before, so tie-breaking (and
@@ -45,6 +46,8 @@ exactly.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Iterator
@@ -123,6 +126,30 @@ class _PeriodicSchedule:
             self._clock._push(next_time, None, self)
 
 
+class Segment:
+    """A run of deferred lane items pushed in one go (a flood train).
+
+    Item ``i`` is due at ``due[i]``, keyed ``(due[i], sequence + 2 *
+    i)``, and fires as the tuple ``(source, first + i, sent[i])``;
+    ``start`` is the index of the first item not yet fired or drained.
+    A lane holds a segment as one item whose key is its first pending
+    item's.
+    """
+
+    __slots__ = ("due", "sequence", "start", "source", "first", "sent")
+
+    def __init__(
+        self, due: array, sequence: int, source: Any, first: int,
+        sent: array,
+    ) -> None:
+        self.due = due
+        self.sequence = sequence
+        self.start = 0
+        self.source = source
+        self.first = first
+        self.sent = sent
+
+
 class Lane:
     """A FIFO stream of items for one callback, behind one heap entry.
 
@@ -143,8 +170,9 @@ class Lane:
     ) -> None:
         self._clock = clock
         self._callback = callback
-        # Flat (time, sequence, item) triples; allocated on first push
-        # so idle lanes cost nothing.
+        # Flat (time, sequence, item) triples, where a Segment's time
+        # and sequence are its first pending item's; allocated on first
+        # push so idle lanes cost nothing.
         self._items: deque | None = None
         self._tail = float("-inf")
 
@@ -175,43 +203,59 @@ class Lane:
         items.append(sequence)
         items.append(item)
 
-    def push_many(self, times: list[float], items: list[Any]) -> None:
-        """Queue ``items[i]`` at ``times[i]`` (FIFO, unchecked) for a
-        flood train: each item skips one sequence number, the burst post
-        the train replaces, then takes one as :meth:`push` would."""
-        if not items:
+    def push_many(
+        self, due: array, source: Any, first: int, sent: array
+    ) -> None:
+        """Queue a flood train's packets as one :class:`Segment` (FIFO,
+        unchecked): packet ``i`` fires ``callback((source, first + i,
+        sent[i]))`` at ``due[i]``.  Each packet skips one sequence
+        number, the burst post the train replaces, then takes one as
+        :meth:`push` would."""
+        count = len(due)
+        if not count:
             return
         clock = self._clock
-        entries = self._items
-        if entries is None:
-            entries = self._items = deque()
-        sequence = clock._sequence
-        if not entries:
-            heappush(clock._queue, (times[0], sequence + 1, None, self))
-        append = entries.append
-        for time, item in zip(times, items):
-            sequence += 2
-            append(time)
-            append(sequence - 1)
-            append(item)
-        clock._sequence = sequence
-        clock._pending += len(items)
-        self._tail = times[-1]
+        items = self._items
+        if items is None:
+            items = self._items = deque()
+        sequence = clock._sequence + 1
+        if not items:
+            heappush(clock._queue, (due[0], sequence, None, self))
+        items.append(due[0])
+        items.append(sequence)
+        items.append(Segment(due, sequence, source, first, sent))
+        clock._sequence += 2 * count
+        clock._pending += count
+        self._tail = due[-1]
 
-    def pop_before(self, stop: float) -> list[float]:
+    def pop_before(self, stop: float) -> array:
         """Remove the items due strictly before ``stop``, unfired, and
         return their times.  The lane's heap entry, which must then be
         the heap top, is re-keyed to the next item or dropped."""
         items = self._items
+        times = array("d")
         if not items or items[0] >= stop:
-            return []
+            return times
         clock = self._clock
         queue = clock._queue
         assert queue[0][3] is self, "the lane head is not the earliest event"
         popleft = items.popleft
-        times = []
         while items and items[0] < stop:
-            times.append(popleft())
+            item = items[2]
+            if item.__class__ is not Segment:
+                times.append(items[0])
+            else:
+                due = item.due
+                start = item.start
+                cut = bisect_left(due, stop, start)
+                if cut < len(due):
+                    times.extend(due[start:cut])
+                    item.start = cut
+                    items[0] = due[cut]
+                    items[1] = item.sequence + 2 * cut
+                    break
+                times.extend(due[start:])
+            popleft()
             popleft()
             popleft()
         if items:
@@ -222,16 +266,31 @@ class Lane:
         return times
 
     def __iter__(self) -> Iterator[tuple[float, int, Any]]:
-        """The queued ``(time, sequence, item)`` triples, in firing order."""
+        """The queued ``(time, sequence, item)`` triples, in firing
+        order; a :class:`Segment` is one triple, keyed by its first
+        pending item."""
         items = iter(self._items or ())
         return zip(items, items, items)
 
     def __call__(self) -> None:
         items = self._items
-        popleft = items.popleft
-        popleft()
-        popleft()
-        item = popleft()
+        item = items[2]
+        if item.__class__ is Segment:
+            index = item.start
+            item.start = following = index + 1
+            due = item.due
+            if following < len(due):
+                items[0] = due[following]
+                items[1] = item.sequence + 2 * following
+            else:
+                items.popleft()
+                items.popleft()
+                items.popleft()
+            item = (item.source, item.first + index, item.sent[index])
+        else:
+            items.popleft()
+            items.popleft()
+            items.popleft()
         if items:
             heappush(self._clock._queue, (items[0], items[1], None, self))
         self._callback(item)
@@ -364,8 +423,9 @@ class SimClock:
 
         Returns the number of events executed; a flood train counts as
         one event, while :attr:`pending` still counts every packet it
-        left queued.  The clock ends exactly at ``time`` even if the
-        queue drains earlier.
+        left queued, and so does a drained tail (the one delivery whose
+        callback denies the flood's due followers in bulk).  The clock
+        ends exactly at ``time`` even if the queue drains earlier.
         """
         if time < self.now:
             raise SimulationError(
@@ -390,8 +450,8 @@ class SimClock:
     def run(self) -> int:
         """Execute all pending events (events may schedule new ones).
 
-        Returns the number of events executed (a flood train counts as
-        one, as in :meth:`run_until`).
+        Returns the number of events executed (a flood train or a
+        drained tail counts as one, as in :meth:`run_until`).
         """
         self._horizon = float("inf")
         queue = self._queue
@@ -418,5 +478,6 @@ class SimClock:
 __all__ = [
     "EventHandle",
     "Lane",
+    "Segment",
     "SimClock",
 ]

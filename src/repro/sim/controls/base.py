@@ -116,7 +116,7 @@ _PIPELINE_PASS = Decision.passed()
 _NO_RUN = (None,) * 5
 
 
-def _expand(runs: list[tuple]):
+def expand_runs(runs: tuple[tuple, ...]):
     """The plain rows of run-length ``runs``, one per denial, in order."""
     return chain.from_iterable(
         zip(times, repeat(name), repeat(reason), repeat(kind), repeat(sender))
@@ -159,9 +159,10 @@ class ControlPipeline:
         # of consecutive denials sharing the other four fields.  A flood
         # denies the same sender's packets for the same reason back to
         # back, so it appends one float per packet instead of a row; the
-        # rows are expanded on read (``raw_detections``) while
-        # per-control totals are kept incrementally (``control_counts``),
-        # so verdict derivation never walks tens of thousands of rows.
+        # rows are expanded on read (``detections``, ``expand_runs``)
+        # while per-control totals are kept incrementally
+        # (``control_counts``), so verdict derivation never walks tens
+        # of thousands of rows.
         self._runs: list[tuple] = []
         self._counts: dict[str, int] = {}
         # Built once: a per-denial f-string means a fresh hash per publish.
@@ -260,20 +261,16 @@ class ControlPipeline:
         topic = self._detection_topic
         topic_counts[topic] = topic_counts.get(topic, 0) + count
 
+    def runs(self) -> tuple[tuple, ...]:
+        """A snapshot of the intrusion log, run-length: ``(times,
+        control, reason, kind, sender)`` per run, each ``times`` a copy
+        (one ``memcpy``), so later denials do not change it."""
+        return tuple((run[0][:], *run[1:]) for run in self._runs)
+
     @property
     def detections(self) -> tuple[DetectionRecord, ...]:
         """The intrusion log of this ECU (named records, built on read)."""
-        return tuple(map(DetectionRecord._make, _expand(self._runs)))
-
-    def raw_detections(self) -> tuple[tuple, ...]:
-        """The intrusion log as plain rows (DetectionRecord field order).
-
-        Expanded from the run-length log on each call.  Rows compare
-        equal to the corresponding :class:`DetectionRecord` (both are
-        tuples); scenario result collection uses this form to avoid
-        materialising one NamedTuple per denied flood packet.
-        """
-        return tuple(_expand(self._runs))
+        return tuple(map(DetectionRecord._make, expand_runs(self._runs)))
 
     @property
     def control_counts(self) -> dict[str, int]:
@@ -283,7 +280,7 @@ class ControlPipeline:
     def detections_by(self, control_name: str) -> tuple[DetectionRecord, ...]:
         """Detections raised by one named control."""
         runs = [run for run in self._runs if run[1] == control_name]
-        return tuple(map(DetectionRecord._make, _expand(runs)))
+        return tuple(map(DetectionRecord._make, expand_runs(runs)))
 
     def reset(self) -> None:
         """Clear control state and the detection log."""

@@ -20,11 +20,13 @@ uniformly.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator, Mapping
 from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.can import CanBus
 from repro.sim.clock import SimClock
+from repro.sim.controls.base import ControlPipeline, expand_runs
 from repro.sim.crypto import KeyStore
 from repro.sim.events import EventBus
 from repro.sim.monitor import SafetyMonitor, Violation
@@ -33,31 +35,52 @@ from repro.sim.topology import Topology
 from repro.sim.world import World
 
 
+class _DetectionRecords(Mapping):
+    """Read-only ``{ecu: rows}`` over run-length logs: one ECU's rows
+    are expanded when they are read."""
+
+    __slots__ = ("_runs",)
+
+    def __init__(self, runs: dict[str, tuple[tuple, ...]]) -> None:
+        self._runs = runs
+
+    def __getitem__(self, ecu: str) -> tuple[tuple, ...]:
+        return tuple(expand_runs(self._runs[ecu]))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._runs)
+
+    def __len__(self) -> int:
+        return len(self._runs)
+
+
 @dataclasses.dataclass(frozen=True)
 class ScenarioResult:
     """Outcome of one scenario run.
 
     Attributes:
         violations: Safety-goal violations recorded by the monitor.
-        detections: Per-ECU detection-log sizes (control name -> count is
-            available via ``detection_records``).
-        detection_records: The full intrusion logs per ECU.  Rows are
-            tuples in :class:`~repro.sim.controls.base.DetectionRecord`
-            field order -- either the NamedTuple itself or the
-            pipeline's plain raw rows (value-equal; index access works
-            for both).
-        detection_control_counts: Per-ECU ``{control: denial count}``
-            maps, when the scenario maintains them incrementally
-            (``None`` otherwise).  Verdict derivation prefers these over
-            walking ``detection_records``: a flood variant logs tens of
-            thousands of rows.
+        detection_runs: Per-ECU intrusion logs, run-length, as
+            :meth:`~repro.sim.controls.base.ControlPipeline.runs`
+            snapshots them at the end of the run: a scenario that runs
+            on does not change the result.
         stats: Component statistics (channels, ECUs, locks).
+        detection_control_counts: Per-ECU ``{control: denial count}``
+            maps, kept incrementally by the pipelines; every count the
+            result reports reads these, never the rows.
     """
 
     violations: tuple[Violation, ...]
-    detection_records: dict[str, tuple]
+    detection_runs: dict[str, tuple[tuple, ...]]
     stats: dict[str, Any]
-    detection_control_counts: dict[str, dict[str, int]] | None = None
+    detection_control_counts: dict[str, dict[str, int]]
+
+    @property
+    def detection_records(self) -> Mapping[str, tuple[tuple, ...]]:
+        """The full intrusion logs per ECU, read-only.  Rows are tuples
+        in :class:`~repro.sim.controls.base.DetectionRecord` field
+        order, expanded from the runs when one ECU's log is read."""
+        return _DetectionRecords(self.detection_runs)
 
     def violated(self, goal_id: str) -> bool:
         """True when the named safety goal was violated."""
@@ -74,24 +97,17 @@ class ScenarioResult:
 
     def detections_of(self, ecu: str, control: str | None = None) -> int:
         """Detection count of one ECU (optionally one control)."""
-        counts = (
-            self.detection_control_counts.get(ecu)
-            if self.detection_control_counts is not None
-            else None
-        )
-        if counts is not None:
-            if control is None:
-                return sum(counts.values())
-            return counts.get(control, 0)
-        records = self.detection_records.get(ecu, ())
+        counts = self.detection_control_counts.get(ecu, {})
         if control is None:
-            return len(records)
-        # Index 1 is the control name; rows may be plain tuples.
-        return sum(1 for record in records if record[1] == control)
+            return sum(counts.values())
+        return counts.get(control, 0)
 
     def detection_counts(self) -> dict[str, int]:
         """Total detection-log size per ECU (plain data, picklable)."""
-        return {ecu: len(records) for ecu, records in self.detection_records.items()}
+        return {
+            ecu: sum(counts.values())
+            for ecu, counts in self.detection_control_counts.items()
+        }
 
 
 class SimKernel:
@@ -224,8 +240,9 @@ class KernelScenario:
     rejection message), :attr:`DEFAULT_DURATION_MS` and
     :attr:`RETAINED_TOPICS` (the event-topic prefixes their safety-goal
     checks read back from the trace -- the bus records nothing else),
-    assemble their components in ``__init__``, and implement the two
-    collection hooks.
+    assemble their components in ``__init__``, and implement the
+    collection hooks (:meth:`protected_pipelines`,
+    :meth:`collect_stats`).
 
     Attributes:
         kernel: The owning :class:`SimKernel`.
@@ -265,18 +282,11 @@ class KernelScenario:
 
     # -- collection hooks ----------------------------------------------------
 
-    def detection_records(self) -> dict[str, tuple]:
-        """The intrusion logs per protected ECU (subclass hook)."""
+    def protected_pipelines(self) -> dict[str, ControlPipeline]:
+        """The control pipeline of each protected ECU, by ECU name
+        (subclass hook; none by default): :meth:`run` reads their
+        per-control counts and snapshots their run-length logs."""
         return {}
-
-    def detection_control_counts(self) -> dict[str, dict[str, int]] | None:
-        """Per-ECU per-control denial counts (subclass hook).
-
-        Scenarios whose pipelines maintain incremental counts return
-        them here so verdict derivation skips walking the full logs;
-        the default ``None`` keeps the walk-the-records fallback.
-        """
-        return None
 
     def collect_stats(self) -> dict[str, Any]:
         """Component statistics for the result (subclass hook)."""
@@ -293,11 +303,17 @@ class KernelScenario:
         self.kernel.run_until(
             self.DEFAULT_DURATION_MS if duration_ms is None else duration_ms
         )
+        pipelines = self.protected_pipelines()
         return ScenarioResult(
             violations=self.monitor.violations,
-            detection_records=self.detection_records(),
+            detection_runs={
+                ecu: pipeline.runs() for ecu, pipeline in pipelines.items()
+            },
             stats=self.collect_stats(),
-            detection_control_counts=self.detection_control_counts(),
+            detection_control_counts={
+                ecu: pipeline.control_counts
+                for ecu, pipeline in pipelines.items()
+            },
         )
 
 

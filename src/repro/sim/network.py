@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from array import array
 from collections import deque
+from itertools import accumulate, compress, count, repeat
+from operator import add, gt, lt, sub
 from typing import (
     Any,
     Callable,
@@ -31,7 +34,7 @@ from typing import (
 )
 
 from repro.errors import SimulationError
-from repro.sim.clock import SimClock
+from repro.sim.clock import Segment, SimClock
 from repro.sim.crypto import KeyStore, compute_mac, verify_mac
 from repro.sim.events import EventBus
 
@@ -247,6 +250,54 @@ class Message:
     def with_timestamp(self, time: float) -> "Message":
         """Copy with ``timestamp`` set (tag untouched -- stamp first, then sign)."""
         return dataclasses.replace(self, timestamp=time)
+
+
+def _airtime_chain(times: array, next_free: float, slot: float) -> array:
+    """The airtime start of each send at ``times``, as
+    :meth:`Channel._airtime_slot` gives it send by send: the channel's
+    ``next_free``, then one ``slot`` later per send while the channel
+    is backlogged, and a send's own time where it finds the channel
+    idle.  The same float additions in the same order, built in C: one
+    ``accumulate`` block per backlogged run, checked against the send
+    times by one ``map`` unless it starts after the last of them, and a
+    precomputed flag per send for where an idle run ends."""
+    total = len(times)
+    chain = array("d")
+    start = next_free
+    index = 0
+    size = total
+    busy = None
+    while index < total:
+        block = array(
+            "d",
+            accumulate(
+                repeat(slot, min(size, total - index) - 1), initial=start
+            ),
+        )
+        end = index + len(block)
+        # A backlog that outlasts the block's sends needs no check.
+        idle = None if start >= times[end - 1] else next(
+            compress(count(), map(lt, block, times[index:end])), None
+        )
+        if idle is None:
+            chain += block
+            index = end
+            start = block[-1] + slot
+            size *= 2
+            continue
+        chain += block[:idle]
+        index += idle
+        if busy is None:
+            # busy[i]: send i + 1 queues behind send i made on an idle
+            # channel; a True sentinel ends the last run.
+            busy = list(map(gt, map(add, times, repeat(slot)), times[1:]))
+            busy.append(True)
+        last = busy.index(True, index)
+        chain += times[index:last + 1]
+        index = last + 1
+        start = times[last] + slot
+        size = 8
+    return chain
 
 
 class Receiver(Protocol):
@@ -500,14 +551,17 @@ class Channel:
         return earliest
 
     def train_stop(self, message: Message) -> float:
-        """Before when the flood that just sent ``message`` may send and
+        """Before when the flood that ``message`` belongs to may send and
         deliver as one clock event: ``now`` (no train) under a tap, a
         jam or an observed delivery topic, or when a receiver in reach
         may admit the flood; else the earliest of the next foreign
         event, the end of a receiver's standing denial and the first
-        queued delivery of another sender or kind.  A queued deferred
-        packet ``(attack, counter, time)`` is the attack's: its sender
-        is ``attack.name`` and its kind ``attack.kind``."""
+        queued delivery of another sender or kind.  A queued
+        :class:`~repro.sim.clock.Segment` is one flood's: its sender is
+        its source attack's ``name`` and its kind the attack's
+        ``kind``.  The one bound of both bulk paths: a burst's train
+        (:meth:`send_train`) and the drain of a deferred packet's due
+        followers (:meth:`_deliver`)."""
         clock = self._clock
         now = clock.now
         if self._taps or now < self._jam_until or self._delivered_probe.active:
@@ -536,8 +590,8 @@ class Channel:
         for due, _sequence, queued in self._deliveries:
             if due >= stop:
                 break
-            if queued.__class__ is tuple:
-                attack = queued[0]
+            if queued.__class__ is Segment:
+                attack = queued.source
                 foreign = attack.name != sender or attack.kind != kind
             else:
                 foreign = queued.sender != sender or queued.kind != kind
@@ -548,39 +602,45 @@ class Channel:
         self._train = (stop, missed, denials)
         return stop
 
-    def send_train(
-        self, times: list[float], packets: list[Any], kind: str, sender: str
-    ) -> None:
-        """Send ``packets[i]`` at ``times[i]`` (before the last
+    def send_train(self, times: array, attack: Any, first: int) -> None:
+        """Send ``attack``'s packets at ``times`` (before the last
         :meth:`train_stop`) as :meth:`send` would, then deliver every
         packet due before that stop in bulk: counted and denied.
 
-        The packets are one flood's, of ``kind`` from ``sender``, and
-        deferred: ``(attack, counter, time)`` items that :meth:`_deliver`
-        builds with ``attack._build(counter, time)`` if one is delivered
-        on its own.  The bulk denial reads only their times, so a packet
-        it drains is never built."""
-        sent = len(times)
-        self._sent += sent
+        The packets are deferred, of ``attack.kind`` from
+        ``attack.name``: packet ``i`` is ``(attack, first + i,
+        times[i])``, which :meth:`_deliver` builds with
+        ``attack._build(counter, time)`` if it is delivered on its own.
+        They enter the delivery lane as one
+        :class:`~repro.sim.clock.Segment`, and their airtime, due times
+        and delay samples are built at C speed
+        (:func:`_airtime_chain`); the bulk denial reads only due times,
+        so a packet it drains is never built."""
+        self._sent += len(times)
         latency = self.latency_ms
         if self.bandwidth_per_ms is None:
-            # _airtime_slot inlined: every send starts its airtime now.
-            due = [now + latency for now in times]
-            self._delays.extend([latency] * min(sent, 1000))
+            earliest = times  # every send starts its airtime now
         else:
-            # _airtime_slot inlined, same float operations in order.
             slot = 1.0 / self.bandwidth_per_ms
-            next_free = self._next_free
-            due = []
-            delays = []
-            for now in times:
-                earliest = next_free if next_free > now else now
-                next_free = earliest + slot
-                delays.append(latency + (earliest - now))
-                due.append(earliest + latency)
-            self._next_free = next_free
-            self._delays.extend(delays[-1000:])
-        self._deliveries.push_many(due, packets)
+            earliest = _airtime_chain(times, self._next_free, slot)
+            self._next_free = earliest[-1] + slot
+        self._delays.extend(
+            map(
+                add,
+                repeat(latency),
+                map(sub, earliest[-1000:], times[-1000:]),
+            )
+        )
+        self._deliveries.push_many(
+            array("d", map(add, earliest, repeat(latency))),
+            attack, first, times,
+        )
+        self._deny_due(attack.kind, attack.name)
+
+    def _deny_due(self, kind: str, sender: str) -> None:
+        """Deliver the queued packets due before the last
+        :meth:`train_stop` in bulk: count them and deny them at every
+        receiver in reach, as one :meth:`_deliver` each would."""
         stop, missed, denials = self._train
         delivered = self._deliveries.pop_before(stop)
         count = len(delivered)
@@ -606,7 +666,13 @@ class Channel:
         return view
 
     def _deliver(self, message: Message | tuple) -> None:
-        if message.__class__ is tuple:  # a train's deferred packet
+        """Deliver one lane item.  A deferred packet (a train's,
+        ``(attack, counter, time)``) is built first, and after it the
+        same flood's packets due before :meth:`train_stop` are drained
+        in bulk: a flood's tail, whose bursts are over, needs no train
+        to deny its backlog."""
+        deferred = message.__class__ is tuple
+        if deferred:
             message = message[0]._build(message[1], message[2])
         self._delivered += 1
         if self._delivered_probe.active:
@@ -642,6 +708,8 @@ class Channel:
             self._out_of_range += len(attached) - len(reached)
         for receiver in reached:
             receiver.receive(message)
+        if deferred and self.train_stop(message) > self._clock.now:
+            self._deny_due(message.kind, message.sender)
 
     # -- metrics ----------------------------------------------------------
 

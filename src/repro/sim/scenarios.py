@@ -45,6 +45,7 @@ from repro.sim.controls import (
     SenderAuthentication,
     ValueRangeCheck,
 )
+from repro.sim.controls.base import ControlPipeline
 from repro.sim.topology import RangePropagation
 from repro.sim.v2x import (
     KIND_ROAD_WORKS,
@@ -92,6 +93,42 @@ UC2_ALL_CONTROLS = frozenset(
         CONTROL_REPLAY,
     }
 )
+
+
+def _deploy_obu_controls(
+    scenario: ConstructionSiteScenario | FleetConstructionSiteScenario,
+    obu: OnBoardUnit,
+) -> None:
+    """Stack a UC1 scenario's deployed controls in front of one OBU.
+
+    The flooding detector runs first: rate analysis is cheap and must
+    shield the costlier checks (and the processing queue) from load.
+    Then authenticity, freshness and plausibility.
+    """
+    controls = scenario.controls
+    pipeline = obu.pipeline
+    if CONTROL_FLOOD in controls:
+        pipeline.add(
+            FloodingDetector(
+                window_ms=1000.0, max_messages=20, cooldown_ms=5000.0
+            )
+        )
+    if CONTROL_AUTH in controls:
+        pipeline.add(SenderAuthentication(scenario.keystore))
+    if CONTROL_COUNTER in controls:
+        pipeline.add(MessageCounterCheck())
+    if CONTROL_RANGE in controls:
+        pipeline.add(
+            ValueRangeCheck(
+                "speed_limit_mps", 1.0, scenario.LEGAL_MAX_SPEED_MPS
+            )
+        )
+    if CONTROL_LOCATION in controls:
+        pipeline.add(
+            LocationConsistencyCheck(
+                {scenario.RSU_LOCATION}, require_location=False
+            )
+        )
 
 
 class ConstructionSiteScenario(KernelScenario):
@@ -176,7 +213,7 @@ class ConstructionSiteScenario(KernelScenario):
             "OBU", self.clock, self.bus, self.vehicle,
             queue_capacity=obu_queue_capacity,
         )
-        self._deploy_obu_controls()
+        _deploy_obu_controls(self, self.obu)
         self.v2x.attach(self.obu)
         # A shut-down OBU ignores every delivery forever; take it off the
         # air so a sustained flood stops paying for calls into a corpse.
@@ -191,33 +228,6 @@ class ConstructionSiteScenario(KernelScenario):
 
         self.monitor = self.kernel.monitor()
         self._install_goal_checks()
-
-    def _deploy_obu_controls(self) -> None:
-        # The flooding detector runs first: rate analysis is cheap and must
-        # shield the costlier checks (and the processing queue) from load.
-        pipeline = self.obu.pipeline
-        if CONTROL_FLOOD in self.controls:
-            pipeline.add(
-                FloodingDetector(
-                    window_ms=1000.0, max_messages=20, cooldown_ms=5000.0
-                )
-            )
-        if CONTROL_AUTH in self.controls:
-            pipeline.add(SenderAuthentication(self.keystore))
-        if CONTROL_COUNTER in self.controls:
-            pipeline.add(MessageCounterCheck())
-        if CONTROL_RANGE in self.controls:
-            pipeline.add(
-                ValueRangeCheck(
-                    "speed_limit_mps", 1.0, self.LEGAL_MAX_SPEED_MPS
-                )
-            )
-        if CONTROL_LOCATION in self.controls:
-            pipeline.add(
-                LocationConsistencyCheck(
-                    {self.RSU_LOCATION}, require_location=False
-                )
-            )
 
     def _install_goal_checks(self) -> None:
         # Zone bounds resolved once; the periodic check runs thousands of
@@ -276,11 +286,8 @@ class ConstructionSiteScenario(KernelScenario):
 
     # -- result collection ---------------------------------------------------
 
-    def detection_records(self) -> dict[str, tuple]:
-        return {"OBU": self.obu.pipeline.raw_detections()}
-
-    def detection_control_counts(self) -> dict[str, dict[str, int]]:
-        return {"OBU": self.obu.pipeline.control_counts}
+    def protected_pipelines(self) -> dict[str, ControlPipeline]:
+        return {"OBU": self.obu.pipeline}
 
     def collect_stats(self) -> dict[str, Any]:
         return {
@@ -402,7 +409,7 @@ class FleetConstructionSiteScenario(KernelScenario):
                 vehicle,
                 queue_capacity=obu_queue_capacity,
             )
-            self._deploy_obu_controls(obu)
+            _deploy_obu_controls(self, obu)
             self.topology.bind(obu.name, vehicle.name)
             self.v2x.attach(obu)
             # As in the single-vehicle scenario: dead OBUs leave the air.
@@ -450,33 +457,6 @@ class FleetConstructionSiteScenario(KernelScenario):
 
         self.monitor = self.kernel.monitor()
         self._install_goal_checks()
-
-    def _deploy_obu_controls(self, obu: OnBoardUnit) -> None:
-        # Same stack and order as the single-vehicle scenario: rate
-        # analysis first, then authenticity, freshness, plausibility.
-        pipeline = obu.pipeline
-        if CONTROL_FLOOD in self.controls:
-            pipeline.add(
-                FloodingDetector(
-                    window_ms=1000.0, max_messages=20, cooldown_ms=5000.0
-                )
-            )
-        if CONTROL_AUTH in self.controls:
-            pipeline.add(SenderAuthentication(self.keystore))
-        if CONTROL_COUNTER in self.controls:
-            pipeline.add(MessageCounterCheck())
-        if CONTROL_RANGE in self.controls:
-            pipeline.add(
-                ValueRangeCheck(
-                    "speed_limit_mps", 1.0, self.LEGAL_MAX_SPEED_MPS
-                )
-            )
-        if CONTROL_LOCATION in self.controls:
-            pipeline.add(
-                LocationConsistencyCheck(
-                    {self.RSU_LOCATION}, require_location=False
-                )
-            )
 
     def _install_goal_checks(self) -> None:
         for vehicle in self.vehicles:
@@ -541,11 +521,8 @@ class FleetConstructionSiteScenario(KernelScenario):
             for vehicle in self.vehicles
         }
 
-    def detection_records(self) -> dict[str, tuple]:
-        return {obu.name: obu.pipeline.raw_detections() for obu in self.obus}
-
-    def detection_control_counts(self) -> dict[str, dict[str, int]]:
-        return {obu.name: obu.pipeline.control_counts for obu in self.obus}
+    def protected_pipelines(self) -> dict[str, ControlPipeline]:
+        return {obu.name: obu.pipeline for obu in self.obus}
 
     def collect_stats(self) -> dict[str, Any]:
         handovers = sum(
@@ -724,11 +701,8 @@ class KeylessEntryScenario(KernelScenario):
 
     # -- result collection ---------------------------------------------------
 
-    def detection_records(self) -> dict[str, tuple]:
-        return {"ECU_GW": self.access_ecu.pipeline.raw_detections()}
-
-    def detection_control_counts(self) -> dict[str, dict[str, int]]:
-        return {"ECU_GW": self.access_ecu.pipeline.control_counts}
+    def protected_pipelines(self) -> dict[str, ControlPipeline]:
+        return {"ECU_GW": self.access_ecu.pipeline}
 
     def collect_stats(self) -> dict[str, Any]:
         return {

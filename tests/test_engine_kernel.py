@@ -115,3 +115,26 @@ class TestKernelScenario:
         result = Tiny().run(100.0)
         assert result.violated_goals() == ("SG01", "SG02")
         assert result.any_violation
+
+    def test_a_result_is_unchanged_when_its_scenario_runs_on(self):
+        """The result snapshots the run-length logs: denials after
+        ``run(t1)`` (extending the last run or starting new ones) do
+        not show in the result taken at ``t1``."""
+        from repro.sim.attacks import FloodingAttack
+
+        scenario = ConstructionSiteScenario()
+        FloodingAttack(
+            "attacker", scenario.clock, scenario.v2x, kind="cam_message",
+            interval_ms=0.5, duration_ms=3000.0, keystore=scenario.keystore,
+        ).launch(100.0)
+        first = scenario.run(1000.0)
+        rows = first.detection_records["OBU"]
+        counts = first.detection_counts()
+        by_control = first.detections_of("OBU", "flooding-detector")
+        assert rows and len(rows) == counts["OBU"] == by_control
+        later = scenario.run(5000.0)
+        assert later.detections_of("OBU") > counts["OBU"]
+        assert first.detection_records["OBU"] == rows
+        assert first.detection_counts() == counts
+        assert first.detections_of("OBU", "flooding-detector") == by_control
+        assert dict(first.detection_records) == {"OBU": rows}

@@ -12,12 +12,14 @@ content of every delivered message, and a deterministic work gate on
 the full AD20 flood.
 """
 
+from array import array
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.attacks import FloodingAttack, JammingAttack
-from repro.sim.clock import SimClock
+from repro.sim.clock import Segment, SimClock
 from repro.sim.controls import FloodingDetector, SenderAuthentication
 from repro.sim.controls.base import ControlPipeline
 from repro.sim.crypto import KeyStore
@@ -86,7 +88,7 @@ class TestBulkLane:
             lane.push(time, time)
         clock.post(10.0, _noop)
         assert clock.pending == 6
-        assert lane.pop_before(3.0) == [1.0, 2.0, 2.0]
+        assert list(lane.pop_before(3.0)) == [1.0, 2.0, 2.0]
         assert clock.pending == 3
         assert clock._queue[0][:2] == (3.0, 3)  # the 4th push's key
         assert clock.run() == 3
@@ -97,7 +99,7 @@ class TestBulkLane:
         clock, lane, _fired = _lane_clock()
         lane.push(2.0, "a")
         head = clock._queue[0]
-        assert lane.pop_before(2.0) == []
+        assert not lane.pop_before(2.0)
         assert clock._queue[0] is head and clock.pending == 1
 
     def test_popping_every_item_drops_the_heap_entry(self):
@@ -105,7 +107,7 @@ class TestBulkLane:
         lane.push(1.0, "a")
         lane.push(2.0, "b")
         clock.post(5.0, _noop)
-        assert lane.pop_before(5.0) == [1.0, 2.0]
+        assert list(lane.pop_before(5.0)) == [1.0, 2.0]
         assert len(clock._queue) == 1 and clock.pending == 1
         clock.run()
         assert fired == []
@@ -124,32 +126,180 @@ class TestBulkLane:
     @given(
         before=st.lists(st.floats(0.0, 5.0), max_size=4),
         bulk=st.lists(st.floats(0.0, 5.0), max_size=6),
+        stop=st.one_of(st.none(), st.floats(0.0, 6.0)),
     )
-    def test_push_many_equals_a_skipped_post_then_a_push(self, before, bulk):
+    def test_push_many_equals_a_skipped_post_then_a_push(
+        self, before, bulk, stop
+    ):
+        """A segment keys, fires and drains its packets as one skipped
+        post and one push per packet would."""
         before = sorted(before)
         bulk = sorted(bulk)
         if before and bulk:
             bulk = [max(time, before[-1]) for time in bulk]
-        clocks = []
+        sent = [time / 2 for time in bulk]
+        runs = []
         for one_by_one in (False, True):
-            clock, lane, _fired = _lane_clock()
+            clock = SimClock()
+            fired = []
+            lane = clock.lane(lambda item: fired.append((clock.now, item)))
             for time in before:
                 lane.push(time, ("before", time))
-            items = [("bulk", index) for index in range(len(bulk))]
             if one_by_one:
-                for time, item in zip(bulk, items):
+                for index, time in enumerate(bulk):
                     clock._sequence += 1  # the burst post a train replaces
-                    lane.push(time, item)
+                    lane.push(time, ("flood", 7 + index, sent[index]))
             else:
-                lane.push_many(bulk, items)
-            clocks.append((clock, lane))
-        (bulk_clock, bulk_lane), (ref_clock, ref_lane) = clocks
-        assert list(bulk_lane) == list(ref_lane)
-        assert [entry[:2] for entry in bulk_clock._queue] == [
-            entry[:2] for entry in ref_clock._queue
-        ]
-        assert bulk_clock._sequence == ref_clock._sequence
-        assert bulk_clock.pending == ref_clock.pending
+                lane.push_many(
+                    array("d", bulk), "flood", 7, array("d", sent)
+                )
+            keys = [entry[:2] for entry in clock._queue]
+            state = (keys, clock._sequence, clock.pending)
+            drained = []
+            if stop is not None:
+                clock.post(stop, _noop)  # the foreign event ending a drain
+                drained = list(lane.pop_before(stop))
+            after = [entry[:2] for entry in clock._queue]
+            clock.run()
+            runs.append((state, drained, after, fired, clock.pending))
+        assert runs[0] == runs[1]
+
+
+_CHAOTIC = (0.2, 1.7, 0.4, 0.1, 2.3, 0.6, 0.3, 1.1)
+
+
+def _train_times_loop(next_time, stop, end, step, interval, chaotic):
+    """The per-burst send-time loop a train replaces: ``(times, next
+    burst time, step)``."""
+    pattern = _CHAOTIC if chaotic else (1.0,)
+    times = []
+    while next_time < stop and next_time <= end:
+        times.append(next_time)
+        gap = interval * pattern[step % len(pattern)]
+        step += 1
+        if gap < 0.01:
+            gap = 0.01
+        next_time += gap
+    return times, next_time, step
+
+
+def _airtime_loop(times, next_free, bandwidth, latency):
+    """The per-send airtime loop of ``Channel.send``: ``(due times,
+    next_free, the last 1,000 delay samples, sends that found the
+    channel idle)``."""
+    if bandwidth is None:
+        due = [now + latency for now in times]
+        return due, next_free, [latency] * min(len(times), 1000), len(times)
+    slot = 1.0 / bandwidth
+    due = []
+    delays = []
+    idle = 0
+    for now in times:
+        idle += next_free <= now
+        earliest = next_free if next_free > now else now
+        next_free = earliest + slot
+        delays.append(latency + (earliest - now))
+        due.append(earliest + latency)
+    return due, next_free, delays[-1000:], idle
+
+
+def _bits(values) -> bytes:
+    return array("d", values).tobytes()
+
+
+class TestChainOracle:
+    """The C-built send and airtime chains of a train
+    (``FloodingAttack._train``, ``Channel.send_train``) against the
+    per-burst and per-send loops they replace, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        interval=st.one_of(
+            st.sampled_from([0.01, 0.1, 0.05, 0.25]),
+            st.floats(0.002, 0.2),
+            st.floats(0.2, 3.0),
+        ),
+        chaotic=st.booleans(),
+        step=st.integers(0, 10_000),
+        bandwidth=st.one_of(
+            st.none(), st.integers(1, 8), st.floats(1.0, 8.0)
+        ),
+        latency=st.sampled_from([0.0, 2.0, 0.3]),
+        start=st.floats(0.0, 5000.0),
+        # next_free relative to the first send: idle, mixed, backlogged
+        backlog=st.one_of(
+            st.floats(-100.0, 0.0), st.floats(0.0, 5.0),
+            st.floats(5.0, 20_000.0),
+        ),
+        trains=st.lists(
+            st.tuples(
+                st.floats(0.0, 120.0),  # stop, after the train's start
+                st.one_of(st.none(), st.integers(0, 400)),  # stop tie
+                st.floats(0.0, 150.0),  # end, after the train's start
+                st.one_of(st.none(), st.integers(0, 400)),  # end tie
+            ),
+            min_size=1, max_size=3,
+        ),
+        delays=st.integers(0, 1500),
+    )
+    def test_chains_match_the_loops(
+        self, interval, chaotic, step, bandwidth, latency, start, backlog,
+        trains, delays,
+    ):
+        clock = SimClock()
+        channel = Channel(
+            "v2x", clock, EventBus(), latency_ms=latency,
+            bandwidth_per_ms=bandwidth,
+        )
+        flood = FloodingAttack(
+            "attacker", clock, channel, kind="cam", interval_ms=interval,
+            authenticated=False, chaotic=chaotic,
+        )
+        flood._burst_step = step
+        channel._next_free = next_free = start + backlog
+        channel._delays.extend(float(n) for n in range(delays))
+        reference_delays = list(channel._delays)
+        next_time = start
+        for stop, stop_tie, end, end_tie in trains:
+            ahead, *_ = _train_times_loop(
+                next_time, float("inf"), next_time + 200.0, step, interval,
+                chaotic,
+            )
+            stop = (
+                ahead[stop_tie] if stop_tie is not None
+                and stop_tie < len(ahead) else next_time + stop
+            )
+            end = (
+                ahead[end_tie] if end_tie is not None
+                and end_tie < len(ahead) else next_time + end
+            )
+            if not (next_time < stop and next_time <= end):
+                break
+            times, reference_next, reference_step = _train_times_loop(
+                next_time, stop, end, step, interval, chaotic
+            )
+            due, next_free, samples, idle = _airtime_loop(
+                times, next_free, bandwidth, latency
+            )
+            event(
+                "airtime: "
+                + ("idle" if idle == len(times) else "backlogged" if not idle
+                   else "mixed")
+            )
+            reference_delays = (reference_delays + samples)[-1000:]
+            flood._burst_end = end
+            channel._train = (float("-inf"), 0, [])  # deliver nothing
+            sent_before = channel._sent
+            next_time = flood._train(next_time, stop)
+            (*_rest, segment) = list(channel._deliveries)[-1]
+            assert _bits(segment.sent) == _bits(times)
+            assert _bits([next_time]) == _bits([reference_next])
+            assert flood._burst_step == reference_step
+            assert _bits(segment.due) == _bits(due)
+            assert _bits([channel._next_free]) == _bits([next_free])
+            assert _bits(channel._delays) == _bits(reference_delays)
+            assert channel._sent - sent_before == len(times)
+            step = reference_step
 
 
 def _detector_state(detector: FloodingDetector):
@@ -394,8 +544,9 @@ class TestTrainEquivalence:
             _assert_trains_match(config)
         )
         assert inline_packets > 5000  # most of the ~7,500 packets
-        # ~2,000 deferred packets are built and delivered one by one.
-        assert 1000 < built < reference_built
+        # Few deferred packets are built and delivered one by one: the
+        # first one due after each foreign event drains its followers.
+        assert 10 < built < 500 < reference_built
         rows = trained[0].detection_records["OBU"]
         assert len(rows) > 5000
         assert [row[0] for row in rows] == sorted(row[0] for row in rows)
@@ -414,6 +565,42 @@ class TestTrainEquivalence:
         )
         *_observed, inline_packets = _assert_trains_match(config)
         assert inline_packets > 1000
+
+    def test_a_drain_stops_at_another_floods_queued_packets(
+        self, monkeypatch
+    ):
+        """Both floods end with a bandwidth backlog, their packets
+        interleaved in the delivery lane; a deferred packet of the
+        first, delivered on its own in the tail, drains its followers
+        and must stop at the second flood's queued packets."""
+        config = dict(
+            fleet=False, fleet_size=1, attacker_position_m=None,
+            detector=True, others=set(), interval_ms=0.1, chaotic=False,
+            authenticated=True, launch_ms=100.0, duration_ms=300.0,
+            bandwidth_per_ms=2, jam=None, second=(0.3, 150.0, 250.0, True),
+            cooldown_ms=None, attach_twice=False, tail_ms=1500.0,
+            split=None, request_payload=False,
+        )
+        stopped = []
+        deny_due = Channel._deny_due
+
+        def recording(self, kind, sender):
+            if self._clock.now > 400.0:  # after both floods' last burst
+                stop = self._train[0]
+                stopped.append(
+                    [
+                        item.source.name if isinstance(item, Segment)
+                        else item.sender
+                        for due, _sequence, item in self._deliveries
+                        if due == stop
+                    ][:1] == ["attacker-2"]
+                )
+            deny_due(self, kind, sender)
+
+        monkeypatch.setattr(Channel, "_deny_due", recording)
+        *_observed, inline_packets = _assert_trains_match(config)
+        assert inline_packets > 1000
+        assert sum(stopped) > 10  # tail drains that end at the other flood
 
 
 class TestFloodWorkGate:
@@ -455,9 +642,11 @@ class TestFloodWorkGate:
         outcome = execute_variant(ad20, registry)
         # The per-packet path executes 672,604 events and 319,593
         # admits; trains that build every packet make 350,161 builds.
-        assert sum(events) <= 60_000
-        assert len(admits) <= 50_000
-        assert len(builds) <= 60_000
+        # Draining the flood's tail at delivery leaves 7,743 events,
+        # 2,598 admits and 4,710 builds.
+        assert sum(events) <= 10_000
+        assert len(admits) <= 10_000
+        assert len(builds) <= 10_000
         assert outcome.verdict == "ATTACK_FAILED"
         assert outcome.detections_of("OBU") == 319_146
         assert dict(outcome.detections_by_control) == {

@@ -29,6 +29,7 @@ from repro.sim.controls.base import (
     Decision,
     DetectionRecord,
     SecurityControl,
+    expand_runs,
 )
 from repro.sim.crypto import KeyStore, compute_mac
 from repro.sim.events import EventBus, TopicProbe
@@ -664,8 +665,9 @@ class TestRunLengthLog:
             )
             for event in bus.events("control.detection")[skipped:]
         )
-        assert pipeline.raw_detections() == reference
-        assert all(type(row) is tuple for row in pipeline.raw_detections())
+        rows = tuple(expand_runs(pipeline.runs()))
+        assert rows == reference
+        assert all(type(row) is tuple for row in rows)
         assert pipeline.detections == reference
         assert all(
             type(record) is DetectionRecord for record in pipeline.detections
@@ -681,7 +683,7 @@ class TestRunLengthLog:
             collections.Counter(record.control for record in reference)
         )
         pipeline.reset()
-        assert pipeline.raw_detections() == ()
+        assert pipeline.runs() == ()
         assert pipeline.control_counts == {}
 
     @pytest.mark.slow
@@ -690,6 +692,7 @@ class TestRunLengthLog:
         handful of runs, not one row per denied packet."""
         from repro.engine.campaign import execute_variant
         from repro.engine.registry import default_registry
+        from repro.sim.scenarios import ConstructionSiteScenario
 
         registry = default_registry()
         (ad20,) = (
@@ -697,10 +700,11 @@ class TestRunLengthLog:
             if variant.variant_id == "uc1/parity/ad20"
         )
         pipelines = []
-        raw_detections = ControlPipeline.raw_detections
+        protected = ConstructionSiteScenario.protected_pipelines
         monkeypatch.setattr(
-            ControlPipeline, "raw_detections",
-            lambda self: pipelines.append(self) or raw_detections(self),
+            ConstructionSiteScenario, "protected_pipelines",
+            lambda self: pipelines.extend(protected(self).values())
+            or protected(self),
         )
         outcome = execute_variant(ad20, registry)
         (obu,) = (p for p in pipelines if p.ecu_name == "OBU")
