@@ -135,7 +135,7 @@ def main():
     pipeline.add(ReplayGuard(max_age_ms=500.0))
     pipeline.add(MessageCounterCheck())
     pipeline.add(IdWhitelist({"KEY-1000"}, kinds={"open_command"}))
-    campaign = FuzzCampaign(clock, pipeline, plan)
+    campaign = FuzzCampaign(pipeline, plan)
     for interface in plan.interfaces:
         outcomes = campaign.fuzz_interface(interface, seed)
         print(f"  fuzzed {interface}: {len(outcomes)} mutants")

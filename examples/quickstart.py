@@ -6,8 +6,8 @@ use-case pipelines, execute a bound attack, run a small campaign family,
 and query/export everything from the single typed result set.
 
 Part 2 builds a miniature pipeline from scratch with the immutable
-:class:`~repro.api.Pipeline` builder -- the replacement for the old
-stateful provide/begin/finish ``SaSeValPipeline`` protocol.
+:class:`~repro.api.Pipeline` builder, which runs the four steps in
+Fig. 1 order.
 
 Run:  python examples/quickstart.py
 """

@@ -35,8 +35,7 @@ Custom analyses use the immutable builder directly::
     )
 
 See ``examples/`` for complete end-to-end runs of the paper's two use
-cases, and the README migration note for moving off the legacy
-:class:`SaSeValPipeline` step protocol.
+cases.
 """
 
 from repro.api import (
@@ -48,7 +47,7 @@ from repro.api import (
 )
 from repro.core.completeness import CompletenessAuditor, CompletenessReport
 from repro.core.derivation import AttackDeriver, AttackDescriptionSet
-from repro.core.pipeline import SaSeValPipeline, Step, stage_graph
+from repro.core.pipeline import Step, stage_graph
 from repro.core.prioritization import Prioritizer, TestPlan
 from repro.core.traceability import TraceMatrix
 from repro.hara.analysis import Hara
@@ -70,7 +69,7 @@ from repro.threatlib.builder import ThreatLibraryBuilder
 from repro.threatlib.catalog import build_catalog
 from repro.threatlib.library import ThreatLibrary
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "Asil",
@@ -91,7 +90,6 @@ __all__ = [
     "ResultSink",
     "RunRecord",
     "Runtime",
-    "SaSeValPipeline",
     "SafetyConcern",
     "SafetyGoal",
     "SerialBackend",

@@ -1,11 +1,6 @@
 """The unified facade: immutable pipeline builder + :class:`Workspace`.
 
-The seed exposed the paper's four-step process as a mutation-heavy,
-order-dependent protocol (``provide_threat_library`` ->
-``provide_safety_analysis`` -> ``begin_attack_description`` ->
-``finish_attack_description``) that every caller had to sequence
-correctly, and whose outputs did not compose with the campaign runner or
-the fuzzing/cross-check layers.  This module replaces that with three
+The paper's four-step process (Fig. 1) has one front door, in three
 pieces:
 
 * :class:`PipelineBuilder` -- an immutable, fluent builder.  Every
@@ -204,10 +199,9 @@ class PipelineBuilder:
 class Pipeline:
     """A fully-built, audited SaSeVAL pipeline (the builder's product).
 
-    Unlike the legacy :class:`~repro.core.pipeline.SaSeValPipeline` there
-    is no step protocol to sequence and no partially-initialised state to
-    query around: a :class:`Pipeline` either exists (Steps 1-3 ran, the
-    audits were evaluated) or it does not.
+    There is no step protocol to sequence and no partially-initialised
+    state to query around: a :class:`Pipeline` either exists (Steps 1-3
+    ran, the audits were evaluated) or it does not.
     """
 
     name: str
@@ -404,10 +398,6 @@ class Workspace:
                 f"(known: {sorted(self._definitions)})"
             )
         return self._definitions[use_case]
-
-    def builder(self, use_case: str) -> PipelineBuilder:
-        """A fresh builder for one use case (for forked experiments)."""
-        return self.definition(use_case).builder()
 
     def pipeline(self, use_case: str) -> Pipeline:
         """The use case's built pipeline (cached per workspace)."""

@@ -1,6 +1,6 @@
 """SaSeVAL core: the paper's primary contribution (§III).
 
-* :mod:`repro.core.pipeline` -- the four-step process of Fig. 1,
+* :mod:`repro.core.pipeline` -- the four steps of Fig. 1 and their graph,
 * :mod:`repro.core.derivation` -- Step 3 attack-description derivation,
 * :mod:`repro.core.completeness` -- the RQ1 deductive/inductive audits,
 * :mod:`repro.core.prioritization` -- the RQ2 test-space reduction,
@@ -21,7 +21,6 @@ from repro.core.pipeline import (
     INPUT_SCENARIO_DESCRIPTION,
     INPUT_SECURITY_ANALYSIS,
     INPUT_SUT_IMPLEMENTATION,
-    SaSeValPipeline,
     Step,
     stage_graph,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Justification",
     "PrioritizedAttack",
     "Prioritizer",
-    "SaSeValPipeline",
     "Step",
     "TestPlan",
     "ThreatCoverage",

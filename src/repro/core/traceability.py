@@ -50,16 +50,16 @@ class TraceMatrix:
         self,
         goals: list[SafetyGoal],
         attacks: AttackDescriptionSet,
-        library: ThreatLibrary | None = None,
+        library: ThreatLibrary,
     ) -> None:
-        """Build the matrix; when ``library`` is given, threat references
-        are validated against it (broken traces raise eagerly).
+        """Build the matrix; threat references are validated against
+        ``library`` (broken traces raise eagerly).
         """
         self._goals = {goal.identifier: goal for goal in goals}
         self._attacks = attacks
-        if library is not None:
-            for attack in attacks:
-                library.threat(attack.threat_link.threat_scenario_id)
+        self._threat_ids = {threat.identifier for threat in library.threats}
+        for attack in attacks:
+            library.threat(attack.threat_link.threat_scenario_id)
         for attack in attacks:
             for goal_id in attack.safety_goal_ids:
                 if goal_id not in self._goals:
@@ -86,6 +86,8 @@ class TraceMatrix:
 
     def trace_threat(self, threat_id: str) -> ThreatTrace:
         """Attacks exploiting a threat, and the goals they endanger."""
+        if threat_id not in self._threat_ids:
+            raise ValidationError(f"unknown threat scenario {threat_id}")
         attacks = self._attacks.by_threat(threat_id)
         goal_ids = tuple(
             dict.fromkeys(

@@ -1,7 +1,7 @@
 """``repro.runtime`` -- the pluggable execution layer.
 
-Every fan-out in the reproduction (scenario campaigns, fuzz campaigns,
-the CLI's ``--backend``/``--jobs`` options) runs through this package:
+Every fan-out in the reproduction (scenario campaigns and the CLI's
+``--backend``/``--jobs`` options) runs through this package:
 
 * :mod:`repro.runtime.backends` -- the :class:`ExecutionBackend`
   protocol and the ``serial`` / ``thread`` / ``process`` implementations

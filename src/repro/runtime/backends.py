@@ -2,10 +2,10 @@
 
 This is the **only** module in the repository that imports
 :mod:`multiprocessing`.  Everything that fans work out -- the campaign
-runner, fuzz campaigns, the service plane, the CLI -- goes through the
-:class:`ExecutionBackend` protocol, so swapping how jobs execute
-(in-process, threads, processes, and in the future async or distributed
-runners) never touches the call sites again.
+runner and the CLI -- goes through the :class:`ExecutionBackend`
+protocol, so swapping how jobs execute (in-process, threads, processes,
+and in the future async or distributed runners) never touches the call
+sites again.
 
 Three implementations ship today:
 

@@ -14,7 +14,7 @@ module answers *how a workload runs well*, one job per backend task:
   the results already produced.
 
 :func:`derive_seed` is the stable seed derivation the retry jitter, fault
-plans, fuzzers and memo keys share.
+plans and memo keys share.
 """
 
 from __future__ import annotations

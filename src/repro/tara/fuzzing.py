@@ -17,24 +17,17 @@ This module closes that loop against the simulator substrate:
   protocol coverage percentage.
 
 Everything is deterministic (seeded) so fuzz findings are reproducible --
-the same RQ3 requirement the attack descriptions answer.  Multi-interface
-campaigns fan out through the :mod:`repro.runtime` execution layer
-(:meth:`FuzzCampaign.fuzz_interfaces`): each interface gets an
-independent fuzzer seeded from the campaign seed and the interface name,
-so outcomes are identical on the serial and thread backends regardless of
-completion order.
+the same RQ3 requirement the attack descriptions answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Mapping
+from typing import Any
 
-from repro.errors import SimulationError, ValidationError
+from repro.errors import SimulationError
 from repro.results import SOURCE_FUZZ, ResultSet, RunRecord, freeze_items
-from repro.runtime import derive_seed
-from repro.sim.clock import SimClock
 from repro.sim.controls.base import ControlPipeline
 from repro.sim.network import Message
 from repro.tara.attack_tree import AttackTree
@@ -248,25 +241,19 @@ class FuzzCampaign:
     protocol robustness lives); channel latency is irrelevant to the
     verdicts and skipping it keeps campaigns fast and exact.
 
-    Two driving styles exist: :meth:`fuzz_interface` walks one interface
-    at a time with the campaign's own stateful fuzzer (the original,
-    order-dependent protocol), while :meth:`fuzz_interfaces` fans a whole
-    interface map out over a :mod:`repro.runtime` backend with
-    per-interface derived seeds, producing backend- and order-independent
-    results.
+    :meth:`fuzz_interface` walks one interface at a time with the
+    campaign's one seeded fuzzer, so the mutants depend on the order the
+    interfaces are fuzzed in.
     """
 
     def __init__(
         self,
-        clock: SimClock,
         pipeline: ControlPipeline,
         plan: FuzzPlan,
         seed: int = 1,
     ) -> None:
-        self._clock = clock
         self._pipeline = pipeline
         self._plan = plan
-        self._seed = seed
         self._fuzzer = MessageFuzzer(seed=seed)
         self._outcomes: list[FuzzOutcome] = []
         self._fuzzed_interfaces: list[str] = []
@@ -299,93 +286,6 @@ class FuzzCampaign:
             outcomes.append(outcome)
             self._outcomes.append(outcome)
         return tuple(outcomes)
-
-    def _mutate_interface(
-        self, interface: str, seed_message: Message
-    ) -> tuple[FuzzCase, ...]:
-        """One parallel job: the interface's independent mutant batch."""
-        fuzzer = MessageFuzzer(seed=derive_seed(self._seed, interface))
-        return fuzzer.mutate(seed_message)
-
-    def fuzz_interfaces(
-        self,
-        seeds: Mapping[str, Message],
-        *,
-        backend: "ExecutionBackend | str | None" = None,
-        jobs: int | None = None,
-    ) -> tuple[FuzzOutcome, ...]:
-        """Fuzz several interfaces through the execution runtime.
-
-        ``seeds`` maps each interface to its valid seed message.  Mutant
-        *generation* fans out over the backend with an independent
-        deterministic fuzzer per interface (seeded from the campaign
-        seed and the interface name); *admission* then runs in the
-        caller's thread, in ``seeds`` iteration order -- stateful
-        controls (replay guards, counters) therefore see one canonical
-        message sequence, and the outcome list is bit-identical on the
-        serial and thread backends.  ``jobs=N`` alone selects the thread
-        backend; process backends are refused: control pipelines are
-        live simulator objects on this side of a pickle boundary.
-
-        Campaign state (:meth:`report`) is only updated once every
-        interface generated and admitted cleanly -- a failure leaves the
-        campaign exactly as it was.
-
-        Raises:
-            SimulationError: when an interface is outside the plan.
-            ValidationError: for a non-in-process backend.
-            ExecutionError: when an interface's mutation job raised.
-        """
-        from repro.runtime import Runtime, backend_from_spec
-
-        if backend is None and jobs is not None and jobs > 1:
-            backend = "thread"  # the in-process parallel default here
-        resolved = backend_from_spec(backend, jobs)
-        if not resolved.shares_memory:
-            raise ValidationError(
-                "fuzz campaigns run on in-process backends (serial or "
-                "thread): the control pipeline under test cannot cross a "
-                "process boundary"
-            )
-        interfaces = list(seeds)
-        for interface in interfaces:
-            if interface not in self._plan.interfaces:
-                raise SimulationError(
-                    f"interface {interface!r} is not designated by the "
-                    f"attack paths of {self._plan.tree_goal!r}"
-                )
-        # Per-interface determinism comes from _mutate_interface's own
-        # derive_seed(self._seed, interface).
-        runtime = Runtime(resolved)
-        try:
-            results = sorted(
-                runtime.map(
-                    lambda interface: self._mutate_interface(
-                        interface, seeds[interface]
-                    ),
-                    interfaces,
-                ),
-                key=lambda result: result.index,
-            )
-        finally:
-            if backend is None or isinstance(backend, str):
-                resolved.shutdown()
-        batches = [result.unwrap() for result in results]  # fail before admit
-        merged: list[FuzzOutcome] = []
-        for cases in batches:
-            for case in cases:
-                decision = self._pipeline.admit(case.message)
-                merged.append(
-                    FuzzOutcome(
-                        case=case,
-                        rejected=not decision.allowed,
-                        rejecting_control=decision.control,
-                        reason=decision.reason,
-                    )
-                )
-        self._fuzzed_interfaces.extend(interfaces)
-        self._outcomes.extend(merged)
-        return tuple(merged)
 
     def report(self) -> FuzzReport:
         """The campaign report with protocol-coverage percent."""

@@ -5,8 +5,11 @@ import dataclasses
 import pytest
 
 from repro.api import Pipeline, UseCaseDefinition, Workspace
+from repro.core.pipeline import Step
 from repro.errors import CoverageError, ValidationError
+from repro.hara.analysis import Hara
 from repro.results import SOURCE_CAMPAIGN, SOURCE_PIPELINE
+from repro.threatlib.library import ThreatLibrary
 from repro.usecases import uc1, uc2
 
 
@@ -76,6 +79,35 @@ class TestBuilderValidation:
             builder.build()
         relaxed = builder.require_complete(False).build()
         assert not relaxed.report.complete
+        assert Step.ATTACK_DESCRIPTION not in relaxed.completed_steps()
+
+    def test_build_with_empty_library_fails(self):
+        builder = Pipeline.builder("demo").with_threat_library(
+            ThreatLibrary(name="empty")
+        )
+        with pytest.raises(ValidationError, match="threat library is empty"):
+            builder.build()
+
+    def test_build_with_goalless_hara_fails(self):
+        builder = (
+            Pipeline.builder("demo")
+            .with_threat_library(uc1.build_catalog())
+            .with_hara(Hara(name="empty"))
+        )
+        with pytest.raises(ValidationError, match="no safety goals"):
+            builder.build()
+
+    def test_bindings_without_complete_audit_leave_step4_open(self):
+        relaxed = (
+            Pipeline.builder("partial")
+            .with_threat_library(uc1.build_catalog())
+            .with_hara(uc1.build_hara())
+            .with_bindings(uc1.build_bindings())
+            .require_complete(False)
+            .build()
+        )
+        assert relaxed.bindings is not None
+        assert Step.IMPLEMENT_ATTACK not in relaxed.completed_steps()
 
 
 class TestPipelineExecution:

@@ -1,13 +1,13 @@
-"""Tests for the four-step pipeline, traceability and reporting."""
+"""Tests for the Fig. 1 step graph, traceability and reporting."""
 
 import pytest
 
+from repro.api import Pipeline
 from repro.core.pipeline import (
     INPUT_SAFETY_ANALYSIS,
     INPUT_SCENARIO_DESCRIPTION,
     INPUT_SECURITY_ANALYSIS,
     INPUT_SUT_IMPLEMENTATION,
-    SaSeValPipeline,
     Step,
     stage_graph,
 )
@@ -18,7 +18,7 @@ from repro.core.reporting import (
     render_hara_rating,
     render_hara_summary,
 )
-from repro.errors import CoverageError, ValidationError
+from repro.errors import ValidationError
 from repro.hara.analysis import Hara
 from repro.model.ratings import (
     Asil,
@@ -42,21 +42,31 @@ def make_hara():
     return hara
 
 
-def fill_pipeline(pipeline, justify_rest=True):
-    pipeline.provide_threat_library(build_catalog())
-    pipeline.provide_safety_analysis(make_hara())
-    deriver = pipeline.begin_attack_description()
+def flooding_attack(deriver):
     deriver.derive(
         description="flooding", safety_goal_ids=("SG01",),
         threat_id="2.1.4", attack_type_name="Disable", interface="OBU",
         precondition="p", expected_measures="m", attack_success="s",
         attack_fails="f",
     )
-    if justify_rest:
-        for threat in pipeline.library.threats:
-            if threat.identifier != "2.1.4":
-                pipeline.justify(threat.identifier, "not applicable")
-    return deriver
+
+
+def build_pipeline():
+    library = build_catalog()
+    return (
+        Pipeline.builder("t")
+        .with_threat_library(library)
+        .with_hara(make_hara())
+        .derive_attacks(flooding_attack)
+        .with_justifications(
+            {
+                threat.identifier: "not applicable"
+                for threat in library.threats
+                if threat.identifier != "2.1.4"
+            }
+        )
+        .build()
+    )
 
 
 class TestStageGraph:
@@ -107,53 +117,9 @@ class TestStageGraph:
         assert steps == sorted(steps)
 
 
-class TestPipelineOrdering:
-    def test_step3_requires_steps_1_and_2(self):
-        pipeline = SaSeValPipeline(name="t")
-        with pytest.raises(ValidationError, match="must complete"):
-            pipeline.begin_attack_description()
-        pipeline.provide_threat_library(build_catalog())
-        with pytest.raises(ValidationError, match="must complete"):
-            pipeline.begin_attack_description()
-
-    def test_step2_requires_goals(self):
-        pipeline = SaSeValPipeline(name="t")
-        with pytest.raises(ValidationError, match="no safety goals"):
-            pipeline.provide_safety_analysis(Hara(name="empty"))
-
-    def test_full_run(self):
-        pipeline = SaSeValPipeline(name="t")
-        fill_pipeline(pipeline)
-        report = pipeline.finish_attack_description()
-        assert report.complete
-        pipeline.mark_attacks_implemented()
-        assert pipeline.is_complete()
-
-    def test_incomplete_derivation_blocks_by_default(self):
-        pipeline = SaSeValPipeline(name="t")
-        fill_pipeline(pipeline, justify_rest=False)
-        with pytest.raises(CoverageError):
-            pipeline.finish_attack_description()
-
-    def test_incomplete_derivation_reportable(self):
-        pipeline = SaSeValPipeline(name="t")
-        fill_pipeline(pipeline, justify_rest=False)
-        report = pipeline.finish_attack_description(require_complete=False)
-        assert not report.complete
-        assert Step.ATTACK_DESCRIPTION not in pipeline.completed_steps()
-
-    def test_step4_requires_step3(self):
-        pipeline = SaSeValPipeline(name="t")
-        fill_pipeline(pipeline, justify_rest=False)
-        with pytest.raises(ValidationError):
-            pipeline.mark_attacks_implemented()
-
-
 class TestTraceMatrix:
     def test_bidirectional_traces(self):
-        pipeline = SaSeValPipeline(name="t")
-        fill_pipeline(pipeline)
-        matrix = pipeline.trace_matrix()
+        matrix = build_pipeline().trace_matrix()
         goal_trace = matrix.trace_goal("SG01")
         assert goal_trace.attack_ids == ("AD01",)
         assert goal_trace.threat_ids == ("2.1.4",)
@@ -161,25 +127,24 @@ class TestTraceMatrix:
         assert threat_trace.goal_ids == ("SG01",)
 
     def test_markdown_rendering(self):
-        pipeline = SaSeValPipeline(name="t")
-        fill_pipeline(pipeline)
-        markdown = pipeline.trace_matrix().to_markdown()
+        markdown = build_pipeline().trace_matrix().to_markdown()
         assert "SG01" in markdown
         assert "AD01" in markdown
         assert "2.1.4" in markdown
 
     def test_unknown_goal(self):
-        pipeline = SaSeValPipeline(name="t")
-        fill_pipeline(pipeline)
         with pytest.raises(ValidationError):
-            pipeline.trace_matrix().trace_goal("SG99")
+            build_pipeline().trace_matrix().trace_goal("SG99")
+
+    def test_unknown_threat(self):
+        matrix = build_pipeline().trace_matrix()
+        with pytest.raises(ValidationError, match="unknown threat scenario"):
+            matrix.trace_threat("9.9.9")
 
 
 class TestReporting:
     def test_attack_rendering_matches_table_vi_rows(self):
-        pipeline = SaSeValPipeline(name="t")
-        deriver = fill_pipeline(pipeline)
-        text = render_attack_description(deriver.results.get("AD01"))
+        text = render_attack_description(build_pipeline().attacks.get("AD01"))
         for label in (
             "Attack Description", "SG IDs", "Interface / ECU",
             "Link to Threat Library", "Types", "Precondition",
@@ -225,8 +190,6 @@ class TestReporting:
         assert "SG01" in text
 
     def test_completeness_rendering(self):
-        pipeline = SaSeValPipeline(name="t")
-        fill_pipeline(pipeline)
-        report = pipeline.finish_attack_description()
+        report = build_pipeline().report
         text = render_completeness(report)
         assert "COMPLETE" in text

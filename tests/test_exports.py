@@ -5,13 +5,15 @@ Every submodule declares ``__all__``; the package re-exports exactly the
 union of its submodules' ``__all__`` lists; and every public top-level
 definition in a submodule is listed in that submodule's ``__all__`` (so
 the declarations cannot rot as code is added).  Importing the public
-entry points also never loads numpy.
+entry points also never loads numpy, and the package version is the
+one ``pyproject.toml`` declares.
 """
 
 import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -116,3 +118,15 @@ def test_entry_points_never_import_numpy():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_package_version_matches_pyproject():
+    """``repro.__version__`` and the distribution metadata agree."""
+    import repro
+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(
+        r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE
+    )
+    assert match is not None, "pyproject.toml declares no version"
+    assert repro.__version__ == match.group(1)

@@ -217,7 +217,7 @@ class TestAdapters:
             goal="open vehicle",
             root=or_node("gain access", AttackStep("forge", interface="BLE")),
         )
-        campaign = FuzzCampaign(clock, pipeline, FuzzPlan.from_tree(tree))
+        campaign = FuzzCampaign(pipeline, FuzzPlan.from_tree(tree))
         campaign.fuzz_interface("BLE", seed)
         records = campaign.report().to_result_set()
         assert len(records) > 0

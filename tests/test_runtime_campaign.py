@@ -1,4 +1,4 @@
-"""Campaign + fuzzing semantics on the pluggable runtime.
+"""Campaign semantics on the pluggable runtime.
 
 Covers the contracts the execution-backend redesign introduced: verdict
 parity across backends (including the AD08/AD20 bound-attack family),
@@ -324,75 +324,3 @@ class TestWorkspaceIntegration:
             Workspace().campaign(
                 family="zone-geometry", backend=ThreadBackend(jobs=2), jobs=3
             )
-
-
-class TestParallelFuzzing:
-    def _campaign(self):
-        from repro.sim.clock import SimClock
-        from repro.sim.controls import (
-            ControlPipeline,
-            IdWhitelist,
-            SenderAuthentication,
-        )
-        from repro.sim.crypto import KeyStore
-        from repro.sim.events import EventBus
-        from repro.sim.network import Message
-        from repro.tara.attack_tree import AttackStep, AttackTree, or_node
-        from repro.tara.fuzzing import FuzzCampaign, FuzzPlan
-
-        keystore = KeyStore()
-        keystore.provision("phone")
-        seed_message = (
-            Message(
-                kind="open_command",
-                sender="phone",
-                payload={"key_id": "KEY-1", "strength": 5},
-                counter=3,
-            )
-            .with_timestamp(100.0)
-            .signed(keystore)
-        )
-        clock, bus = SimClock(), EventBus()
-        clock.run_until(150.0)
-        pipeline = ControlPipeline("ECU_GW", clock, bus)
-        pipeline.add(SenderAuthentication(keystore))
-        pipeline.add(IdWhitelist({"KEY-1"}, kinds={"open_command"}))
-        tree = AttackTree(
-            goal="open vehicle",
-            root=or_node(
-                "paths",
-                AttackStep("forge key", interface="BLE"),
-                AttackStep("inject frame", interface="CAN"),
-            ),
-        )
-        campaign = FuzzCampaign(clock, pipeline, FuzzPlan.from_tree(tree))
-        return campaign, seed_message
-
-    def test_serial_and_thread_fuzzing_agree(self):
-        campaign_a, seed_a = self._campaign()
-        campaign_b, seed_b = self._campaign()
-        serial = campaign_a.fuzz_interfaces({"BLE": seed_a, "CAN": seed_a})
-        # jobs alone selects the in-process thread backend here.
-        threaded = campaign_b.fuzz_interfaces(
-            {"BLE": seed_b, "CAN": seed_b}, jobs=2
-        )
-        assert [
-            (o.case.name, o.rejected, o.rejecting_control) for o in serial
-        ] == [
-            (o.case.name, o.rejected, o.rejecting_control) for o in threaded
-        ]
-        assert campaign_b.report().interface_coverage == 1.0
-
-    def test_fuzzing_refuses_process_backends(self):
-        campaign, seed_message = self._campaign()
-        with pytest.raises(ValidationError, match="in-process"):
-            campaign.fuzz_interfaces(
-                {"BLE": seed_message}, backend="process"
-            )
-
-    def test_fuzzing_outside_plan_still_rejected(self):
-        from repro.errors import SimulationError
-
-        campaign, seed_message = self._campaign()
-        with pytest.raises(SimulationError, match="not designated"):
-            campaign.fuzz_interfaces({"USB": seed_message})

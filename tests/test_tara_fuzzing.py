@@ -106,15 +106,13 @@ class TestFuzzCampaign:
         pipeline.add(MessageCounterCheck())
         pipeline.add(IdWhitelist({"KEY-1"}, kinds={"open_command"}))
         pipeline.add(ValueRangeCheck("strength", 0, 10))
-        return clock, pipeline
+        return pipeline
 
     def test_hardened_pipeline_rejects_everything(self):
         keystore = KeyStore()
         seed = seed_message(keystore)
-        clock, pipeline = self.make_pipeline(keystore)
-        campaign = FuzzCampaign(
-            clock, pipeline, FuzzPlan.from_tree(make_tree())
-        )
+        pipeline = self.make_pipeline(keystore)
+        campaign = FuzzCampaign(pipeline, FuzzPlan.from_tree(make_tree()))
         outcomes = campaign.fuzz_interface("BLE", seed)
         assert outcomes
         report = campaign.report()
@@ -134,9 +132,7 @@ class TestFuzzCampaign:
         pipeline.add(ReplayGuard(max_age_ms=500.0))
         pipeline.add(MessageCounterCheck())
         pipeline.add(IdWhitelist({"KEY-1"}, kinds={"open_command"}))
-        campaign = FuzzCampaign(
-            clock, pipeline, FuzzPlan.from_tree(make_tree())
-        )
+        campaign = FuzzCampaign(pipeline, FuzzPlan.from_tree(make_tree()))
         campaign.fuzz_interface("BLE", seed)
         campaign.fuzz_interface("CAN", seed)
         report = campaign.report()
@@ -148,9 +144,7 @@ class TestFuzzCampaign:
         seed = seed_message(keystore)
         clock, bus = SimClock(), EventBus()
         pipeline = ControlPipeline("ECU_GW", clock, bus)  # no controls
-        campaign = FuzzCampaign(
-            clock, pipeline, FuzzPlan.from_tree(make_tree())
-        )
+        campaign = FuzzCampaign(pipeline, FuzzPlan.from_tree(make_tree()))
         campaign.fuzz_interface("BLE", seed)
         report = campaign.report()
         assert report.rejection_rate == 0.0
@@ -159,10 +153,8 @@ class TestFuzzCampaign:
     def test_interface_coverage_percent(self):
         keystore = KeyStore()
         seed = seed_message(keystore)
-        clock, pipeline = self.make_pipeline(keystore)
-        campaign = FuzzCampaign(
-            clock, pipeline, FuzzPlan.from_tree(make_tree())
-        )
+        pipeline = self.make_pipeline(keystore)
+        campaign = FuzzCampaign(pipeline, FuzzPlan.from_tree(make_tree()))
         report = campaign.report()
         assert report.interface_coverage == 0.0
         campaign.fuzz_interface("BLE", seed)
@@ -172,20 +164,16 @@ class TestFuzzCampaign:
 
     def test_fuzzing_outside_plan_rejected(self):
         keystore = KeyStore()
-        clock, pipeline = self.make_pipeline(keystore)
-        campaign = FuzzCampaign(
-            clock, pipeline, FuzzPlan.from_tree(make_tree())
-        )
+        pipeline = self.make_pipeline(keystore)
+        campaign = FuzzCampaign(pipeline, FuzzPlan.from_tree(make_tree()))
         with pytest.raises(SimulationError, match="not designated"):
             campaign.fuzz_interface("USB", seed_message(keystore))
 
     def test_by_operator_breakdown(self):
         keystore = KeyStore()
         seed = seed_message(keystore)
-        clock, pipeline = self.make_pipeline(keystore)
-        campaign = FuzzCampaign(
-            clock, pipeline, FuzzPlan.from_tree(make_tree())
-        )
+        pipeline = self.make_pipeline(keystore)
+        campaign = FuzzCampaign(pipeline, FuzzPlan.from_tree(make_tree()))
         campaign.fuzz_interface("BLE", seed)
         breakdown = campaign.report().by_operator()
         assert breakdown["corrupt_mac"] == (1, 0)
@@ -201,9 +189,7 @@ class TestFuzzCampaign:
         clock, bus = SimClock(), EventBus()
         pipeline = ControlPipeline("ECU_GW", clock, bus)
         pipeline.add(IdWhitelist({"KEY-1"}, kinds={"open_command"}))
-        campaign = FuzzCampaign(
-            clock, pipeline, FuzzPlan.from_tree(make_tree())
-        )
+        campaign = FuzzCampaign(pipeline, FuzzPlan.from_tree(make_tree()))
         campaign.fuzz_interface("BLE", seed)
         report = campaign.report()
         accepted_ops = {o.case.operator for o in report.accepted}
