@@ -1,4 +1,6 @@
-"""Tests for the Fig. 1 step graph, traceability and reporting."""
+"""Tests for the Fig. 1 step graph and order, traceability and reporting."""
+
+import dataclasses
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.core.reporting import (
     render_hara_rating,
     render_hara_summary,
 )
-from repro.errors import ValidationError
+from repro.errors import CoverageError, ValidationError
 from repro.hara.analysis import Hara
 from repro.model.ratings import (
     Asil,
@@ -115,6 +117,91 @@ class TestStageGraph:
             )
         ]
         assert steps == sorted(steps)
+
+
+def recording_stage(calls):
+    def stage(deriver):
+        calls.append(deriver)
+        flooding_attack(deriver)
+    return stage
+
+
+class TestPipelineOrdering:
+    """Fig. 1 step order, enforced by ``Pipeline.builder(...).build()``."""
+
+    def test_step3_requires_steps_1_and_2(self):
+        calls = []
+        builder = Pipeline.builder("t").derive_attacks(recording_stage(calls))
+        with pytest.raises(ValidationError, match="no threat library"):
+            builder.build()
+        builder = builder.with_threat_library(build_catalog())
+        with pytest.raises(ValidationError, match="no safety analysis"):
+            builder.build()
+        assert calls == []  # Step 3 never began
+
+    def test_step2_requires_goals(self):
+        calls = []
+        builder = (
+            Pipeline.builder("t")
+            .with_threat_library(build_catalog())
+            .with_hara(Hara(name="empty"))
+            .derive_attacks(recording_stage(calls))
+        )
+        with pytest.raises(ValidationError, match="no safety goals"):
+            builder.build()
+        assert calls == []
+
+    def test_full_run(self):
+        pipeline = build_pipeline()
+        assert pipeline.report.complete
+        assert pipeline.completed_steps() == (
+            Step.THREAT_LIBRARY_CREATION,
+            Step.SAFETY_CONCERN_IDENTIFICATION,
+            Step.ATTACK_DESCRIPTION,
+        )
+        implemented = dataclasses.replace(pipeline, bindings=object())
+        assert implemented.completed_steps() == tuple(Step)
+
+    def test_incomplete_derivation_blocks_by_default(self):
+        builder = (
+            Pipeline.builder("t")
+            .with_threat_library(build_catalog())
+            .with_hara(make_hara())
+            .derive_attacks(flooding_attack)
+        )
+        with pytest.raises(CoverageError):
+            builder.build()
+
+    def test_incomplete_derivation_reportable(self):
+        pipeline = (
+            Pipeline.builder("t")
+            .with_threat_library(build_catalog())
+            .with_hara(make_hara())
+            .derive_attacks(flooding_attack)
+            .require_complete(False)
+            .build()
+        )
+        assert not pipeline.report.complete
+        assert pipeline.report.deductively_complete
+        uncovered = {
+            entry.threat_id for entry in pipeline.report.uncovered_threats
+        }
+        assert uncovered and "2.1.4" not in uncovered
+        assert Step.ATTACK_DESCRIPTION not in pipeline.completed_steps()
+
+    def test_step4_requires_step3(self):
+        pipeline = (
+            Pipeline.builder("t")
+            .with_threat_library(build_catalog())
+            .with_hara(make_hara())
+            .derive_attacks(flooding_attack)
+            .with_bindings(object())
+            .require_complete(False)
+            .build()
+        )
+        assert pipeline.bindings is not None
+        assert Step.ATTACK_DESCRIPTION not in pipeline.completed_steps()
+        assert Step.IMPLEMENT_ATTACK not in pipeline.completed_steps()
 
 
 class TestTraceMatrix:
