@@ -70,7 +70,12 @@ from repro.sim.crypto import (
 from repro.sim.ecu import Ecu, Gateway
 from repro.sim.events import EventBus, SimEvent, TopicProbe
 from repro.sim.kernel import KernelScenario, ScenarioResult, SimKernel
-from repro.sim.monitor import InvariantCheck, SafetyMonitor, Violation
+from repro.sim.monitor import (
+    InvariantCheck,
+    MultiGoalCheck,
+    SafetyMonitor,
+    Violation,
+)
 from repro.sim.network import (
     Channel,
     InfiniteRange,
@@ -174,6 +179,7 @@ __all__ = [
     "Message",
     "MessageCounterCheck",
     "MobilityModel",
+    "MultiGoalCheck",
     "OnBoardUnit",
     "PropagationModel",
     "PseudonymProvider",

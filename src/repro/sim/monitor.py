@@ -15,7 +15,7 @@ The monitor watches the running simulation and records
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
@@ -24,6 +24,14 @@ from repro.sim.events import EventBus
 #: An invariant check: returns None when satisfied, a detail string when
 #: violated.
 InvariantCheck = Callable[[], str | None]
+
+#: A multi-goal check: returns the ``(goal_id, detail)`` pairs violated
+#: now, in recording order (empty when every goal it guards holds).
+MultiGoalCheck = Callable[[], Iterable[tuple[str, str]]]
+
+#: One registered invariant: the goal ids it guards, its check, and
+#: whether that is a multi-goal check.
+_Entry = tuple[tuple[str, ...], InvariantCheck | MultiGoalCheck, bool]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,45 +57,51 @@ class SafetyMonitor:
         self._violations: list[Violation] = []
         self._violated_goals: set[str] = set()
         # Invariants registered at the same clock time share one periodic
-        # sweep: registration time -> [(goal_ids, check), ...].
-        self._sweeps: dict[
-            float, list[tuple[tuple[str, ...], InvariantCheck]]
-        ] = {}
+        # sweep: registration time -> [(goal_ids, check, multi), ...].
+        self._sweeps: dict[float, list[_Entry]] = {}
 
     # -- invariants ---------------------------------------------------------
 
     def add_invariant(
         self,
         goal_id: str | tuple[str, ...],
-        check: InvariantCheck,
+        check: InvariantCheck | MultiGoalCheck,
         until: float | None = None,
     ) -> None:
         """Register a periodic invariant for a safety goal.
 
         The first violation per goal is recorded (with its detail); later
         periods do not re-record it -- a violated goal stays violated for
-        the rest of the run, matching the test-verdict semantics.
+        the rest of the run, matching the test-verdict semantics.  A
+        check is not run again once every goal it guards is violated.
 
-        ``goal_id`` may be a tuple of goal ids guarded by the one check:
-        the check runs while any of them still holds, and a violation is
-        recorded for each goal not yet violated, in tuple order, with the
-        one detail.  That is exactly what registering the same check once
-        per id in tuple order records, at half the evaluations -- the
-        fleet scenario guards ``("SG01", "SG01:<vehicle>")`` this way.
+        ``goal_id`` may be a tuple of the goal ids one *multi-goal*
+        check guards (:data:`MultiGoalCheck`): the check returns the
+        ``(goal_id, detail)`` pairs violated now, naming goals of the
+        tuple, and the monitor records each goal not yet violated, in
+        the returned order.  The fleet scenario guards SG01 for a whole
+        convoy this way, with ``("SG01", "SG01:ego-1", ...)``: one check
+        visits only the vehicles inside the construction zone and
+        returns ``("SG01", detail)`` then ``("SG01:<vehicle>", detail)``
+        per vehicle violating it -- what one aggregate and one
+        per-vehicle check per convoy member would record, at the cost of
+        the zone's occupancy instead of the fleet's size.  Return a
+        list, not a generator: the check's work belongs to its call.
 
         Unbounded invariants registered at the same clock time (the
         common case: a scenario installs all its goal checks during
         construction) share **one** periodic sweep that runs them in
-        registration order -- a fleet scenario's 2N+2 goal checks cost
-        one scheduled event per period instead of 2N+2.  Checks are
+        registration order -- a scenario's goal checks cost one
+        scheduled event per period instead of one each.  Checks are
         read-only predicates over live SUT state, so batching them into
         a single event at the identical firing times cannot change what
         any check observes.  Bounded invariants (``until``) keep their
         own schedule, which stops exactly at ``until``.
         """
-        goal_ids = (goal_id,) if isinstance(goal_id, str) else goal_id
+        multi = not isinstance(goal_id, str)
+        goal_ids = goal_id if multi else (goal_id,)
         if until is not None:
-            entry = [(goal_ids, check)]
+            entry = [(goal_ids, check, multi)]
 
             def run_check() -> None:
                 self._sweep(entry)
@@ -104,21 +118,22 @@ class SafetyMonitor:
                 self.check_period_ms,
                 lambda entries=entries: self._sweep(entries),
             )
-        entries.append((goal_ids, check))
+        entries.append((goal_ids, check, multi))
 
-    def _sweep(
-        self, entries: list[tuple[tuple[str, ...], InvariantCheck]]
-    ) -> None:
+    def _sweep(self, entries: list[_Entry]) -> None:
         violated = self._violated_goals
-        for goal_ids, check in entries:
+        for goal_ids, check, multi in entries:
             # The first-id test settles the common case without a call.
             if goal_ids[0] in violated and violated.issuperset(goal_ids):
                 continue
-            detail = check()
-            if detail is not None:
-                for goal_id in goal_ids:
+            if multi:
+                for goal_id, detail in check():
                     if goal_id not in violated:
                         self._record(goal_id, detail)
+            else:
+                detail = check()
+                if detail is not None:
+                    self._record(goal_ids[0], detail)
 
     # -- FTTI deadlines -------------------------------------------------------
 
@@ -196,6 +211,7 @@ class SafetyMonitor:
 
 __all__ = [
     "InvariantCheck",
+    "MultiGoalCheck",
     "SafetyMonitor",
     "Violation",
 ]

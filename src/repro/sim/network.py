@@ -248,8 +248,26 @@ class Message:
         )
 
     def with_timestamp(self, time: float) -> "Message":
-        """Copy with ``timestamp`` set (tag untouched -- stamp first, then sign)."""
-        return dataclasses.replace(self, timestamp=time)
+        """Copy with ``timestamp`` set (tag untouched -- stamp first, then sign).
+
+        What ``dataclasses.replace(self, timestamp=time)`` builds, without
+        its per-field reflection: every field copied, ``unique_id``
+        included, and ``auth_tag`` read, which forces a signed message's
+        lazy tag; the copy holds no signer key and no cached signing
+        bytes or MAC verdicts.
+        """
+        message = object.__new__(type(self))
+        vars(message).update(
+            kind=self.kind,
+            sender=self.sender,
+            payload=self.payload,
+            counter=self.counter,
+            timestamp=time,
+            auth_tag=self.auth_tag,
+            location=self.location,
+            unique_id=self.unique_id,
+        )
+        return message
 
 
 def _airtime_chain(times: array, next_free: float, slot: float) -> array:

@@ -324,7 +324,9 @@ class FleetConstructionSiteScenario(KernelScenario):
     Safety goals are monitored per vehicle: the aggregate ids
     (``SG01``, ``SG03``, ``SG05``) keep the published oracles working,
     and per-vehicle ids (``SG01:ego-2``) carry the verdict-per-vehicle
-    story through the standard result path.
+    story through the standard result path.  SG01 is one multi-goal
+    check over the construction zone's occupants (kept by the world),
+    so a sweep costs the zone's occupancy, not the fleet's size.
     """
 
     ALL_CONTROLS = UC1_ALL_CONTROLS
@@ -459,8 +461,33 @@ class FleetConstructionSiteScenario(KernelScenario):
         self._install_goal_checks()
 
     def _install_goal_checks(self) -> None:
-        for vehicle in self.vehicles:
-            self._install_vehicle_goals(vehicle)
+        world = self.world
+        vehicles = self.vehicles
+        rank = {vehicle: index for index, vehicle in enumerate(vehicles)}
+        goal_ids = tuple(f"SG01:{vehicle.name}" for vehicle in vehicles)
+
+        def sg01_zone_without_driver() -> list[tuple[str, str]]:
+            # SG01 can only fail inside the zone, so visit the zone's
+            # occupants (a handful) instead of the convoy, in convoy
+            # order.  Per violating vehicle: the aggregate id the
+            # published oracles check, then the per-vehicle id for
+            # per-vehicle verdicts.
+            violations = []
+            for index in sorted(
+                rank[vehicle]
+                for vehicle in world.occupants(self.ZONE_NAME)
+                if vehicle in rank
+            ):
+                vehicle = vehicles[index]
+                if vehicle.mode in AUTOMATED_MODES:
+                    detail = (
+                        f"{vehicle.name} inside the construction zone in "
+                        f"{vehicle.mode.value} mode at "
+                        f"{vehicle.speed_mps:.1f} m/s"
+                    )
+                    violations.append(("SG01", detail))
+                    violations.append((goal_ids[index], detail))
+            return violations
 
         def sg03_implausible_speed_target() -> str | None:
             for vehicle in self.vehicles:
@@ -480,33 +507,11 @@ class FleetConstructionSiteScenario(KernelScenario):
                     )
             return None
 
+        self.monitor.add_invariant(
+            ("SG01", *goal_ids), sg01_zone_without_driver
+        )
         self.monitor.add_invariant("SG03", sg03_implausible_speed_target)
         self.monitor.add_invariant("SG05", sg05_warning_flood)
-
-    def _install_vehicle_goals(self, vehicle: Vehicle) -> None:
-        zone = self.world.zone(self.ZONE_NAME)
-        start, end = zone.start, zone.end
-
-        def sg01_zone_without_driver() -> str | None:
-            # Runs once per vehicle per monitor period, so it reads the
-            # ``position_m`` property's storage directly: the property
-            # call would double the cost of the common (outside) case.
-            if (
-                start <= vehicle._position_m < end
-                and vehicle.mode in AUTOMATED_MODES
-            ):
-                return (
-                    f"{vehicle.name} inside the construction zone in "
-                    f"{vehicle.mode.value} mode at "
-                    f"{vehicle.speed_mps:.1f} m/s"
-                )
-            return None
-
-        # One check guarding two goals: the aggregate id the published
-        # oracles check, and the per-vehicle id for per-vehicle verdicts.
-        self.monitor.add_invariant(
-            ("SG01", f"SG01:{vehicle.name}"), sg01_zone_without_driver
-        )
 
     # -- result collection ---------------------------------------------------
 

@@ -399,10 +399,15 @@ class Topology:
         The component provides ``name`` and ``position_m``; the actor's
         position always reads through to it.  Components exposing
         ``add_motion_listener`` (e.g. :class:`~repro.sim.vehicle.Vehicle`)
-        notify the topology on movement, which keeps position-keyed
+        notify the topology after they move, which keeps position-keyed
         caches (batched propagation, index snapshots) valid between
-        motions; components without it mark the topology *volatile* and
-        every spatial query resolves per call, exactly as before.
+        motions.  Every tracked vehicle registers the same listener, so
+        a convoy ticked by one cohort bumps ``position_version`` once
+        per tick, not once per vehicle (see
+        :meth:`~repro.sim.vehicle.Vehicle.add_motion_listener` for when
+        the notification comes).  Components without the hook mark the
+        topology *volatile* and every spatial query resolves per call,
+        exactly as before.
         """
         actor = self.add(
             Actor(

@@ -57,11 +57,20 @@ class _TickCohort:
 
     The cohort owns the kinematics: each firing updates every vehicle's
     speed (bounded accel/decel towards its target) and position
-    (clamped onto the road, flagging ``position_saturated``), notifies
-    its motion listeners when it moved, and publishes
+    (clamped onto the road, flagging ``position_saturated``), keeps the
+    world's zone occupancy (:meth:`World.relocate
+    <repro.sim.world.World.relocate>`, inlined) and publishes
     ``vehicle.entered_zone`` per newly entered zone in name order.  The
     loop is inline, with no call per vehicle, because a convoy ticks
     every vehicle every period.
+
+    Motion listeners are notified once per tick, not once per move:
+    the distinct listeners of the vehicles that moved are called after
+    the loop, and also before a ``vehicle.entered_zone`` publish when a
+    vehicle moved since the last notification -- so a subscriber never
+    reads a position-keyed cache computed before a motion.  A convoy
+    tracked by one topology thus bumps its version once per tick, plus
+    once per zone-entry publish that follows a motion.
     """
 
     __slots__ = ("clock", "created_at", "tick_ms", "vehicles")
@@ -82,6 +91,9 @@ class _TickCohort:
         now = self.clock.now
         decel_step = Vehicle.MAX_DECEL_MPS2 * dt
         accel_step = Vehicle.MAX_ACCEL_MPS2 * dt
+        # The distinct motion listeners of the vehicles moved since the
+        # last notification (a dict: ordered, deduplicated).
+        pending: dict[Callable[[], None], None] = {}
         for vehicle in self.vehicles:
             speed = vehicle.speed_mps
             target = vehicle.target_speed_mps
@@ -100,19 +112,31 @@ class _TickCohort:
                 vehicle.position_saturated = True
             if position == previous:
                 continue
-            # What the ``position_m`` setter does for a changed position.
+            # What the ``position_m`` setter does for a changed position,
+            # with the listener calls deferred.
             vehicle._position_m = position
-            for listener in vehicle._motion_listeners:
-                listener()
-            # Zone-entry detection without per-tick set materialisation:
+            pending |= vehicle._motion_listeners
+            # Zone transitions without per-tick set materialisation:
             # compare containment at the previous and new position.
-            entered = []
-            for zone in world.zones:
+            # ``entered`` stays None unless a zone is entered, so a
+            # moved vehicle costs no list.
+            entered = None
+            for zone in world._zones_view:
                 start, end = zone.start, zone.end
-                if start <= position < end and not start <= previous < end:
-                    entered.append(zone.name)
-            if not entered:
+                if start <= position < end:
+                    if not start <= previous < end:
+                        world._occupants[zone.name].add(vehicle)
+                        if entered is None:
+                            entered = [zone.name]
+                        else:
+                            entered.append(zone.name)
+                elif start <= previous < end:
+                    world._occupants[zone.name].discard(vehicle)
+            if entered is None:
                 continue
+            if pending:
+                _notify(pending)
+                pending = {}
             for zone_name in sorted(entered):
                 vehicle._bus.publish(
                     now,
@@ -122,6 +146,13 @@ class _TickCohort:
                     mode=vehicle.mode.value,
                     speed_mps=vehicle.speed_mps,
                 )
+        if pending:
+            _notify(pending)
+
+
+def _notify(listeners: dict[Callable[[], None], None]) -> None:
+    for listener in listeners:
+        listener()
 
 
 #: The cohort the next vehicle built on this thread may join.  Only a
@@ -177,8 +208,10 @@ class Vehicle:
             raise SimulationError("initial speed must be >= 0")
         self.name = name
         # Motion listeners let a tracking Topology key position caches
-        # on actual movement; the property setter notifies them.
-        self._motion_listeners: list[Callable[[], None]] = []
+        # on actual movement; the property setter and the tick cohort
+        # notify them.  A dict: ordered, and mergeable into the cohort's
+        # per-tick set with one ``|=``.
+        self._motion_listeners: dict[Callable[[], None], None] = {}
         # Placement is validated, not silently clamped: a scenario that
         # puts a vehicle off-road is mis-specified, not "at the end".
         self._position_m = world.place(position_m)
@@ -192,6 +225,7 @@ class Vehicle:
         self._world = world
         self._handover_requested_at: float | None = None
         self._manual_since: float | None = None
+        world.add_resident(self)
         _join_tick_cohort(self, clock)
 
     # -- control ----------------------------------------------------------
@@ -267,22 +301,31 @@ class Vehicle:
 
     @position_m.setter
     def position_m(self, value: float) -> None:
-        changed = value != self._position_m
+        previous = self._position_m
         self._position_m = value
-        if changed:
-            for listener in self._motion_listeners:
-                listener()
+        if value != previous:
+            self._world.relocate(self, previous, value)
+            _notify(self._motion_listeners)
 
     def add_motion_listener(self, listener: Callable[[], None]) -> None:
-        """Call ``listener`` whenever this vehicle's position changes.
+        """Call ``listener`` after this vehicle moves.
+
+        The contract: after the vehicle moves, ``listener`` is called at
+        least once, before the next ``vehicle.entered_zone`` publish of
+        that tick, if any, and otherwise at the end of the tick; the
+        ``position_m`` setter calls it at once.  It is not called once
+        per move: the tick cohort calls each distinct listener of the
+        vehicles it moved once, and a listener registered twice is
+        called once.
 
         The hook is how a :class:`~repro.sim.topology.Topology` tracking
         this vehicle keeps its position-keyed caches (batched
         propagation, spatial snapshots) coherent without polling: no
-        notification between two reads guarantees the position is
-        unchanged.
+        clock event or bus subscriber runs between a motion and its
+        notification, so no notification between two such reads
+        guarantees the position is unchanged.
         """
-        self._motion_listeners.append(listener)
+        self._motion_listeners[listener] = None
 
     @property
     def handover_requested_at(self) -> float | None:

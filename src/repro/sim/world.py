@@ -67,6 +67,13 @@ class Zone:
 class World:
     """The 1-D road with its zones.
 
+    The world also keeps each zone's *occupants*: the residents
+    (vehicles, registered by :meth:`add_resident`) currently inside it.
+    Every position write keeps the sets current -- placement, the
+    ``position_m`` setter (:meth:`relocate`) and the tick cohort, which
+    inlines :meth:`relocate` -- so a zone predicate can visit the few
+    residents inside a zone instead of every resident on the road.
+
     Attributes:
         road_length_m: Total road length; positions beyond it saturate.
     """
@@ -77,6 +84,9 @@ class World:
         self.road_length_m = road_length_m
         self._zones: dict[str, Zone] = {}
         self._zones_view: tuple[Zone, ...] = ()
+        self._residents: list = []
+        # Zone name -> the residents inside it.
+        self._occupants: dict[str, set] = {}
 
     def add_zone(self, name: str, start: float, end: float) -> Zone:
         """Define a named zone.
@@ -94,6 +104,11 @@ class World:
         zone = Zone(name=name, start=start, end=end)
         self._zones[name] = zone
         self._zones_view = tuple(self._zones.values())
+        self._occupants[name] = {
+            resident
+            for resident in self._residents
+            if zone.contains(resident.position_m)
+        }
         return zone
 
     def zone(self, name: str) -> Zone:
@@ -112,6 +127,34 @@ class World:
         return tuple(
             zone for zone in self._zones_view if zone.contains(position)
         )
+
+    def add_resident(self, resident) -> None:
+        """Keep ``resident`` in the occupancy of the zones it is inside.
+
+        ``resident`` is anything with a ``position_m`` (a
+        :class:`~repro.sim.vehicle.Vehicle`); from now on each of its
+        position writes must be reported through :meth:`relocate`.
+        """
+        self._residents.append(resident)
+        position = resident.position_m
+        for zone in self._zones_view:
+            if zone.contains(position):
+                self._occupants[zone.name].add(resident)
+
+    def relocate(self, resident, previous: float, position: float) -> None:
+        """Update occupancy after ``resident`` moved from ``previous``."""
+        for zone in self._zones_view:
+            inside = zone.contains(position)
+            if inside != zone.contains(previous):
+                if inside:
+                    self._occupants[zone.name].add(resident)
+                else:
+                    self._occupants[zone.name].discard(resident)
+
+    def occupants(self, name: str) -> frozenset:
+        """The residents currently inside the named zone."""
+        self.zone(name)  # rejects an unknown name
+        return frozenset(self._occupants[name])
 
     def in_zone(self, position: float, name: str) -> bool:
         """True when ``position`` lies inside the named zone."""

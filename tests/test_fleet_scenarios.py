@@ -21,6 +21,7 @@ from repro.errors import SimulationError, ValidationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
 from repro.sim.scenarios import FleetConstructionSiteScenario
+from repro.sim.vehicle import DrivingMode
 
 
 class TestFleetScenario:
@@ -130,6 +131,61 @@ def _long_convoy(fleet_size):
         rsu_range_m=500.0,
         road_length_m=lead_m + 3000.0,
     )
+
+
+def _sg01(scenario):
+    return [
+        (violation.time, violation.goal_id)
+        for violation in scenario.monitor.violations
+    ]
+
+
+class TestFleetZoneGate:
+    """The fleet's one SG01 check visits the construction zone's
+    occupants, so every position write must keep them."""
+
+    def test_vehicle_placed_in_the_zone_trips_sg01_at_the_first_sweep(self):
+        # ego-1 starts at 40 m, inside [30, 130); ego-2 at 0 m.
+        scenario = FleetConstructionSiteScenario(
+            fleet_size=2, headway_m=40.0, zone_start_m=30.0,
+            zone_end_m=130.0,
+        )
+        scenario.clock.run_until(50.0)
+        assert _sg01(scenario) == [(50.0, "SG01"), (50.0, "SG01:ego-1")]
+        assert scenario.monitor.violations[0].detail == (
+            "ego-1 inside the construction zone in automated mode at "
+            "25.0 m/s"
+        )
+
+    def test_setter_move_into_the_zone_trips_sg01_at_the_next_sweep(self):
+        scenario = FleetConstructionSiteScenario(fleet_size=3)
+        scenario.clock.run_until(120.0)
+        assert _sg01(scenario) == []
+        scenario.vehicles[2].position_m = 1550.0
+        scenario.clock.run_until(150.0)
+        assert _sg01(scenario) == [(150.0, "SG01"), (150.0, "SG01:ego-3")]
+
+    def test_vehicle_that_left_the_zone_is_no_longer_checked(self):
+        # ego-1 starts inside [30, 60) and drives out by tick; ego-2 is
+        # moved in and out by the setter.  Both are back in automated
+        # mode afterwards: a stale occupant would now trip SG01.
+        scenario = FleetConstructionSiteScenario(
+            fleet_size=2, headway_m=40.0, zone_start_m=30.0,
+            zone_end_m=60.0,
+        )
+        by_tick, by_setter = scenario.vehicles
+        for vehicle in scenario.vehicles:
+            vehicle.driver_takes_over()
+        by_setter.position_m = 45.0
+        occupants = scenario.world.occupants
+        assert occupants("construction") == {by_tick, by_setter}
+        by_setter.position_m = 70.0
+        scenario.clock.run_until(1000.0)  # by_tick: 40 m -> 65 m
+        assert occupants("construction") == frozenset()
+        for vehicle in scenario.vehicles:
+            vehicle.mode = DrivingMode.AUTOMATED
+        scenario.clock.run_until(2000.0)
+        assert _sg01(scenario) == []
 
 
 class TestFleetWorkCounters:

@@ -10,7 +10,8 @@ from repro.sim.can import CanBus, make_frame
 from repro.sim.clock import SimClock
 from repro.sim.events import EventBus, TopicProbe
 from repro.sim.network import Channel, Message
-from repro.sim.vehicle import DrivingMode, Vehicle
+from repro.sim.scenarios import FleetConstructionSiteScenario
+from repro.sim.vehicle import AUTOMATED_MODES, DrivingMode, Vehicle
 from repro.sim.world import World
 from repro.threatlib.builder import ThreatLibraryBuilder
 from repro.model.asset import Asset, AssetGroup
@@ -345,6 +346,133 @@ class TestCohortKinematicsProperty:
             ]
             assert moved == expected_moved
             assert entries == expected_entries
+
+
+class _PerVehicleSG01Fleet(FleetConstructionSiteScenario):
+    """The fleet scenario with SG01 checked per convoy member, as before
+    the zone gate: the oracle for the one gated check."""
+
+    def _install_goal_checks(self):
+        zone = self.world.zone(self.ZONE_NAME)
+        start, end = zone.start, zone.end
+        for vehicle in self.vehicles:
+            def sg01_zone_without_driver(vehicle=vehicle):
+                if (
+                    start <= vehicle._position_m < end
+                    and vehicle.mode in AUTOMATED_MODES
+                ):
+                    return (
+                        f"{vehicle.name} inside the construction zone in "
+                        f"{vehicle.mode.value} mode at "
+                        f"{vehicle.speed_mps:.1f} m/s"
+                    )
+                return None
+
+            # What one check guarding ("SG01", "SG01:<vehicle>") recorded.
+            self.monitor.add_invariant("SG01", sg01_zone_without_driver)
+            self.monitor.add_invariant(
+                f"SG01:{vehicle.name}", sg01_zone_without_driver
+            )
+
+        def sg03_implausible_speed_target():
+            for vehicle in self.vehicles:
+                if vehicle.target_speed_mps > self.LEGAL_MAX_SPEED_MPS:
+                    return (
+                        f"{vehicle.name} automation targets implausible "
+                        f"speed {vehicle.target_speed_mps:.1f} m/s"
+                    )
+            return None
+
+        def sg05_warning_flood():
+            for obu in self.obus:
+                if obu.warnings_shown > self.max_warnings:
+                    return (
+                        f"{obu.name}: {obu.warnings_shown} hazard warnings "
+                        f"shown (limit {self.max_warnings})"
+                    )
+            return None
+
+        self.monitor.add_invariant("SG03", sg03_implausible_speed_target)
+        self.monitor.add_invariant("SG05", sg05_warning_flood)
+
+
+_SWITCHES = ("handover", "manual", "automated", "safe_stop", "move")
+
+
+@st.composite
+def _convoy_cases(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    params = dict(
+        fleet_size=size,
+        headway_m=draw(st.floats(min_value=1.0, max_value=150.0)),
+        vehicle_speed_mps=draw(st.floats(min_value=0.0, max_value=40.0)),
+        zone_start_m=draw(st.floats(min_value=0.0, max_value=400.0)),
+    )
+    params["zone_end_m"] = params["zone_start_m"] + draw(
+        st.floats(min_value=1.0, max_value=200.0)
+    )
+    switches = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=8000.0),  # time (ms)
+            st.integers(min_value=0, max_value=size - 1),  # vehicle
+            st.sampled_from(_SWITCHES),
+            st.floats(min_value=0.0, max_value=700.0),  # "move" target
+        ),
+        max_size=8,
+    ))
+    duration = draw(st.floats(min_value=100.0, max_value=8000.0))
+    return params, switches, duration
+
+
+def _switch(vehicle, action, position):
+    if action == "handover":
+        vehicle.request_handover("test")
+    elif action == "manual":
+        vehicle.driver_takes_over()
+    elif action == "automated":
+        vehicle.mode = DrivingMode.AUTOMATED
+    elif action == "safe_stop":
+        vehicle.safe_stop("test")
+    else:
+        vehicle.position_m = position
+
+
+def _sg_violations(scenario_class, case):
+    params, switches, duration = case
+    scenario = scenario_class(**params)
+    for time, index, action, position in switches:
+        vehicle = scenario.vehicles[index]
+        scenario.clock.schedule_at(
+            time,
+            lambda v=vehicle, a=action, p=position: _switch(v, a, p),
+        )
+    scenario.clock.run_until(duration)
+    return [
+        (violation.time, violation.goal_id, violation.detail)
+        for violation in scenario.monitor.violations
+    ]
+
+
+class TestZoneGatedSG01Property:
+    @settings(max_examples=100, deadline=None)
+    @given(_convoy_cases())
+    # Pinned: ego-1 and ego-3 start inside the zone in automated mode,
+    # ego-2 (between them) in manual mode: both violate in the first
+    # sweep, recorded in convoy order.
+    @example((
+        dict(
+            fleet_size=3, headway_m=20.0, vehicle_speed_mps=25.0,
+            zone_start_m=0.0, zone_end_m=100.0,
+        ),
+        [(0.0, 1, "manual", 0.0)],
+        200.0,
+    ))
+    def test_gated_check_records_like_per_vehicle_checks(self, case):
+        """The fleet's one zone-gated SG01 check records the violations
+        (time, goal id, detail, order) one check per convoy member
+        recorded."""
+        gated = _sg_violations(FleetConstructionSiteScenario, case)
+        assert gated == _sg_violations(_PerVehicleSG01Fleet, case)
 
 
 class TestBuilderIdProperty:

@@ -546,6 +546,40 @@ class TestMacMemoSafety:
         assert "_mac_cache" not in vars(signed)  # no memo dict either
         assert signed.unique_id == message.unique_id
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_with_timestamp_copies_like_replace(self, signed):
+        keystore = KeyStore()
+        key = keystore.provision("RSU")
+        other = keystore.provision("OTHER")
+        original = Message(
+            kind="k", sender="RSU", payload={"a": 1}, counter=3,
+            timestamp=1.0, location="site-A",
+        )
+        if signed:
+            original = original.signed(keystore)
+        # Warm caches: the copy must inherit none of them.
+        original.signing_bytes()
+        original.mac_verified(other)
+        stamped = original.with_timestamp(7.0)
+        if signed:
+            assert "auth_tag" in vars(original)  # the lazy tag was forced
+        reference = dataclasses.replace(original, timestamp=7.0)
+        assert type(stamped) is type(reference)
+        for field in dataclasses.fields(Message):
+            assert getattr(stamped, field.name) == getattr(
+                reference, field.name
+            ), field.name
+        assert stamped.unique_id == original.unique_id
+        assert stamped.auth_tag == original.auth_tag
+        for private in ("_signer_key", "_signing_cache", "_mac_cache"):
+            assert private not in vars(stamped)
+            assert private not in vars(reference)
+        assert vars(stamped) == vars(reference)
+        # No signer key: the copy re-verifies, and the tag covers the
+        # old timestamp (or is empty).
+        assert not stamped.mac_verified(key)
+        assert not reference.mac_verified(key)
+
 
 class TestFloodTagWork:
     """Deterministic work counter: an authenticated flood admitted on

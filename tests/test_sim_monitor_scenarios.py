@@ -1,5 +1,7 @@
 """Tests for the safety monitor and the two scenario assemblies."""
 
+import functools
+
 import pytest
 
 from repro.errors import SimulationError
@@ -66,38 +68,53 @@ class TestSafetyMonitor:
         assert monitor.violated_goals() == ("SG01", "SG02")
 
     @pytest.mark.parametrize("until", [None, 500.0])
-    def test_one_check_guarding_two_goals_records_like_two(self, until):
-        def violations(merged):
+    def test_multi_goal_check_records_like_single_goal_checks(self, until):
+        bad_from = {"v1": 40.0, "v2": 40.0, "v3": 70.0}
+
+        def violations(multi_goal):
             clock, bus = SimClock(), EventBus()
             monitor = SafetyMonitor(clock, bus, check_period_ms=10.0)
             calls = []
 
-            def check_for(name, bad_from):
+            def detail(name):
+                calls.append(clock.now)
+                if clock.now >= bad_from[name]:
+                    return f"{name} bad at {clock.now:.0f}"
+                return None
+
+            if multi_goal:
                 def check():
-                    calls.append(name)
-                    if clock.now >= bad_from:
-                        return f"{name} bad at {clock.now:.0f}"
-                    return None
+                    pairs = []
+                    for name in bad_from:
+                        found = detail(name)
+                        if found is not None:
+                            pairs.append(("SG01", found))
+                            pairs.append((f"SG01:{name}", found))
+                    return pairs
 
-                return check
-
-            for name, bad_from in (("v1", 40.0), ("v2", 40.0), ("v3", 70.0)):
-                check = check_for(name, bad_from)
-                if merged:
-                    monitor.add_invariant(("SG01", f"SG01:{name}"), check, until)
-                else:
+                monitor.add_invariant(
+                    ("SG01", *(f"SG01:{name}" for name in bad_from)),
+                    check,
+                    until,
+                )
+            else:
+                for name in bad_from:
+                    check = functools.partial(detail, name)
                     monitor.add_invariant("SG01", check, until)
                     monitor.add_invariant(f"SG01:{name}", check, until)
             clock.run_until(200.0)
-            return monitor.violations, len(calls)
+            return monitor.violations, calls
 
-        merged, merged_calls = violations(merged=True)
-        separate, separate_calls = violations(merged=False)
-        assert merged == separate
-        assert [v.goal_id for v in merged] == [
-            "SG01", "SG01:v1", "SG01:v2", "SG01:v3"
+        multi, multi_calls = violations(multi_goal=True)
+        single, __ = violations(multi_goal=False)
+        assert multi == single
+        # Not run again once every goal it guards fell (at 70 ms).
+        assert max(multi_calls) == 70.0
+        assert [(v.time, v.goal_id) for v in multi] == [
+            (40.0, "SG01"), (40.0, "SG01:v1"), (40.0, "SG01:v2"),
+            (70.0, "SG01:v3"),
         ]
-        assert merged_calls < separate_calls
+        assert multi[0].detail == "v1 bad at 40"
 
     def test_parameter_validation(self):
         clock, bus = SimClock(), EventBus()

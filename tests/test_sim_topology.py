@@ -275,6 +275,37 @@ class TestRangePropagation:
         clock.run_until(1000.0)
         assert sink.messages == []
 
+    def test_mid_tick_query_leaves_no_stale_memo(self, world):
+        """A zone-entry subscriber resolves a delivery set during a
+        convoy tick; a vehicle ticked after it then crosses the range
+        boundary, and the next query sees the new position."""
+        clock, bus = SimClock(), EventBus()
+        world.add_zone("site", 41.0, 50.0)
+        topology = Topology(world, clock=clock)
+        topology.add_stationary("rsu", 0.0, transmit_range_m=100.0)
+        lead = Vehicle("lead", clock, bus, world, position_m=40.0,
+                       speed_mps=20.0)
+        tail = Vehicle("tail", clock, bus, world, position_m=99.0,
+                       speed_mps=20.0)
+        topology.track(lead)
+        topology.track(tail)
+        propagation = RangePropagation(topology)
+        receivers = [Sink("lead"), Sink("tail")]
+        message = Message(kind="k", sender="rsu", payload={})
+
+        def reached():
+            return [
+                r.name for r in propagation.receivers(message, receivers)
+            ]
+
+        during = []
+        bus.subscribe(
+            "vehicle.entered_zone", lambda event: during.append(reached())
+        )
+        clock.run_until(100.0)  # lead 40 -> 42 (enters), tail 99 -> 101
+        assert during == [["lead", "tail"]]
+        assert reached() == ["lead"]
+
     def test_known_actor_without_range_transmits_unlimited(self, topology):
         # Consistent with Topology.in_range: None means unlimited, even
         # for actors the topology knows.

@@ -51,6 +51,26 @@ class TestWorld:
         world.add_zone("b", 50.0, 150.0)
         assert {z.name for z in world.zones_at(75.0)} == {"a", "b"}
 
+    def test_occupants_follow_placement_and_setter(self):
+        clock, bus = SimClock(), EventBus()
+        world = World(1000.0)
+        world.add_zone("a", 100.0, 200.0)
+        inside = Vehicle(
+            "inside", clock, bus, world, position_m=150.0, speed_mps=0.0
+        )
+        outside = Vehicle(
+            "outside", clock, bus, world, position_m=50.0, speed_mps=0.0
+        )
+        assert world.occupants("a") == {inside}
+        outside.position_m = 100.0  # the start is inside
+        inside.position_m = 200.0  # the end is not
+        assert world.occupants("a") == {outside}
+        # A zone defined later starts with the residents already in it.
+        world.add_zone("b", 0.0, 150.0)
+        assert world.occupants("b") == {outside}
+        with pytest.raises(SimulationError, match="unknown zone"):
+            world.occupants("c")
+
 
 @pytest.fixture()
 def rig():
@@ -195,6 +215,57 @@ class TestTickCohort:
         per_vehicle = _convoy_events(True, monkeypatch)
         assert cohort[0]  # the convoy did enter zones
         assert cohort == per_vehicle
+
+    def test_tick_keeps_zone_occupancy(self):
+        clock, bus, world = SimClock(), EventBus(), World(1000.0)
+        world.add_zone("site", 10.0, 20.0)
+        vehicle = Vehicle(
+            "v", clock, bus, world, position_m=5.0, speed_mps=50.0
+        )
+        inside = []
+        for tick in range(1, 4):  # 5 m per tick: 10, 15, then 20
+            clock.run_until(100.0 * tick)
+            inside.append(vehicle in world.occupants("site"))
+        assert inside == [True, True, False]
+
+    def test_one_notification_per_tick_for_a_shared_listener(self):
+        clock, bus, world = SimClock(), EventBus(), World(1000.0)
+        convoy = [
+            Vehicle(f"v{index}", clock, bus, world, speed_mps=10.0)
+            for index in range(3)
+        ]
+        parked = Vehicle("parked", clock, bus, world, speed_mps=0.0)
+        calls = []
+
+        def shared():
+            calls.append(clock.now)
+
+        for vehicle in convoy:
+            vehicle.add_motion_listener(shared)
+        convoy[0].add_motion_listener(shared)  # registered twice: once
+        parked.add_motion_listener(lambda: calls.append("parked"))
+        clock.run_until(300.0)
+        assert calls == [100.0, 200.0, 300.0]
+        # The setter still notifies at once.
+        convoy[1].position_m = 500.0
+        assert calls[-1] == 300.0 and len(calls) == 4
+
+    def test_listeners_notified_before_a_zone_entry_publish(self):
+        clock, bus, world = SimClock(), EventBus(), World(1000.0)
+        world.add_zone("site", 1.0, 50.0)
+        lead = Vehicle("lead", clock, bus, world, speed_mps=10.0)
+        tail = Vehicle("tail", clock, bus, world, speed_mps=5.0)
+        log = []
+        for vehicle in (lead, tail):
+            vehicle.add_motion_listener(lambda: log.append("moved"))
+        bus.subscribe(
+            "vehicle.entered_zone", lambda event: log.append(event.source)
+        )
+        clock.run_until(100.0)
+        # lead moves and enters: notified before the publish; tail
+        # moves after it (and does not reach the zone): notified after
+        # the loop.
+        assert log == ["moved", "lead", "moved"]
 
 
 class TestDriver:
