@@ -5,7 +5,7 @@ stands; this package provides the simulated equivalent so the derived
 attacks can actually run: a deterministic discrete-event kernel
 (:mod:`~repro.sim.clock`), channels and messages with honest
 authentication (:mod:`~repro.sim.network`, :mod:`~repro.sim.crypto`),
-a spatial traffic topology with mobile actors and range-gated radio
+a traffic topology of placed and tracked actors with range-gated radio
 (:mod:`~repro.sim.topology`, :mod:`~repro.sim.world`), ECUs with
 admission control and finite capacity (:mod:`~repro.sim.ecu`),
 a CAN bus with arbitration and limited bandwidth (:mod:`~repro.sim.can`),
@@ -100,12 +100,7 @@ from repro.sim.scenarios import (
 )
 from repro.sim.topology import (
     Actor,
-    ConstantSpeedMobility,
-    FollowLeaderMobility,
-    MobilityModel,
     RangePropagation,
-    SpatialIndex,
-    StationaryMobility,
     Topology,
     numpy_enabled,
 )
@@ -119,7 +114,7 @@ from repro.sim.v2x import (
     V2VRelay,
 )
 from repro.sim.vehicle import AUTOMATED_MODES, Driver, DrivingMode, Vehicle
-from repro.sim.world import ClampedPosition, World, Zone
+from repro.sim.world import World, Zone
 
 __all__ = [
     "AUTOMATED_MODES",
@@ -138,8 +133,6 @@ __all__ = [
     "CanBus",
     "ChallengeResponse",
     "Channel",
-    "ClampedPosition",
-    "ConstantSpeedMobility",
     "ConstructionSiteScenario",
     "ControlPipeline",
     "Decision",
@@ -156,7 +149,6 @@ __all__ = [
     "FleetConstructionSiteScenario",
     "FloodingAttack",
     "FloodingDetector",
-    "FollowLeaderMobility",
     "Gateway",
     "IdWhitelist",
     "InfiniteRange",
@@ -178,7 +170,6 @@ __all__ = [
     "Medium",
     "Message",
     "MessageCounterCheck",
-    "MobilityModel",
     "MultiGoalCheck",
     "OnBoardUnit",
     "PropagationModel",
@@ -197,9 +188,7 @@ __all__ = [
     "SimEvent",
     "SimKernel",
     "Smartphone",
-    "SpatialIndex",
     "SpoofingAttack",
-    "StationaryMobility",
     "TamperingAttack",
     "TopicProbe",
     "Topology",

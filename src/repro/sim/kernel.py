@@ -134,7 +134,7 @@ class SimKernel:
 
     # -- topology ------------------------------------------------------------
 
-    def create_topology(self, tick_ms: float = 100.0) -> Topology:
+    def create_topology(self) -> Topology:
         """Create (once) the spatial actor topology over this world.
 
         Raises:
@@ -147,7 +147,7 @@ class SimKernel:
             )
         if self.topology is not None:
             raise SimulationError("kernel topology already created")
-        self.topology = Topology(self.world, clock=self.clock, tick_ms=tick_ms)
+        self.topology = Topology(self.world)
         return self.topology
 
     # -- media --------------------------------------------------------------

@@ -319,11 +319,11 @@ class Vehicle:
         called once.
 
         The hook is how a :class:`~repro.sim.topology.Topology` tracking
-        this vehicle keeps its position-keyed caches (batched
-        propagation, spatial snapshots) coherent without polling: no
-        clock event or bus subscriber runs between a motion and its
-        notification, so no notification between two such reads
-        guarantees the position is unchanged.
+        this vehicle keeps its position-keyed cache (batched
+        propagation) coherent without polling: no clock event or bus
+        subscriber runs between a motion and its notification, so no
+        notification between two such reads guarantees the position is
+        unchanged.
         """
         self._motion_listeners[listener] = None
 

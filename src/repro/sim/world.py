@@ -16,29 +16,6 @@ import dataclasses
 from repro.errors import SimulationError
 
 
-class ClampedPosition(float):
-    """A road position produced by :meth:`World.clamp`.
-
-    Behaves exactly like the underlying ``float`` (so every existing
-    arithmetic call site is untouched) but additionally carries
-    ``saturated``: whether clamping actually moved the position onto the
-    road.  Scenarios assert actors stayed on-road by checking the flag
-    instead of comparing floats against the road ends.
-    """
-
-    saturated: bool
-
-    def __new__(cls, value: float, saturated: bool) -> "ClampedPosition":
-        self = super().__new__(cls, value)
-        self.saturated = saturated
-        return self
-
-    def __getnewargs__(self) -> tuple[float, bool]:
-        # float.__getnewargs__ supplies only the value; without the flag
-        # pickle/deepcopy would crash crossing a worker-process boundary.
-        return (float(self), self.saturated)
-
-
 @dataclasses.dataclass(frozen=True)
 class Zone:
     """A named interval of the road, ``[start, end)`` in metres."""
@@ -168,25 +145,15 @@ class World:
         return self.zone(name).start - position
 
     def clamp_value(self, position: float) -> tuple[float, bool]:
-        """:meth:`clamp` as a plain ``(position, saturated)`` pair.
+        """Clamp a position onto the road: ``(position, saturated)``.
 
-        The allocation-free variant for per-tick kinematics callers;
-        :meth:`clamp` stays the public carrier-object API.
+        ``saturated`` reports whether the input lay off-road.
         """
         if position < 0.0:
             return 0.0, True
         if position > self.road_length_m:
             return self.road_length_m, True
         return position, False
-
-    def clamp(self, position: float) -> ClampedPosition:
-        """Clamp a position onto the road.
-
-        Returns a :class:`ClampedPosition` -- a ``float`` whose
-        ``saturated`` flag reports whether the input lay off-road.
-        """
-        value, saturated = self.clamp_value(position)
-        return ClampedPosition(value, saturated=saturated)
 
     def place(self, position: float) -> float:
         """Validate an *initial* placement; saturation is not allowed.
@@ -210,7 +177,6 @@ class World:
 
 
 __all__ = [
-    "ClampedPosition",
     "World",
     "Zone",
 ]

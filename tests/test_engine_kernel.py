@@ -22,6 +22,26 @@ class TestSimKernel:
         assert kernel.world is not None
         assert kernel.world.road_length_m == 1000.0
 
+    def test_create_topology_once_over_the_world(self):
+        kernel = SimKernel(road_length_m=1000.0)
+        topology = kernel.create_topology()
+        assert kernel.topology is topology
+        assert topology.world is kernel.world
+        with pytest.raises(SimulationError, match="already created"):
+            kernel.create_topology()
+
+    def test_create_topology_needs_a_world(self):
+        with pytest.raises(SimulationError, match="no world"):
+            SimKernel().create_topology()
+
+    def test_topology_schedules_nothing(self):
+        # The topology moves nobody, so placing actors leaves the
+        # event queue empty.
+        kernel = SimKernel(road_length_m=1000.0)
+        topology = kernel.create_topology()
+        topology.add_stationary("RSU-A", 400.0, transmit_range_m=300.0)
+        assert kernel.clock.pending == 0
+
     def test_channel_and_can_bus_register_as_media(self):
         kernel = SimKernel()
         v2x = kernel.channel("v2x", latency_ms=2.0)

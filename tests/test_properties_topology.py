@@ -2,20 +2,16 @@
 
 Three contracts the fleet scenario families lean on:
 
-* **mobility determinism** -- identically configured topologies stepped
-  under identical clocks produce bit-identical trajectories (seeded
-  campaign reproducibility needs nothing less);
 * **range symmetry** -- with equal transmit ranges, A hears B exactly
   when B hears A (the inclusive boundary cannot break symmetry);
 * **InfiniteRange == legacy broadcast** -- a channel carrying the
   explicit :class:`~repro.sim.network.InfiniteRange` model delivers the
   same messages, at the same times, to the same receivers as a channel
   constructed the pre-topology way; and on the AD08/AD20 parity
-  variants the two spellings produce identical verdicts.
-* **spatial queries** -- ``SpatialIndex.within``/``nearest`` are
-  pinned against a brute-force ``(distance, name)`` oracle, so the tie
-  order for coincident actors is part of the contract, and batched
-  range propagation matches a per-delivery membership check.
+  variants the two spellings produce identical verdicts;
+* **batched propagation** -- the memoised per-sender delivery set
+  matches a per-delivery membership check, receiver for receiver, in
+  attach order, and follows motion between deliveries.
 """
 
 import pytest
@@ -27,58 +23,12 @@ from repro.engine.registry import default_registry
 from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
 from repro.sim.network import Channel, InfiniteRange, Message
-from repro.sim.topology import (
-    ConstantSpeedMobility,
-    FollowLeaderMobility,
-    RangePropagation,
-    SpatialIndex,
-    Topology,
-)
+from repro.sim.topology import RangePropagation, Topology
+from repro.sim.vehicle import Vehicle
 from repro.sim.world import World
 
 positions = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 ranges = st.floats(min_value=0.0, max_value=1500.0, allow_nan=False)
-speeds = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
-
-
-class TestMobilityDeterminism:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(positions, speeds), min_size=1, max_size=6
-        ),
-        st.integers(min_value=1, max_value=40),
-    )
-    def test_identical_configs_produce_identical_trajectories(
-        self, placements, ticks
-    ):
-        def run() -> list[float]:
-            clock = SimClock()
-            world = World(2000.0)
-            topology = Topology(world, clock=clock, tick_ms=100.0)
-            for index, (position, speed) in enumerate(placements):
-                topology.add_mobile(
-                    f"car-{index}", position, ConstantSpeedMobility(speed)
-                )
-            clock.run_until(ticks * 100.0)
-            return [actor.position_m for actor in topology.actors]
-
-        assert run() == run()
-
-    @settings(max_examples=25, deadline=None)
-    @given(positions, positions, st.integers(min_value=1, max_value=30))
-    def test_follow_leader_is_deterministic(self, lead, tail, ticks):
-        def run() -> tuple[float, float]:
-            clock = SimClock()
-            topology = Topology(World(2000.0), clock=clock, tick_ms=100.0)
-            topology.add_mobile("lead", lead, ConstantSpeedMobility(15.0))
-            topology.add_mobile(
-                "tail", tail, FollowLeaderMobility("lead", gap_m=30.0)
-            )
-            clock.run_until(ticks * 100.0)
-            return (topology.position_of("lead"), topology.position_of("tail"))
-
-        assert run() == run()
 
 
 class TestRangeSymmetry:
@@ -94,7 +44,7 @@ class TestRangeSymmetry:
     @given(positions, positions, ranges)
     def test_propagation_delivery_is_symmetric(self, pos_a, pos_b, range_m):
         clock = SimClock()
-        topology = Topology(World(1000.0), clock=clock)
+        topology = Topology(World(1000.0))
         topology.add_stationary("a", pos_a, transmit_range_m=range_m)
         topology.add_stationary("b", pos_b, transmit_range_m=range_m)
         channel = Channel(
@@ -116,52 +66,6 @@ class TestRangeSymmetry:
         channel.send(Message(kind="k", sender="b", payload={}))
         clock.run()
         assert len(heard["a"]) == len(heard["b"])
-
-
-# Quantised positions make coincident actors (and therefore name
-# tie-breaks) common instead of measure-zero.
-_quantised = st.integers(min_value=0, max_value=120).map(lambda n: n * 7.5)
-_fleets = st.lists(_quantised, min_size=1, max_size=40).map(
-    lambda ps: [(p, f"v{i:02d}") for i, p in enumerate(ps)]
-)
-
-
-class TestSpatialEngineParity:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        _fleets,
-        st.floats(min_value=-50.0, max_value=950.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
-    )
-    def test_within_matches_brute_force_on_both_engines(
-        self, entries, center, radius
-    ):
-        ranked = sorted((abs(p - center), n) for p, n in entries)
-        expected = tuple(
-            name for distance, name in ranked if distance <= radius
-        )
-        assert SpatialIndex(entries).within(center, radius) == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        _fleets,
-        st.floats(min_value=-50.0, max_value=950.0, allow_nan=False),
-        st.integers(min_value=0, max_value=45),
-    )
-    def test_nearest_matches_brute_force_on_both_engines(
-        self, entries, center, count
-    ):
-        ranked = sorted((abs(p - center), n) for p, n in entries)
-        expected = tuple(name for _d, name in ranked[:count])
-        assert SpatialIndex(entries).nearest(center, count) == expected
-
-    def test_coincident_tie_order_pinned_on_both_engines(self):
-        """(distance, name) order for coincident actors is contract,
-        not accident."""
-        index = SpatialIndex([(5.0, "z"), (5.0, "a"), (5.0, "m"), (7.0, "b")])
-        assert index.within(5.0, 0.0) == ("a", "m", "z")
-        assert index.within(5.0, 2.0) == ("a", "m", "z", "b")
-        assert index.nearest(5.0, 3) == ("a", "m", "z")
 
 
 class _Ear:
@@ -247,6 +151,53 @@ class TestBatchedPropagationParity:
         moved = topology.actor(attached[0].name)
         moved.position_m = min(placed[0] + step_m, 1000.0)
         assert list(propagation.receivers(message, attached)) == oracle()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(positions, st.floats(min_value=0.0, max_value=40.0)),
+            min_size=2,
+            max_size=12,
+        ),
+        st.booleans(),
+        positions,
+        ranges,
+        st.integers(min_value=1, max_value=30),
+    )
+    def test_batched_set_follows_cohort_ticks(
+        self, convoy, sender_is_vehicle, rsu_pos, range_m, ticks
+    ):
+        """Tracked vehicles move on their cohort tick; after every tick
+        the batched set equals the membership check on the vehicles'
+        own positions, whether the sender is an RSU or a vehicle."""
+        clock, bus = SimClock(), EventBus()
+        world = World(1000.0)
+        topology = Topology(world)
+        vehicles = [
+            Vehicle(f"ego-{index}", clock, bus, world,
+                    position_m=position, speed_mps=speed)
+            for index, (position, speed) in enumerate(convoy)
+        ]
+        for vehicle in vehicles:
+            topology.track(vehicle, transmit_range_m=range_m)
+        topology.add_stationary("rsu", rsu_pos, transmit_range_m=range_m)
+        sender = vehicles[0].name if sender_is_vehicle else "rsu"
+        attached = [_Ear(vehicle.name) for vehicle in vehicles]
+        propagation = RangePropagation(topology)
+        message = Message(kind="k", sender=sender, payload={})
+
+        def oracle():
+            origin = topology.position_of(sender)
+            return [
+                ear
+                for ear, vehicle in zip(attached, vehicles)
+                if abs(vehicle.position_m - origin) <= range_m
+            ]
+
+        for tick in range(ticks + 1):
+            clock.run_until(tick * 100.0)
+            assert list(propagation.receivers(message, attached)) == oracle()
+            assert list(propagation.receivers(message, attached)) == oracle()
 
     def test_detach_then_attach_drops_the_stale_view(self):
         """Detach + attach keeps the attach list's length; the cached

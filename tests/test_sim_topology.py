@@ -1,4 +1,4 @@
-"""Unit tests for the spatial topology layer (actors, mobility, range)."""
+"""Unit tests for the topology layer (actors, tracking, range gating)."""
 
 import pytest
 
@@ -6,15 +6,7 @@ from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
 from repro.sim.network import Channel, InfiniteRange, Message
-from repro.sim.topology import (
-    Actor,
-    ConstantSpeedMobility,
-    FollowLeaderMobility,
-    RangePropagation,
-    SpatialIndex,
-    StationaryMobility,
-    Topology,
-)
+from repro.sim.topology import Actor, RangePropagation, Topology
 from repro.sim.vehicle import Vehicle
 from repro.sim.world import World
 
@@ -25,8 +17,13 @@ def world():
 
 
 @pytest.fixture
+def clock():
+    return SimClock()
+
+
+@pytest.fixture
 def topology(world):
-    return Topology(world, clock=SimClock())
+    return Topology(world)
 
 
 class Sink:
@@ -80,31 +77,49 @@ class TestActorPlacement:
         with pytest.raises(SimulationError, match="already registered"):
             topology.bind("rsu", "rsu")
 
+    def test_bind_to_an_alias_resolves_to_its_actor(self, topology):
+        topology.add_stationary("ego", 100.0, transmit_range_m=50.0)
+        topology.bind("OBU", "ego")
+        topology.bind("OBU-alias", "OBU")
+        assert topology.knows("OBU-alias")
+        assert topology.actor("OBU-alias") is topology.actor("ego")
+        assert topology.position_of("OBU-alias") == 100.0
+        assert topology.in_range("OBU-alias", "ego")
+
+    def test_track_requires_motion_listener_hook(self, topology):
+        class Parked:
+            name = "parked"
+            position_m = 10.0
+
+        with pytest.raises(SimulationError, match="add_motion_listener"):
+            topology.track(Parked())
+        assert not topology.knows("parked")
+
+    def test_failed_track_subscribes_nothing(self, world, topology):
+        clock, bus = SimClock(), EventBus()
+        topology.add_stationary("ego", 0.0)
+        vehicle = Vehicle("ego", clock, bus, world, position_m=10.0)
+        with pytest.raises(SimulationError, match="already registered"):
+            topology.track(vehicle)
+        assert vehicle._motion_listeners == {}
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(SimulationError, match="needs a name"):
+            Actor("")
+
+    def test_negative_transmit_range_rejected(self):
+        with pytest.raises(SimulationError, match="transmit range"):
+            Actor("rsu", position_m=10.0, transmit_range_m=-1.0)
+
+    def test_unknown_name_lookup_raises(self, topology):
+        assert not topology.knows("ghost")
+        with pytest.raises(SimulationError, match="unknown actor"):
+            topology.actor("ghost")
+        with pytest.raises(SimulationError, match="unknown actor"):
+            topology.position_of("ghost")
+
 
 class TestClampSaturation:
-    def test_clamp_flags_offroad_positions(self, world):
-        low = world.clamp(-5.0)
-        high = world.clamp(1234.0)
-        inside = world.clamp(500.0)
-        assert (float(low), low.saturated) == (0.0, True)
-        assert (float(high), high.saturated) == (1000.0, True)
-        assert (float(inside), inside.saturated) == (500.0, False)
-
-    def test_clamped_position_behaves_like_float(self, world):
-        clamped = world.clamp(1234.0)
-        assert clamped == 1000.0
-        assert clamped + 1 == 1001.0
-
-    def test_clamped_position_survives_pickle_and_deepcopy(self, world):
-        import copy
-        import pickle
-
-        clamped = world.clamp(1234.0)
-        for clone in (pickle.loads(pickle.dumps(clamped)),
-                      copy.deepcopy(clamped)):
-            assert float(clone) == 1000.0
-            assert clone.saturated is True
-
     def test_place_validates(self, world):
         assert world.place(0.0) == 0.0
         assert world.place(1000.0) == 1000.0
@@ -112,14 +127,6 @@ class TestClampSaturation:
             world.place(-0.1)
         with pytest.raises(SimulationError):
             world.place(1000.1)
-
-    def test_topology_records_saturated_actors(self, world):
-        clock = SimClock()
-        topology = Topology(world, clock=clock, tick_ms=100.0)
-        topology.add_mobile("fast", 990.0, ConstantSpeedMobility(200.0))
-        clock.run_until(1000.0)
-        assert topology.position_of("fast") == 1000.0
-        assert topology.saturated_actors == ("fast",)
 
     def test_vehicle_saturation_flag(self, world):
         clock, bus = SimClock(), EventBus()
@@ -131,107 +138,71 @@ class TestClampSaturation:
         assert vehicle.position_saturated is True
 
 
-class TestMobilityModels:
-    def test_stationary_never_moves(self, world):
-        clock = SimClock()
-        topology = Topology(world, clock=clock)
-        topology.add_mobile("rsu", 300.0, StationaryMobility())
-        clock.run_until(5000.0)
-        assert topology.position_of("rsu") == 300.0
+class TestVersionCounters:
+    def _convoy(self, world, topology, speed_mps):
+        clock, bus = SimClock(), EventBus()
+        for index in range(3):
+            topology.track(
+                Vehicle(f"ego-{index}", clock, bus, world,
+                        position_m=100.0 * index, speed_mps=speed_mps)
+            )
+        return clock
 
-    def test_constant_speed_advances_linearly(self, world):
-        clock = SimClock()
-        topology = Topology(world, clock=clock, tick_ms=100.0)
-        topology.add_mobile("car", 0.0, ConstantSpeedMobility(10.0))
-        clock.run_until(1000.0)
-        assert topology.position_of("car") == pytest.approx(10.0)
+    def test_convoy_tick_is_one_position_era(self, world, topology):
+        clock = self._convoy(world, topology, speed_mps=10.0)
+        before = topology.position_version
+        clock.run_until(100.0)
+        assert topology.position_version == before + 1
+        clock.run_until(300.0)
+        assert topology.position_version == before + 3
+        assert topology.position_of("ego-2") == pytest.approx(203.0)
 
-    def test_follow_leader_holds_gap(self, world):
-        clock = SimClock()
-        topology = Topology(world, clock=clock, tick_ms=100.0)
-        topology.add_mobile("lead", 200.0, ConstantSpeedMobility(10.0))
-        topology.add_mobile(
-            "tail", 0.0, FollowLeaderMobility("lead", gap_m=50.0,
-                                              max_speed_mps=30.0)
-        )
-        clock.run_until(20000.0)
-        gap = topology.position_of("lead") - topology.position_of("tail")
-        assert gap == pytest.approx(50.0, abs=3.5)
+    def test_standing_convoy_opens_no_era(self, world, topology):
+        clock = self._convoy(world, topology, speed_mps=0.0)
+        before = topology.position_version
+        clock.run_until(500.0)
+        assert topology.position_version == before
 
-    def test_follower_never_reverses(self, world):
-        clock = SimClock()
-        topology = Topology(world, clock=clock, tick_ms=100.0)
-        topology.add_mobile("lead", 10.0, StationaryMobility())
-        topology.add_mobile(
-            "tail", 40.0, FollowLeaderMobility("lead", gap_m=50.0)
-        )
-        clock.run_until(3000.0)
-        assert topology.position_of("tail") == 40.0
+    def test_setter_write_opens_an_era(self, topology):
+        actor = topology.add_stationary("rsu", 100.0)
+        before = topology.position_version
+        actor.position_m = 150.0
+        assert topology.position_version == before + 1
+        assert topology.position_of("rsu") == 150.0
 
-    def test_mobile_actor_added_mid_run_steps_one_period_later(self, world):
-        clock = SimClock()
-        topology = Topology(world, clock=clock, tick_ms=100.0)
-        clock.run_until(250.0)
-        topology.add_mobile("car", 0.0, ConstantSpeedMobility(10.0))
-        clock.run_until(349.0)
-        assert topology.position_of("car") == 0.0
-        clock.run_until(350.0)
-        assert topology.position_of("car") == pytest.approx(1.0)
-
-    def test_mobile_actor_without_clock_rejected(self, world):
-        topology = Topology(world)  # no clock
-        with pytest.raises(SimulationError, match="no clock"):
-            topology.add_mobile("car", 0.0, ConstantSpeedMobility(5.0))
-
-
-class TestSpatialIndex:
-    def test_within_is_inclusive_and_distance_ordered(self):
-        index = SpatialIndex([(0.0, "a"), (10.0, "b"), (20.0, "c"),
-                              (30.0, "d")])
-        assert index.within(10.0, 10.0) == ("b", "a", "c")
-        assert index.within(10.0, 9.99) == ("b",)
-        assert index.within(100.0, 5.0) == ()
-
-    def test_coincident_actors_order_by_name(self):
-        index = SpatialIndex([(5.0, "z"), (5.0, "a")])
-        assert index.within(5.0, 0.0) == ("a", "z")
-
-    def test_nearest(self):
-        index = SpatialIndex([(0.0, "a"), (10.0, "b"), (20.0, "c")])
-        assert index.nearest(12.0, count=2) == ("b", "c")
-
-    def test_negative_radius_rejected(self):
+    def test_registration_version_counts_adds_and_binds(self, topology):
+        before = topology.registration_version
+        topology.add_stationary("rsu", 100.0)
+        topology.bind("antenna", "rsu")
+        assert topology.registration_version == before + 2
         with pytest.raises(SimulationError):
-            SpatialIndex([]).within(0.0, -1.0)
+            topology.bind("antenna", "rsu")
+        assert topology.registration_version == before + 2
 
-    def test_topology_neighbors(self, topology):
-        topology.add_stationary("a", 0.0, transmit_range_m=15.0)
-        topology.add_stationary("b", 10.0)
-        topology.add_stationary("c", 100.0)
-        assert topology.neighbors("a") == ("b",)
-        assert topology.neighbors("a", range_m=200.0) == ("b", "c")
+    def test_distance_reads_aliases_and_tracked_positions(self, world,
+                                                          topology):
+        clock = self._convoy(world, topology, speed_mps=10.0)
+        topology.bind("OBU-0", "ego-0")
+        topology.add_stationary("rsu", 500.0, transmit_range_m=400.0)
+        assert topology.distance_m("OBU-0", "rsu") == 500.0
+        assert not topology.in_range("rsu", "OBU-0")
+        clock.run_until(10000.0)  # 10 s at 10 m/s: 100 m further on
+        assert topology.distance_m("OBU-0", "rsu") == pytest.approx(400.0)
+        assert topology.in_range("rsu", "OBU-0")
 
 
 class TestRangePropagation:
-    def _channel(self, topology, latency_ms=0.0):
-        clock = topology._clock
-        return (
-            clock,
-            Channel(
-                "radio",
-                clock,
-                EventBus(),
-                latency_ms=latency_ms,
-                propagation=RangePropagation(topology),
-            ),
+    def _channel(self, clock, topology):
+        return Channel(
+            "radio", clock, EventBus(), propagation=RangePropagation(topology)
         )
 
-    def test_delivery_gated_by_sender_range(self, topology):
+    def test_delivery_gated_by_sender_range(self, clock, topology):
         topology.add_stationary("tx", 0.0, transmit_range_m=100.0)
         near, far = Sink("near"), Sink("far")
         topology.add_stationary("near", 100.0)  # boundary: inclusive
         topology.add_stationary("far", 100.5)
-        clock, channel = self._channel(topology)
+        channel = self._channel(clock, topology)
         channel.attach(near)
         channel.attach(far)
         channel.send(Message(kind="k", sender="tx", payload={}))
@@ -240,29 +211,33 @@ class TestRangePropagation:
         assert len(far.messages) == 0
         assert channel.stats["out_of_range"] == 1
 
-    def test_unknown_sender_broadcasts_globally(self, topology):
+    def test_unknown_sender_broadcasts_globally(self, clock, topology):
         topology.add_stationary("rx", 900.0)
         sink = Sink("rx")
-        clock, channel = self._channel(topology)
+        channel = self._channel(clock, topology)
         channel.attach(sink)
         channel.send(Message(kind="k", sender="ghost", payload={}))
         clock.run()
         assert len(sink.messages) == 1
 
-    def test_unplaced_receiver_hears_everything(self, topology):
+    def test_unplaced_receiver_hears_everything(self, clock, topology):
         topology.add_stationary("tx", 0.0, transmit_range_m=10.0)
         observer = Sink("observer")  # never placed in the topology
-        clock, channel = self._channel(topology)
+        channel = self._channel(clock, topology)
         channel.attach(observer)
         channel.send(Message(kind="k", sender="tx", payload={}))
         clock.run()
         assert len(observer.messages) == 1
 
     def test_membership_evaluated_at_delivery_time(self, world):
-        clock = SimClock()
-        topology = Topology(world, clock=clock, tick_ms=100.0)
+        clock, bus = SimClock(), EventBus()
+        topology = Topology(world)
         topology.add_stationary("tx", 0.0, transmit_range_m=50.0)
-        topology.add_mobile("rx", 40.0, ConstantSpeedMobility(100.0))
+        # The receiver moves on its own cohort tick.
+        topology.track(
+            Vehicle("rx", clock, bus, world, position_m=40.0,
+                    speed_mps=100.0)
+        )
         sink = Sink("rx")
         channel = Channel(
             "radio", clock, EventBus(), latency_ms=500.0,
@@ -271,6 +246,7 @@ class TestRangePropagation:
         channel.attach(sink)
         # In range at send time (40 m), out of range at delivery time
         # (40 + 0.1 s ticks * 100 m/s => 90 m by t=500 ms > 50 m range).
+        assert topology.in_range("tx", "rx")
         channel.send(Message(kind="k", sender="tx", payload={}))
         clock.run_until(1000.0)
         assert sink.messages == []
@@ -281,7 +257,7 @@ class TestRangePropagation:
         boundary, and the next query sees the new position."""
         clock, bus = SimClock(), EventBus()
         world.add_zone("site", 41.0, 50.0)
-        topology = Topology(world, clock=clock)
+        topology = Topology(world)
         topology.add_stationary("rsu", 0.0, transmit_range_m=100.0)
         lead = Vehicle("lead", clock, bus, world, position_m=40.0,
                        speed_mps=20.0)
@@ -306,21 +282,80 @@ class TestRangePropagation:
         assert during == [["lead", "tail"]]
         assert reached() == ["lead"]
 
-    def test_known_actor_without_range_transmits_unlimited(self, topology):
+    def test_same_era_replays_the_cached_set(self, topology):
+        topology.add_stationary("tx", 0.0, transmit_range_m=100.0)
+        topology.add_stationary("rx", 50.0)
+        propagation = RangePropagation(topology)
+        receivers = [Sink("rx")]
+        message = Message(kind="k", sender="tx", payload={})
+        first = propagation.receivers(message, receivers)
+        assert [r.name for r in first] == ["rx"]
+        assert propagation.receivers(message, receivers) is first
+
+    def test_range_change_resolves_afresh(self, topology):
+        tx = topology.add_stationary("tx", 0.0, transmit_range_m=100.0)
+        topology.add_stationary("rx", 50.0)
+        propagation = RangePropagation(topology)
+        receivers = [Sink("rx")]
+        message = Message(kind="k", sender="tx", payload={})
+        assert len(propagation.receivers(message, receivers)) == 1
+        tx.transmit_range_m = 10.0
+        assert propagation.receivers(message, receivers) == []
+
+    def test_late_registration_places_an_observer(self, topology):
+        """An attached receiver unknown to the topology hears everything
+        until it is placed; placing it re-resolves the channel view."""
+        topology.add_stationary("tx", 0.0, transmit_range_m=100.0)
+        propagation = RangePropagation(topology)
+        receivers = [Sink("late")]
+        message = Message(kind="k", sender="tx", payload={})
+        assert len(propagation.receivers(message, receivers)) == 1
+        topology.add_stationary("late", 900.0)
+        assert propagation.receivers(message, receivers) == []
+
+    def test_alias_sender_gates_with_its_carrier_range(self, world, topology):
+        clock, bus = SimClock(), EventBus()
+        topology.track(
+            Vehicle("ego-1", clock, bus, world, position_m=0.0),
+            transmit_range_m=100.0,
+        )
+        topology.bind("relay-1", "ego-1")
+        topology.add_stationary("near", 100.0)
+        topology.add_stationary("far", 101.0)
+        propagation = RangePropagation(topology)
+        receivers = [Sink("near"), Sink("far")]
+        message = Message(kind="k", sender="relay-1", payload={})
+        assert [r.name for r in propagation.receivers(message, receivers)] == [
+            "near"
+        ]
+
+    def test_setter_move_of_a_tracked_vehicle_drops_the_memo(self, world,
+                                                             topology):
+        clock, bus = SimClock(), EventBus()
+        topology.add_stationary("rsu", 0.0, transmit_range_m=100.0)
+        vehicle = Vehicle("ego", clock, bus, world, position_m=50.0)
+        topology.track(vehicle)
+        propagation = RangePropagation(topology)
+        receivers = [Sink("ego")]
+        message = Message(kind="k", sender="rsu", payload={})
+        assert len(propagation.receivers(message, receivers)) == 1
+        vehicle.position_m = 500.0
+        assert propagation.receivers(message, receivers) == []
+
+    def test_known_actor_without_range_transmits_unlimited(self, clock, topology):
         # Consistent with Topology.in_range: None means unlimited, even
         # for actors the topology knows.
         topology.add_stationary("tx", 0.0, transmit_range_m=None)
         sink = Sink("rx")
         topology.add_stationary("rx", 999.0)
-        clock, channel = self._channel(topology)
+        channel = self._channel(clock, topology)
         channel.attach(sink)
         channel.send(Message(kind="k", sender="tx", payload={}))
         clock.run()
         assert len(sink.messages) == 1
         assert topology.in_range("tx", "rx")
 
-    def test_infinite_range_model_delivers_to_all(self, topology):
-        clock = topology._clock
+    def test_infinite_range_model_delivers_to_all(self, clock):
         channel = Channel(
             "radio", clock, EventBus(), propagation=InfiniteRange()
         )

@@ -42,8 +42,9 @@ class TestWorld:
 
     def test_clamp(self):
         world = World(road_length_m=100.0)
-        assert world.clamp(-5.0) == 0.0
-        assert world.clamp(105.0) == 100.0
+        assert world.clamp_value(-5.0) == (0.0, True)
+        assert world.clamp_value(105.0) == (100.0, True)
+        assert world.clamp_value(50.0) == (50.0, False)
 
     def test_zones_at(self):
         world = World()
