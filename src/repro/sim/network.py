@@ -384,6 +384,10 @@ class PropagationModel(Protocol):
         never filter it in place.
         """
 
+    def release(self, receivers: list[Receiver]) -> None:
+        """The channel replaced ``receivers`` and never passes it again:
+        drop anything cached for it."""
+
 
 class InfiniteRange:
     """The legacy propagation: every attached receiver hears every
@@ -398,6 +402,9 @@ class InfiniteRange:
         # treats the result as read-only, and copying the attach list on
         # every delivery was measurable fleet-campaign overhead.
         return receivers
+
+    def release(self, receivers: list[Receiver]) -> None:
+        pass
 
 
 class Channel:
@@ -486,7 +493,7 @@ class Channel:
         self._receivers.append(receiver)
         if kinds is not None:
             self._kind_limits[receiver] = frozenset(kinds)
-        self._kind_views.clear()
+        self._drop_kind_views()
 
     def detach(self, receiver: Receiver) -> None:
         """Remove a receiver from delivery (idempotent).
@@ -504,8 +511,16 @@ class Channel:
             receivers.remove(receiver)
         except ValueError:
             return
+        self.propagation.release(self._receivers)
         self._receivers = receivers
         self._kind_limits.pop(receiver, None)
+        self._drop_kind_views()
+
+    def _drop_kind_views(self) -> None:
+        """Forget the per-kind lists; the propagation model forgets them
+        too, so it holds no view of a list that is gone."""
+        for view in self._kind_views.values():
+            self.propagation.release(view)
         self._kind_views.clear()
 
     def tap(self, listener: Callable[[Message], None]) -> None:

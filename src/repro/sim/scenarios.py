@@ -326,7 +326,8 @@ class FleetConstructionSiteScenario(KernelScenario):
     and per-vehicle ids (``SG01:ego-2``) carry the verdict-per-vehicle
     story through the standard result path.  SG01 is one multi-goal
     check over the construction zone's occupants (kept by the world),
-    so a sweep costs the zone's occupancy, not the fleet's size.
+    and SG03/SG05 read offender sets kept by events, so a sweep costs
+    the zone's occupancy and the offenders, not the fleet's size.
     """
 
     ALL_CONTROLS = UC1_ALL_CONTROLS
@@ -489,24 +490,67 @@ class FleetConstructionSiteScenario(KernelScenario):
                     violations.append((goal_ids[index], detail))
             return violations
 
+        # SG03 and SG05 keep their offenders' convoy ranks, updated on
+        # the events that change what they read: a target speed is
+        # written only by set_target_speed and safe_stop, a warning
+        # count only grows when a warning is shown.  A sweep then reads
+        # the lowest-ranked offender live -- the one a scan in convoy
+        # order would report -- at no cost per convoy member.
+        limit = self.LEGAL_MAX_SPEED_MPS
+        obus = self.obus
+        vehicle_rank = {
+            vehicle.name: index for index, vehicle in enumerate(vehicles)
+        }
+        obu_rank = {obu.name: index for index, obu in enumerate(obus)}
+        speeders = {
+            index
+            for index, vehicle in enumerate(vehicles)
+            if vehicle.target_speed_mps > limit
+        }
+        flooded = {
+            index
+            for index, obu in enumerate(obus)
+            if obu.warnings_shown > self.max_warnings
+        }
+
+        def on_target_change(event) -> None:
+            index = vehicle_rank.get(event.source)
+            if index is None:
+                return
+            if vehicles[index].target_speed_mps > limit:
+                speeders.add(index)
+            else:
+                speeders.discard(index)
+
+        def on_warning_shown(event) -> None:
+            index = obu_rank.get(event.source)
+            if (
+                index is not None
+                and obus[index].warnings_shown > self.max_warnings
+            ):
+                flooded.add(index)
+
         def sg03_implausible_speed_target() -> str | None:
-            for vehicle in self.vehicles:
-                if vehicle.target_speed_mps > self.LEGAL_MAX_SPEED_MPS:
-                    return (
-                        f"{vehicle.name} automation targets implausible "
-                        f"speed {vehicle.target_speed_mps:.1f} m/s"
-                    )
-            return None
+            if not speeders:
+                return None
+            vehicle = vehicles[min(speeders)]
+            return (
+                f"{vehicle.name} automation targets implausible "
+                f"speed {vehicle.target_speed_mps:.1f} m/s"
+            )
 
         def sg05_warning_flood() -> str | None:
-            for obu in self.obus:
-                if obu.warnings_shown > self.max_warnings:
-                    return (
-                        f"{obu.name}: {obu.warnings_shown} hazard warnings "
-                        f"shown (limit {self.max_warnings})"
-                    )
-            return None
+            if not flooded:
+                return None
+            obu = obus[min(flooded)]
+            return (
+                f"{obu.name}: {obu.warnings_shown} hazard warnings "
+                f"shown (limit {self.max_warnings})"
+            )
 
+        self.bus.subscribe("vehicle.target_speed", on_target_change)
+        self.bus.subscribe("vehicle.safe_stop", on_target_change)
+        self.bus.subscribe("obu.hazard_warning_shown", on_warning_shown)
         self.monitor.add_invariant(
             ("SG01", *goal_ids), sg01_zone_without_driver
         )

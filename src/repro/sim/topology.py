@@ -24,19 +24,25 @@ depends on distance:
 Version counters drive cache invalidation: ``position_version`` bumps
 whenever any position may have changed (a setter write, a tracked
 vehicle reporting motion), ``registration_version`` whenever the actor
-set or alias table changes.  :class:`RangePropagation` keys its
-per-sender delivery sets on them, so a flood of messages inside one
-clock timestamp resolves its receiver set once and replays it from
-cache -- and resolves afresh the moment a position changes.
+set or alias table changes.  Per position era the topology sorts its
+positions once into a column that every sender and channel shares;
+:class:`RangePropagation` answers a delivery with a range query over
+that column and keys its per-sender delivery sets on the versions, so
+a flood of messages inside one clock timestamp resolves its receiver
+set once and replays it from cache -- and resolves afresh the moment a
+position changes.
 
-Placement is validated: negative positions are rejected with
-:class:`~repro.errors.SimulationError` (the silent clamp-to-zero of the
-seed hid mis-specified scenarios), as are placements beyond the road
-end.
+Placement is validated: negative, NaN and beyond-the-road-end positions
+are rejected with :class:`~repro.errors.SimulationError` (the silent
+clamp-to-zero of the seed hid mis-specified scenarios), at placement
+and on every write to a stationary actor's position.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice
+from operator import le
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -59,6 +65,14 @@ __all__ = [
     "Topology",
     "numpy_enabled",
 ]
+
+#: Attach lists with at least this many receivers answer a delivery
+#: with a range query over the sorted position column; shorter ones scan
+#: their receivers.  Chosen by measurement: over the fleet baseline/jam
+#: pair the scan is as fast up to about 56 receivers and slower from 64
+#: on (time in ``_ChannelView.reached`` per pair, scan vs column: 2.2 vs
+#: 3.1 ms at 16 receivers, 9.9 vs 6.5 ms at 128).
+COLUMN_MIN_RECEIVERS = 64
 
 
 class Actor:
@@ -86,7 +100,7 @@ class Actor:
                 f"actor {name!r}: negative placement ({position_m} m) "
                 "rejected; actors start on the road"
             )
-        if transmit_range_m is not None and transmit_range_m < 0:
+        if transmit_range_m is not None and not transmit_range_m >= 0:
             raise SimulationError(
                 f"actor {name!r}: transmit range must be >= 0"
             )
@@ -114,9 +128,14 @@ class Actor:
                 f"actor {self.name!r} is tracked; move the tracked "
                 "component instead"
             )
-        self._position_m = value
-        if self._owner is not None:
-            self._owner._record_motion(self)
+        owner = self._owner
+        if owner is None:
+            self._position_m = value  # validated by Topology.add
+        else:
+            # Validated like a placement: an off-road or NaN position
+            # would also break the sorted position column.
+            self._position_m = owner._place(self.name, value)
+            owner._record_motion(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -156,6 +175,14 @@ class Topology:
         self._positions_reg = -1
         self._positions_pos = -1
         self._tracked_entries: list[tuple[int, Actor]] = []
+        # The positions in ascending order and the slot of each, built
+        # on the first range query of a position era and shared by
+        # every sender and channel view; plus the versions it was
+        # built at.
+        self._column: list[float] = []
+        self._column_slots: list[int] = []
+        self._column_reg = -1
+        self._column_pos = -1
 
     # -- registration -------------------------------------------------------
 
@@ -163,10 +190,7 @@ class Topology:
         """Register an actor; duplicate names fail loudly."""
         if self._resolve(actor.name) is not None:
             raise SimulationError(f"actor {actor.name!r} already registered")
-        try:
-            self.world.place(actor.position_m)
-        except SimulationError as exc:
-            raise SimulationError(f"actor {actor.name!r}: {exc}") from None
+        self._place(actor.name, actor.position_m)
         actor._owner = self
         actor._slot = len(self._slot_actors)
         self._actors[actor.name] = actor
@@ -249,6 +273,13 @@ class Topology:
         self._aliases[alias] = actor.name
         self.registration_version += 1
 
+    def _place(self, name: str, position_m: float) -> float:
+        """``position_m``, validated as a placement on this road."""
+        try:
+            return self.world.place(position_m)
+        except SimulationError as exc:
+            raise SimulationError(f"actor {name!r}: {exc}") from None
+
     # -- version bookkeeping ------------------------------------------------
 
     def _record_motion(self, actor: Actor) -> None:
@@ -282,6 +313,34 @@ class Topology:
                 positions[slot] = actor.tracker()
             self._positions_pos = self.position_version
         return self._positions
+
+    def _sorted_column(self) -> tuple[list[float], list[int]]:
+        """The positions in ascending order and their slots, built once
+        per position era.
+
+        Vehicles can overtake, so the previous era's slot order is only
+        a guess: it is kept when it still sorts the new positions (a
+        convoy's usual case, checked at C speed) and re-sorted
+        otherwise (a nearly sorted order sorts in about linear time).
+        Ties keep no particular order; queries never depend on it.
+        """
+        if (
+            self._column_pos == self.position_version
+            and self._column_reg == self.registration_version
+        ):
+            return self._column, self._column_slots
+        positions = self._sync_positions()
+        slots = self._column_slots
+        if self._column_reg != self.registration_version:
+            slots = self._column_slots = list(range(len(positions)))
+        column = list(map(positions.__getitem__, slots))
+        if not all(map(le, column, islice(column, 1, None))):
+            slots.sort(key=positions.__getitem__)
+            column = list(map(positions.__getitem__, slots))
+        self._column = column
+        self._column_reg = self.registration_version
+        self._column_pos = self.position_version
+        return column, slots
 
     # -- lookup -------------------------------------------------------------
 
@@ -333,6 +392,12 @@ class _ChannelView:
     timestamp -- is a dict hit.  Invalidated by re-resolution when the
     attach list grows or the actor/alias tables change; a detach hands
     the propagation model a new list object, which never matches.
+
+    A list of at least :data:`COLUMN_MIN_RECEIVERS` receivers answers a
+    miss with a range query over the topology's sorted position column:
+    it maps each actor slot to the indices of the receivers riding that
+    actor and keeps the indices of the unplaced observers.  A shorter
+    list scans its receivers, which is cheaper than the query there.
     """
 
     __slots__ = (
@@ -341,6 +406,8 @@ class _ChannelView:
         "length",
         "reg_version",
         "slots",
+        "by_slot",
+        "unplaced",
         "_memo",
     )
 
@@ -354,6 +421,21 @@ class _ChannelView:
         for receiver in receivers:
             actor = topology._resolve(receiver.name)
             self.slots.append(None if actor is None else actor._slot)
+        # For the column query: per actor slot the indices of its
+        # receivers (several can ride one actor), and the unplaced
+        # observers' indices.
+        self.by_slot: list[tuple[int, ...]] | None = None
+        self.unplaced: list[int] = []
+        if self.length >= COLUMN_MIN_RECEIVERS:
+            by_slot: list[tuple[int, ...]] = [()] * len(
+                topology._slot_actors
+            )
+            for index, slot in enumerate(self.slots):
+                if slot is None:
+                    self.unplaced.append(index)
+                else:
+                    by_slot[slot] += (index,)
+            self.by_slot = by_slot
         self._memo: dict[str, tuple] = {}
 
     def current(self) -> bool:
@@ -364,7 +446,8 @@ class _ChannelView:
         )
 
     def reached(self, sender: Actor, range_m: float) -> list[Receiver]:
-        """The receivers ``sender`` reaches, memoised per position era."""
+        """The receivers ``sender`` reaches, memoised per position era,
+        in attach order."""
         topology = self.topology
         memo = self._memo.get(sender.name)
         if (
@@ -374,19 +457,56 @@ class _ChannelView:
         ):
             return memo[2]
         sender_pos = sender.position_m
-        positions = topology._sync_positions()
-        # Unplaced observers (slot None) hear everything.
-        selected = [
-            receiver
-            for receiver, slot in zip(self.receivers, self.slots)
-            if slot is None or abs(positions[slot] - sender_pos) <= range_m
-        ]
+        if self.by_slot is None:
+            positions = topology._sync_positions()
+            # Unplaced observers (slot None) hear everything.
+            selected = [
+                receiver
+                for receiver, slot in zip(self.receivers, self.slots)
+                if slot is None
+                or abs(positions[slot] - sender_pos) <= range_m
+            ]
+        else:
+            column, order = topology._sorted_column()
+            lo, hi = _in_range_run(column, sender_pos, range_m)
+            indices = self.unplaced + list(
+                chain.from_iterable(map(self.by_slot.__getitem__, order[lo:hi]))
+            )
+            indices.sort()
+            selected = list(map(self.receivers.__getitem__, indices))
         self._memo[sender.name] = (
             topology.position_version,
             range_m,
             selected,
         )
         return selected
+
+
+def _in_range_run(
+    column: list[float], sender_pos: float, range_m: float
+) -> tuple[int, int]:
+    """The run ``[lo, hi)`` of the ascending ``column`` whose positions
+    ``p`` satisfy ``abs(p - sender_pos) <= range_m``.
+
+    ``fl(p - s)`` is monotone in ``p``, so ``-r <= fl(p - s)`` holds on a
+    suffix of the column and ``fl(p - s) <= r`` on a prefix: the
+    members are one run.  ``s - r`` and ``s + r`` round, so bisecting on
+    them only guesses its ends; each end then walks to where its own
+    exact predicate flips (rarely a step).  Membership is never decided
+    by ``s - r <= p <= s + r``, which can disagree at the boundary.
+    """
+    end = len(column)
+    lo = bisect_left(column, sender_pos - range_m)
+    while lo > 0 and column[lo - 1] - sender_pos >= -range_m:
+        lo -= 1
+    while lo < end and column[lo] - sender_pos < -range_m:
+        lo += 1
+    hi = bisect_right(column, sender_pos + range_m, lo)
+    while hi > lo and column[hi - 1] - sender_pos > range_m:
+        hi -= 1
+    while hi < end and column[hi] - sender_pos <= range_m:
+        hi += 1
+    return lo, hi
 
 
 class RangePropagation:
@@ -404,11 +524,16 @@ class RangePropagation:
 
     Delivery sets resolve in batch: the attach list is resolved to
     actor slots once (per registration era), and each sender's reached
-    list is computed by one pass over the topology's position mirror,
-    then memoised on ``Topology.position_version`` -- senders firing
+    list is one range query over the topology's sorted position column
+    -- O(log n + k) for k receivers in reach, the column sorted once
+    per position era for every sender and channel -- returned in attach
+    order and memoised on ``Topology.position_version``: senders firing
     repeatedly within one clock timestamp replay the cached set.  The
     moment any position changes the set is resolved afresh, so
-    membership always reflects positions at delivery time.
+    membership always reflects positions at delivery time.  (Short
+    attach lists scan their receivers instead; the answer is the same.)
+    The channel hands every attach list it replaces to
+    :meth:`release`, so the model holds views of lists in use only.
 
     Note the model's shared-band semantics: range gating filters who
     *decodes* a transmission, never who *transmits* -- every send still
@@ -444,3 +569,9 @@ class RangePropagation:
             view = _ChannelView(topology, receivers)
             self._views[key] = view
         return view.reached(sender, range_m)
+
+    def release(self, receivers: list[Receiver]) -> None:
+        """Drop the view of an attach list the channel no longer uses."""
+        view = self._views.get(id(receivers))
+        if view is not None and view.receivers is receivers:
+            del self._views[id(receivers)]

@@ -183,6 +183,11 @@ class Vehicle:
     it every ``tick_ms`` (``MAX_DECEL_MPS2``/``MAX_ACCEL_MPS2`` bound
     how fast it approaches ``target_speed_mps``).
 
+    ``target_speed_mps`` is written only through :meth:`set_target_speed`
+    and :meth:`safe_stop`, which publish ``vehicle.target_speed`` and
+    ``vehicle.safe_stop``: goal checks keep their offenders on those
+    events instead of reading every vehicle per sweep.
+
     Attributes:
         name: Vehicle identity ("ego").
         position_m: Current position along the road.
@@ -301,6 +306,10 @@ class Vehicle:
 
     @position_m.setter
     def position_m(self, value: float) -> None:
+        # Validated like a placement: only motion saturates at the road
+        # ends, and an off-road or NaN position would also break a
+        # tracking topology's sorted position column.
+        value = self._world.place(value)
         previous = self._position_m
         self._position_m = value
         if value != previous:

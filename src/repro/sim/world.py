@@ -156,13 +156,16 @@ class World:
         return position, False
 
     def place(self, position: float) -> float:
-        """Validate an *initial* placement; saturation is not allowed.
+        """Validate a placement (a start position or a direct position
+        write); saturation is not allowed.
 
         Raises:
-            SimulationError: when the position is negative or beyond the
-                road end -- placements must start on the road, only
-                *motion* may saturate at the ends.
+            SimulationError: when the position is negative, beyond the
+                road end or NaN -- placements must start on the road,
+                only *motion* may saturate at the ends.
         """
+        if position != position:
+            raise SimulationError("placement is NaN, not a road position")
         if position < 0:
             raise SimulationError(
                 f"negative placement ({position} m) rejected; the road "

@@ -11,6 +11,7 @@ from repro.sim.clock import SimClock
 from repro.sim.events import EventBus, TopicProbe
 from repro.sim.network import Channel, Message
 from repro.sim.scenarios import FleetConstructionSiteScenario
+from repro.sim.v2x import KIND_HAZARD_WARNING
 from repro.sim.vehicle import AUTOMATED_MODES, DrivingMode, Vehicle
 from repro.sim.world import World
 from repro.threatlib.builder import ThreatLibraryBuilder
@@ -348,9 +349,11 @@ class TestCohortKinematicsProperty:
             assert entries == expected_entries
 
 
-class _PerVehicleSG01Fleet(FleetConstructionSiteScenario):
+class _SweptFleet(FleetConstructionSiteScenario):
     """The fleet scenario with SG01 checked per convoy member, as before
-    the zone gate: the oracle for the one gated check."""
+    the zone gate, and SG03/SG05 sweeping every vehicle and OBU, as
+    before their offenders were kept by events: the oracle for the one
+    gated check and for the event-kept checks."""
 
     def _install_goal_checks(self):
         zone = self.world.zone(self.ZONE_NAME)
@@ -424,8 +427,15 @@ def _convoy_cases(draw):
     return params, switches, duration
 
 
-def _switch(vehicle, action, position):
-    if action == "handover":
+def _switch(scenario, index, action, value):
+    vehicle = scenario.vehicles[index]
+    if action == "target":
+        vehicle.set_target_speed(value)
+    elif action == "warn":
+        scenario.obus[index].handle(Message(
+            kind=KIND_HAZARD_WARNING, sender="test", payload={"text": "!"}
+        ))
+    elif action == "handover":
         vehicle.request_handover("test")
     elif action == "manual":
         vehicle.driver_takes_over()
@@ -434,17 +444,16 @@ def _switch(vehicle, action, position):
     elif action == "safe_stop":
         vehicle.safe_stop("test")
     else:
-        vehicle.position_m = position
+        vehicle.position_m = value
 
 
 def _sg_violations(scenario_class, case):
     params, switches, duration = case
     scenario = scenario_class(**params)
-    for time, index, action, position in switches:
-        vehicle = scenario.vehicles[index]
+    for time, index, action, value in switches:
         scenario.clock.schedule_at(
             time,
-            lambda v=vehicle, a=action, p=position: _switch(v, a, p),
+            lambda i=index, a=action, v=value: _switch(scenario, i, a, v),
         )
     scenario.clock.run_until(duration)
     return [
@@ -472,7 +481,73 @@ class TestZoneGatedSG01Property:
         (time, goal id, detail, order) one check per convoy member
         recorded."""
         gated = _sg_violations(FleetConstructionSiteScenario, case)
-        assert gated == _sg_violations(_PerVehicleSG01Fleet, case)
+        assert gated == _sg_violations(_SweptFleet, case)
+
+
+_OFFENDER_SWITCHES = ("target", "safe_stop", "warn", "handover")
+
+
+@st.composite
+def _offender_cases(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    params = dict(
+        fleet_size=size,
+        headway_m=draw(st.floats(min_value=1.0, max_value=150.0)),
+        # Above 40 m/s the initial target speed already violates SG03.
+        vehicle_speed_mps=draw(st.floats(min_value=0.0, max_value=60.0)),
+        max_warnings=draw(st.integers(min_value=0, max_value=3)),
+    )
+    switches = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1000.0),  # time (ms)
+            st.integers(min_value=0, max_value=size - 1),  # vehicle/OBU
+            st.sampled_from(_OFFENDER_SWITCHES),
+            st.floats(min_value=0.0, max_value=80.0),  # "target" speed
+        ),
+        max_size=12,
+    ))
+    duration = draw(st.floats(min_value=100.0, max_value=1000.0))
+    return params, switches, duration
+
+
+class TestEventKeptOffendersProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_offender_cases())
+    # Pinned: ego-1's target rises above 40 m/s and falls back between
+    # the sweeps at 100 and 150 ms (nothing recorded), then rises again
+    # and stays (recorded at 250 ms).
+    @example((
+        dict(fleet_size=2, headway_m=40.0, vehicle_speed_mps=25.0,
+             max_warnings=5),
+        [(110.0, 0, "target", 45.0), (120.0, 0, "target", 20.0),
+         (230.0, 0, "target", 50.0)],
+        400.0,
+    ))
+    # Pinned: every vehicle starts above 40 m/s; ego-1 stops safely
+    # before the first sweep, so SG03 names ego-2.
+    @example((
+        dict(fleet_size=3, headway_m=40.0, vehicle_speed_mps=50.0,
+             max_warnings=5),
+        [(10.0, 0, "safe_stop", 0.0)],
+        200.0,
+    ))
+    # Pinned: OBU-3 passes max_warnings first and OBU-2 after it, both
+    # before the first sweep: SG05 names the lower-ranked OBU-2, with
+    # the count it has at the sweep (3).
+    @example((
+        dict(fleet_size=3, headway_m=40.0, vehicle_speed_mps=25.0,
+             max_warnings=1),
+        [(10.0, 2, "warn", 0.0), (20.0, 2, "warn", 0.0),
+         (30.0, 1, "warn", 0.0), (40.0, 1, "warn", 0.0),
+         (45.0, 1, "warn", 0.0)],
+        200.0,
+    ))
+    def test_event_kept_checks_record_like_the_sweeps(self, case):
+        """SG03 and SG05 kept by events record the violations (time,
+        goal id, detail) the sweeps over every vehicle and OBU
+        recorded."""
+        kept = _sg_violations(FleetConstructionSiteScenario, case)
+        assert kept == _sg_violations(_SweptFleet, case)
 
 
 class TestBuilderIdProperty:

@@ -11,11 +11,19 @@ Three contracts the fleet scenario families lean on:
   variants the two spellings produce identical verdicts;
 * **batched propagation** -- the memoised per-sender delivery set
   matches a per-delivery membership check, receiver for receiver, in
-  attach order, and follows motion between deliveries.
+  attach order, and follows motion between deliveries;
+* **range query == per-receiver scan** -- the query over the sorted
+  position column and the short-list scan both answer what
+  ``abs(p - s) <= r`` per receiver answers, at the floating-point edge
+  of the range too.
 """
 
+import math
+import sys
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.campaign import execute_variant
@@ -23,6 +31,7 @@ from repro.engine.registry import default_registry
 from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
 from repro.sim.network import Channel, InfiniteRange, Message
+from repro.sim import topology as topology_module
 from repro.sim.topology import RangePropagation, Topology
 from repro.sim.vehicle import Vehicle
 from repro.sim.world import World
@@ -236,6 +245,163 @@ class TestBatchedPropagationParity:
         topology.actor("tx").position_m = 1.0
         send()
         assert heard == {"near": 1, "far": 0}
+
+
+def _on_both_paths(check) -> None:
+    """Run ``check`` with the column query gating every attach list,
+    then with the scan gating every attach list."""
+    for threshold in (0, sys.maxsize):
+        with mock.patch.object(
+            topology_module, "COLUMN_MIN_RECEIVERS", threshold
+        ):
+            check()
+
+
+def _edges(sender_pos: float, range_m: float) -> list[float]:
+    """``s - r`` and ``s + r`` as rounded, and one ULP either side."""
+    edges = []
+    for edge in (sender_pos - range_m, sender_pos + range_m):
+        edges += [
+            math.nextafter(edge, -math.inf),
+            edge,
+            math.nextafter(edge, math.inf),
+        ]
+    return [edge for edge in edges if 0.0 <= edge <= 1000.0]
+
+
+@st.composite
+def _range_cases(draw):
+    sender_pos = draw(positions)
+    range_m = draw(ranges)
+    # Positions come from a small pool, so they repeat, and the pool
+    # holds the range's edges and their neighbouring floats.
+    pool = draw(st.lists(positions, min_size=1, max_size=5))
+    pool += _edges(sender_pos, range_m) + [sender_pos]
+    actors = draw(st.integers(min_value=1, max_value=12))
+    eras = draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=actors, max_size=actors),
+        min_size=2,
+        max_size=3,
+    ))
+    # Per receiver: the actor it rides (several may share one; "tx" is
+    # the sender's own) or None for an unplaced observer.
+    riders = draw(st.lists(
+        st.one_of(
+            st.none(),
+            st.just("tx"),
+            st.integers(min_value=0, max_value=actors - 1),
+        ),
+        min_size=1,
+        max_size=40,
+    ))
+    attach_order = draw(st.permutations(range(len(riders))))
+    return sender_pos, range_m, eras, riders, attach_order
+
+
+class TestRangeQueryOracle:
+    """The delivery set equals ``abs(p - s) <= r`` per receiver, in
+    attach order, on the column query and on the scan alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_range_cases())
+    # Pinned: a position where bisecting on the rounded s - r or s + r
+    # lands one past the run's edge, on each of the four sides (the
+    # exact predicate disagrees with the rounded bound at p).
+    @example((760.962445, 651.59, [[109.37244499999996, 5.0]] * 2,
+              [0, 1, None], [2, 1, 0]))
+    @example((837.6, 185.906, [[651.694, 837.6], [837.6, 651.694]],
+              [0, 1, None], [2, 1, 0]))
+    @example((452.999, 249.6, [[702.599, 452.999], [452.999, 702.599]],
+              [0, 1, None], [2, 1, 0]))
+    @example((160.07, 793.7, [[953.7700000000001, 160.07]] * 2,
+              [0, 1, None], [2, 1, 0]))
+    def test_query_matches_per_receiver_scan(self, case):
+        sender_pos, range_m, eras, riders, attach_order = case
+
+        def check():
+            topology = Topology(World(1000.0))
+            topology.add_stationary(
+                "tx", sender_pos, transmit_range_m=range_m
+            )
+            actors = [
+                topology.add_stationary(f"car-{index:02d}", position)
+                for index, position in enumerate(eras[0])
+            ]
+            ears = []
+            for index, rider in enumerate(riders):
+                name = f"rx-{index:02d}"
+                if rider is not None:
+                    topology.bind(
+                        name, "tx" if rider == "tx" else actors[rider].name
+                    )
+                ears.append(_Ear(name))
+            attached = [ears[index] for index in attach_order]
+            propagation = RangePropagation(topology)
+            message = Message(kind="k", sender="tx", payload={})
+
+            for era in eras:
+                # Setter writes: every era can reorder the column.
+                for actor, position in zip(actors, era):
+                    actor.position_m = position
+                expected = [
+                    ear
+                    for ear in attached
+                    if not topology.knows(ear.name)
+                    or abs(topology.position_of(ear.name) - sender_pos)
+                    <= range_m
+                ]
+                assert propagation.receivers(message, attached) == expected
+                assert propagation.receivers(message, attached) == expected
+
+        _on_both_paths(check)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(positions, st.floats(min_value=0.0, max_value=60.0)),
+            min_size=2,
+            max_size=12,
+        ),
+        positions,
+        ranges,
+        st.integers(min_value=1, max_value=30),
+    )
+    def test_query_follows_an_overtaking_convoy(
+        self, convoy, rsu_pos, range_m, ticks
+    ):
+        """Vehicles at different speeds overtake each other on their
+        cohort tick; after every tick both paths answer the per-vehicle
+        check, for an RSU and for a vehicle sender."""
+
+        def check():
+            clock, bus = SimClock(), EventBus()
+            world = World(1000.0)
+            topology = Topology(world)
+            vehicles = [
+                Vehicle(f"ego-{index}", clock, bus, world,
+                        position_m=position, speed_mps=speed)
+                for index, (position, speed) in enumerate(convoy)
+            ]
+            for vehicle in vehicles:
+                topology.track(vehicle, transmit_range_m=range_m)
+            topology.add_stationary("rsu", rsu_pos, transmit_range_m=range_m)
+            attached = [_Ear(vehicle.name) for vehicle in vehicles]
+            propagation = RangePropagation(topology)
+            for tick in range(ticks + 1):
+                clock.run_until(tick * 100.0)
+                for sender in ("rsu", vehicles[-1].name):
+                    origin = topology.position_of(sender)
+                    expected = [
+                        ear
+                        for ear, vehicle in zip(attached, vehicles)
+                        if abs(vehicle.position_m - origin) <= range_m
+                    ]
+                    message = Message(kind="k", sender=sender, payload={})
+                    assert (
+                        propagation.receivers(message, attached) == expected
+                    )
+
+        _on_both_paths(check)
 
 
 class TestInfiniteRangeEquivalence:

@@ -103,6 +103,27 @@ class TestActorPlacement:
             topology.track(vehicle)
         assert vehicle._motion_listeners == {}
 
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            (-50.0, "negative placement"),
+            (5000.0, "beyond the road end"),
+            (float("nan"), "NaN"),
+        ],
+    )
+    def test_stationary_write_is_validated_like_a_placement(
+        self, topology, value, match
+    ):
+        """A setter write off the road (or NaN) raises and changes
+        neither the position nor the position era."""
+        actor = topology.add_stationary("rsu", 100.0)
+        version = topology.position_version
+        with pytest.raises(SimulationError, match=match):
+            actor.position_m = value
+        assert actor.position_m == 100.0
+        assert topology.position_of("rsu") == 100.0
+        assert topology.position_version == version
+
     def test_empty_name_rejected(self):
         with pytest.raises(SimulationError, match="needs a name"):
             Actor("")
@@ -110,6 +131,26 @@ class TestActorPlacement:
     def test_negative_transmit_range_rejected(self):
         with pytest.raises(SimulationError, match="transmit range"):
             Actor("rsu", position_m=10.0, transmit_range_m=-1.0)
+
+    @pytest.mark.parametrize("value", [-50.0, 5000.0, float("nan")])
+    def test_tracked_vehicle_write_is_validated_like_a_placement(
+        self, world, topology, value
+    ):
+        """The tracked vehicle's own setter rejects what the actor
+        setter rejects; an unchecked NaN made the column query and the
+        scan disagree on who is in range."""
+        vehicle = Vehicle("ego", SimClock(), EventBus(), world,
+                          position_m=100.0)
+        topology.track(vehicle)
+        version = topology.position_version
+        with pytest.raises(SimulationError):
+            vehicle.position_m = value
+        assert vehicle.position_m == 100.0
+        assert topology.position_version == version
+
+    def test_nan_transmit_range_rejected(self):
+        with pytest.raises(SimulationError, match="transmit range"):
+            Actor("rsu", position_m=10.0, transmit_range_m=float("nan"))
 
     def test_unknown_name_lookup_raises(self, topology):
         assert not topology.knows("ghost")
@@ -127,6 +168,8 @@ class TestClampSaturation:
             world.place(-0.1)
         with pytest.raises(SimulationError):
             world.place(1000.1)
+        with pytest.raises(SimulationError, match="NaN"):
+            world.place(float("nan"))
 
     def test_vehicle_saturation_flag(self, world):
         clock, bus = SimClock(), EventBus()
@@ -341,6 +384,38 @@ class TestRangePropagation:
         assert len(propagation.receivers(message, receivers)) == 1
         vehicle.position_m = 500.0
         assert propagation.receivers(message, receivers) == []
+
+    def test_replaced_attach_lists_leave_no_view(self, clock, topology):
+        """Detach and attach replace the channel's attach lists; the
+        model keeps a view only of the lists the channel still holds."""
+        topology.add_stationary("tx", 0.0, transmit_range_m=500.0)
+        propagation = RangePropagation(topology)
+        channel = Channel(
+            "radio", clock, EventBus(), propagation=propagation
+        )
+        sinks = [Sink(f"rx-{index}") for index in range(3)]
+        for index, sink in enumerate(sinks):
+            topology.add_stationary(sink.name, 100.0 * index)
+            # A kind-limited receiver: deliveries go through kind views.
+            channel.attach(sink, kinds=("k",) if index == 0 else None)
+
+        def deliver():
+            for kind in ("k", "other"):
+                channel.send(Message(kind=kind, sender="tx", payload={}))
+            clock.run()
+
+        deliver()
+        for _cycle in range(5):
+            channel.detach(sinks[1])
+            deliver()
+            channel.attach(sinks[1])
+            deliver()
+        held = [channel._receivers, *channel._kind_views.values()]
+        assert len(propagation._views) <= len(held)
+        assert {id(view.receivers) for view in propagation._views.values()} <= {
+            id(receivers) for receivers in held
+        }
+        assert len(sinks[1].messages) == 12  # every delivery with it on air
 
     def test_known_actor_without_range_transmits_unlimited(self, clock, topology):
         # Consistent with Topology.in_range: None means unlimited, even
