@@ -180,11 +180,12 @@ class Lane:
         """Queue ``callback(item)`` at ``time``.
 
         Raises:
-            SimulationError: when ``time`` is in the past or earlier
-                than the last push (lanes are FIFO).
+            SimulationError: when ``time`` is in the past, earlier than
+                the last push (lanes are FIFO) or NaN.
         """
         clock = self._clock
-        if time < self._tail or time < clock.now:
+        # ``not >=``: a NaN time compares false both ways and is rejected.
+        if not time >= self._tail or not time >= clock.now:
             raise SimulationError(
                 f"cannot push at {time} ms onto a lane: "
                 + (f"its tail is at {self._tail} ms (lanes are FIFO)"
@@ -336,9 +337,11 @@ class SimClock:
         """Schedule ``callback`` at absolute ``time``.
 
         Raises:
-            SimulationError: when scheduling in the past.
+            SimulationError: when scheduling in the past or at NaN.
         """
-        if time < self.now:
+        # ``not >=``: a NaN time compares false both ways; at the heap
+        # top it would stop every later event for good.
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time} ms; clock is at {self.now} ms"
             )
@@ -355,10 +358,10 @@ class SimClock:
         """Schedule ``callback`` after ``delay`` milliseconds.
 
         Raises:
-            SimulationError: on negative delays.
+            SimulationError: on negative or NaN delays.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay: {delay}")
         return self.schedule_at(self.now + delay, callback)
 
     def post(self, time: float, callback: Callable[[], None]) -> None:
@@ -369,9 +372,9 @@ class SimClock:
         allocation -- is skipped.  FIFO streams use a :meth:`lane`.
 
         Raises:
-            SimulationError: when scheduling in the past.
+            SimulationError: when scheduling in the past or at NaN.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time} ms; clock is at {self.now} ms"
             )
@@ -406,11 +409,15 @@ class SimClock:
         now); repetition stops once the next occurrence would exceed
         ``until``.  The whole repetition chain shares one internal
         schedule object -- no per-firing closure allocation.
+
+        Raises:
+            SimulationError: when ``period`` is not positive or NaN, or
+                ``start`` is in the past or NaN.
         """
-        if period <= 0:
+        if not period > 0:
             raise SimulationError(f"period must be positive, got {period}")
         first = start if start is not None else self.now + period
-        if first < self.now:
+        if not first >= self.now:
             raise SimulationError(
                 f"cannot schedule at {first} ms; clock is at {self.now} ms"
             )
@@ -427,9 +434,10 @@ class SimClock:
         callback denies the flood's due followers in bulk).  The clock
         ends exactly at ``time`` even if the queue drains earlier.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot run backwards to {time} ms from {self.now} ms"
+                f"cannot run backwards (or to NaN) to {time} ms from "
+                f"{self.now} ms"
             )
         self._horizon = time
         queue = self._queue

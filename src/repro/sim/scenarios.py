@@ -235,11 +235,14 @@ class ConstructionSiteScenario(KernelScenario):
         zone = self.world.zone(self.ZONE_NAME)
         start, end = zone.start, zone.end
 
+        # The vehicle's cell in its cohort's position column: what the
+        # ``position_m`` property returns, read without the property
+        # call on every check.
+        positions, index = self.vehicle.position_cell()
+
         def sg01_zone_without_driver() -> str | None:
-            # ``_position_m`` is what the ``position_m`` property returns,
-            # read without the property call on every check.
             if (
-                start <= self.vehicle._position_m < end
+                start <= positions[index] < end
                 and self.vehicle.mode in AUTOMATED_MODES
             ):
                 return (
@@ -250,7 +253,10 @@ class ConstructionSiteScenario(KernelScenario):
             return None
 
         def sg03_implausible_speed_target() -> str | None:
-            if self.vehicle.target_speed_mps > self.LEGAL_MAX_SPEED_MPS:
+            # ``_target_speed_mps`` is what the ``target_speed_mps``
+            # property returns, read without the property call on every
+            # check.
+            if self.vehicle._target_speed_mps > self.LEGAL_MAX_SPEED_MPS:
                 return (
                     "automation targets implausible speed "
                     f"{self.vehicle.target_speed_mps:.1f} m/s"

@@ -11,8 +11,9 @@ depends on distance:
 * :class:`Topology` -- the actor registry.  It moves nobody: a
   :class:`~repro.sim.vehicle.Vehicle` owns its kinematics (its tick
   cohort is the one mover) and the topology *tracks* it, reading its
-  position through; stationary actors keep the position they were
-  placed at unless a caller writes it.
+  position straight from the cohort's position column, the list the
+  cohort advances in place; stationary actors keep the position they
+  were placed at unless a caller writes it.
 * :class:`RangePropagation` -- the range-aware
   :class:`~repro.sim.network.PropagationModel`: a message reaches
   exactly the receivers whose actors sit within the *sender's* transmit
@@ -24,8 +25,10 @@ depends on distance:
 Version counters drive cache invalidation: ``position_version`` bumps
 whenever any position may have changed (a setter write, a tracked
 vehicle reporting motion), ``registration_version`` whenever the actor
-set or alias table changes.  Per position era the topology sorts its
-positions once into a column that every sender and channel shares;
+set or alias table changes.  Per position era the topology gathers its
+positions once, at C speed, from the lists they live in (the cohorts'
+position columns, each stationary actor's own one-item list) into a
+column sorted by position that every sender and channel shares;
 :class:`RangePropagation` answers a delivery with a range query over
 that column and keys its per-sender delivery sets on the versions, so
 a flood of messages inside one clock timestamp resolves its receiver
@@ -42,8 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain, islice
-from operator import le
-from typing import Callable
+from operator import getitem, le
 
 from repro.errors import SimulationError
 from repro.sim.network import Message, Receiver
@@ -78,12 +80,16 @@ COLUMN_MIN_RECEIVERS = 64
 class Actor:
     """One positioned participant of the traffic world.
 
+    The position lives in a list, read at an index: the actor's own
+    one-item list, or -- for an actor :meth:`Topology.track` made -- a
+    tracked vehicle's cell in its tick cohort's position column.  The
+    topology gathers every actor's position from these cells at C
+    speed.
+
     Attributes:
         name: Unique actor name within the topology.
         transmit_range_m: Radio range of this actor's transmissions;
             ``None`` means unlimited (legacy global broadcast).
-        tracker: Callable returning the externally owned position, or
-            ``None`` for an actor whose position is stored here.
     """
 
     def __init__(
@@ -91,7 +97,6 @@ class Actor:
         name: str,
         position_m: float = 0.0,
         transmit_range_m: float | None = None,
-        tracker: Callable[[], float] | None = None,
     ) -> None:
         if not name:
             raise SimulationError("actor needs a name")
@@ -106,36 +111,35 @@ class Actor:
             )
         self.name = name
         self.transmit_range_m = transmit_range_m
-        self.tracker = tracker
-        self._position_m = position_m
+        # Where the position is read: ``_source[_index]``.
+        self._source: list[float] = [position_m]
+        self._index = 0
+        self._tracked = False
         # Back-reference + slot index, filled in by Topology.add(): the
-        # topology's position mirror and version counters must observe
-        # setter writes.
+        # topology's version counter must observe setter writes.
         self._owner: "Topology | None" = None
         self._slot = -1
 
     @property
     def position_m(self) -> float:
-        """Current road position (reads the tracker when present)."""
-        if self.tracker is not None:
-            return self.tracker()
-        return self._position_m
+        """Current road position."""
+        return self._source[self._index]
 
     @position_m.setter
     def position_m(self, value: float) -> None:
-        if self.tracker is not None:
+        if self._tracked:
             raise SimulationError(
                 f"actor {self.name!r} is tracked; move the tracked "
                 "component instead"
             )
         owner = self._owner
         if owner is None:
-            self._position_m = value  # validated by Topology.add
+            self._source[0] = value  # validated by Topology.add
         else:
             # Validated like a placement: an off-road or NaN position
             # would also break the sorted position column.
-            self._position_m = owner._place(self.name, value)
-            owner._record_motion(self)
+            self._source[0] = owner._place(self.name, value)
+            owner.position_version += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -169,18 +173,22 @@ class Topology:
         self._actors: dict[str, Actor] = {}
         self._slot_actors: list[Actor] = []
         self._aliases: dict[str, str] = {}
+        # Per slot, the list its actor's position lives in and the index
+        # there (Actor._source, Actor._index).
+        self._slot_sources: list[list[float]] = []
+        self._slot_indices: list[int] = []
         # Per-slot position mirror for batched range checks, plus the
-        # versions it was synced at.
-        self._positions: list[float] | None = None
-        self._positions_reg = -1
+        # position era it was gathered in (an add starts a new era too).
+        self._positions: list[float] = []
         self._positions_pos = -1
-        self._tracked_entries: list[tuple[int, Actor]] = []
-        # The positions in ascending order and the slot of each, built
-        # on the first range query of a position era and shared by
-        # every sender and channel view; plus the versions it was
-        # built at.
+        # The positions in ascending order, the slot of each and where
+        # each is gathered from, built on the first range query of a
+        # position era and shared by every sender and channel view;
+        # plus the versions it was built at.
         self._column: list[float] = []
         self._column_slots: list[int] = []
+        self._column_sources: list[list[float]] = []
+        self._column_indices: list[int] = []
         self._column_reg = -1
         self._column_pos = -1
 
@@ -195,8 +203,8 @@ class Topology:
         actor._slot = len(self._slot_actors)
         self._actors[actor.name] = actor
         self._slot_actors.append(actor)
-        if actor.tracker is not None:
-            self._tracked_entries.append((actor._slot, actor))
+        self._slot_sources.append(actor._source)
+        self._slot_indices.append(actor._index)
         self.registration_version += 1
         self.position_version += 1
         return actor
@@ -221,10 +229,14 @@ class Topology:
     ) -> Actor:
         """Track a component owning its own kinematics (a Vehicle).
 
-        The component provides ``name``, ``position_m`` and
-        ``add_motion_listener``; the actor's position always reads
-        through to it, and the topology subscribes :meth:`step` so the
-        component reports each motion (see
+        The component provides ``name``, ``position_m``,
+        ``position_cell`` and ``add_motion_listener``.  The actor reads
+        its position from the component's cell -- for a vehicle, its
+        slot in the tick cohort's position column, which the cohort
+        updates in place -- so every position era the topology gathers
+        a whole convoy at C speed, with no call per vehicle.  The
+        topology subscribes :meth:`step` so the component reports each
+        motion (see
         :meth:`~repro.sim.vehicle.Vehicle.add_motion_listener` for when
         the notification comes).  That keeps position-keyed caches
         (batched propagation) valid between motions.  Every tracked
@@ -236,7 +248,8 @@ class Topology:
             SimulationError: when the component has no
                 ``add_motion_listener`` -- its motion would be invisible
                 to the version counter and every cached delivery set
-                could go stale.
+                could go stale -- or no ``position_cell`` to read its
+                position from.
         """
         subscribe = getattr(component, "add_motion_listener", None)
         if subscribe is None:
@@ -244,14 +257,20 @@ class Topology:
                 f"cannot track {component.name!r}: it has no "
                 "add_motion_listener to report its motion"
             )
-        actor = self.add(
-            Actor(
-                component.name,
-                position_m=component.position_m,
-                transmit_range_m=transmit_range_m,
-                tracker=lambda: component.position_m,
+        cell = getattr(component, "position_cell", None)
+        if cell is None:
+            raise SimulationError(
+                f"cannot track {component.name!r}: it has no "
+                "position_cell to read its position from"
             )
+        actor = Actor(
+            component.name,
+            position_m=component.position_m,
+            transmit_range_m=transmit_range_m,
         )
+        actor._source, actor._index = cell()
+        actor._tracked = True
+        self.add(actor)
         subscribe(self.step)
         return actor
 
@@ -282,35 +301,17 @@ class Topology:
 
     # -- version bookkeeping ------------------------------------------------
 
-    def _record_motion(self, actor: Actor) -> None:
-        """An actor's position was written through its setter."""
-        self.position_version += 1
-        positions = self._positions
-        if (
-            positions is not None
-            and self._positions_reg == self.registration_version
-        ):
-            positions[actor._slot] = actor._position_m
-
     def step(self) -> None:
         """A tracked component reported that it moved: a new position era."""
         self.position_version += 1
 
     def _sync_positions(self) -> list[float]:
-        """The per-slot position mirror, synced to the current versions.
-
-        Rebuilds on registration change; otherwise refreshes only the
-        tracked slots (stationary slots are written through on every
-        setter write).
-        """
-        if self._positions_reg != self.registration_version:
-            self._positions = [actor.position_m for actor in self._slot_actors]
-            self._positions_reg = self.registration_version
-            self._positions_pos = self.position_version
-        elif self._positions_pos != self.position_version:
-            positions = self._positions
-            for slot, actor in self._tracked_entries:
-                positions[slot] = actor.tracker()
+        """The per-slot position mirror, gathered afresh once per
+        position era."""
+        if self._positions_pos != self.position_version:
+            self._positions = list(
+                map(getitem, self._slot_sources, self._slot_indices)
+            )
             self._positions_pos = self.position_version
         return self._positions
 
@@ -318,24 +319,36 @@ class Topology:
         """The positions in ascending order and their slots, built once
         per position era.
 
-        Vehicles can overtake, so the previous era's slot order is only
-        a guess: it is kept when it still sorts the new positions (a
-        convoy's usual case, checked at C speed) and re-sorted
-        otherwise (a nearly sorted order sorts in about linear time).
-        Ties keep no particular order; queries never depend on it.
+        The column is gathered straight from where the positions live,
+        in the previous era's slot order.  Vehicles can overtake, so
+        that order is only a guess: it is kept when it still sorts the
+        new positions (a cruising convoy's case, checked at C speed)
+        and re-sorted otherwise (a nearly sorted order sorts in about
+        linear time).  Ties keep no particular order; queries never
+        depend on it.
         """
         if (
             self._column_pos == self.position_version
             and self._column_reg == self.registration_version
         ):
             return self._column, self._column_slots
-        positions = self._sync_positions()
         slots = self._column_slots
         if self._column_reg != self.registration_version:
-            slots = self._column_slots = list(range(len(positions)))
-        column = list(map(positions.__getitem__, slots))
+            slots = self._column_slots = list(range(len(self._slot_actors)))
+            self._column_sources = self._slot_sources[:]
+            self._column_indices = self._slot_indices[:]
+        column = list(
+            map(getitem, self._column_sources, self._column_indices)
+        )
         if not all(map(le, column, islice(column, 1, None))):
+            positions = self._sync_positions()
             slots.sort(key=positions.__getitem__)
+            self._column_sources = list(
+                map(self._slot_sources.__getitem__, slots)
+            )
+            self._column_indices = list(
+                map(self._slot_indices.__getitem__, slots)
+            )
             column = list(map(positions.__getitem__, slots))
         self._column = column
         self._column_reg = self.registration_version

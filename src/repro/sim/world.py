@@ -12,6 +12,7 @@ keeps every scenario deterministic and the safety predicates crisp
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 from repro.errors import SimulationError
 
@@ -25,6 +26,13 @@ class Zone:
     end: float
 
     def __post_init__(self) -> None:
+        # A NaN bound compares false both ways: the zone could never be
+        # entered, and it would poison the tick cohort's crossing ticks.
+        if self.start != self.start or self.end != self.end:
+            raise SimulationError(
+                f"zone {self.name!r}: bounds [{self.start}, {self.end}) "
+                "must be numbers, not NaN"
+            )
         if self.end <= self.start:
             raise SimulationError(
                 f"zone {self.name!r}: end ({self.end}) must exceed start "
@@ -48,8 +56,10 @@ class World:
     (vehicles, registered by :meth:`add_resident`) currently inside it.
     Every position write keeps the sets current -- placement, the
     ``position_m`` setter (:meth:`relocate`) and the tick cohort, which
-    inlines :meth:`relocate` -- so a zone predicate can visit the few
-    residents inside a zone instead of every resident on the road.
+    inlines :meth:`relocate` for the vehicles it checks and schedules
+    every cruising vehicle's next boundary crossing -- so a zone
+    predicate can visit the few residents inside a zone instead of
+    every resident on the road.
 
     Attributes:
         road_length_m: Total road length; positions beyond it saturate.
@@ -64,6 +74,7 @@ class World:
         self._residents: list = []
         # Zone name -> the residents inside it.
         self._occupants: dict[str, set] = {}
+        self._zone_listeners: list[Callable[[], None]] = []
 
     def add_zone(self, name: str, start: float, end: float) -> Zone:
         """Define a named zone.
@@ -86,7 +97,15 @@ class World:
             for resident in self._residents
             if zone.contains(resident.position_m)
         }
+        for listener in self._zone_listeners:
+            listener()
         return zone
+
+    def add_zone_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` after each zone added from now on: the
+        tick cohorts schedule their vehicles' zone crossings, and a new
+        zone brings new crossings."""
+        self._zone_listeners.append(listener)
 
     def zone(self, name: str) -> Zone:
         """Look up a zone by name."""

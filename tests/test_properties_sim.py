@@ -1,5 +1,7 @@
 """Property-based tests on the simulator substrate."""
 
+import math
+from itertools import accumulate, repeat
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings
@@ -245,6 +247,9 @@ _FRACTIONS = (0.0, 0.2, 0.25, 0.4, 0.5, 0.6, 0.8)
 #: Zone starts: a coarse grid, so zones often share a start and one
 #: tick enters several of them.
 _ZONE_STARTS = (0.0, 0.25, 0.5)
+#: Writes between ticks: ``set_target_speed``, a direct target or
+#: speed write (either may be negative), a ``position_m`` setter write.
+_WRITES = ("target", "direct-target", "direct-speed", "position")
 
 
 @st.composite
@@ -262,7 +267,7 @@ def _cohort_cases(draw):
     vehicles = []
     for __ in range(draw(st.integers(min_value=1, max_value=6))):
         offset = draw(st.one_of(
-            st.sampled_from((0.0, 0.5)),
+            st.sampled_from((0.0, -0.0, 0.5)),
             st.floats(min_value=0.0, max_value=5.0),
         ))
         position = draw(st.one_of(
@@ -281,11 +286,86 @@ def _cohort_cases(draw):
         vehicles.append((position, speed, target, mode))
     tick_ms = draw(st.sampled_from((100.0, 250.0, 1000.0)))
     ticks = draw(st.integers(min_value=1, max_value=25))
-    return road, zones, vehicles, tick_ms, ticks
+    # A zone start, zone end or road end exactly where the first
+    # vehicle, cruising, lands after some ticks, or one ULP either side.
+    edge = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(("start", "end", "road")),
+        st.integers(min_value=1, max_value=ticks),
+        st.sampled_from((-1, 0, 1)),
+    )))
+    # Writes between ticks (after tick ``at``; 0 is before the first).
+    writes = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=ticks - 1),  # at
+            st.integers(min_value=0, max_value=len(vehicles) - 1),
+            st.sampled_from(_WRITES),
+            st.floats(min_value=-5.0, max_value=45.0),
+        ),
+        max_size=4,
+    ))
+    # One run to the end (the cohort files cruising vehicles ticks
+    # ahead) or one run per tick (the horizon caps every filing).
+    one_run = draw(st.booleans())
+    return road, zones, vehicles, tick_ms, ticks, edge, writes, one_run
+
+
+def _cruise_edge(position, speed, tick_ms, ticks, ulps):
+    """Where a vehicle cruising from ``position`` at ``speed`` is after
+    ``ticks`` ticks -- the same additions a tick makes -- moved by
+    ``ulps`` ULPs."""
+    edge = list(accumulate(
+        repeat(speed * (tick_ms / 1000.0), ticks), initial=position
+    ))[-1]
+    for __ in range(abs(ulps)):
+        edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+    return edge
+
+
+def _with_edge(road, zones, specs, tick_ms, edge):
+    """The case's road, zones and vehicles with its edge in place."""
+    if edge is None:
+        return road, zones, specs
+    kind, ticks, ulps = edge
+    value = _cruise_edge(specs[0][0], specs[0][1], tick_ms, ticks, ulps)
+    if kind == "road":
+        if not value > 0:
+            return road, zones, specs
+        # Clip what lies beyond the new road end back onto it.
+        specs = [(min(spec[0], value),) + spec[1:] for spec in specs]
+        zones = [
+            (name, start, min(end, value))
+            for name, start, end in zones
+            if start < min(end, value)
+        ]
+        return value, zones, specs
+    if kind == "start" and 0 <= value < road:
+        return road, zones + [("edge", value, road)], specs
+    if kind == "end" and 0 < value <= road:
+        return road, zones + [("edge", 0.0, value)], specs
+    return road, zones, specs
+
+
+def _write(vehicle, state, kind, value, road, moved):
+    """Apply one write to the vehicle and to its reference copy."""
+    if kind == "target":
+        vehicle.set_target_speed(abs(value))
+        state.target_speed_mps = abs(value)
+    elif kind == "direct-target":
+        vehicle.target_speed_mps = value
+        state.target_speed_mps = value
+    elif kind == "direct-speed":
+        vehicle.speed_mps = value
+        state.speed_mps = value
+    else:
+        position = abs(value) / 45.0 * road
+        if position != state.position_m:
+            moved.append(state.name)  # the setter notifies at once
+        vehicle.position_m = position
+        state.position_m = position
 
 
 class TestCohortKinematicsProperty:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_cohort_cases())
     # Pinned: one tick enters two zones defined in reverse name order,
     # and a vehicle parked on the road end saturates without moving.
@@ -298,12 +378,76 @@ class TestCohortKinematicsProperty:
         ],
         1000.0,
         2,
+        None,
+        [],
+        False,
+    ))
+    # Pinned: a zone starts exactly where v0 cruises after 10 ticks of
+    # 0.1 m (0.9999999999999999, not 1.0); v1's direct target write
+    # after tick 2 brakes it, and the setter moves v0 back out of the
+    # zone after tick 11, all within one run.
+    @example((
+        10.0,
+        [],
+        [
+            (0.0, 1.0, 1.0, DrivingMode.AUTOMATED),
+            (5.0, 3.0, 3.0, DrivingMode.AUTOMATED),
+        ],
+        100.0,
+        12,
+        ("start", 10, 0),
+        [(2, 1, "direct-target", 1.0), (11, 0, "position", 0.0)],
+        True,
+    ))
+    # Pinned: v0's increment (1.5e-16 m) moves it twice, onto 2.0,
+    # where it is below half an ULP: v0 cruises on but no longer moves
+    # (nor notifies).  v1 stands still at -0.0, which it must keep.
+    @example((
+        10.0,
+        [],
+        [
+            (1.9999999999999996, 1.5e-15, 1.5e-15, DrivingMode.AUTOMATED),
+            (-0.0, 0.0, 0.0, DrivingMode.AUTOMATED),
+        ],
+        100.0,
+        5,
+        None,
+        [],
+        True,
+    ))
+    # Pinned: v0's increment is 4.6 ULPs of 1.0, and every tick rounds
+    # it up to 5: v0 reaches the zone (460 ULPs on) after 92 ticks, not
+    # the 100 that position + k * increment estimates.
+    @example((
+        10.0,
+        [("edge", 1.0000000000001021, 10.0)],
+        [(1.0, 1.0214051826551439e-14, 1.0214051826551439e-14,
+          DrivingMode.AUTOMATED)],
+        100.0,
+        100,
+        None,
+        [],
+        True,
+    ))
+    # Pinned: the road ends one ULP below where v0 cruises after 3
+    # ticks, so it saturates on tick 3 while still cruising.
+    @example((
+        100.0,
+        [("zeta", 10.0, 50.0)],
+        [(90.0, 3.3, 3.3, DrivingMode.AUTOMATED)],
+        1000.0,
+        5,
+        ("road", 3, -1),
+        [],
+        True,
     ))
     def test_cohort_ticks_like_the_per_vehicle_step(self, case):
         """After every tick, a cohort's speeds, positions, saturation
-        flags, motion-listener calls and zone-entry events (order and
-        payload) match the per-vehicle reference step's."""
-        road, zones, specs, tick_ms, ticks = case
+        flags, zone occupancy, motion-listener calls and zone-entry
+        events (order and payload) match the per-vehicle reference
+        step's, across writes between ticks."""
+        road, zones, specs, tick_ms, ticks, edge, writes, one_run = case
+        road, zones, specs = _with_edge(road, zones, specs, tick_ms, edge)
         clock, bus = SimClock(), EventBus()
         world = World(road)
         for name, start, end in zones:
@@ -330,9 +474,17 @@ class TestCohortKinematicsProperty:
                 speed_mps=speed, target_speed_mps=target, mode=mode,
                 position_saturated=False,
             ))
-        for tick in range(1, ticks + 1):
+
+        def write_after(tick):
+            for at, index, kind, value in writes:
+                if at == tick:
+                    _write(
+                        vehicles[index], states[index], kind, value, road,
+                        expected_moved,
+                    )
+
+        def check(tick):
             now = tick * tick_ms
-            clock.run_until(now)
             for state in states:
                 _reference_tick(
                     state, world, now, expected_moved, expected_entries
@@ -347,6 +499,29 @@ class TestCohortKinematicsProperty:
             ]
             assert moved == expected_moved
             assert entries == expected_entries
+            assert {
+                zone.name: {v.name for v in world.occupants(zone.name)}
+                for zone in world.zones
+            } == {
+                zone.name: {
+                    s.name for s in states if zone.contains(s.position_m)
+                }
+                for zone in world.zones
+            }
+            write_after(tick)
+
+        write_after(0)
+        if one_run:
+            # Checked between ticks, under one horizon for the whole run.
+            for tick in range(1, ticks + 1):
+                clock.schedule_at(
+                    (tick + 0.5) * tick_ms, lambda tick=tick: check(tick)
+                )
+            clock.run_until((ticks + 0.5) * tick_ms)
+        else:
+            for tick in range(1, ticks + 1):
+                clock.run_until(tick * tick_ms)
+                check(tick)
 
 
 class _SweptFleet(FleetConstructionSiteScenario):
@@ -361,7 +536,7 @@ class _SweptFleet(FleetConstructionSiteScenario):
         for vehicle in self.vehicles:
             def sg01_zone_without_driver(vehicle=vehicle):
                 if (
-                    start <= vehicle._position_m < end
+                    start <= vehicle.position_m < end
                     and vehicle.mode in AUTOMATED_MODES
                 ):
                     return (
@@ -399,7 +574,13 @@ class _SweptFleet(FleetConstructionSiteScenario):
         self.monitor.add_invariant("SG05", sg05_warning_flood)
 
 
-_SWITCHES = ("handover", "manual", "automated", "safe_stop", "move")
+#: "target" is set_target_speed, "direct-target" a direct write of
+#: ``target_speed_mps`` (mid-cruise either way); "move" is a
+#: ``position_m`` setter write.
+_SWITCHES = (
+    "handover", "manual", "automated", "safe_stop", "move", "target",
+    "direct-target",
+)
 
 
 @st.composite
@@ -414,12 +595,25 @@ def _convoy_cases(draw):
     params["zone_end_m"] = params["zone_start_m"] + draw(
         st.floats(min_value=1.0, max_value=200.0)
     )
+    # A zone start, zone end or road end exactly where a vehicle (the
+    # lead, for the road end), cruising, lands after some 100 ms ticks,
+    # or one ULP either side.
+    edge = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(("start", "end", "road")),
+        st.integers(min_value=0, max_value=size - 1),
+        st.integers(min_value=1, max_value=80),
+        st.sampled_from((-1, 0, 1)),
+    )))
+    if edge is not None:
+        _place_convoy_edge(params, *edge)
+    road = params.get("road_length_m", 700.0)
     switches = draw(st.lists(
         st.tuples(
             st.floats(min_value=0.0, max_value=8000.0),  # time (ms)
             st.integers(min_value=0, max_value=size - 1),  # vehicle
             st.sampled_from(_SWITCHES),
-            st.floats(min_value=0.0, max_value=700.0),  # "move" target
+            # "move" position, or target speed
+            st.floats(min_value=0.0, max_value=min(road, 700.0)),
         ),
         max_size=8,
     ))
@@ -427,10 +621,43 @@ def _convoy_cases(draw):
     return params, switches, duration
 
 
+def _place_convoy_edge(params, kind, index, ticks, ulps):
+    """Move the zone bound or the road end onto the edge."""
+    width = params["zone_end_m"] - params["zone_start_m"]
+    if kind == "road":
+        index = 0
+    start = (params["fleet_size"] - 1 - index) * params["headway_m"]
+    value = _cruise_edge(
+        start, params["vehicle_speed_mps"], 100.0, ticks, ulps
+    )
+    if kind == "start" and value >= 0:
+        params["zone_start_m"] = value
+        params["zone_end_m"] = value + width
+    elif kind == "end" and value > 0:
+        params["zone_start_m"] = max(0.0, value - width)
+        params["zone_end_m"] = value
+    elif kind == "road" and value > 0 and value >= start:
+        # The whole convoy, the zone and the RSU fit on the road.
+        params["road_length_m"] = value
+        params["rsu_position_m"] = min(1200.0, value)
+        if params["zone_end_m"] > value:
+            params["zone_start_m"] = min(params["zone_start_m"], value / 2)
+            params["zone_end_m"] = value
+
+
 def _switch(scenario, index, action, value):
     vehicle = scenario.vehicles[index]
     if action == "target":
         vehicle.set_target_speed(value)
+    elif action == "direct-target":
+        # On the side of the legal maximum the target is on: SG03 keeps
+        # its offenders on the published target events, which a direct
+        # write does not make.
+        limit = scenario.LEGAL_MAX_SPEED_MPS
+        value %= limit
+        if vehicle.target_speed_mps > limit:
+            value += limit + 1.0
+        vehicle.target_speed_mps = value
     elif action == "warn":
         scenario.obus[index].handle(Message(
             kind=KIND_HAZARD_WARNING, sender="test", payload={"text": "!"}
@@ -463,7 +690,7 @@ def _sg_violations(scenario_class, case):
 
 
 class TestZoneGatedSG01Property:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(_convoy_cases())
     # Pinned: ego-1 and ego-3 start inside the zone in automated mode,
     # ego-2 (between them) in manual mode: both violate in the first
@@ -475,6 +702,29 @@ class TestZoneGatedSG01Property:
         ),
         [(0.0, 1, "manual", 0.0)],
         200.0,
+    ))
+    # Pinned: the zone starts exactly where ego-1 cruises after 10 ticks
+    # of 0.1 m from 1.0 m (2.000000000000001, not 2.0); a direct target
+    # write then brakes it inside the zone.
+    @example((
+        dict(
+            fleet_size=2, headway_m=1.0, vehicle_speed_mps=1.0,
+            zone_start_m=2.000000000000001, zone_end_m=3.0,
+        ),
+        [(1500.0, 0, "direct-target", 0.5)],
+        2500.0,
+    ))
+    # Pinned: the road ends exactly there instead, so ego-1 saturates
+    # on its next tick while ego-2 crosses the zone.
+    @example((
+        dict(
+            fleet_size=2, headway_m=1.0, vehicle_speed_mps=1.0,
+            zone_start_m=0.5, zone_end_m=1.5,
+            road_length_m=2.000000000000001,
+            rsu_position_m=2.000000000000001,
+        ),
+        [],
+        2500.0,
     ))
     def test_gated_check_records_like_per_vehicle_checks(self, case):
         """The fleet's one zone-gated SG01 check records the violations

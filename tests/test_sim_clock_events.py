@@ -6,6 +6,8 @@ from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventBus
 
+NAN = float("nan")
+
 
 class TestSimClock:
     def test_events_execute_in_time_order(self):
@@ -96,6 +98,58 @@ class TestSimClock:
     def test_periodic_needs_positive_period(self):
         with pytest.raises(SimulationError):
             SimClock().schedule_periodic(0, lambda: None)
+
+    def test_nan_schedule_at_rejected(self):
+        """A NaN time compares false both ways; at the heap top it would
+        stop every later event for good."""
+        clock = SimClock()
+        fired = []
+        clock.schedule_at(1.0, lambda: fired.append(1.0))
+        with pytest.raises(SimulationError):
+            clock.schedule_at(NAN, lambda: fired.append("nan"))
+        clock.schedule_at(5.0, lambda: fired.append(5.0))
+        assert clock.run_until(10.0) == 2
+        assert fired == [1.0, 5.0]
+
+    def test_nan_delay_rejected(self):
+        clock = SimClock()
+        with pytest.raises(SimulationError, match="NaN delay"):
+            clock.schedule(NAN, lambda: None)
+        assert clock.pending == 0
+
+    def test_nan_post_rejected(self):
+        clock = SimClock()
+        with pytest.raises(SimulationError):
+            clock.post(NAN, lambda: None)
+        assert clock.pending == 0
+
+    @pytest.mark.parametrize(
+        "period, start", [(NAN, None), (10.0, NAN)]
+    )
+    def test_nan_periodic_rejected(self, period, start):
+        clock = SimClock()
+        with pytest.raises(SimulationError):
+            clock.schedule_periodic(period, lambda: None, start=start)
+        assert clock.pending == 0
+
+    def test_nan_lane_push_rejected(self):
+        clock = SimClock()
+        fired = []
+        lane = clock.lane(fired.append)
+        lane.push(1.0, "a")
+        with pytest.raises(SimulationError):
+            lane.push(NAN, "nan")
+        lane.push(5.0, "b")
+        assert clock.run_until(10.0) == 2
+        assert fired == ["a", "b"]
+
+    def test_nan_run_until_rejected(self):
+        clock = SimClock()
+        clock.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            clock.run_until(NAN)
+        assert clock.now == 0.0
+        assert clock.run_until(2.0) == 1
 
     def test_pending_count(self):
         clock = SimClock()

@@ -95,6 +95,18 @@ class TestActorPlacement:
             topology.track(Parked())
         assert not topology.knows("parked")
 
+    def test_track_requires_a_position_cell(self, topology):
+        class Listening:
+            name = "listening"
+            position_m = 10.0
+
+            def add_motion_listener(self, listener):
+                raise AssertionError("subscribed before the check")
+
+        with pytest.raises(SimulationError, match="position_cell"):
+            topology.track(Listening())
+        assert not topology.knows("listening")
+
     def test_failed_track_subscribes_nothing(self, world, topology):
         clock, bus = SimClock(), EventBus()
         topology.add_stationary("ego", 0.0)

@@ -22,6 +22,19 @@ class TestWorld:
         with pytest.raises(SimulationError):
             Zone("z", 200.0, 100.0)
 
+    @pytest.mark.parametrize(
+        "start, end", [(float("nan"), 10.0), (5.0, float("nan"))]
+    )
+    def test_nan_zone_bounds_rejected(self, start, end):
+        """A NaN bound passes every ``<``/``<=`` check: the zone could
+        never be entered."""
+        world = World(road_length_m=100.0)
+        with pytest.raises(SimulationError, match="NaN"):
+            world.add_zone("a", start, end)
+        with pytest.raises(SimulationError, match="NaN"):
+            Zone("a", start, end)
+        assert world.zones == ()
+
     def test_world_zone_management(self):
         world = World(road_length_m=1000.0)
         world.add_zone("construction", 500.0, 600.0)
@@ -155,6 +168,39 @@ class TestVehicle:
         with pytest.raises(SimulationError):
             vehicle.set_target_speed(-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"speed_mps": float("nan")}, {"tick_ms": float("nan")}]
+    )
+    def test_nan_construction_rejected(self, kwargs):
+        clock, world = SimClock(), World(1000.0)
+        with pytest.raises(SimulationError):
+            Vehicle("ego", clock, EventBus(), world, **kwargs)
+        assert clock.pending == 0
+        world.add_zone("all", 0.0, 1000.0)
+        assert world.occupants("all") == frozenset()
+
+    def test_nan_targets_and_speeds_rejected(self, rig):
+        """With a NaN target, ``target < speed`` and ``target > speed``
+        are both false: the vehicle would silently cruise."""
+        clock, __, __, vehicle = rig
+        for write in (
+            lambda: vehicle.set_target_speed(float("nan")),
+            lambda: setattr(vehicle, "target_speed_mps", float("nan")),
+            lambda: setattr(vehicle, "speed_mps", float("nan")),
+        ):
+            with pytest.raises(SimulationError, match="NaN|>= 0"):
+                write()
+        assert vehicle.target_speed_mps == vehicle.speed_mps == 25.0
+        clock.run_until(1000.0)
+        assert vehicle.position_m == pytest.approx(25.0)
+
+    def test_infinite_target_is_legal(self, rig):
+        # SG03 is what flags it.
+        clock, __, __, vehicle = rig
+        vehicle.set_target_speed(float("inf"))
+        clock.run_until(1000.0)
+        assert vehicle.speed_mps == pytest.approx(27.0)
+
     def test_vehicle_created_mid_run_ticks_one_period_later(self):
         clock = SimClock()
         clock.run_until(250.0)
@@ -172,9 +218,9 @@ def _convoy_events(per_vehicle_schedules, monkeypatch):
         monkeypatch.setattr(
             vehicle_module,
             "_join_tick_cohort",
-            lambda vehicle, clock: vehicle_module._TickCohort(
+            lambda vehicle, clock, position: vehicle_module._TickCohort(
                 clock, vehicle.tick_ms
-            ).vehicles.append(vehicle),
+            ).join(vehicle, position),
         )
     clock, bus = SimClock(), EventBus()
     world = World(road_length_m=400.0)
@@ -250,6 +296,45 @@ class TestTickCohort:
         # The setter still notifies at once.
         convoy[1].position_m = 500.0
         assert calls[-1] == 300.0 and len(calls) == 4
+
+    def test_zone_added_mid_run_is_entered(self):
+        """A zone added while a vehicle cruises brings a crossing its
+        filed tick did not know of."""
+        clock, bus, world = SimClock(), EventBus(), World(1000.0)
+        bus.retain("vehicle.entered_zone")
+        vehicle = Vehicle("v", clock, bus, world, speed_mps=10.0)
+        clock.run_until(100.0)  # 1 m per tick, filed with no zone ahead
+        world.add_zone("site", 5.0, 10.0)
+        clock.run_until(2000.0)
+        assert [e.time for e in bus.events("vehicle.entered_zone")] == [
+            500.0
+        ]
+        assert world.occupants("site") == frozenset()
+        assert vehicle.position_m == 20.0
+
+    def test_cruising_convoy_is_stepped_on_its_first_tick_only(
+        self, monkeypatch
+    ):
+        """Far from any boundary, a cruising convoy is advanced by the
+        column update alone: no vehicle is stepped after its first
+        tick."""
+        steps = []
+        advance = vehicle_module._TickCohort._advance
+
+        def counting(cohort, tick, due):
+            steps.append(tick)
+            advance(cohort, tick, due)
+
+        monkeypatch.setattr(vehicle_module._TickCohort, "_advance", counting)
+        clock, bus, world = SimClock(), EventBus(), World(10000.0)
+        world.add_zone("site", 9000.0, 9500.0)
+        convoy = [
+            Vehicle(f"v{index}", clock, bus, world, position_m=10.0 * index)
+            for index in range(64)
+        ]
+        clock.run_until(1000.0)
+        assert steps == [1]
+        assert convoy[-1].position_m == 630.0 + 25.0
 
     def test_listeners_notified_before_a_zone_entry_publish(self):
         clock, bus, world = SimClock(), EventBus(), World(1000.0)
