@@ -62,8 +62,6 @@ from repro.runtime import (
     ProcessBackend,
     Runtime,
     SerialBackend,
-    ThreadBackend,
-    make_backend,
 )
 from repro.threatlib.builder import ThreatLibraryBuilder
 from repro.threatlib.catalog import build_catalog
@@ -96,7 +94,6 @@ __all__ = [
     "Step",
     "StrideType",
     "TestPlan",
-    "ThreadBackend",
     "ThreatLibrary",
     "ThreatLibraryBuilder",
     "ThreatScenario",
@@ -107,6 +104,5 @@ __all__ = [
     "build_catalog",
     "default_workspace",
     "determine_asil",
-    "make_backend",
     "stage_graph",
 ]

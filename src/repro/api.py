@@ -358,8 +358,6 @@ class Workspace:
         self,
         definitions: Iterable[UseCaseDefinition] | None = None,
         registry: Any | None = None,
-        backend: Any | None = None,
-        jobs: int | None = None,
     ) -> None:
         if definitions is None:
             definitions = _default_definitions()
@@ -367,11 +365,6 @@ class Workspace:
         for definition in definitions:
             self.register(definition)
         self._registry = registry
-        # The workspace-wide execution default; campaign() can override
-        # per call.  Stored as the (name, jobs) spec, resolved lazily so
-        # constructing a Workspace never spins up worker pools.
-        self._backend_spec = backend
-        self._jobs = jobs
         self._pipelines: dict[str, Pipeline] = {}
         self._records: list[RunRecord] = []
 
@@ -449,8 +442,7 @@ class Workspace:
         ``fleet_size``/``rsu_range_m`` reshape the selection's
         topology-capable variants (convoy size, RSU transmit range)
         through :func:`~repro.engine.registry.apply_topology_overrides`.
-        ``backend``/``jobs`` (per call, falling back to the workspace
-        defaults) pick where variants run, resolved by
+        ``backend``/``jobs`` pick where variants run, resolved by
         :func:`~repro.runtime.backend_from_spec`; a backend built here
         from a name is shut down after the run.  Verdicts are
         backend-independent by construction.  The other options are
@@ -487,8 +479,6 @@ class Workspace:
                 fleet_size=fleet_size,
                 rsu_range_m=rsu_range_m,
             )
-        if backend is None and jobs is None:
-            backend, jobs = self._backend_spec, self._jobs
         resolved = backend_from_spec(backend, jobs)
         try:
             return run_campaign(

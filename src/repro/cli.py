@@ -45,6 +45,7 @@ from repro.core.reporting import (
 from repro.dsl import analyze, format_attacks, parse
 from repro.errors import ReproError, ValidationError
 from repro.results import SCHEMA as RESULTS_SCHEMA, ResultSet
+from repro.runtime import BACKEND_NAMES
 from repro.threatlib.catalog import build_catalog
 from repro.usecases import uc1, uc2
 
@@ -150,19 +151,6 @@ def _export_records(records: ResultSet, target: str) -> None:
     path.write_text(document, encoding="utf-8")
 
 
-def _campaign_execution(args: argparse.Namespace) -> tuple[str, int]:
-    """Resolve ``--backend``/``--jobs``."""
-    jobs = args.jobs
-    if jobs is not None and jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    backend = args.backend
-    if backend is None:
-        backend = "process" if jobs is not None and jobs > 1 else "serial"
-    if jobs is None:
-        jobs = 1
-    return backend, jobs
-
-
 def _print_families(registry, args: argparse.Namespace) -> int:
     """Enumerate the variant families, honouring the selection filters."""
     rows = []
@@ -209,8 +197,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.engine.registry import apply_topology_overrides, default_registry
 
     try:
-        backend, jobs = _campaign_execution(args)
-        # Selection needs only the registry; the execution backend is
+        # Selection needs only the registry; --backend/--jobs are
         # resolved once, inside Workspace.campaign below.
         registry = default_registry()
         if args.list_families:
@@ -265,8 +252,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             retry = RetryPolicy(max_attempts=args.retries)
         result = workspace.campaign(
             variants=variants,
-            backend=backend,
-            jobs=jobs,
+            backend=args.backend,
+            jobs=args.jobs,
             retry=retry,
             deadline_s=args.deadline_s,
             # Fault-tolerant runs record failures as tagged outcomes
@@ -772,13 +759,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="RSU transmit-range override for topology-capable variants",
     )
     campaign.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default=None,
+        "--backend", choices=BACKEND_NAMES, default=None,
         help="execution backend (default: serial, or process when "
         "--jobs > 1)",
     )
     campaign.add_argument(
         "--jobs", type=int, default=None,
-        help="concurrent jobs on the chosen backend (default 1)",
+        help="concurrent jobs on the chosen backend (default: 1 on "
+        "serial, every usable CPU on process)",
     )
     campaign.add_argument(
         "--limit", type=int, default=None,

@@ -16,7 +16,7 @@ replaces that:
 * :mod:`repro.engine.campaign` -- the campaign runner: one validated
   :class:`CampaignConfig` and one execution path fanning scenario x
   attack x control combinations across any :mod:`repro.runtime`
-  execution backend (serial, thread, process), one variant per task,
+  execution backend (serial or process), one variant per task,
   streaming outcomes and aggregating verdicts.
 
 The discrete-event kernel every scenario builds on lives in (and is

@@ -310,8 +310,9 @@ def _ensure_worker_identity() -> None:
 
     Runs in the job path (not a pool initializer) so it works with *any*
     :class:`~repro.runtime.ProcessBackend` -- including ones the caller
-    constructed -- and is a no-op in the main process and in thread
-    workers, where the (thread-safe) allocator must keep its state.
+    constructed -- and is a no-op in every other process (the serial
+    backend, the service scheduler's threads), where the caller's
+    (thread-safe) allocator must keep its state.
     """
     global _worker_identity_claimed
     if _worker_identity_claimed or not in_worker_process():
@@ -567,7 +568,7 @@ class CampaignConfig:
             backend the campaign owns and shuts down when the run ends;
             a backend instance stays the caller's to shut down.
         registry: Custom scenario registry (``None``: the default one).
-            Memory-sharing backends (serial, thread) honour it; process
+            Memory-sharing backends (serial) honour it; process
             backends refuse it loudly -- their workers resolve variants
             against the default registry and would silently run the
             wrong specs.
@@ -615,8 +616,8 @@ class CampaignConfig:
             object.__setattr__(self, "registry", None)
         if self.registry is not None and not self.backend.shares_memory:
             raise ValidationError(
-                "custom registries only run on in-process backends (serial "
-                "or thread): process workers resolve variants against the "
+                "custom registries only run on the in-process serial "
+                "backend: process workers resolve variants against the "
                 "default registry"
             )
 
@@ -847,7 +848,7 @@ def run_campaign(
     Takes the same arguments as :func:`iter_campaign`::
 
         run_campaign(variants, backend=ProcessBackend(jobs=4))
-        run_campaign(variants, backend="thread", on_error="record")
+        run_campaign(variants, backend="process", on_error="record")
 
     Outcomes come back in input order regardless of completion order;
     verdicts are backend-independent by construction (pure-data

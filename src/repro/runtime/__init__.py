@@ -4,8 +4,10 @@ Every fan-out in the reproduction (scenario campaigns and the CLI's
 ``--backend``/``--jobs`` options) runs through this package:
 
 * :mod:`repro.runtime.backends` -- the :class:`ExecutionBackend`
-  protocol and the ``serial`` / ``thread`` / ``process`` implementations
-  (the only module in the repository importing :mod:`multiprocessing`);
+  protocol, the ``serial`` and ``process`` implementations (the only
+  module in the repository importing :mod:`multiprocessing`) and
+  :func:`backend_from_spec`, the one place a ``backend``/``jobs`` pair
+  is resolved;
 * :mod:`repro.runtime.runtime` -- the :class:`Runtime` facade adding
   progress events, structured error capture and cooperative
   cancellation on top of any backend, one job per backend task, plus
@@ -33,12 +35,10 @@ from repro.runtime.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_start_methods,
     backend_from_spec,
     default_start_method,
     in_worker_process,
-    make_backend,
     mp_context,
     usable_cpus,
     worker_index,
@@ -71,13 +71,11 @@ __all__ = [
     "Runtime",
     "START_METHOD_ENV",
     "SerialBackend",
-    "ThreadBackend",
     "available_start_methods",
     "backend_from_spec",
     "default_start_method",
     "derive_seed",
     "in_worker_process",
-    "make_backend",
     "mp_context",
     "usable_cpus",
     "worker_index",

@@ -3,17 +3,16 @@
 This is the **only** module in the repository that imports
 :mod:`multiprocessing`.  Everything that fans work out -- the campaign
 runner and the CLI -- goes through the :class:`ExecutionBackend`
-protocol, so swapping how jobs execute (in-process, threads, processes,
-and in the future async or distributed runners) never touches the call
-sites again.
+protocol, so swapping how jobs execute (in-process, processes, and in
+the future async or distributed runners) never touches the call sites
+again.
 
-Three implementations ship today:
+Two implementations ship today:
 
 * :class:`SerialBackend` -- runs jobs inline, lazily, in submission
-  order.  Zero overhead, fully deterministic, the default everywhere.
-* :class:`ThreadBackend` -- a thread pool sharing the caller's memory.
-  Right for jobs that wait (I/O, locks) or that must see in-process
-  state such as a custom scenario registry.
+  order.  Zero overhead, fully deterministic, the default everywhere,
+  and the one backend that sees in-process state such as a custom
+  scenario registry.
 * :class:`ProcessBackend` -- a process pool for CPU-bound fan-out.  Jobs
   and results must pickle; each worker process receives a stable
   0-based :func:`worker_index` so callers can partition global resources
@@ -23,11 +22,15 @@ The process start method resolves, in order: the explicit
 ``start_method=`` argument, the ``MULTIPROCESSING_START_METHOD``
 environment variable (the CI matrix leg), then ``fork`` where available
 with ``spawn`` as the portable fallback.
+
+:func:`backend_from_spec` is the one place a ``backend=``/``jobs=``
+pair becomes a backend.  A thread pool is deliberately absent: every
+campaign job is CPU-bound Python, so under the GIL threads ran slower
+than serial.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import multiprocessing
 import os
@@ -49,9 +52,9 @@ _log = logging.getLogger("repro.runtime")
 #: Environment variable selecting the process start method (CI matrix).
 START_METHOD_ENV = "MULTIPROCESSING_START_METHOD"
 
-#: The backend names :func:`make_backend` (and every ``--backend`` CLI
-#: option) accepts, in increasing isolation order.
-BACKEND_NAMES = ("serial", "thread", "process")
+#: The backend names :func:`backend_from_spec` (and every ``--backend``
+#: CLI option) accepts, in increasing isolation order.
+BACKEND_NAMES = ("serial", "process")
 
 
 def usable_cpus() -> int:
@@ -98,21 +101,15 @@ def mp_context(
 _WORKER_INDEX = 0
 _IN_WORKER_PROCESS = False
 
-_thread_state = threading.local()
-
 
 def worker_index() -> int:
     """The current worker's stable 0-based index.
 
     Inside a :class:`ProcessBackend` worker process this is the index the
-    pool assigned at startup; inside a :class:`ThreadBackend` worker
-    thread it is the thread's pool slot; in the main process/thread it is
-    ``0``.  Callers use it to carve out disjoint resource blocks (e.g.
-    identifier numbering) without coordination.
+    pool assigned at startup; in any other process it is ``0``.  Callers
+    use it to carve out disjoint resource blocks (e.g. identifier
+    numbering) without coordination.
     """
-    index = getattr(_thread_state, "index", None)
-    if index is not None:
-        return index
     return _WORKER_INDEX
 
 
@@ -135,11 +132,6 @@ def _process_worker_init(sequence: Any) -> None:
     _IN_WORKER_PROCESS = True
 
 
-def _thread_worker_init(counter: Iterator[int]) -> None:
-    """Pool-thread startup: claim a slot index."""
-    _thread_state.index = next(counter)
-
-
 # -- the protocol -------------------------------------------------------------
 
 
@@ -148,12 +140,12 @@ class ExecutionBackend(Protocol):
     """Where jobs run.  All backends speak this two-method protocol.
 
     Attributes:
-        name: Stable backend tag (``"serial"``, ``"thread"``,
-            ``"process"``) recorded in campaign results.
+        name: Stable backend tag (``"serial"``, ``"process"``) recorded
+            in campaign results.
         jobs: Maximum concurrently executing jobs.
         shares_memory: True when jobs see the caller's objects directly
-            (serial, thread); False when jobs cross a pickle boundary
-            (process, and any future distributed backend).
+            (serial); False when jobs cross a pickle boundary (process,
+            and any future distributed backend).
     """
 
     name: str
@@ -200,7 +192,7 @@ class SerialBackend(_BackendBase):
 
     ``map_unordered`` executes one job per ``next()`` call, so streaming
     consumers (and cooperative cancellation) work exactly as they do on
-    the pooled backends -- just one at a time.
+    the process pool -- just one at a time.
     """
 
     name = "serial"
@@ -217,77 +209,7 @@ class SerialBackend(_BackendBase):
         """Nothing to release: serial jobs run in the caller."""
 
 
-class _PoolBackend(_BackendBase):
-    """Common executor-backed implementation (threads and processes)."""
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValidationError(f"backend jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._executor: _futures.Executor | None = None
-        self._lock = threading.Lock()
-
-    def _make_executor(self) -> _futures.Executor:
-        raise NotImplementedError
-
-    @property
-    def started(self) -> bool:
-        """True once the worker pool exists (first submit starts it)."""
-        return self._executor is not None
-
-    def _ensure(self) -> _futures.Executor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = self._make_executor()
-            return self._executor
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> _futures.Future:
-        return self._ensure().submit(fn, *args, **kwargs)
-
-    def map_unordered(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> Iterator[tuple[int, Any]]:
-        pending = {self.submit(fn, item): index for index, item in enumerate(items)}
-        try:
-            for future in _futures.as_completed(list(pending)):
-                # Drop the future as it completes so result payloads are
-                # released to the consumer instead of accumulating here.
-                index = pending.pop(future)
-                yield index, future.result()
-        finally:
-            for future in pending:
-                future.cancel()
-
-    def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait, cancel_futures=cancel_pending)
-
-
-class ThreadBackend(_PoolBackend):
-    """A thread pool sharing the caller's memory (GIL applies).
-
-    Best for jobs that block (I/O, admission locks) or that must touch
-    in-process objects a process boundary would copy or reject.
-    """
-
-    name = "thread"
-    shares_memory = True
-
-    def __init__(self, jobs: int | None = None) -> None:
-        super().__init__(jobs if jobs is not None else usable_cpus())
-
-    def _make_executor(self) -> _futures.Executor:
-        return _futures.ThreadPoolExecutor(
-            max_workers=self.jobs,
-            thread_name_prefix="repro-runtime",
-            initializer=_thread_worker_init,
-            initargs=(itertools.count(),),
-        )
-
-
-class ProcessBackend(_PoolBackend):
+class ProcessBackend(_BackendBase):
     """A process pool for CPU-bound fan-out (jobs must pickle).
 
     Every worker process runs :func:`_process_worker_init` first: it
@@ -316,29 +238,44 @@ class ProcessBackend(_PoolBackend):
         start_method: str | None = None,
         respawn_limit: int = 2,
     ) -> None:
-        super().__init__(jobs if jobs is not None else usable_cpus())
+        if jobs is None:
+            jobs = usable_cpus()
+        if jobs < 1:
+            raise ValidationError(f"backend jobs must be >= 1, got {jobs}")
         if respawn_limit < 0:
             raise ValidationError(
                 f"respawn_limit must be >= 0, got {respawn_limit}"
             )
+        self.jobs = jobs
         self._start_method = start_method
         self.respawn_limit = respawn_limit
         self.respawns = 0
+        self._executor: _futures.ProcessPoolExecutor | None = None
+        self._lock = threading.Lock()
 
     @property
     def start_method(self) -> str:
         """The start method this backend will use (resolved lazily)."""
         return self._start_method or default_start_method()
 
-    def _make_executor(self) -> _futures.Executor:
-        context = mp_context(self.start_method)
-        sequence = context.Value("i", 0)
-        return _futures.ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=context,
-            initializer=_process_worker_init,
-            initargs=(sequence,),
-        )
+    @property
+    def started(self) -> bool:
+        """True once the worker pool exists (the first map starts it)."""
+        return self._executor is not None
+
+    def _ensure(self) -> _futures.ProcessPoolExecutor:
+        """The worker pool, started on first use."""
+        with self._lock:
+            if self._executor is None:
+                context = mp_context(self.start_method)
+                sequence = context.Value("i", 0)
+                self._executor = _futures.ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    mp_context=context,
+                    initializer=_process_worker_init,
+                    initargs=(sequence,),
+                )
+            return self._executor
 
     def map_unordered(
         self, fn: Callable[[Any], Any], items: Iterable[Any]
@@ -359,8 +296,9 @@ class ProcessBackend(_PoolBackend):
                 return
             pending: dict[_futures.Future, int] = {}
             try:
+                executor = self._ensure()
                 for index in sorted(remaining):
-                    pending[self.submit(fn, remaining[index])] = index
+                    pending[executor.submit(fn, remaining[index])] = index
                 for future in _futures.as_completed(list(pending)):
                     index = pending.pop(future)
                     value = future.result()
@@ -383,60 +321,56 @@ class ProcessBackend(_PoolBackend):
                 for future in pending:
                     future.cancel()
 
+    def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=cancel_pending)
 
-# -- factories ----------------------------------------------------------------
 
-
-def make_backend(
-    name: str, jobs: int | None = None, **kwargs: Any
-) -> ExecutionBackend:
-    """Build a backend from its CLI name (``serial``/``thread``/``process``).
-
-    ``serial`` is definitionally single-job, so asking it for
-    parallelism is rejected rather than silently ignored; extra keyword
-    arguments go to the backend constructor (e.g. ``start_method=`` for
-    ``process``).
-    """
-    if name == "serial":
-        if jobs is not None and jobs != 1:
-            raise ValidationError(
-                f"the serial backend runs exactly one job (got jobs={jobs}); "
-                "choose thread or process for parallelism"
-            )
-        return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(jobs=jobs, **kwargs)
-    if name == "process":
-        return ProcessBackend(jobs=jobs, **kwargs)
-    raise ValidationError(
-        f"unknown backend {name!r} (choose one of {', '.join(BACKEND_NAMES)})"
-    )
+# -- the resolver -------------------------------------------------------------
 
 
 def backend_from_spec(
     spec: "str | ExecutionBackend | None",
     jobs: int | None = None,
 ) -> ExecutionBackend:
-    """Normalise the ``backend=``/``jobs=`` calling convention.
+    """Resolve the ``backend=``/``jobs=`` calling convention.
 
-    ``None`` means: ``serial`` unless ``jobs`` asks for parallelism, in
-    which case ``process`` (the CPU-bound default).  A string goes
-    through :func:`make_backend`; a ready backend is returned unchanged
-    (``jobs`` must then be unset -- the backend already knows its size).
+    ``jobs`` below 1 is rejected whatever the spec.  ``None`` means
+    ``serial`` unless ``jobs`` asks for parallelism, in which case
+    ``process`` (the CPU-bound default).  A name from
+    :data:`BACKEND_NAMES` builds that backend: ``serial`` runs exactly
+    one job, so asking it for more is rejected rather than silently
+    ignored; ``process`` without ``jobs`` uses every usable CPU (build
+    :class:`ProcessBackend` directly for a start method).  A ready
+    backend is returned unchanged, and ``jobs`` must then be unset or
+    match it -- the backend already knows its size.
     """
+    if jobs is not None and jobs < 1:
+        raise ValidationError(f"backend jobs must be >= 1, got {jobs}")
     if spec is None:
-        if jobs is None or jobs <= 1:
-            return SerialBackend()
+        spec = "process" if jobs is not None and jobs > 1 else "serial"
+    if not isinstance(spec, str):
+        if jobs is not None and jobs != spec.jobs:
+            raise ValidationError(
+                f"jobs={jobs} conflicts with the provided backend "
+                f"({spec.name}, jobs={spec.jobs}); size the backend "
+                "directly"
+            )
+        return spec
+    if spec == "serial":
+        if jobs is not None and jobs != 1:
+            raise ValidationError(
+                f"the serial backend runs exactly one job (got jobs={jobs}); "
+                "choose process for parallelism"
+            )
+        return SerialBackend()
+    if spec == "process":
         return ProcessBackend(jobs=jobs)
-    if isinstance(spec, str):
-        return make_backend(spec, jobs=jobs)
-    if jobs is not None and jobs != spec.jobs:
-        raise ValidationError(
-            f"jobs={jobs} conflicts with the provided backend "
-            f"({spec.name}, jobs={spec.jobs}); size the backend "
-            "directly"
-        )
-    return spec
+    raise ValidationError(
+        f"unknown backend {spec!r} (choose one of {', '.join(BACKEND_NAMES)})"
+    )
 
 
 __all__ = [
@@ -445,12 +379,10 @@ __all__ = [
     "ProcessBackend",
     "START_METHOD_ENV",
     "SerialBackend",
-    "ThreadBackend",
     "available_start_methods",
     "backend_from_spec",
     "default_start_method",
     "in_worker_process",
-    "make_backend",
     "mp_context",
     "usable_cpus",
     "worker_index",

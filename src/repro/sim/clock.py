@@ -407,12 +407,13 @@ class SimClock:
 
         The first execution happens at ``start`` (default: one period from
         now); repetition stops once the next occurrence would exceed
-        ``until``.  The whole repetition chain shares one internal
+        ``until``, so an ``until`` before the first occurrence schedules
+        nothing.  The whole repetition chain shares one internal
         schedule object -- no per-firing closure allocation.
 
         Raises:
-            SimulationError: when ``period`` is not positive or NaN, or
-                ``start`` is in the past or NaN.
+            SimulationError: when ``period`` is not positive or NaN,
+                ``start`` is in the past or NaN, or ``until`` is NaN.
         """
         if not period > 0:
             raise SimulationError(f"period must be positive, got {period}")
@@ -421,6 +422,11 @@ class SimClock:
             raise SimulationError(
                 f"cannot schedule at {first} ms; clock is at {self.now} ms"
             )
+        if until is not None:
+            if until != until:
+                raise SimulationError("periodic schedule until NaN")
+            if first > until:
+                return
         self._push(
             first, None, _PeriodicSchedule(self, period, callback, first, until)
         )

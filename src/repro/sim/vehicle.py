@@ -94,9 +94,10 @@ class _TickCohort:
     (:meth:`World.relocate <repro.sim.world.World.relocate>`, inlined)
     and one ``vehicle.entered_zone`` publish per newly entered zone, in
     name order.  A stepped vehicle that cruises is filed again from
-    where it is.  Writing ``speed_mps``, ``target_speed_mps`` or
-    ``position_m`` makes a vehicle active (:meth:`release`), and so does
-    a zone added to its world.
+    where it is.  Writing ``speed_mps`` or ``position_m``, or a changed
+    target through :meth:`Vehicle.set_target_speed` or
+    :meth:`Vehicle.safe_stop`, makes a vehicle active (:meth:`release`),
+    and so does a zone added to its world.
 
     Motion listeners are notified once per tick, not once per move:
     the distinct listeners of the vehicles that moved are called after
@@ -448,16 +449,16 @@ class Vehicle:
     run in the :class:`_TickCohort` it joins on creation, which keeps
     its position in the cohort's position column and advances it every
     ``tick_ms`` (``MAX_DECEL_MPS2``/``MAX_ACCEL_MPS2`` bound how fast it
-    approaches ``target_speed_mps``).  Writing ``position_m``,
-    ``speed_mps`` or ``target_speed_mps`` takes effect from the next
+    approaches ``target_speed_mps``).  Writing ``position_m`` or
+    ``speed_mps``, or commanding a target, takes effect from the next
     tick on, like any control input; NaN is rejected, since the cohort
     orders positions and increments.
 
-    Goal checks rely on ``target_speed_mps`` being written only through
-    :meth:`set_target_speed` and :meth:`safe_stop`, which publish
-    ``vehicle.target_speed`` and ``vehicle.safe_stop``: they keep their
-    offenders on those events instead of reading every vehicle per
-    sweep.
+    ``target_speed_mps`` is read-only: :meth:`set_target_speed` and
+    :meth:`safe_stop` are its only writers, and they publish
+    ``vehicle.target_speed`` and ``vehicle.safe_stop``, so goal checks
+    keep their offenders on those events instead of reading every
+    vehicle per sweep.
 
     Attributes:
         name: Vehicle identity ("ego").
@@ -557,7 +558,7 @@ class Vehicle:
         if self.mode is DrivingMode.SAFE_STOP:
             return
         self.mode = DrivingMode.SAFE_STOP
-        self.target_speed_mps = 0.0
+        self._steer(0.0)
         self._bus.publish(
             self._clock.now,
             "vehicle.safe_stop",
@@ -572,9 +573,7 @@ class Vehicle:
         ``inf`` is a legal command (SG03 flags it); negative and NaN
         targets are rejected.
         """
-        if not speed_mps >= 0:
-            raise SimulationError("target speed must be >= 0")
-        self.target_speed_mps = speed_mps
+        self._steer(speed_mps)
         self._bus.publish(
             self._clock.now,
             "vehicle.target_speed",
@@ -617,13 +616,14 @@ class Vehicle:
 
     @property
     def target_speed_mps(self) -> float:
-        """The speed the kinematics approach (m/s)."""
+        """The speed the kinematics approach (m/s), read-only."""
         return self._target_speed_mps
 
-    @target_speed_mps.setter
-    def target_speed_mps(self, value: float) -> None:
-        if value != value:
-            raise SimulationError("target speed is NaN")
+    def _steer(self, value: float) -> None:
+        """Set the target speed, the one write behind both commands."""
+        # ``not >=``: NaN compares false.
+        if not value >= 0:
+            raise SimulationError("target speed must be >= 0")
         previous = self._target_speed_mps
         self._target_speed_mps = value
         if value != previous:

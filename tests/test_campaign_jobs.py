@@ -31,7 +31,6 @@ from repro.runtime import (
     ProcessBackend,
     Runtime,
     SerialBackend,
-    ThreadBackend,
     worker_index,
 )
 
@@ -69,8 +68,6 @@ def _outcome_fingerprint(outcome):
 def _make_backend(name):
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(jobs=2)
     return ProcessBackend(jobs=2)
 
 
@@ -109,7 +106,7 @@ class _DictMemo:
 
 
 class TestOneVariantPerTask:
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_every_variant_is_its_own_task(self, name):
         """The runtime reports one completed task per variant, each
         counted against the full campaign."""
@@ -130,17 +127,16 @@ class TestOneVariantPerTask:
         assert result.total == len(variants)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7])
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_pool_matches_serial_at_every_campaign_size(self, name, size):
+    def test_pool_matches_serial_at_every_campaign_size(self, size):
         """Fewer, equal and more variants than pool workers all land on
         the serial verdicts, in input order."""
         variants = _quick_variants()[:size]
         assert len(variants) == size
         serial = run_campaign(variants, backend=SerialBackend())
-        with _make_backend(name) as backend:
+        with ProcessBackend(jobs=2) as backend:
             parallel = run_campaign(variants, backend=backend)
         assert _fingerprint(parallel) == _fingerprint(serial)
-        assert parallel.backend == name
+        assert parallel.backend == "process"
 
 
 class TestMemoReindexing:
@@ -156,7 +152,7 @@ class TestMemoReindexing:
         variants = _quick_variants()[:7]
         reference = run_campaign(variants, backend=SerialBackend())
         memo = _DictMemo(reference.outcomes[i] for i in cached)
-        with ThreadBackend(jobs=2) as backend:
+        with ProcessBackend(jobs=2) as backend:
             result = run_campaign(variants, backend=backend, memo=memo)
         assert _fingerprint(result) == _fingerprint(reference)
         assert [o.from_cache for o in result.outcomes] == [
@@ -219,7 +215,7 @@ class TestJobFunction:
 
 
 class TestMixedFamilyOrdering:
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_mixed_family_lists_still_ordered(self, name):
         """Interleaved families and scenarios come back in exactly the
         submitted order with the serial verdicts."""
@@ -242,7 +238,7 @@ class TestPoisonIsolation:
         healthy = list(_quick_variants()[:3])
         submitted = list(healthy)
         submitted.insert(position, _poisoned_variant())
-        with ThreadBackend(jobs=2) as backend:
+        with ProcessBackend(jobs=2) as backend:
             result = run_campaign(
                 submitted, backend=backend, on_error="record"
             )
@@ -258,7 +254,7 @@ class TestPoisonIsolation:
             _outcome_fingerprint(o) for o in serial.outcomes
         ]
 
-    @pytest.mark.parametrize("name", ["serial", "thread"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_poisoned_variant_between_healthy_ones_raises(self, name):
         first, second = _quick_variants()[:2]
         with _make_backend(name) as backend:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -105,7 +107,6 @@ class TestCampaign:
         assert "[PASS] uc1/baseline/stock" in out
 
     def test_parallel_workers_and_json(self, capsys):
-        import json
 
         assert main([
             "campaign", "--family", "zone-geometry",
@@ -127,10 +128,39 @@ class TestCampaign:
     def test_backend_and_jobs_options(self, capsys):
         assert main([
             "campaign", "--family", "baseline",
-            "--backend", "thread", "--jobs", "2",
+            "--backend", "process", "--jobs", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "thread backend" in out
+        assert "process backend" in out
+
+    def test_thread_backend_is_a_usage_error(self, capsys):
+        """``--backend`` offers exactly the runtime's backend names."""
+        from repro.runtime import BACKEND_NAMES
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--family", "baseline", "--backend", "thread"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        assert f"--backend {{{','.join(BACKEND_NAMES)}}}" in err
+
+    def test_process_backend_without_jobs_uses_every_cpu(self, capsys):
+        from repro.runtime import usable_cpus
+
+        assert main([
+            "campaign", "--family", "baseline", "--backend", "process",
+            "--json",
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["backend"] == "process"
+        assert summary["workers"] == usable_cpus()
+
+    def test_serial_backend_rejects_parallel_jobs(self, capsys):
+        assert main([
+            "campaign", "--family", "baseline",
+            "--backend", "serial", "--jobs", "2",
+        ]) == 1
+        assert "exactly one job" in capsys.readouterr().err
 
     def test_zero_workers_rejected(self, capsys):
         assert main(["campaign", "--family", "baseline", "--jobs", "0"]) == 1

@@ -170,16 +170,11 @@ class TestRunCampaign:
                 variant_id="x", scenario="uc2-keyless-entry", family="f"
             )
         ] * 2
-        # In-process backends honour it; process fan-out is refused
-        # loudly instead of silently resolving against the default
-        # registry inside the workers.
+        # The in-process serial backend honours it; process fan-out is
+        # refused loudly instead of silently resolving against the
+        # default registry inside the workers.
         assert run_campaign(variants[:1], registry=custom).total == 1
-        from repro.runtime import ThreadBackend
-
-        threaded = run_campaign(
-            variants, registry=custom, backend=ThreadBackend(jobs=2)
-        )
-        assert threaded.total == 2
+        assert run_campaign(variants, registry=custom).total == 2
         with pytest.raises(ValidationError, match="serial"):
             run_campaign(
                 variants, registry=custom, backend=ProcessBackend(jobs=2)
@@ -187,7 +182,7 @@ class TestRunCampaign:
 
     def test_worker_identity_claims_disjoint_id_blocks(self, monkeypatch):
         """A pool worker's first job claims a block based on its index;
-        the main process (and thread workers) never reset the allocator."""
+        any other process never resets the allocator."""
         import repro.engine.campaign as campaign_module
         from repro.model.identifiers import (
             claim_id,

@@ -247,9 +247,9 @@ _FRACTIONS = (0.0, 0.2, 0.25, 0.4, 0.5, 0.6, 0.8)
 #: Zone starts: a coarse grid, so zones often share a start and one
 #: tick enters several of them.
 _ZONE_STARTS = (0.0, 0.25, 0.5)
-#: Writes between ticks: ``set_target_speed``, a direct target or
-#: speed write (either may be negative), a ``position_m`` setter write.
-_WRITES = ("target", "direct-target", "direct-speed", "position")
+#: Writes between ticks: ``set_target_speed``, a direct speed write
+#: (which may be negative), a ``position_m`` setter write.
+_WRITES = ("target", "direct-speed", "position")
 
 
 @st.composite
@@ -276,11 +276,11 @@ def _cohort_cases(draw):
             st.sampled_from(_FRACTIONS).map(lambda f: f * road),
         ))
         speed = draw(st.floats(min_value=0.0, max_value=40.0))
-        # Decel clamp, accel clamp or none.  Negative targets are out of
-        # set_target_speed's reach, but they drive the road-start clamp.
+        # Decel clamp, accel clamp or none.  A negative speed write
+        # (below) drives the road-start clamp.
         target = draw(st.one_of(
             st.just(speed),
-            st.floats(min_value=-5.0, max_value=45.0),
+            st.floats(min_value=0.0, max_value=45.0),
         ))
         mode = draw(st.sampled_from(list(DrivingMode)))
         vehicles.append((position, speed, target, mode))
@@ -350,9 +350,6 @@ def _write(vehicle, state, kind, value, road, moved):
     if kind == "target":
         vehicle.set_target_speed(abs(value))
         state.target_speed_mps = abs(value)
-    elif kind == "direct-target":
-        vehicle.target_speed_mps = value
-        state.target_speed_mps = value
     elif kind == "direct-speed":
         vehicle.speed_mps = value
         state.speed_mps = value
@@ -383,9 +380,9 @@ class TestCohortKinematicsProperty:
         False,
     ))
     # Pinned: a zone starts exactly where v0 cruises after 10 ticks of
-    # 0.1 m (0.9999999999999999, not 1.0); v1's direct target write
-    # after tick 2 brakes it, and the setter moves v0 back out of the
-    # zone after tick 11, all within one run.
+    # 0.1 m (0.9999999999999999, not 1.0); v1's target write after
+    # tick 2 brakes it, and the setter moves v0 back out of the zone
+    # after tick 11, all within one run.
     @example((
         10.0,
         [],
@@ -396,7 +393,7 @@ class TestCohortKinematicsProperty:
         100.0,
         12,
         ("start", 10, 0),
-        [(2, 1, "direct-target", 1.0), (11, 0, "position", 0.0)],
+        [(2, 1, "target", 1.0), (11, 0, "position", 0.0)],
         True,
     ))
     # Pinned: v0's increment (1.5e-16 m) moves it twice, onto 2.0,
@@ -465,7 +462,7 @@ class TestCohortKinematicsProperty:
                 name, clock, bus, world,
                 position_m=position, speed_mps=speed, tick_ms=tick_ms,
             )
-            vehicle.target_speed_mps = target
+            vehicle.set_target_speed(target)
             vehicle.mode = mode
             vehicle.add_motion_listener(lambda n=name: moved.append(n))
             vehicles.append(vehicle)
@@ -574,12 +571,10 @@ class _SweptFleet(FleetConstructionSiteScenario):
         self.monitor.add_invariant("SG05", sg05_warning_flood)
 
 
-#: "target" is set_target_speed, "direct-target" a direct write of
-#: ``target_speed_mps`` (mid-cruise either way); "move" is a
+#: "target" is set_target_speed (mid-cruise); "move" is a
 #: ``position_m`` setter write.
 _SWITCHES = (
     "handover", "manual", "automated", "safe_stop", "move", "target",
-    "direct-target",
 )
 
 
@@ -649,15 +644,6 @@ def _switch(scenario, index, action, value):
     vehicle = scenario.vehicles[index]
     if action == "target":
         vehicle.set_target_speed(value)
-    elif action == "direct-target":
-        # On the side of the legal maximum the target is on: SG03 keeps
-        # its offenders on the published target events, which a direct
-        # write does not make.
-        limit = scenario.LEGAL_MAX_SPEED_MPS
-        value %= limit
-        if vehicle.target_speed_mps > limit:
-            value += limit + 1.0
-        vehicle.target_speed_mps = value
     elif action == "warn":
         scenario.obus[index].handle(Message(
             kind=KIND_HAZARD_WARNING, sender="test", payload={"text": "!"}
@@ -704,14 +690,14 @@ class TestZoneGatedSG01Property:
         200.0,
     ))
     # Pinned: the zone starts exactly where ego-1 cruises after 10 ticks
-    # of 0.1 m from 1.0 m (2.000000000000001, not 2.0); a direct target
-    # write then brakes it inside the zone.
+    # of 0.1 m from 1.0 m (2.000000000000001, not 2.0); a target write
+    # then brakes it inside the zone.
     @example((
         dict(
             fleet_size=2, headway_m=1.0, vehicle_speed_mps=1.0,
             zone_start_m=2.000000000000001, zone_end_m=3.0,
         ),
-        [(1500.0, 0, "direct-target", 0.5)],
+        [(1500.0, 0, "target", 0.5)],
         2500.0,
     ))
     # Pinned: the road ends exactly there instead, so ego-1 saturates

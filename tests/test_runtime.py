@@ -4,16 +4,15 @@ import pytest
 
 from repro.errors import ExecutionError, ValidationError
 from repro.runtime import (
+    BACKEND_NAMES,
     CancelToken,
     ProcessBackend,
     Runtime,
     SerialBackend,
     START_METHOD_ENV,
-    ThreadBackend,
     available_start_methods,
     backend_from_spec,
     derive_seed,
-    make_backend,
     usable_cpus,
 )
 
@@ -39,11 +38,11 @@ def _report_worker(value):
     return (in_worker_process(), worker_index())
 
 
-ALL_BACKENDS = ("serial", "thread", "process")
+ALL_BACKENDS = ("serial", "process")
 
 
 def _backend(name):
-    return make_backend(name, jobs=None if name == "serial" else 2)
+    return backend_from_spec(name, jobs=None if name == "serial" else 2)
 
 
 def _run(runtime, fn, items):
@@ -65,20 +64,27 @@ class TestSeedDerivation:
         assert derive_seed(1, "BLE") != derive_seed(1, "CAN")
 
 
-class TestBackendFactories:
-    def test_make_backend_names(self):
-        assert make_backend("serial").name == "serial"
-        assert make_backend("serial", jobs=1).name == "serial"
-        assert make_backend("thread", jobs=3).jobs == 3
-        assert make_backend("process", jobs=3).jobs == 3
+class TestBackendResolver:
+    def test_backend_names(self):
+        assert BACKEND_NAMES == ("serial", "process")
+        assert backend_from_spec("serial").name == "serial"
+        assert backend_from_spec("serial", jobs=1).name == "serial"
+        assert backend_from_spec("process", jobs=3).jobs == 3
+        assert backend_from_spec("process").jobs == usable_cpus()
         with pytest.raises(ValidationError, match="unknown backend"):
-            make_backend("quantum")
+            backend_from_spec("quantum")
+
+    def test_thread_is_an_unknown_name(self):
+        with pytest.raises(ValidationError, match="unknown backend"):
+            backend_from_spec("thread")
+        with pytest.raises(ValidationError, match="unknown backend"):
+            backend_from_spec("thread", jobs=2)
 
     def test_serial_backend_rejects_parallel_jobs(self):
         # Silently ignoring --jobs on the serial backend would hide a
         # misconfiguration; it errors like the instance path does.
         with pytest.raises(ValidationError, match="exactly one job"):
-            make_backend("serial", jobs=4)
+            backend_from_spec("serial", jobs=4)
 
     def test_backend_from_spec_defaults(self):
         assert backend_from_spec(None).name == "serial"
@@ -87,15 +93,28 @@ class TestBackendFactories:
         assert parallel.name == "process"
         assert parallel.jobs == 3
 
-    def test_backend_from_spec_conflicting_jobs_rejected(self):
-        backend = ThreadBackend(jobs=2)
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_backend_from_spec_conflicting_jobs_rejected(self, owned):
+        backend = ProcessBackend(jobs=2) if owned else SerialBackend()
         with pytest.raises(ValidationError, match="conflicts"):
             backend_from_spec(backend, jobs=4)
-        assert backend_from_spec(backend, jobs=2) is backend
+        assert backend_from_spec(backend, jobs=backend.jobs) is backend
+        assert backend_from_spec(backend) is backend
+
+    @pytest.mark.parametrize("jobs", [0, -1, -4])
+    @pytest.mark.parametrize(
+        "spec",
+        [None, "serial", "process", SerialBackend(), ProcessBackend(jobs=2)],
+        ids=["none", "serial", "process", "serial-instance",
+             "process-instance"],
+    )
+    def test_backend_from_spec_rejects_jobs_below_one(self, spec, jobs):
+        with pytest.raises(ValidationError, match=">= 1"):
+            backend_from_spec(spec, jobs=jobs)
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValidationError, match=">= 1"):
-            ThreadBackend(jobs=0)
+            ProcessBackend(jobs=0)
         with pytest.raises(ValidationError, match=">= 1"):
             ProcessBackend(jobs=-1)
 
@@ -128,9 +147,15 @@ class TestBackendExecution:
         assert executed == [0]
 
     def test_shutdown_is_idempotent(self):
-        backend = ThreadBackend(jobs=1)
-        backend.submit(_square, 2).result()
+        backend = ProcessBackend(jobs=1)
+        backend.shutdown()  # never started: nothing to release
+        assert dict(backend.map_unordered(_square, [2])) == {0: 4}
+        assert backend.started
         backend.shutdown()
+        assert not backend.started
+        backend.shutdown()
+        # A shut-down backend starts a fresh pool on its next map.
+        assert dict(backend.map_unordered(_square, [3])) == {0: 9}
         backend.shutdown()
 
 
@@ -155,11 +180,11 @@ class TestRuntimeSemantics:
         with pytest.raises(ExecutionError, match="poisoned"):
             failed.unwrap()
 
-    @pytest.mark.parametrize("jobs", (1, 2, 5))
+    @pytest.mark.parametrize("jobs", (1, 2, 3))
     def test_pool_size_does_not_change_results(self, jobs):
         """Each item is one task, so the pool size moves no index or
         value."""
-        with Runtime(ThreadBackend(jobs=jobs)) as runtime:
+        with Runtime(ProcessBackend(jobs=jobs)) as runtime:
             results = _run(runtime, _derive, range(9))
         assert [r.index for r in results] == list(range(9))
         assert [r.value for r in results] == [

@@ -25,7 +25,6 @@ from repro.runtime import (
     CancelToken,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_start_methods,
 )
 
@@ -86,13 +85,13 @@ def _large_convoys(size):
 
 
 class TestBackendParity:
-    def test_thread_and_process_match_serial(self):
+    def test_process_matches_serial(self):
         variants = _quick_variants()
         serial = run_campaign(variants, backend=SerialBackend())
-        for backend in (ThreadBackend(jobs=2), ProcessBackend(jobs=2)):
+        with ProcessBackend(jobs=2) as backend:
             parallel = run_campaign(variants, backend=backend)
-            assert _fingerprint(parallel) == _fingerprint(serial), backend.name
-            assert parallel.backend == backend.name
+        assert _fingerprint(parallel) == _fingerprint(serial)
+        assert parallel.backend == "process"
 
     @pytest.mark.slow
     def test_ad08_ad20_family_parity_serial_vs_process(self):
@@ -108,18 +107,17 @@ class TestBackendParity:
         assert serial.outcome("uc2/parity/ad08").sut_passed
         assert serial.outcome("uc1/parity/ad20").sut_passed
 
-    def test_fleet_family_matches_serial_on_every_backend(self):
-        """Per-vehicle verdicts cross every backend unchanged."""
+    def test_fleet_family_matches_serial_on_process(self):
+        """Per-vehicle verdicts cross the pickle boundary unchanged."""
         variants = [
             variant
             for variant in default_registry().variants(family="fleet")
             if variant.params_dict()["fleet_size"] in (2, 4, 8)
         ]
         serial = _fleet_fingerprint(run_campaign(variants, backend="serial"))
-        for backend in (ThreadBackend(jobs=2), ProcessBackend(jobs=2)):
-            with backend:
-                result = run_campaign(variants, backend=backend)
-            assert _fleet_fingerprint(result) == serial, backend.name
+        with ProcessBackend(jobs=2) as backend:
+            result = run_campaign(variants, backend=backend)
+        assert _fleet_fingerprint(result) == serial
 
     @pytest.mark.parametrize("size", [64, 256])
     def test_large_convoys_match_serial_on_process(self, size):
@@ -146,7 +144,7 @@ class TestOrderingAndOwnership:
         from repro.engine.campaign import iter_campaign
 
         variants = _quick_variants()[:3]
-        outcomes = list(iter_campaign(variants, backend="thread"))
+        outcomes = list(iter_campaign(variants, backend="process"))
         assert {o.variant_id for o in outcomes} == {
             v.variant_id for v in variants
         }
@@ -156,7 +154,8 @@ class TestOrderingAndOwnership:
         exact submission order, not collapsed by variant id."""
         first, second = _quick_variants()[:2]
         submitted = [first, second, first]
-        result = run_campaign(submitted, backend=ThreadBackend(jobs=2))
+        with ProcessBackend(jobs=2) as backend:
+            result = run_campaign(submitted, backend=backend)
         assert [o.variant_id for o in result.outcomes] == [
             v.variant_id for v in submitted
         ]
@@ -165,18 +164,19 @@ class TestOrderingAndOwnership:
         """A backend the campaign built from a name is released after
         the run: its pool is not leaked."""
         released = []
-        shutdown = ThreadBackend.shutdown
+        shutdown = ProcessBackend.shutdown
 
         def recording_shutdown(backend, *args, **kwargs):
+            started = backend.started
             shutdown(backend, *args, **kwargs)
-            released.append(backend.started)
+            released.append((started, backend.started))
 
-        monkeypatch.setattr(ThreadBackend, "shutdown", recording_shutdown)
-        run_campaign(_quick_variants()[:3], backend="thread")
-        assert released == [False]
+        monkeypatch.setattr(ProcessBackend, "shutdown", recording_shutdown)
+        run_campaign(_quick_variants()[:3], backend="process")
+        assert released == [(True, False)]
 
     def test_runner_leaves_caller_backend_running(self):
-        backend = ThreadBackend(jobs=2)
+        backend = ProcessBackend(jobs=2)
         try:
             run_campaign(_quick_variants()[:3], backend=backend)
             assert backend.started is True  # caller owns the lifecycle
@@ -293,10 +293,11 @@ class TestWorkspaceIntegration:
         result = workspace.campaign(
             scenario="uc2-keyless-entry",
             family="zone-geometry",
-            backend="thread",
+            backend="process",
             jobs=2,
         )
-        assert result.backend == "thread"
+        assert result.backend == "process"
+        assert result.workers == 2
         records = workspace.results()
         assert len(records) == result.total
         serial = run_campaign(
@@ -307,20 +308,10 @@ class TestWorkspaceIntegration:
         )
         assert _fingerprint(result) == _fingerprint(serial)
 
-    def test_workspace_default_backend(self):
-        from repro.api import Workspace
-
-        workspace = Workspace(backend="thread", jobs=2)
-        result = workspace.campaign(
-            scenario="uc2-keyless-entry", family="zone-geometry", limit=2
-        )
-        assert result.backend == "thread"
-        assert result.workers == 2
-
     def test_workspace_rejects_conflicting_specs(self):
         from repro.api import Workspace
 
         with pytest.raises(ValidationError, match="conflicts"):
             Workspace().campaign(
-                family="zone-geometry", backend=ThreadBackend(jobs=2), jobs=3
+                family="zone-geometry", backend=ProcessBackend(jobs=2), jobs=3
             )

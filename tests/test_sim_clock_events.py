@@ -95,6 +95,31 @@ class TestSimClock:
         clock.run()
         assert times == [5, 15, 25]
 
+    @pytest.mark.parametrize("until, expected", [(5, []), (10, [10])])
+    def test_periodic_until_at_or_before_first_occurrence(
+        self, until, expected
+    ):
+        """An ``until`` before the first occurrence schedules nothing."""
+        clock = SimClock()
+        times = []
+        clock.schedule_periodic(
+            10, lambda: times.append(clock.now), until=until
+        )
+        assert clock.pending == len(expected)
+        clock.run_until(100.0)
+        assert times == expected
+
+    def test_nan_periodic_until_rejected(self):
+        clock = SimClock()
+        times = []
+        with pytest.raises(SimulationError, match="NaN"):
+            clock.schedule_periodic(
+                10, lambda: times.append(clock.now), until=NAN
+            )
+        assert clock.pending == 0
+        clock.run_until(100.0)
+        assert times == []
+
     def test_periodic_needs_positive_period(self):
         with pytest.raises(SimulationError):
             SimClock().schedule_periodic(0, lambda: None)

@@ -185,7 +185,6 @@ class TestVehicle:
         clock, __, __, vehicle = rig
         for write in (
             lambda: vehicle.set_target_speed(float("nan")),
-            lambda: setattr(vehicle, "target_speed_mps", float("nan")),
             lambda: setattr(vehicle, "speed_mps", float("nan")),
         ):
             with pytest.raises(SimulationError, match="NaN|>= 0"):
@@ -193,6 +192,16 @@ class TestVehicle:
         assert vehicle.target_speed_mps == vehicle.speed_mps == 25.0
         clock.run_until(1000.0)
         assert vehicle.position_m == pytest.approx(25.0)
+
+    def test_target_speed_is_read_only(self, rig):
+        """Only set_target_speed and safe_stop write the target: they
+        publish the events goal checks keep their offenders on."""
+        clock, __, __, vehicle = rig
+        with pytest.raises(AttributeError):
+            vehicle.target_speed_mps = 41.0
+        assert vehicle.target_speed_mps == 25.0
+        clock.run_until(1000.0)
+        assert vehicle.speed_mps == 25.0
 
     def test_infinite_target_is_legal(self, rig):
         # SG03 is what flags it.
