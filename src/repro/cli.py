@@ -18,7 +18,7 @@ Usage (also via ``python -m repro``)::
     repro campaign --export out.csv   # export outcomes (json/csv/md)
     repro serve --port-file daemon.port --memo-dir .memo  # campaign daemon
     repro submit --port-file daemon.port --family coverage  # stream verdicts
-    repro status --port-file daemon.port        # scheduler + memo health
+    repro status --port-file daemon.port        # scheduler + memo state
     repro lint                        # static verification plane (src + registry + DSL)
     repro lint --json --out lint-out  # schema-stable LINT.json for CI
     repro lint --list-rules           # the codified invariant catalog
@@ -370,7 +370,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             shards=args.shards,
             workers=args.workers,
             port_file=args.port_file,
-            failure_threshold=args.failure_threshold,
             deadline_s=args.deadline_s,
         )
     except (ReproError, OSError) as exc:
@@ -449,7 +448,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    """Query a running daemon's scheduler + memo store health."""
+    """Query a running daemon's scheduler + memo store state."""
     from repro.service import ServiceError
 
     try:
@@ -829,7 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=2,
-        help="scheduler work shards (default 2)",
+        help="scheduler work shards: submissions are cut into units of "
+        "4 variants dealt round-robin over them, and an idle worker "
+        "steals from the fullest (default 2)",
     )
     serve.add_argument(
         "--workers", type=int, default=None,
@@ -839,11 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-s", type=float, default=None, metavar="SECONDS",
         help="per-variant wall-clock budget for scheduled work (a "
         "variant's own deadline_s takes precedence)",
-    )
-    serve.add_argument(
-        "--failure-threshold", type=int, default=None, metavar="N",
-        help="consecutive fresh failures before a scheduler shard is "
-        "marked unhealthy and its queue redistributed (default 3)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="debug-level daemon logs"
@@ -888,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     status = commands.add_parser(
         "status",
-        help="query a running daemon's scheduler + memo health",
+        help="query a running daemon's scheduler + memo state",
     )
     status.add_argument(
         "--port", type=int, default=None, help="the daemon's TCP port"

@@ -57,12 +57,6 @@ class CancelToken:
     Hand one token to a runtime (or several) and call :meth:`cancel`
     from any thread -- an event callback, a signal handler, a watchdog.
     Jobs already running finish; nothing new starts.
-
-    Tokens compose into trees: :meth:`child` derives a token that trips
-    when its parent trips but can also be cancelled alone -- the shape a
-    long-lived service needs, where cancelling one submission must not
-    take the daemon (or its other submissions) down, while daemon
-    shutdown must cancel everything at once.
     """
 
     def __init__(self) -> None:
@@ -100,12 +94,6 @@ class CancelToken:
                 self._callbacks.append(callback)
                 return
         callback()
-
-    def child(self) -> "CancelToken":
-        """A linked token: parent cancellation trips it, not vice versa."""
-        token = CancelToken()
-        self.on_cancel(token.cancel)
-        return token
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,10 +12,9 @@ invocation (the ``iter_campaign`` lifecycle):
   -- is served from cache instead of re-executed;
 * :mod:`repro.service.scheduler` -- the :class:`Scheduler`: cuts
   submissions into fixed-size work units, in input order, and shards
-  them across a worker pool with work-stealing between shards, tracks
-  per-shard health (a repeatedly-failing shard is drained and benched
-  until it recovers), and streams outcomes back per submission as they
-  land;
+  them across a worker pool with work-stealing between shards, streams
+  outcomes back per submission as they land, and forgets each
+  submission once it finishes;
 * :mod:`repro.service.protocol` -- the JSON-lines wire protocol
   (schema ``repro.service/v1``) daemon and clients speak;
 * :mod:`repro.service.daemon` -- :class:`CampaignDaemon`, the socket
@@ -51,19 +50,12 @@ from repro.service.protocol import (
     validate_request,
     write_message,
 )
-from repro.service.scheduler import (
-    DEFAULT_FAILURE_THRESHOLD,
-    DEFAULT_UNIT_SIZE,
-    Scheduler,
-    Submission,
-)
+from repro.service.scheduler import UNIT_SIZE, Scheduler, Submission
 
 __all__ = [
     "CampaignDaemon",
-    "DEFAULT_FAILURE_THRESHOLD",
     "DEFAULT_HOST",
     "DEFAULT_TIMEOUT_S",
-    "DEFAULT_UNIT_SIZE",
     "JOURNAL_NAME",
     "MAX_LINE_BYTES",
     "MEMO_SCHEMA",
@@ -75,6 +67,7 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "Submission",
+    "UNIT_SIZE",
     "code_fingerprint",
     "decode_line",
     "encode_line",

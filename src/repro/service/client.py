@@ -181,7 +181,7 @@ class ServiceClient:
         return self._roundtrip({"op": "ping"})
 
     def status(self) -> dict[str, Any]:
-        """Scheduler + memo store health (see the daemon's ``status`` op)."""
+        """Scheduler + memo store state (see the daemon's ``status`` op)."""
         return self._roundtrip({"op": "status"})
 
     def cancel(self, submission_id: str) -> dict[str, Any]:

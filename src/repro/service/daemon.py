@@ -19,6 +19,7 @@ place in the repository allowed to import socket machinery (REP009).
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import socketserver
@@ -103,15 +104,16 @@ class CampaignDaemon:
         memo_dir: Journal directory for the content-addressed
             :class:`~repro.service.memo.MemoStore`; ``None`` memoises
             in-memory only (no crash recovery).
-        shards / workers / unit_size: Scheduler geometry (see
+        shards / workers: Scheduler geometry (see
             :class:`~repro.service.scheduler.Scheduler`).
         registry: Scenario registry submissions resolve against.
         port_file: Path the bound port is written to after binding.
-        failure_threshold: Consecutive failures before the scheduler
-            marks a shard unhealthy and redistributes its queue
-            (``None``: the scheduler's default).
         deadline_s: Service-wide wall-clock budget per variant
             (``None``: no deadline; a variant's own takes precedence).
+
+    The socket is bound before the scheduler starts its workers, and a
+    constructor that raises leaves neither a bound socket nor a running
+    worker behind.
     """
 
     def __init__(
@@ -122,30 +124,29 @@ class CampaignDaemon:
         memo_dir: str | Path | None = None,
         shards: int = 2,
         workers: int | None = None,
-        unit_size: int | None = None,
         registry: ScenarioRegistry | None = None,
         port_file: str | Path | None = None,
-        failure_threshold: int | None = None,
         deadline_s: float | None = None,
     ) -> None:
         self.registry = registry or default_registry()
         self.memo = MemoStore(memo_dir, registry=self.registry)
-        scheduler_args: dict[str, Any] = {"shards": shards, "workers": workers}
-        if unit_size is not None:
-            scheduler_args["unit_size"] = unit_size
-        if failure_threshold is not None:
-            scheduler_args["failure_threshold"] = failure_threshold
-        if deadline_s is not None:
-            scheduler_args["deadline_s"] = deadline_s
-        self.scheduler = Scheduler(
-            self.memo, registry=self.registry, **scheduler_args
-        )
         self._server = _ServiceServer((host, port), self)
         self.host, self.port = self._server.server_address[:2]
+        with contextlib.ExitStack() as on_error:
+            on_error.callback(self._server.server_close)
+            self.scheduler = Scheduler(
+                self.memo,
+                shards=shards,
+                workers=workers,
+                registry=self.registry,
+                deadline_s=deadline_s,
+            )
+            on_error.callback(self.scheduler.shutdown)
+            if port_file is not None:
+                Path(port_file).write_text(f"{self.port}\n", encoding="utf-8")
+            on_error.pop_all()
         self.started_s = time.time()
         self._serve_thread: threading.Thread | None = None
-        if port_file is not None:
-            Path(port_file).write_text(f"{self.port}\n", encoding="utf-8")
         _log.info(
             "campaign daemon listening on %s:%d (memo: %s)",
             self.host,
@@ -296,7 +297,7 @@ class CampaignDaemon:
             _log.warning(
                 "client disconnected; cancelling %s", submission.id
             )
-            self.scheduler.cancel_submission(submission.id)
+            submission.cancel.cancel()
 
 
 __all__ = [

@@ -3,10 +3,11 @@
 A :class:`Scheduler` owns a small pool of worker threads and a fixed
 number of **shards** (independent work deques).  Each accepted
 :class:`Submission` is split, in input order, into work units of
-``unit_size`` variants, which are dealt round-robin across the shards;
-every worker drains its home shard first and **steals** from the
-richest other shard when home runs dry, so one huge submission cannot
-starve a small one that landed on another shard.
+:data:`UNIT_SIZE` variants, which are dealt round-robin across the
+shards; every worker drains its home shard first and **steals** from the
+richest other shard when home runs dry, which balances load across the
+workers.  Stealing is not fairness: units run in queue order, so a small
+submission that lands behind a big one waits for most of it.
 
 Results stream: each executed (or memo-served) variant is pushed onto
 its submission's event queue the moment it lands, so the daemon can
@@ -16,18 +17,13 @@ one memo lookup -> checked execution -> memo record sequence, so a
 variant whose execution raises becomes a tagged ``ERROR`` outcome,
 never a dead worker.
 
-Shards carry **health**: every fresh execution feeds its shard's
-consecutive-failure counter, and a shard that fails ``failure_threshold``
-times in a row is marked unhealthy -- its queued units are redistributed
-to the healthy shards and new submissions stop dealing to it until a
-success on that shard heals it.  The last healthy shard is never marked,
-so the scheduler always keeps accepting work.
-
-Cancellation composes through :meth:`~repro.runtime.CancelToken.child`:
-each submission gets a child of the scheduler's token, so cancelling one
-submission (client disconnect, explicit ``cancel`` op) skips its
-remaining variants while the daemon and its other submissions keep
-running, and scheduler shutdown cancels everything at once.
+The scheduler keeps only live work: a submission is forgotten the
+moment its last variant is accounted for, so a long-lived daemon holds
+no finished submission (or its variants).  Each submission has its own
+:class:`~repro.runtime.CancelToken`: cancelling one (client disconnect,
+explicit ``cancel`` op) skips its remaining variants while the daemon
+and its other submissions keep running, and cancelling the scheduler's
+token cancels every live submission at once.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import logging
 import queue
 import threading
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.engine.campaign import (
     CampaignConfig,
@@ -53,11 +49,8 @@ from repro.runtime import CancelToken
 
 _log = logging.getLogger("repro.service")
 
-#: Default variants per work unit (the stealing granularity).
-DEFAULT_UNIT_SIZE = 4
-
-#: Consecutive fresh failures before a shard is marked unhealthy.
-DEFAULT_FAILURE_THRESHOLD = 3
+#: Variants per work unit (the stealing granularity).
+UNIT_SIZE = 4
 
 
 class Submission:
@@ -67,18 +60,20 @@ class Submission:
     variant as it lands (input index, so clients can restore submission
     order), then one final ``("done", summary)``.  All counters are
     monotonic and lock-guarded; :meth:`wait` blocks until the final
-    event has been emitted.
+    event has been emitted.  ``on_done`` is called once, just before
+    the submission is marked done.
     """
 
     def __init__(
         self,
         submission_id: str,
         variants: Sequence[VariantSpec],
-        cancel: CancelToken,
+        on_done: Callable[["Submission"], None],
     ) -> None:
         self.id = submission_id
         self.variants = tuple(variants)
-        self.cancel = cancel
+        self.cancel = CancelToken()
+        self._on_done = on_done
         self.created_s = time.time()
         self.queue: "queue.Queue[tuple[str, Any, Any]]" = queue.Queue()
         self._lock = threading.Lock()
@@ -150,6 +145,7 @@ class Submission:
     def _finish(self) -> None:
         if self._done.is_set():
             return
+        self._on_done(self)
         self._done.set()
         self.queue.put(("done", None, self.summary()))
 
@@ -162,15 +158,9 @@ class Scheduler:
             consulted before and fed after every execution.
         shards: Number of independent work deques (>= 1).
         workers: Worker threads (default: one per shard).
-        unit_size: Variants per stealable work unit; a submission is
-            cut into consecutive units of this size, in input order.
         registry: Scenario registry variants resolve against.
-        cancel: Scheduler-wide cancellation token; each submission gets
-            a :meth:`~repro.runtime.CancelToken.child` of it.
-        failure_threshold: Consecutive fresh (non-memo) failures after
-            which a shard is marked unhealthy and its queued units are
-            redistributed to healthy shards.  The last healthy shard is
-            never marked; a later success heals the shard.
+        cancel: Scheduler-wide cancellation token; cancelling it
+            cancels every live submission and stops the workers.
         deadline_s: Scheduler-level wall-clock budget per variant; a
             variant's own ``deadline_s`` takes precedence.
     """
@@ -181,20 +171,12 @@ class Scheduler:
         *,
         shards: int = 2,
         workers: int | None = None,
-        unit_size: int = DEFAULT_UNIT_SIZE,
         registry: ScenarioRegistry | None = None,
         cancel: CancelToken | None = None,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         deadline_s: float | None = None,
     ) -> None:
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
-        if unit_size < 1:
-            raise ValidationError(f"unit_size must be >= 1, got {unit_size}")
-        if failure_threshold < 1:
-            raise ValidationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
         #: The engine options every variant runs under, validated once.
         self.config = CampaignConfig(
             registry=registry,
@@ -206,23 +188,17 @@ class Scheduler:
         self.workers = workers if workers is not None else shards
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        self.unit_size = unit_size
         self.cancel = cancel if cancel is not None else CancelToken()
-        self.failure_threshold = failure_threshold
         self._deques: list[collections.deque] = [
             collections.deque() for _ in range(shards)
         ]
         self._cond = threading.Condition()
-        self._ids = itertools.count(1)
         self._shard_rr = itertools.count()
-        self._submissions: "collections.OrderedDict[str, Submission]" = (
-            collections.OrderedDict()
-        )
+        #: Live submissions by id; a submission leaves when it finishes.
+        self._submissions: dict[str, Submission] = {}
+        self._submitted = 0
         self._stolen = 0
         self._executed = 0
-        self._consecutive_failures = [0] * shards
-        self._unhealthy: set[int] = set()
-        self._redistributed = 0
         self._stopping = False
         self._threads = [
             threading.Thread(
@@ -232,7 +208,7 @@ class Scheduler:
         ]
         for thread in self._threads:
             thread.start()
-        self.cancel.on_cancel(self._wake_all)
+        self.cancel.on_cancel(self._cancel_all)
 
     # -- submission --------------------------------------------------------
 
@@ -244,37 +220,31 @@ class Scheduler:
         them.  An empty batch finishes instantly.
         """
         variant_list = list(variants)
-        submission = Submission(
-            f"sub-{next(self._ids):04d}", variant_list, self.cancel.child()
-        )
+        jobs = tuple(enumerate(variant_list))
         with self._cond:
             if self._stopping:
                 raise ValidationError("scheduler is shut down")
+            self._submitted += 1
+            submission = Submission(
+                f"sub-{self._submitted:04d}", variant_list, self._forget
+            )
             self._submissions[submission.id] = submission
-        if not variant_list:
-            submission._finish()
-            return submission
-        jobs = tuple(enumerate(variant_list))
-        units = [
-            (submission, jobs[start : start + self.unit_size])
-            for start in range(0, len(jobs), self.unit_size)
-        ]
-        with self._cond:
-            healthy = [
-                i for i in range(self.shards) if i not in self._unhealthy
-            ] or list(range(self.shards))
-            for unit in units:
-                self._deques[
-                    healthy[next(self._shard_rr) % len(healthy)]
-                ].append(unit)
+            if self.cancel.cancelled:
+                submission.cancel.cancel()
+            for start in range(0, len(jobs), UNIT_SIZE):
+                self._deques[next(self._shard_rr) % self.shards].append(
+                    (submission, jobs[start : start + UNIT_SIZE])
+                )
             self._cond.notify_all()
+        if not jobs:
+            submission._finish()
         return submission
 
     def get(self, submission_id: str) -> Submission:
-        """Look up a live (or finished) submission by id.
+        """Look up a live submission by id.
 
         Raises:
-            ValidationError: for an unknown id.
+            ValidationError: for an unknown or finished id.
         """
         with self._cond:
             submission = self._submissions.get(submission_id)
@@ -283,18 +253,22 @@ class Scheduler:
         return submission
 
     def cancel_submission(self, submission_id: str) -> Submission:
-        """Cancel one submission; its unexecuted variants are skipped."""
+        """Cancel one live submission; its unexecuted variants are skipped."""
         submission = self.get(submission_id)
         submission.cancel.cancel()
-        with self._cond:
-            self._cond.notify_all()
         return submission
 
-    # -- workers -----------------------------------------------------------
-
-    def _wake_all(self) -> None:
+    def _forget(self, submission: Submission) -> None:
         with self._cond:
+            del self._submissions[submission.id]
+
+    def _cancel_all(self) -> None:
+        with self._cond:
+            for submission in self._submissions.values():
+                submission.cancel.cancel()
             self._cond.notify_all()
+
+    # -- workers -----------------------------------------------------------
 
     def _take_unit(self, home: int):
         """One unit from the home shard, else stolen from the richest.
@@ -338,15 +312,10 @@ class Scheduler:
                 if submission.cancel.cancelled:
                     submission._skip(1)
                     continue
-                submission._deliver(index, self._run_one(variant, home))
+                submission._deliver(index, self._run_one(variant))
 
-    def _run_one(self, variant: VariantSpec, shard: int) -> VariantOutcome:
-        """One variant through the engine, plus shard-health bookkeeping.
-
-        Every fresh execution feeds the owning shard's health counter:
-        memo hits are neutral, successes heal, failures accumulate
-        towards :attr:`failure_threshold` (see :meth:`_note_result`).
-        """
+    def _run_one(self, variant: VariantSpec) -> VariantOutcome:
+        """One variant through the engine; fresh successes are counted."""
         outcome = execute_memoised(variant, self.config)
         if outcome.from_cache:
             return outcome
@@ -355,76 +324,30 @@ class Scheduler:
         else:
             with self._cond:
                 self._executed += 1
-        self._note_result(shard, failed=outcome.is_error)
         return outcome
-
-    def _note_result(self, shard: int, *, failed: bool) -> None:
-        """Track one fresh execution against ``shard``'s health.
-
-        ``failure_threshold`` consecutive failures mark the shard
-        unhealthy: its queued units move to healthy shards (so work never
-        strands behind a poisoned queue) and :meth:`submit` stops dealing
-        to it.  The *last* healthy shard is never marked -- somebody has
-        to keep accepting work -- and any later success heals the shard.
-        """
-        with self._cond:
-            if not failed:
-                self._consecutive_failures[shard] = 0
-                if shard in self._unhealthy:
-                    self._unhealthy.discard(shard)
-                    _log.info("shard %d healed; dealing resumes", shard)
-                return
-            self._consecutive_failures[shard] += 1
-            if (
-                shard in self._unhealthy
-                or self._consecutive_failures[shard] < self.failure_threshold
-            ):
-                return
-            healthy = [
-                i
-                for i in range(self.shards)
-                if i != shard and i not in self._unhealthy
-            ]
-            if not healthy:
-                return
-            self._unhealthy.add(shard)
-            moved = 0
-            while self._deques[shard]:
-                unit = self._deques[shard].popleft()
-                self._deques[healthy[moved % len(healthy)]].append(unit)
-                moved += 1
-            self._redistributed += moved
-            _log.warning(
-                "shard %d unhealthy after %d consecutive failures; "
-                "redistributed %d queued unit(s)",
-                shard,
-                self._consecutive_failures[shard],
-                moved,
-            )
-            self._cond.notify_all()
 
     # -- reporting / lifecycle ---------------------------------------------
 
     def status(self) -> dict[str, Any]:
-        """Plain-data scheduler health for the ``status`` op and benches."""
+        """Plain-data scheduler state for the ``status`` op and benches.
+
+        ``submissions`` lists the live ones only; ``total_submissions``
+        counts every submission accepted since start.
+        """
         with self._cond:
             queued = sum(len(d) for d in self._deques)
             submissions = [s.summary() for s in self._submissions.values()]
+            submitted = self._submitted
             stolen = self._stolen
             executed = self._executed
-            unhealthy = sorted(self._unhealthy)
-            redistributed = self._redistributed
-        active = sum(1 for s in submissions if not s["done"])
         return {
             "shards": self.shards,
             "workers": self.workers,
             "queued_units": queued,
-            "active_submissions": active,
-            "total_submissions": len(submissions),
+            "active_submissions": len(submissions),
+            "total_submissions": submitted,
             "executed": executed,
             "stolen_units": stolen,
-            "unhealthy_shards": unhealthy,
-            "redistributed_units": redistributed,
             "submissions": submissions,
         }
 
@@ -449,8 +372,7 @@ class Scheduler:
 
 
 __all__ = [
-    "DEFAULT_FAILURE_THRESHOLD",
-    "DEFAULT_UNIT_SIZE",
     "Scheduler",
     "Submission",
+    "UNIT_SIZE",
 ]

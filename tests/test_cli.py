@@ -244,6 +244,17 @@ class TestSubmit:
                 assert outcome.verdict == "ATTACK_FAILED"
 
 
+class TestServe:
+    def test_failure_threshold_is_a_usage_error(self, capsys):
+        """The scheduler has no shard-health knob to set."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--failure-threshold", "3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --failure-threshold" in (
+            capsys.readouterr().err
+        )
+
+
 class TestStatus:
     @pytest.fixture
     def daemon(self, tmp_path, capsys):

@@ -109,13 +109,17 @@ class TestRoundTrip:
         found = ServiceClient.from_port_file(port_file)
         assert found.ping()["ok"] is True
 
-    def test_cancel_finished_submission_returns_summary(self, client):
+    def test_cancel_finished_submission_is_unknown(self, client):
         for kind, key, _payload in client.submit_stream(_variants(2)):
             if kind == "accepted":
                 submission_id = key
-        summary = client.cancel(submission_id)["summary"]
-        assert summary["id"] == submission_id
-        assert summary["done"] is True
+        # The daemon forgets a submission once it finishes.
+        with pytest.raises(ServiceError, match="unknown submission"):
+            client.cancel(submission_id)
+        scheduler = client.status()["scheduler"]
+        assert scheduler["active_submissions"] == 0
+        assert scheduler["submissions"] == []
+        assert scheduler["total_submissions"] == 1
 
 
 class TestProtocolErrors:
@@ -175,6 +179,49 @@ class TestShutdownOp:
             time.sleep(0.05)
         else:
             pytest.fail("daemon still serving after shutdown op")
+
+
+def _new_scheduler_threads(before):
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("repro-sched-")
+    ]
+
+
+class TestConstruction:
+    """A daemon constructor that raises leaves nothing running or bound."""
+
+    def test_occupied_port_starts_no_scheduler(self):
+        before = set(threading.enumerate())
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            with pytest.raises(OSError):
+                CampaignDaemon(port=held.getsockname()[1])
+        assert _new_scheduler_threads(before) == []
+
+    @pytest.mark.parametrize(
+        "shards, port_dir, error",
+        [(0, ".", ValidationError), (2, "missing", OSError)],
+    )
+    def test_failure_after_binding_releases_everything(
+        self, tmp_path, shards, port_dir, error
+    ):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        port_file = tmp_path / port_dir / "daemon.port"
+        before = set(threading.enumerate())
+        # ``failed`` keeps the half-built daemon reachable, so a socket
+        # left open would still hold the port below.
+        with pytest.raises(error) as failed:
+            CampaignDaemon(port=port, shards=shards, port_file=port_file)
+        assert _new_scheduler_threads(before) == []
+        assert not port_file.exists()
+        with CampaignDaemon(port=port).start():
+            pass
+        assert failed.value is not None
 
 
 def _spawn_serve(tmp_path, name):
@@ -258,8 +305,18 @@ class TestCrashRecovery:
 
 
 class TestClientDisconnect:
-    def test_disconnect_mid_stream_cancels_the_submission(self, daemon):
+    def test_disconnect_mid_stream_cancels_the_submission(
+        self, daemon, monkeypatch
+    ):
         """A client that walks away must not keep burning workers."""
+        submitted = []
+        submit = daemon.scheduler.submit
+
+        def capture(variants):
+            submitted.append(submit(variants))
+            return submitted[-1]
+
+        monkeypatch.setattr(daemon.scheduler, "submit", capture)
         variants = default_registry().variants(family="coverage")
         request = {
             "op": "submit",
@@ -274,9 +331,9 @@ class TestClientDisconnect:
             stream.flush()
             conn.shutdown(socket.SHUT_WR)
             accepted = json.loads(stream.readline())
-            submission_id = accepted["id"]
             # Hang up without consuming the stream.
-        submission = daemon.scheduler.get(submission_id)
+        (submission,) = submitted
+        assert submission.id == accepted["id"]
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             if submission.cancel.cancelled or submission.done:

@@ -1,4 +1,4 @@
-"""Service-plane fault tolerance: shard health, torn journals, resume.
+"""Service-plane fault tolerance: deadlines, torn journals, resume.
 
 The scheduler half runs in-process (plain library objects, per REP009);
 the client half talks to an in-process :class:`CampaignDaemon` on an
@@ -13,7 +13,6 @@ import pytest
 
 from repro.engine.campaign import execute_variant
 from repro.engine.registry import default_registry
-from repro.engine.spec import VariantSpec
 from repro.errors import ValidationError
 from repro.faults import (
     FAULT_PLAN_ENV,
@@ -23,7 +22,6 @@ from repro.faults import (
 )
 from repro.runtime import RetryPolicy
 from repro.service import (
-    DEFAULT_FAILURE_THRESHOLD,
     CampaignDaemon,
     MemoStore,
     Scheduler,
@@ -56,66 +54,12 @@ def _variants(count=6):
     return default_registry().variants(family="zone-geometry")[:count]
 
 
-def _poisoned_variants(count):
-    return [
-        VariantSpec(
-            variant_id=f"test/poison/bad-attack-{index}",
-            scenario="uc2-keyless-entry",
-            family="poison",
-            attack="no-such-catalog-attack",
-        )
-        for index in range(count)
-    ]
-
-
 class TestShardHealth:
-    def test_failing_shard_is_quarantined_but_work_completes(self):
-        with Scheduler(shards=2, workers=1, failure_threshold=2) as scheduler:
-            submission = scheduler.submit(_poisoned_variants(6))
-            assert submission.wait(timeout=60.0)
-            outcomes = [payload for kind, _i, payload in submission.events()
-                        if kind == "outcome"]
-            status = scheduler.status()
-        # Every unit is still delivered (as an error outcome) ...
-        assert len(outcomes) == 6
-        assert all(outcome.is_error for outcome in outcomes)
-        # ... and exactly one shard went unhealthy: the survivor is
-        # never marked, so the scheduler cannot strand its queue.
-        assert len(status["unhealthy_shards"]) == 1
-        assert status["redistributed_units"] >= 0
-
-    def test_health_state_machine_marks_redistributes_and_heals(self):
-        with Scheduler(shards=2, workers=1) as scheduler:
-            for _ in range(DEFAULT_FAILURE_THRESHOLD):
-                scheduler._note_result(0, failed=True)
-            assert scheduler.status()["unhealthy_shards"] == [0]
-            # The last healthy shard is never marked, no matter how
-            # often it fails.
-            for _ in range(DEFAULT_FAILURE_THRESHOLD * 2):
-                scheduler._note_result(1, failed=True)
-            assert scheduler.status()["unhealthy_shards"] == [0]
-            # One success on a unit homed on the sick shard heals it.
-            scheduler._note_result(0, failed=False)
-            assert scheduler.status()["unhealthy_shards"] == []
-
-    def test_redistribution_moves_queued_units_off_a_sick_shard(self):
-        # No workers drain anything: deal units, then drive the health
-        # transition by hand and watch the deques.
-        with Scheduler(shards=2, workers=1, failure_threshold=1) as scheduler:
-            scheduler._cond.acquire()
-            try:
-                depth_before = [len(d) for d in scheduler._deques]
-            finally:
-                scheduler._cond.release()
-            scheduler._note_result(0, failed=True)
-            status = scheduler.status()
-        assert status["unhealthy_shards"] == [0]
-        assert status["redistributed_units"] == 0  # deque was empty
-        assert depth_before == [0, 0]
+    """A scheduler-wide deadline guards every shard's worker: it turns a
+    runaway variant into a typed error outcome on whichever shard runs
+    it, and the worker moves on."""
 
     def test_geometry_validation(self):
-        with pytest.raises(ValidationError, match="failure_threshold"):
-            Scheduler(shards=1, workers=1, failure_threshold=0)
         with pytest.raises(ValidationError, match="deadline_s"):
             Scheduler(shards=1, workers=1, deadline_s=0.0)
 

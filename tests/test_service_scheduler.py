@@ -19,6 +19,7 @@ from repro.service import (
     JOURNAL_NAME,
     MEMO_SCHEMA,
     MemoStore,
+    UNIT_SIZE,
     Scheduler,
     code_fingerprint,
 )
@@ -123,17 +124,17 @@ class TestScheduling:
     def test_single_worker_steals_other_shards_units(self):
         # One worker homed on shard 0, units dealt round-robin across 4
         # shards: most of the work can only arrive by stealing.
-        with Scheduler(shards=4, workers=1, unit_size=1) as scheduler:
-            submission = scheduler.submit(_variants(8))
+        with Scheduler(shards=4, workers=1) as scheduler:
+            submission = scheduler.submit(_variants(4 * UNIT_SIZE))
             assert submission.wait(timeout=60.0)
             status = scheduler.status()
         assert status["stolen_units"] > 0
-        assert status["executed"] == 8
+        assert status["executed"] == 4 * UNIT_SIZE
 
     def test_units_are_cut_in_input_order(self):
-        """8 variants from three interleaved families make 3 units of at
-        most 3 (grouping by family would make 4); every index is
-        delivered exactly once."""
+        """8 variants from three interleaved families make 2 units of 4
+        (grouping by family would make 3); every index is delivered
+        exactly once."""
         registry = default_registry()
         uc1 = registry.variants(
             scenario="uc1-construction-site", family="zone-geometry"
@@ -147,12 +148,12 @@ class TestScheduling:
         variants = [uc1[0], uc2[0], uc1[1], uc2[1], uc1[2], uc2[2], uc1[3]]
         variants.append(baseline)
         memo = _GateMemo()
-        scheduler = Scheduler(memo, shards=1, workers=1, unit_size=3)
+        scheduler = Scheduler(memo, shards=1, workers=1)
         try:
             submission = scheduler.submit(variants)
-            # The worker holds the first unit; the other two stay queued.
+            # The worker holds the first unit; the other one stays queued.
             assert memo.entered.wait(timeout=10.0)
-            assert scheduler.status()["queued_units"] == 2
+            assert scheduler.status()["queued_units"] == 1
             memo.gate.set()
             assert submission.wait(timeout=60.0)
             indices = [
@@ -167,14 +168,16 @@ class TestScheduling:
             scheduler.shutdown()
 
     @pytest.mark.parametrize(
-        "unit_size, units", [(1, 8), (2, 4), (3, 3), (7, 2), (100, 1)]
+        "count, units", [(1, 1), (4, 1), (5, 2), (8, 2), (9, 3)]
     )
-    def test_every_unit_size_delivers_each_index_once(self, unit_size, units):
-        """8 variants make ceil(8 / unit_size) units; the worker holds
-        the first one, the rest stay queued until it is released."""
-        variants = _variants(8)
+    def test_every_cut_delivers_each_index_once(self, count, units):
+        """``count`` variants make ceil(count / UNIT_SIZE) units; the
+        worker holds the first one, the rest stay queued until it is
+        released."""
+        assert UNIT_SIZE == 4
+        variants = _variants(count)
         memo = _GateMemo()
-        scheduler = Scheduler(memo, shards=1, workers=1, unit_size=unit_size)
+        scheduler = Scheduler(memo, shards=1, workers=1)
         try:
             submission = scheduler.submit(variants)
             assert memo.entered.wait(timeout=10.0)
@@ -190,24 +193,51 @@ class TestScheduling:
                 (index, variant.variant_id)
                 for index, variant in enumerate(variants)
             ]
-            assert scheduler.status()["executed"] == 8
+            assert scheduler.status()["executed"] == count
         finally:
             memo.gate.set()
             scheduler.shutdown()
 
     def test_status_reports_geometry_and_progress(self):
-        with Scheduler(shards=3, workers=2) as scheduler:
+        memo = _GateMemo()
+        scheduler = Scheduler(memo, shards=3, workers=2)
+        try:
             submission = scheduler.submit(_variants(3))
+            assert memo.entered.wait(timeout=10.0)
+            live = scheduler.status()
+            assert (live["shards"], live["workers"]) == (3, 2)
+            assert live["active_submissions"] == 1
+            assert live["total_submissions"] == 1
+            (summary,) = live["submissions"]
+            assert summary["id"] == submission.id
+            assert summary["done"] is False
+            memo.gate.set()
             assert submission.wait(timeout=60.0)
+            done = scheduler.status()
+            assert done["active_submissions"] == 0
+            assert done["total_submissions"] == 1
+            assert done["submissions"] == []
+        finally:
+            memo.gate.set()
+            scheduler.shutdown()
+
+    def test_finished_submissions_are_forgotten(self):
+        """A long-lived scheduler keeps no finished submission: not in
+        its listing, not in its token's callbacks."""
+        variant = _variants(1)[0]
+        with Scheduler(MemoStore(), shards=1, workers=1) as scheduler:
+            callbacks = len(scheduler.cancel._callbacks)
+            for batch in ([variant], []) * 25:
+                assert scheduler.submit(batch).wait(timeout=60.0)
             status = scheduler.status()
-        assert status["shards"] == 3
-        assert status["workers"] == 2
-        assert status["total_submissions"] == 1
-        assert status["submissions"][0]["id"] == submission.id
+            assert status["submissions"] == []
+            assert status["active_submissions"] == 0
+            assert status["total_submissions"] == 50
+            assert len(scheduler.cancel._callbacks) == callbacks
 
     def test_cancel_skips_remaining_variants(self):
         memo = _GateMemo()
-        scheduler = Scheduler(memo, shards=1, workers=1, unit_size=4)
+        scheduler = Scheduler(memo, shards=1, workers=1)
         try:
             submission = scheduler.submit(_variants(6))
             assert memo.entered.wait(timeout=10.0)
@@ -226,18 +256,18 @@ class TestScheduling:
     def test_scheduler_cancel_token_fans_out_to_submissions(self):
         memo = _GateMemo()
         cancel = CancelToken()
-        scheduler = Scheduler(
-            memo, shards=1, workers=1, unit_size=2, cancel=cancel
-        )
+        scheduler = Scheduler(memo, shards=1, workers=1, cancel=cancel)
         try:
             first = scheduler.submit(_variants(4))
             second = scheduler.submit(_variants(2))
             assert memo.entered.wait(timeout=10.0)
-            # Cancelling the scheduler-wide token cancels every
-            # submission's child token at once (the shutdown path).
+            # Cancelling the scheduler-wide token cancels every live
+            # submission's token at once (the shutdown path) ...
             cancel.cancel()
             assert first.cancel.cancelled
             assert second.cancel.cancelled
+            # ... and one accepted afterwards starts cancelled.
+            assert scheduler.submit(_variants(1)).cancel.cancelled
         finally:
             memo.gate.set()
             scheduler.shutdown(wait=False)
@@ -246,6 +276,10 @@ class TestScheduling:
         with Scheduler(shards=1, workers=1) as scheduler:
             with pytest.raises(ValidationError, match="unknown submission"):
                 scheduler.get("sub-9999")
+            # A finished submission is forgotten, so its id is unknown.
+            finished = scheduler.submit([])
+            with pytest.raises(ValidationError, match="unknown submission"):
+                scheduler.cancel_submission(finished.id)
 
     def test_submit_after_shutdown_raises(self):
         scheduler = Scheduler(shards=1, workers=1)
@@ -256,8 +290,6 @@ class TestScheduling:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValidationError, match="shards"):
             Scheduler(shards=0)
-        with pytest.raises(ValidationError, match="unit_size"):
-            Scheduler(unit_size=0)
         with pytest.raises(ValidationError, match="workers"):
             Scheduler(workers=0)
 
@@ -277,26 +309,22 @@ class TestSchedulerMemo:
 
     def test_failing_journal_append_is_an_error_outcome(self, tmp_path):
         # The append raises inside the worker: the variant comes back as
-        # an error outcome, counted against the shard, nothing is cached,
-        # and the one worker lives on to serve the next submission.
+        # an error outcome, nothing is cached, and the one worker lives
+        # on to serve the next submission.
         variant = _variants(1)[0]
         store = _FullDiskOnceMemo(tmp_path)
-        with Scheduler(
-            store, shards=2, workers=1, failure_threshold=1
-        ) as scheduler:
+        with Scheduler(store, shards=2, workers=1) as scheduler:
             first = scheduler.submit([variant])
             assert first.wait(timeout=60.0)
             (_kind, _index, outcome), _done = list(first.events())
             assert outcome.is_error
             assert outcome.stats["error_type"] == "OSError"
-            assert scheduler.status()["unhealthy_shards"] == [0]
             assert len(store) == 0
 
             second = scheduler.submit([variant])
             assert second.wait(timeout=60.0)
             summary = second.summary()
             assert (summary["completed"], summary["errors"]) == (1, 0)
-            assert scheduler.status()["unhealthy_shards"] == []
         assert len(store) == 1
 
     def test_malformed_journal_entry_executes_fresh(self, tmp_path):
