@@ -14,9 +14,7 @@ and feed one private ``(index, outcome)`` stream.  That stream maps one
 job function over the variants with :meth:`repro.runtime.Runtime.map`
 on any :mod:`repro.runtime` backend, one variant per task.  Variants
 and outcomes are plain dataclasses that pickle, so process fan-out works
-under both ``fork`` and ``spawn`` start methods; each worker process
-claims a disjoint identifier block on first use so parallel workers
-cannot mint colliding ``AD``/``SG`` identifiers.  Outcomes stream: each
+under both ``fork`` and ``spawn`` start methods.  Outcomes stream: each
 one's record is pushed into an optional
 :class:`~repro.results.ResultSink` the moment it exists, so long
 campaigns can export partial results, report progress and honour
@@ -65,8 +63,6 @@ from repro.runtime import (
     RetryPolicy,
     Runtime,
     backend_from_spec,
-    in_worker_process,
-    worker_index,
 )
 from repro.testing.harness import TestHarness
 from repro.testing.testcase import TestCase, Verdict
@@ -297,34 +293,6 @@ def execute_variant(
 
 # -- worker-side execution ----------------------------------------------------
 
-#: Identifier numbers each worker may mint before colliding with the next
-#: worker's block -- far beyond any realistic per-run minting volume.
-_WORKER_ID_BLOCK = 1000
-
-#: Per-process latch: has this pool worker claimed its identifier block?
-_worker_identity_claimed = False
-
-
-def _ensure_worker_identity() -> None:
-    """Give a pool worker process its disjoint identifier block, once.
-
-    Runs in the job path (not a pool initializer) so it works with *any*
-    :class:`~repro.runtime.ProcessBackend` -- including ones the caller
-    constructed -- and is a no-op in every other process (the serial
-    backend, the service scheduler's threads), where the caller's
-    (thread-safe) allocator must keep its state.
-    """
-    global _worker_identity_claimed
-    if _worker_identity_claimed or not in_worker_process():
-        return
-    from repro.model.identifiers import reset_default_allocator
-
-    # Disjoint numbering blocks: worker k mints AD/SG numbers strictly
-    # above k * _WORKER_ID_BLOCK, so merged results never collide.
-    reset_default_allocator(floor=worker_index() * _WORKER_ID_BLOCK)
-    _worker_identity_claimed = True
-
-
 def _execute_checked(
     variant: VariantSpec,
     registry: ScenarioRegistry | None = None,
@@ -335,7 +303,9 @@ def _execute_checked(
     The single chokepoint every campaign execution path (every backend,
     retries, the service scheduler) funnels through: it hosts the
     ``job-start`` fault-injection hook and enforces the variant's
-    wall-clock deadline.  Deadlines are cooperative -- the run completes
+    wall-clock deadline.  Module-level, so the campaign's
+    ``functools.partial`` over it pickles for process backends under
+    ``fork`` and ``spawn``.  Deadlines are cooperative -- the run completes
     and the breach is reported afterwards as a
     :class:`~repro.errors.DeadlineExceededError`, keeping the check
     deterministic (no timer races, no partially-executed simulations).
@@ -353,23 +323,6 @@ def _execute_checked(
             f"deadline ({outcome.wall_time_s:.3f}s)"
         )
     return outcome
-
-
-def _campaign_job(
-    variant: VariantSpec,
-    registry: ScenarioRegistry | None,
-    default_deadline_s: float | None,
-) -> VariantOutcome:
-    """The campaign job function: one variant, on whichever worker runs it.
-
-    Module-level so a ``functools.partial`` over it pickles for process
-    backends.  In a process worker the first job also claims the
-    worker's identifier block.
-    """
-    _ensure_worker_identity()
-    return _execute_checked(
-        variant, registry, default_deadline_s=default_deadline_s
-    )
 
 
 # -- results ------------------------------------------------------------------
@@ -724,7 +677,7 @@ def _execute(
             yield index, hit
     backend = config.backend
     job = functools.partial(
-        _campaign_job,
+        _execute_checked,
         registry=config.registry,
         default_deadline_s=config.deadline_s,
     )

@@ -680,13 +680,13 @@ def apply_topology_overrides(
     selection reshapes the convoys without corrupting UC2 runs.
 
     Raises:
-        ValidationError: on non-positive overrides, or when *no*
-            selected variant understands an override (a silent no-op
-            would mislabel the campaign).
+        ValidationError: on a fleet size below 1, a negative or NaN
+            range, or when *no* selected variant understands an
+            override (a silent no-op would mislabel the campaign).
     """
     if fleet_size is not None and fleet_size < 1:
         raise ValidationError(f"fleet size must be >= 1, got {fleet_size}")
-    if rsu_range_m is not None and rsu_range_m < 0:
+    if rsu_range_m is not None and not rsu_range_m >= 0:  # NaN too
         raise ValidationError(f"RSU range must be >= 0, got {rsu_range_m}")
     overrides = {}
     if fleet_size is not None:

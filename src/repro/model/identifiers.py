@@ -16,10 +16,7 @@ arguments).
 
 from __future__ import annotations
 
-import os
 import re
-import threading
-from typing import Iterable
 
 from repro.errors import ValidationError
 
@@ -148,113 +145,8 @@ def next_id(existing: set[str], kind: str) -> str:
     return factories[kind](highest + 1)
 
 
-class IdAllocator:
-    """Stateful, process-safe sequential identifier allocation.
-
-    :func:`next_id` is a pure function over an ``existing`` set and stays
-    that way; this allocator is the *stateful* counterpart campaign
-    workers use.  Three guarantees:
-
-    * **thread-safe**: a lock guards the per-kind high-water marks, so
-      concurrent claimers in one process never receive the same number;
-    * **fork-safe**: the allocator remembers the PID it was last used in
-      and discards state inherited across ``fork()``, so a child can
-      never silently *continue* the parent's sequence from a stale copy;
-    * **cross-worker collision-free**: ``reset(floor=...)`` gives each
-      campaign worker a disjoint numbering block (worker *k* mints
-      ``AD{k*1000+1}``, ``AD{k*1000+2}``, ...), so identifiers minted in
-      parallel workers stay unique even after the results are merged.
-
-    ``reset()`` restores a pristine allocator (tests, worker startup).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._highest: dict[str, int] = {}
-        self._floor = 0
-        self._pid = os.getpid()
-
-    def _check_process(self) -> None:
-        # Called under the lock.  After a fork the child sees the parent's
-        # marks; treating them as authoritative would desynchronise the
-        # siblings, so the child starts clean.
-        pid = os.getpid()
-        if pid != self._pid:
-            self._highest.clear()
-            self._floor = 0
-            self._pid = pid
-
-    def claim(self, kind: str, existing: Iterable[str] = ()) -> str:
-        """Claim the next free identifier of ``kind``.
-
-        The claimed number moves past the allocator's own high-water
-        mark, its numbering floor, and anything in ``existing``, and is
-        immediately recorded so concurrent claimers (other threads of
-        this process) cannot receive it again.
-        """
-        factories = {"SG": safety_goal_id, "AD": attack_id, "Rat": function_id}
-        if kind not in factories:
-            raise ValidationError(f"unknown id kind: {kind!r}")
-        with self._lock:
-            self._check_process()
-            highest = max(self._highest.get(kind, 0), self._floor)
-            for value in existing:
-                if value.startswith(kind):
-                    suffix = value[len(kind):]
-                    if suffix.isdigit():
-                        highest = max(highest, int(suffix))
-            number = highest + 1
-            self._highest[kind] = number
-        return factories[kind](number)
-
-    def reset(self, kind: str | None = None, floor: int | None = None) -> None:
-        """Forget the high-water marks (all kinds, or just one).
-
-        ``floor`` additionally (re)bases every future claim: numbers are
-        minted strictly above it.  Campaign workers use disjoint floors
-        to keep parallel-minted identifiers collision-free.
-        """
-        if floor is not None and floor < 0:
-            raise ValidationError(f"floor must be >= 0, got {floor}")
-        with self._lock:
-            self._check_process()
-            if kind is None:
-                self._highest.clear()
-            else:
-                self._highest.pop(kind, None)
-            if floor is not None:
-                self._floor = floor
-
-    def high_water_mark(self, kind: str) -> int:
-        """The highest number claimed so far for ``kind`` (0 when none)."""
-        with self._lock:
-            self._check_process()
-            return self._highest.get(kind, 0)
-
-
-#: The process-wide allocator campaign workers and interactive tooling use.
-default_allocator = IdAllocator()
-
-
-def claim_id(kind: str, existing: Iterable[str] = ()) -> str:
-    """Claim the next identifier from the process-wide allocator."""
-    return default_allocator.claim(kind, existing)
-
-
-def reset_default_allocator(floor: int = 0) -> None:
-    """Reset the process-wide allocator (campaign worker startup, tests).
-
-    ``floor`` bases the worker's numbering block; see
-    :meth:`IdAllocator.reset`.
-    """
-    default_allocator.reset(floor=floor)
-
-
 __all__ = [
-    "IdAllocator",
     "attack_id",
-    "claim_id",
-    "default_allocator",
     "function_id",
     "is_attack_id",
     "is_function_id",
@@ -265,7 +157,6 @@ __all__ = [
     "require_function_id",
     "require_safety_goal_id",
     "require_threat_scenario_id",
-    "reset_default_allocator",
     "safety_goal_id",
     "threat_scenario_id",
 ]

@@ -31,6 +31,7 @@ Quick use::
 
 from repro.runtime.backends import (
     BACKEND_NAMES,
+    RESPAWN_LIMIT,
     START_METHOD_ENV,
     ExecutionBackend,
     ProcessBackend,
@@ -41,7 +42,6 @@ from repro.runtime.backends import (
     in_worker_process,
     mp_context,
     usable_cpus,
-    worker_index,
 )
 from repro.runtime.retry import (
     DEFAULT_TRANSIENT_TYPES,
@@ -67,6 +67,7 @@ __all__ = [
     "MAX_SEED",
     "ProcessBackend",
     "ProgressEvent",
+    "RESPAWN_LIMIT",
     "RetryPolicy",
     "Runtime",
     "START_METHOD_ENV",
@@ -78,5 +79,4 @@ __all__ = [
     "in_worker_process",
     "mp_context",
     "usable_cpus",
-    "worker_index",
 ]

@@ -14,9 +14,7 @@ Two implementations ship today:
   and the one backend that sees in-process state such as a custom
   scenario registry.
 * :class:`ProcessBackend` -- a process pool for CPU-bound fan-out.  Jobs
-  and results must pickle; each worker process receives a stable
-  0-based :func:`worker_index` so callers can partition global resources
-  (identifier blocks, caches) without collisions.
+  and results must pickle.
 
 The process start method resolves, in order: the explicit
 ``start_method=`` argument, the ``MULTIPROCESSING_START_METHOD``
@@ -55,6 +53,10 @@ START_METHOD_ENV = "MULTIPROCESSING_START_METHOD"
 #: The backend names :func:`backend_from_spec` (and every ``--backend``
 #: CLI option) accepts, in increasing isolation order.
 BACKEND_NAMES = ("serial", "process")
+
+#: How many times one :class:`ProcessBackend` replaces a dead pool before
+#: it drains the remaining jobs inline.
+RESPAWN_LIMIT = 2
 
 
 def usable_cpus() -> int:
@@ -95,40 +97,25 @@ def mp_context(
     return multiprocessing.get_context(start_method or default_start_method())
 
 
-# -- worker identity ----------------------------------------------------------
+# -- worker flag --------------------------------------------------------------
 
 #: Set by :func:`_process_worker_init` inside pool worker processes.
-_WORKER_INDEX = 0
 _IN_WORKER_PROCESS = False
-
-
-def worker_index() -> int:
-    """The current worker's stable 0-based index.
-
-    Inside a :class:`ProcessBackend` worker process this is the index the
-    pool assigned at startup; in any other process it is ``0``.  Callers
-    use it to carve out disjoint resource blocks (e.g. identifier
-    numbering) without coordination.
-    """
-    return _WORKER_INDEX
 
 
 def in_worker_process() -> bool:
     """True only inside a :class:`ProcessBackend` worker process.
 
-    The flag lets job functions distinguish "I run in a short-lived pool
-    worker and may reset process-global state" from "I run in the
-    caller's own process and must not clobber it".
+    The flag lets code tell a short-lived pool worker, which may be
+    killed, from the caller's own process, which must not be: the
+    ``kill-worker`` fault fires only where it is set.
     """
     return _IN_WORKER_PROCESS
 
 
-def _process_worker_init(sequence: Any) -> None:
-    """Pool-process startup: claim a worker index."""
-    global _WORKER_INDEX, _IN_WORKER_PROCESS
-    with sequence.get_lock():
-        _WORKER_INDEX = sequence.value
-        sequence.value += 1
+def _process_worker_init() -> None:
+    """Pool-process startup: mark this process as a worker."""
+    global _IN_WORKER_PROCESS
     _IN_WORKER_PROCESS = True
 
 
@@ -212,17 +199,15 @@ class SerialBackend(_BackendBase):
 class ProcessBackend(_BackendBase):
     """A process pool for CPU-bound fan-out (jobs must pickle).
 
-    Every worker process runs :func:`_process_worker_init` first: it
-    claims a stable :func:`worker_index` from a shared counter and sets
-    the :func:`in_worker_process` flag.  Works under both ``fork`` and
-    ``spawn`` -- the shared counter travels through the executor's
-    process-creation arguments, never through a task pickle.
+    Every worker process runs :func:`_process_worker_init` first, which
+    sets the :func:`in_worker_process` flag.  Works under both ``fork``
+    and ``spawn``.
 
     The backend is *supervised*: a worker dying mid-job (OOM kill,
     segfault, hard ``os._exit``) breaks a :class:`ProcessPoolExecutor`
     permanently, which by default would fail every in-flight job.
     :meth:`map_unordered` instead discards the broken pool, respawns a
-    fresh one (up to ``respawn_limit`` times per backend), and
+    fresh one (up to :data:`RESPAWN_LIMIT` times per backend), and
     re-enqueues exactly the jobs that never produced a result.  Past the
     budget it degrades to an inline serial drain in the calling process
     -- slower, but a campaign always terminates rather than hanging or
@@ -236,19 +221,13 @@ class ProcessBackend(_BackendBase):
         self,
         jobs: int | None = None,
         start_method: str | None = None,
-        respawn_limit: int = 2,
     ) -> None:
         if jobs is None:
             jobs = usable_cpus()
         if jobs < 1:
             raise ValidationError(f"backend jobs must be >= 1, got {jobs}")
-        if respawn_limit < 0:
-            raise ValidationError(
-                f"respawn_limit must be >= 0, got {respawn_limit}"
-            )
         self.jobs = jobs
         self._start_method = start_method
-        self.respawn_limit = respawn_limit
         self.respawns = 0
         self._executor: _futures.ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
@@ -267,13 +246,10 @@ class ProcessBackend(_BackendBase):
         """The worker pool, started on first use."""
         with self._lock:
             if self._executor is None:
-                context = mp_context(self.start_method)
-                sequence = context.Value("i", 0)
                 self._executor = _futures.ProcessPoolExecutor(
                     max_workers=self.jobs,
-                    mp_context=context,
+                    mp_context=mp_context(self.start_method),
                     initializer=_process_worker_init,
-                    initargs=(sequence,),
                 )
             return self._executor
 
@@ -282,13 +258,13 @@ class ProcessBackend(_BackendBase):
     ) -> Iterator[tuple[int, Any]]:
         remaining = dict(enumerate(items))
         while remaining:
-            if self.respawns > self.respawn_limit:
+            if self.respawns > RESPAWN_LIMIT:
                 # Degraded mode: the pool kept dying, so finish the
                 # leftovers inline rather than hang or crash the stream.
                 _log.warning(
                     "process pool exceeded its respawn budget (%d); "
                     "draining %d job(s) inline",
-                    self.respawn_limit,
+                    RESPAWN_LIMIT,
                     len(remaining),
                 )
                 for index in sorted(remaining):
@@ -313,7 +289,7 @@ class ProcessBackend(_BackendBase):
                     "process worker died; pool replacement %d (budget %d), "
                     "%d job(s) to re-enqueue",
                     self.respawns,
-                    self.respawn_limit,
+                    RESPAWN_LIMIT,
                     len(remaining),
                 )
                 self.shutdown(wait=False, cancel_pending=True)
@@ -377,6 +353,7 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "ProcessBackend",
+    "RESPAWN_LIMIT",
     "START_METHOD_ENV",
     "SerialBackend",
     "available_start_methods",
@@ -385,5 +362,4 @@ __all__ = [
     "in_worker_process",
     "mp_context",
     "usable_cpus",
-    "worker_index",
 ]

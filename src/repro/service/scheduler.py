@@ -23,7 +23,9 @@ no finished submission (or its variants).  Each submission has its own
 :class:`~repro.runtime.CancelToken`: cancelling one (client disconnect,
 explicit ``cancel`` op) skips its remaining variants while the daemon
 and its other submissions keep running, and cancelling the scheduler's
-token cancels every live submission at once.
+token cancels every live submission at once.  Cancelling the scheduler
+or shutting it down without waiting skips every queued unit, so each
+live submission still ends with its ``done`` event.
 """
 
 from __future__ import annotations
@@ -134,8 +136,6 @@ class Submission:
             self._finish()
 
     def _skip(self, count: int) -> None:
-        if count <= 0:
-            return
         with self._lock:
             self.skipped += count
             finished = self.completed + self.skipped >= self.total
@@ -217,7 +217,9 @@ class Scheduler:
 
         Work units are enqueued immediately (round-robin over shards);
         outcomes stream onto the submission's queue as workers get to
-        them.  An empty batch finishes instantly.
+        them.  An empty batch finishes instantly, and so does one accepted
+        after the scheduler is cancelled: it starts cancelled with every
+        variant skipped.
         """
         variant_list = list(variants)
         jobs = tuple(enumerate(variant_list))
@@ -229,15 +231,17 @@ class Scheduler:
                 f"sub-{self._submitted:04d}", variant_list, self._forget
             )
             self._submissions[submission.id] = submission
-            if self.cancel.cancelled:
+            cancelled = self.cancel.cancelled
+            if cancelled:
                 submission.cancel.cancel()
-            for start in range(0, len(jobs), UNIT_SIZE):
-                self._deques[next(self._shard_rr) % self.shards].append(
-                    (submission, jobs[start : start + UNIT_SIZE])
-                )
-            self._cond.notify_all()
-        if not jobs:
-            submission._finish()
+            else:
+                for start in range(0, len(jobs), UNIT_SIZE):
+                    self._deques[next(self._shard_rr) % self.shards].append(
+                        (submission, jobs[start : start + UNIT_SIZE])
+                    )
+                self._cond.notify_all()
+        if cancelled or not jobs:
+            submission._skip(len(jobs))
         return submission
 
     def get(self, submission_id: str) -> Submission:
@@ -266,7 +270,22 @@ class Scheduler:
         with self._cond:
             for submission in self._submissions.values():
                 submission.cancel.cancel()
+        self._skip_queued()
+
+    def _skip_queued(self) -> None:
+        """Empty every shard and skip the variants of each queued unit.
+
+        The workers never take these units (they stop on cancellation or
+        shutdown), so skipping them here is what lets each live
+        submission still finish once its in-flight variants land.
+        """
+        with self._cond:
+            units = [unit for shard in self._deques for unit in shard]
+            for shard in self._deques:
+                shard.clear()
             self._cond.notify_all()
+        for submission, jobs in units:
+            submission._skip(len(jobs))
 
     # -- workers -----------------------------------------------------------
 
@@ -352,17 +371,18 @@ class Scheduler:
         }
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the workers (idempotent).  ``wait=False`` abandons queued
-        units; in-flight variants still finish (threads are daemonic)."""
+        """Stop the workers (idempotent).  ``wait=True`` drains queued
+        units first; ``wait=False`` skips them and returns at once, while
+        in-flight variants still finish (threads are daemonic).  Either
+        way every live submission ends with its ``done`` event."""
         with self._cond:
             self._stopping = True
-            if not wait:
-                for shard in self._deques:
-                    shard.clear()
             self._cond.notify_all()
         if wait:
             for thread in self._threads:
                 thread.join(timeout=30.0)
+        else:
+            self._skip_queued()
 
     def __enter__(self) -> "Scheduler":
         return self

@@ -1,13 +1,13 @@
 """One job shape: every campaign backend runs one variant per task.
 
 A campaign hands the runtime one task per pending variant, built from
-the module-level job function ``_campaign_job``.  These tests pin what
-that shape promises: one progress event per variant, verdict parity
-with serial execution at every campaign size, memo hits that re-index
-the submitted subset without moving any verdict, a job function that
-pickles and enforces deadlines, disjoint identifier blocks per process
-worker, input-ordered results for mixed-family lists, and a poisoned
-variant that fails alone wherever it sits in the list.
+a ``functools.partial`` over the module-level ``_execute_checked``.
+These tests pin what that shape promises: one progress event per
+variant, verdict parity with serial execution at every campaign size,
+memo hits that re-index the submitted subset without moving any
+verdict, a job function that pickles and enforces deadlines,
+input-ordered results for mixed-family lists, and a poisoned variant
+that fails alone wherever it sits in the list.
 """
 
 import dataclasses
@@ -16,23 +16,16 @@ import pickle
 
 import pytest
 
-from repro.engine import campaign
 from repro.engine.campaign import (
     ERROR_VERDICT,
-    _campaign_job,
+    _execute_checked,
     execute_variant,
     run_campaign,
 )
 from repro.engine.registry import default_registry
 from repro.engine.spec import VariantSpec
 from repro.errors import DeadlineExceededError, VariantExecutionError
-from repro.model.identifiers import claim_id, reset_default_allocator
-from repro.runtime import (
-    ProcessBackend,
-    Runtime,
-    SerialBackend,
-    worker_index,
-)
+from repro.runtime import ProcessBackend, SerialBackend
 
 
 def _quick_variants():
@@ -79,13 +72,6 @@ def _poisoned_variant():
         family="poison",
         attack="no-such-catalog-attack",
     )
-
-
-# Module-level so it pickles into process workers under fork and spawn.
-def _job_then_claim(variant):
-    """Run one campaign job, then mint an attack id in the same worker."""
-    _campaign_job(variant, None, None)
-    return worker_index(), claim_id("AD")
 
 
 class _DictMemo:
@@ -168,7 +154,7 @@ class TestJobFunction:
     def test_job_pickles_and_matches_in_process_execution(self):
         variant = _quick_variants()[0]
         job = functools.partial(
-            _campaign_job,
+            _execute_checked,
             registry=None,
             default_deadline_s=None,
         )
@@ -180,38 +166,13 @@ class TestJobFunction:
     def test_campaign_default_deadline_applies(self):
         variant = _quick_variants()[0]
         with pytest.raises(DeadlineExceededError, match="deadline"):
-            _campaign_job(variant, None, 1e-9)
+            _execute_checked(variant, None, 1e-9)
 
     def test_variant_deadline_wins_over_campaign_default(self):
         variant = dataclasses.replace(_quick_variants()[0], deadline_s=60.0)
-        outcome = _campaign_job(variant, None, 1e-9)
+        outcome = _execute_checked(variant, None, 1e-9)
         assert outcome.variant_id == variant.variant_id
         assert not outcome.is_error
-
-    def test_main_process_keeps_its_identifier_state(self):
-        """Outside a pool worker the job claims no identifier block: the
-        caller's allocator keeps counting where it was."""
-        try:
-            before = int(claim_id("AD")[2:])
-            _campaign_job(_quick_variants()[0], None, None)
-            assert campaign._worker_identity_claimed is False
-            assert int(claim_id("AD")[2:]) > before
-        finally:
-            reset_default_allocator()
-
-    def test_process_workers_mint_from_disjoint_blocks(self):
-        """Each process worker's first job bases its allocator on the
-        worker's own block, so ids minted in parallel never collide."""
-        variants = _quick_variants()[:6]
-        with Runtime(ProcessBackend(jobs=2)) as runtime:
-            results = list(runtime.map(_job_then_claim, variants))
-        assert all(r.ok for r in results)
-        minted = [(index, int(ident[2:])) for index, ident in
-                  (r.value for r in results)]
-        block = campaign._WORKER_ID_BLOCK
-        for index, number in minted:
-            assert index * block < number <= (index + 1) * block
-        assert len({number for _index, number in minted}) == len(minted)
 
 
 class TestMixedFamilyOrdering:

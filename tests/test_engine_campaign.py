@@ -180,38 +180,6 @@ class TestRunCampaign:
                 variants, registry=custom, backend=ProcessBackend(jobs=2)
             )
 
-    def test_worker_identity_claims_disjoint_id_blocks(self, monkeypatch):
-        """A pool worker's first job claims a block based on its index;
-        any other process never resets the allocator."""
-        import repro.engine.campaign as campaign_module
-        from repro.model.identifiers import (
-            claim_id,
-            reset_default_allocator,
-        )
-        from repro.runtime import backends as backends_module
-
-        try:
-            # Outside a worker process: a no-op, allocator untouched.
-            monkeypatch.setattr(
-                campaign_module, "_worker_identity_claimed", False
-            )
-            campaign_module._ensure_worker_identity()
-            assert claim_id("AD") == "AD01"
-            # Simulate being worker 1 of a process pool.
-            monkeypatch.setattr(
-                backends_module, "_IN_WORKER_PROCESS", True
-            )
-            monkeypatch.setattr(backends_module, "_WORKER_INDEX", 1)
-            campaign_module._ensure_worker_identity()
-            assert claim_id("AD") == "AD1001"  # disjoint block
-            # Claimed once per process: a second job does not re-floor.
-            monkeypatch.setattr(backends_module, "_WORKER_INDEX", 2)
-            campaign_module._ensure_worker_identity()
-            assert claim_id("AD") == "AD1002"
-        finally:
-            campaign_module._worker_identity_claimed = False
-            reset_default_allocator()
-
     def test_outcome_lookup(self):
         result = run_campaign(
             [default_registry().variant("uc2/baseline/stock")]

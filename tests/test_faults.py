@@ -45,6 +45,7 @@ from repro.runtime import (
     Runtime,
     available_start_methods,
 )
+from repro.runtime import backends
 
 
 # -- module-level helpers (picklable under spawn) --------------------------
@@ -506,13 +507,14 @@ class TestProcessSupervision:
         assert backend.respawns == 1
         assert _signature(result.outcomes) == clean
 
-    def test_past_budget_degrades_to_inline_drain(self, tmp_path):
+    def test_past_budget_degrades_to_inline_drain(self, tmp_path, monkeypatch):
         plan = FaultPlan(
             seed=0,
             faults=(FaultSpec("kill-worker", 1), FaultSpec("kill-worker", 2)),
             state_dir=str(tmp_path / "state"),
         )
-        backend = ProcessBackend(jobs=2, respawn_limit=0)
+        monkeypatch.setattr(backends, "RESPAWN_LIMIT", 0)
+        backend = ProcessBackend(jobs=2)
         with armed(plan), Runtime(backend) as runtime:
             results = sorted(
                 runtime.map(_faulted_square, range(6)),
@@ -523,10 +525,6 @@ class TestProcessSupervision:
         assert backend.respawns == 1
         assert all(r.ok for r in results)
         assert [r.value for r in results] == [v * v for v in range(6)]
-
-    def test_respawn_limit_validation(self):
-        with pytest.raises(ValidationError, match="respawn_limit"):
-            ProcessBackend(jobs=1, respawn_limit=-1)
 
 
 class TestPoisonedExceptionCapture:

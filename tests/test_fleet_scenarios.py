@@ -362,8 +362,11 @@ class TestTopologyOverrides:
         variants = registry.variants(family="fleet", limit=1)
         with pytest.raises(ValidationError, match="fleet size"):
             apply_topology_overrides(variants, registry, fleet_size=0)
-        with pytest.raises(ValidationError, match="RSU range"):
-            apply_topology_overrides(variants, registry, rsu_range_m=-1.0)
+        for bad_range in (-1.0, float("nan")):
+            with pytest.raises(ValidationError, match="RSU range"):
+                apply_topology_overrides(
+                    variants, registry, rsu_range_m=bad_range
+                )
 
     def test_no_overrides_is_identity(self):
         registry = default_registry()

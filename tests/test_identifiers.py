@@ -92,92 +92,3 @@ class TestNextId:
     def test_next_id_unknown_kind(self):
         with pytest.raises(ValidationError):
             ids.next_id(set(), "XX")
-
-
-class TestIdAllocator:
-    """The stateful, process-safe counterpart of the pure next_id."""
-
-    def test_claims_are_sequential_and_never_repeat(self):
-        allocator = ids.IdAllocator()
-        assert allocator.claim("AD") == "AD01"
-        # Unlike next_id with a stale `existing` set, a second claim
-        # without new information still advances.
-        assert allocator.claim("AD") == "AD02"
-        assert allocator.claim("SG") == "SG01"  # kinds are independent
-
-    def test_claim_moves_past_existing(self):
-        allocator = ids.IdAllocator()
-        assert allocator.claim("AD", {"AD07", "SG09"}) == "AD08"
-        assert allocator.claim("AD") == "AD09"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            ids.IdAllocator().claim("XX")
-
-    def test_reset_forgets_marks(self):
-        allocator = ids.IdAllocator()
-        allocator.claim("AD")
-        allocator.claim("SG")
-        allocator.reset("AD")
-        assert allocator.claim("AD") == "AD01"
-        assert allocator.claim("SG") == "SG02"  # untouched kind survives
-        allocator.reset()
-        assert allocator.claim("SG") == "SG01"
-
-    def test_thread_safety_no_duplicate_claims(self):
-        import threading
-
-        allocator = ids.IdAllocator()
-        claimed = []
-
-        def worker():
-            for _ in range(50):
-                claimed.append(allocator.claim("AD"))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(claimed) == 400
-        assert len(set(claimed)) == 400
-
-    def test_forked_workers_do_not_inherit_parent_marks(self):
-        # A campaign worker forked mid-sequence must not continue the
-        # parent's counter from stale shared state: two siblings doing so
-        # would believe they extend one sequence while actually minting
-        # the same "next" identifier.  The allocator detects the PID
-        # change and starts clean.
-        from repro.runtime import available_start_methods, mp_context
-
-        if "fork" not in available_start_methods():
-            pytest.skip("fork start method unavailable")
-        parent = ids.default_allocator
-        ids.reset_default_allocator()
-        parent.claim("AD")
-        parent.claim("AD")  # parent is at AD02
-
-        context = mp_context("fork")
-        child_ids = []
-        for _ in range(2):  # one single-process pool per forked child
-            with context.Pool(1) as pool:
-                child_ids.extend(pool.map(ids.claim_id, ["AD"]))
-        assert child_ids == ["AD01", "AD01"]  # clean slate, not AD03
-        assert parent.claim("AD") == "AD03"  # parent sequence undisturbed
-        ids.reset_default_allocator()
-
-    def test_floor_bases_a_disjoint_numbering_block(self):
-        allocator = ids.IdAllocator()
-        allocator.reset(floor=2000)
-        assert allocator.claim("AD") == "AD2001"
-        assert allocator.claim("SG") == "SG2001"
-        with pytest.raises(ValidationError):
-            allocator.reset(floor=-1)
-
-    def test_module_level_claim_and_reset(self):
-        ids.reset_default_allocator()
-        first = ids.claim_id("Rat")
-        assert first == "Rat01"
-        assert ids.default_allocator.high_water_mark("Rat") == 1
-        ids.reset_default_allocator()
-        assert ids.default_allocator.high_water_mark("Rat") == 0

@@ -33,9 +33,9 @@ def _fail_on_two(value):
 
 
 def _report_worker(value):
-    from repro.runtime import in_worker_process, worker_index
+    from repro.runtime import in_worker_process
 
-    return (in_worker_process(), worker_index())
+    return in_worker_process()
 
 
 ALL_BACKENDS = ("serial", "process")
@@ -248,14 +248,12 @@ class TestProcessBackendSemantics:
     def test_workers_know_their_identity(self):
         with Runtime(ProcessBackend(jobs=2)) as runtime:
             results = _run(runtime, _report_worker, range(6))
-        assert all(r.value[0] is True for r in results)
-        assert {r.value[1] for r in results} <= {0, 1}
+        assert all(r.value is True for r in results)
 
     def test_main_process_is_not_a_worker(self):
-        from repro.runtime import in_worker_process, worker_index
+        from repro.runtime import in_worker_process
 
         assert in_worker_process() is False
-        assert worker_index() == 0
 
     def test_env_start_method_honoured(self, monkeypatch):
         monkeypatch.setenv(START_METHOD_ENV, "spawn")

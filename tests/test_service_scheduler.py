@@ -70,6 +70,15 @@ class _FullDiskOnceMemo(MemoStore):
         super()._append(entry)
 
 
+def _assert_finished_and_forgotten(scheduler, submission):
+    """Every variant ran or was skipped, the stream ended with ``done``
+    and the scheduler no longer lists the submission."""
+    summary = submission.summary()
+    assert summary["skipped"] == submission.total - summary["completed"]
+    assert list(submission.events())[-1][0] == "done"
+    assert scheduler.status()["submissions"] == []
+
+
 class TestSubmission:
     def test_outcomes_stream_with_input_indices(self):
         variants = _variants(5)
@@ -271,6 +280,52 @@ class TestScheduling:
         finally:
             memo.gate.set()
             scheduler.shutdown(wait=False)
+
+    def test_submission_after_scheduler_cancel_finishes_skipped(self):
+        """A submission accepted after the scheduler is cancelled has no
+        worker left to run it, so it is skipped whole and finishes."""
+        scheduler = Scheduler(shards=2, workers=2)
+        try:
+            scheduler.cancel.cancel()
+            submission = scheduler.submit(_variants(2))
+            assert submission.wait(timeout=10.0)
+            _assert_finished_and_forgotten(scheduler, submission)
+            assert submission.summary()["skipped"] == 2
+        finally:
+            scheduler.shutdown(wait=False)
+
+    def test_scheduler_cancel_finishes_queued_submissions(self):
+        """Cancelling the scheduler mid-run: the in-flight variant lands,
+        every queued one is skipped, and the submission finishes."""
+        memo = _GateMemo()
+        scheduler = Scheduler(memo, shards=2, workers=1)
+        try:
+            submission = scheduler.submit(_variants(8))
+            assert memo.entered.wait(timeout=10.0)
+            scheduler.cancel.cancel()
+            memo.gate.set()
+            assert submission.wait(timeout=30.0)
+            _assert_finished_and_forgotten(scheduler, submission)
+            assert submission.summary()["completed"] == 1
+        finally:
+            memo.gate.set()
+            scheduler.shutdown(wait=False)
+
+    def test_shutdown_without_wait_finishes_queued_submissions(self):
+        """``shutdown(wait=False)`` skips the queued units; the in-flight
+        unit still runs, and the submission finishes."""
+        memo = _GateMemo()
+        scheduler = Scheduler(memo, shards=2, workers=1)
+        try:
+            submission = scheduler.submit(_variants(8))
+            assert memo.entered.wait(timeout=10.0)
+            scheduler.shutdown(wait=False)
+            memo.gate.set()
+            assert submission.wait(timeout=30.0)
+            _assert_finished_and_forgotten(scheduler, submission)
+            assert submission.summary()["completed"] == UNIT_SIZE
+        finally:
+            memo.gate.set()
 
     def test_unknown_submission_id_raises(self):
         with Scheduler(shards=1, workers=1) as scheduler:
